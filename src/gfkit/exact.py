@@ -272,16 +272,6 @@ def canonicalize(value: SqrtRational) -> SqrtRational:
     return SqrtRational(value.coeff, value.radicand)
 
 
-def sr_mul(a: SqrtRational, b: SqrtRational) -> SqrtRational:
-    """Exact product of two canonical values."""
-    return a * b
-
-
-def sr_add_same_radicand(a: SqrtRational, b: SqrtRational) -> SqrtRational:
-    """Sum of values on one radical ray; mixed rays raise ValueError."""
-    return a + b
-
-
 class HalfInt:
     """Angular momentum stored as a doubled integer, value = two_j/2."""
 

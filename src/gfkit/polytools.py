@@ -3,7 +3,9 @@
 A polynomial is a dict mapping exponent tuples to Fraction (or int)
 coefficients.  All operations are exact; these are workhorses for the
 symbolic identity checks (Hurwitz products, Laplacian pullback, boson
-polynomials) and for the 6j generating-function series.
+polynomials).  TruncatedSeries expands g(tau)^-2 term by term; it is the
+test oracle for the closed-form 6j coefficient in wigner, not a production
+route.
 """
 from __future__ import annotations
 
@@ -133,7 +135,8 @@ def bargmann_dot(a, b):
 
 class TruncatedSeries:
     """Multivariate power series over exact integers/rationals, truncated by
-    total degree.  Supports the inversion needed for g(tau)^-2."""
+    total degree.  Supports the inversion that expands g(tau)^-2 for the
+    tests of wigner.gf_coefficient."""
 
     def __init__(self, terms, nvars, max_degree):
         self.nvars = nvars

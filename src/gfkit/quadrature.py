@@ -56,16 +56,3 @@ def gauss_legendre(n, a=-1.0, b=1.0):
     xm = (a + b) / 2 + (b - a) / 2 * x
     wm = (b - a) / 2 * w
     return xm, wm
-
-
-def gauss_hermite(n):
-    return np.polynomial.hermite.hermgauss(n)
-
-
-def angular_product_grid(n_theta=64, n_phi=64):
-    """Gauss-Legendre in cos(theta) x uniform phi grid on the 2-sphere."""
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(ct)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    wphi = 2 * np.pi / n_phi
-    return theta, wt, phi, wphi

@@ -383,20 +383,15 @@ def u3_hypergeometric_terms(pat: GelfandPattern):
     b = h11 - h12
     c = h11 - h23 + 1
     # regularized start: the base term needs h11 >= h23; otherwise the
-    # series begins at the first k with non-negative exponents
-    k = max(0, h23 - h11)
+    # series begins at the first k with non-negative exponents.  It ends
+    # where a + k or b + k reaches 0; betweenness keeps every exponent
+    # non-negative in between.
     coef = Fraction(1)
     terms = []
-    while True:
+    for k in range(max(0, h23 - h11), min(h23 - h22, h12 - h11) + 1):
         expo = {(1,): h11 - h23 + k, (2,): h12 - h11 - k, (3,): h13 - h12,
                 (1, 2): h22 - h33, (1, 3): h23 - h22 - k, (2, 3): k,
                 (1, 2, 3): h33}
-        if all(v >= 0 for v in expo.values()):
-            terms.append((coef, {kk: v for kk, v in expo.items() if v}))
-        num = (a + k) * (b + k)
-        den = (c + k) * (k + 1)
-        if num == 0 or k > 200:
-            break
-        coef *= Fraction(num, den)
-        k += 1
+        terms.append((coef, {kk: v for kk, v in expo.items() if v}))
+        coef *= Fraction((a + k) * (b + k), (c + k) * (k + 1))
     return terms

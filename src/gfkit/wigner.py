@@ -2,9 +2,13 @@
 
 All angular momenta travel as doubled integers (two_j), all values as
 SqrtRational.  The 6j symbol has two independent routes: the definitional
-magnetic sum over four 3j symbols, and coefficient extraction from the
-generating function g(tau)^-2 with the triangle-delta normalization; the
-two must agree exactly and the test suite enforces it.
+magnetic sum over four 3j symbols, and the coefficient of the generating
+function g(tau)^-2 with the triangle-delta normalization.  That coefficient
+is a closed-form single sum over the exponent of b1 (Bargmann's generating
+function reduced to Racah's sum), so the route keeps no state.  The two
+routes must agree exactly and the test suite enforces it; the tests also
+check the closed form against the truncated series of g^-2
+(polytools.TruncatedSeries), which only they use.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from functools import lru_cache
 
 from .exact import (SR_ZERO, SqrtRational, factorials, fact2, neg_one_pow,
                     sqrt_ratio_of_squares, triangle_ok, HalfInt)
-from .polytools import TruncatedSeries
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,8 @@ def _tau_monomial(*names):
 # g = 1 + a0+a1+a2+a3 + b1+b2+b3.  Each b_i pairs tau_{0i} tau_{i0} with the
 # opposite column's product, completing the symmetric pattern; only this
 # completion reproduces the definitional magnetic sum (tests enforce equality
-# on every label).
+# on every label).  gf_coefficient hard-codes which a and b hold each tau;
+# the tests check it against the truncated series of this g.
 _G_TERMS = [
     _tau_monomial("10", "20", "30"),
     _tau_monomial("01", "31", "21"),
@@ -275,44 +279,49 @@ _G_TERMS = [
     _tau_monomial("03", "30", "12", "21"),
 ]
 
-_series_cache = {"degree": -1, "series": None}
 
+def gf_coefficient(expo) -> int:
+    """Exact coefficient of tau^expo in g(tau)^-2, expo in _TAU_VARS order.
 
-def _g_inverse_squared(max_degree: int) -> TruncatedSeries:
-    if _series_cache["degree"] >= max_degree:
-        return _series_cache["series"]
-    one = tuple([0] * 12)
-    g = {one: 1}
-    for t in _G_TERMS:
-        g[t] = g.get(t, 0) + 1
-    gs = TruncatedSeries(g, 12, max_degree)
-    inv = gs.mul(gs).inverse()
-    _series_cache["degree"] = max_degree
-    _series_cache["series"] = inv
-    return inv
-
-
-# pair labels: j_{01}=j1, j_{02}=j2, j_{03}=j3, j_{12}=l3, j_{13}=l2, j_{23}=l1
-_PAIR_OF = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 5, (1, 3): 4, (2, 3): 3}
+    With g = 1 + sum_k t_k, the coefficient is sum_n (-1)^N (N+1)!/prod n_k!
+    over n in N^7 with sum_k n_k t_k = tau^expo, N = sum n_k.  Every tau lies
+    in exactly one a_i and one b_i, so z = n_b1 fixes the other six:
+    a0..a3 = (e10, e01, e32, e23) - z and b2, b3 = (e20 - e10, e30 - e10) + z.
+    The six remaining tau equations do not depend on z; when they hold, the
+    sum is Racah's single sum over z.
+    """
+    e01, e02, e03, e10, e20, e30, e12, e21, e13, e31, e23, e32 = expo
+    a0, a1, a2, a3 = e10, e01, e32, e23
+    b2, b3 = e20 - e10, e30 - e10
+    if (a2 + b2 != e02 or a3 + b3 != e03 or a3 + b2 != e13
+            or a1 + b2 != e31 or a2 + b3 != e12 or a1 + b3 != e21):
+        return 0
+    n0 = a0 + a1 + a2 + a3 + b2 + b3  # N at z = 0; each step of z lowers N by 1
+    total = 0
+    for z in range(max(0, -b2, -b3), min(a0, a1, a2, a3) + 1):
+        n = n0 - z
+        term = factorials(n + 1) // (
+            factorials(a0 - z) * factorials(a1 - z) * factorials(a2 - z)
+            * factorials(a3 - z) * factorials(z) * factorials(b2 + z)
+            * factorials(b3 + z))
+        total += -term if n & 1 else term
+    return total
 
 
 def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
+    """6j as the g(tau)^-2 coefficient times the four triangle deltas."""
     two_j = (tj1, tj2, tj3, tl1, tl2, tl3)
     triads = _sixj_triads(two_j)
     for t in triads:
         if sum(t) % 2 or not triangle_ok(*t):
             return SR_ZERO
-    expo = [0] * 12
-    for i in range(4):
-        Ji2 = sum(triads[i])
-        for nu in range(4):
-            if nu == i:
-                continue
-            pair = (min(i, nu), max(i, nu))
-            tk = Ji2 - 2 * two_j[_PAIR_OF[pair]]
-            expo[_TAU_IDX[f"{i}{nu}"]] = tk // 2
-    series = _g_inverse_squared(sum(expo))
-    coeff = series.coefficient(expo)
+    # tau_{i nu} carries J_i - 2 j_{i nu}, J_i the sum of triad i's three j;
+    # pair labels j_{01}=j1, j_{02}=j2, j_{03}=j3, j_{12}=l3, j_{13}=l2, j_{23}=l1
+    s0, s1, s2, s3 = (sum(t) // 2 for t in triads)
+    coeff = gf_coefficient((s0 - tj1, s0 - tj2, s0 - tj3,
+                            s1 - tj1, s2 - tj2, s3 - tj3,
+                            s1 - tl3, s2 - tl3, s1 - tl2,
+                            s3 - tl2, s2 - tl1, s3 - tl1))
     if coeff == 0:
         return SR_ZERO
     val = SqrtRational(Fraction(coeff))

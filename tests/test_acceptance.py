@@ -3,13 +3,14 @@ pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gfkit.exact import SR_ZERO, SqrtRational
+from gfkit.exact import SR_ZERO, SqrtRational, triangle_ok
 from gfkit import hurwitz, manybody, oscillator, special, su3, unitary
 from gfkit.cli import render, run_command
 from gfkit.polytools import poly_add, poly_const, poly_mul, poly_var
@@ -106,9 +107,17 @@ def test_03_sixj_routes_agree():
         if a:
             nonzero += 1
     dt = time.time() - t0
-    report(3, ok and dt < 120,
+    # a seeded sample beyond the sweep: valid labels with max two_j in 7..8
+    wider = [lab for lab in itertools.product(range(9), repeat=6)
+             if max(lab) > 6 and all(triangle_ok(*t) for t in (
+                 lab[:3], (lab[0], lab[4], lab[5]), (lab[3], lab[1], lab[5]),
+                 (lab[3], lab[4], lab[2])))]
+    sample = random.Random(3).sample(wider, 300)
+    sample_ok = all(sixj_gf(*lab) == sixj_oracle(*lab) for lab in sample)
+    report(3, ok and dt < 120 and sample_ok,
            f"(gf == magnetic-sum oracle on all labels two_j <= 6, "
-           f"{nonzero} nonzero, {dt:.1f}s)")
+           f"{nonzero} nonzero, {dt:.1f}s; and on 300 sampled valid labels "
+           f"with two_j <= 8)")
 
 
 def test_04_regge_invariance():

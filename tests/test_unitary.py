@@ -214,6 +214,14 @@ def test_u3_hypergeometric_crosscheck():
         assert len(ratios) == 1
 
 
+def test_u3_hypergeometric_terms_run_to_the_end():
+    # the series ends where b + k = h11 - h12 + k reaches 0: k runs 10..210
+    pat = GelfandPattern(((500, 250, 0), (450, 20), (240,)))
+    terms = u3_hypergeometric_terms(pat)
+    assert len(terms) == 201
+    assert [e[(2, 3)] for _, e in terms] == list(range(10, 211))
+
+
 def test_u3_orthogonality_montecarlo():
     # distinct patterns of one irrep are orthogonal under the Gaussian measure
     rng = np.random.default_rng(42)

@@ -1,17 +1,22 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, assume, strategies as st
 
-from gfkit.exact import SR_ZERO, SqrtRational, HalfInt
-from gfkit.polytools import poly_mul, poly_pow, poly_const, poly_var, poly_add
+from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, triangle_ok
+from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_const,
+                             poly_var, poly_add)
 from gfkit.wigner import (NineJLabel, SixJLabel, ThreeJLabel, clebsch_gordan,
-                          gaunt, ninej, regge_orbit, sixj_fixed_m, sixj_gf,
-                          sixj_oracle, threej, threej_second_route, wigner_3j,
-                          wigner_6j_gf, wigner_6j_oracle, wigner_9j)
+                          gaunt, gf_coefficient, ninej, regge_orbit,
+                          sixj_fixed_m, sixj_gf, sixj_oracle, threej,
+                          threej_second_route, wigner_3j, wigner_6j_gf,
+                          wigner_6j_oracle, wigner_9j, _G_TERMS, _TAU_VARS)
 
 
 def sr(c, r=1):
@@ -143,6 +148,97 @@ def test_sixj_symmetries():
         # swap upper/lower pairs in two columns
         assert sixj_gf(l1, l2, j3, j1, j2, l3) == v
         assert sixj_gf(l1, j2, l3, j1, l2, j3) == v
+
+
+def sixj_triads_ok(lab):
+    j1, j2, j3, l1, l2, l3 = lab
+    return all(triangle_ok(*t) for t in
+               ((j1, j2, j3), (j1, l2, l3), (l1, j2, l3), (l1, l2, j3)))
+
+
+def test_gf_coefficient_matches_series():
+    # the closed form against the literal series of g^-2 at degree 18, the
+    # total degree of every 6j label with 2j <= 3
+    one = (0,) * 12
+    g = {one: 1}
+    for t in _G_TERMS:
+        g[t] = 1
+    gs = TruncatedSeries(g, 12, 18)
+    series = gs.mul(gs).inverse()
+    for expo in series.terms:
+        assert gf_coefficient(expo) == series.coefficient(expo)
+
+    # tau_{i nu} carries J_i - 2 j_{i nu} for triad i and the pair (i, nu)
+    pair_of = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 5, (1, 3): 4, (2, 3): 3}
+    for lab in itertools.product(range(4), repeat=6):
+        j1, j2, j3, l1, l2, l3 = lab
+        triads = ((j1, j2, j3), (j1, l2, l3), (l1, j2, l3), (l1, l2, j3))
+        if any(sum(t) % 2 for t in triads):
+            continue
+        expo = []
+        for v in _TAU_VARS:
+            i, nu = int(v[0]), int(v[1])
+            expo.append(sum(triads[i]) // 2 - lab[pair_of[min(i, nu), max(i, nu)]])
+        assert sum(expo) <= 18
+        assert gf_coefficient(expo) == series.coefficient(expo)
+
+
+def test_sixj_gf_under_threads():
+    labels = [lab for lab in itertools.product(range(7), repeat=6)
+              if sixj_triads_ok(lab)]
+    random.Random(4).shuffle(labels)
+    expected = [sixj_oracle(*lab) for lab in labels]
+    got = [None] * len(labels)
+    n_threads = 4
+
+    def work(first):
+        for k in range(first, len(labels), n_threads):
+            got[k] = sixj_gf(*labels[k])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_sixj_gf_all_equal_large():
+    assert sixj_gf(*[8] * 6) == sr(Fraction(-467, 18018))
+    assert sixj_gf(*[10] * 6) == sr(Fraction(1, 52))
+    for tj in (8, 10, 20):
+        assert sixj_gf(*[tj] * 6) == sixj_oracle(*[tj] * 6)
+
+
+@st.composite
+def sixj_labels(draw, tjmax=12):
+    def third(a, b):
+        return draw(st.sampled_from(range(abs(a - b), min(a + b, tjmax) + 1, 2)))
+
+    j1, j2, l1 = (draw(st.integers(0, tjmax)) for _ in range(3))
+    j3 = third(j1, j2)
+    l2 = third(l1, j3)
+    l3s = [x for x in range(tjmax + 1) if triangle_ok(j1, l2, x) and triangle_ok(l1, j2, x)]
+    assume(l3s)
+    return j1, j2, j3, l1, l2, draw(st.sampled_from(l3s))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sixj_labels())
+def test_sixj_gf_tetrahedral_symmetry(lab):
+    # the 24 images: any column permutation, and upper/lower swapped in two columns
+    v = sixj_gf(*lab)
+    cols = list(zip(lab[:3], lab[3:]))
+    for perm in itertools.permutations(range(3)):
+        for flips in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
+            image = [cols[c][::-1] if f else cols[c] for c, f in zip(perm, flips)]
+            assert sixj_gf(*(u for u, _ in image), *(w for _, w in image)) == v
 
 
 def test_ninej_examples():
