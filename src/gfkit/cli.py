@@ -4,6 +4,12 @@ machine-readable output (json, csv, text).
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 2 usage error.
+
+Each command is one entry of the command table: its group, its name, its
+argument specs and its handler.  The parser is built from the table, and a
+handler imports only the kernel it runs, so this module loads nothing but
+the standard library and an exact command (wigner, gelfand) never loads
+numpy or scipy.
 """
 from __future__ import annotations
 
@@ -12,11 +18,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
-
-from . import exact, hurwitz, manybody, oscillator, special, su3, unitary, wigner
 
 
 class UsageError(Exception):
@@ -84,421 +85,434 @@ def render(env: ResultEnvelope, fmt: str) -> bytes:
     raise UsageError(f"unknown format {fmt}")
 
 
-def _sr_env(value, meta) -> ResultEnvelope:
+# ---------------------------------------------------------------------------
+# result shapes
+# ---------------------------------------------------------------------------
+def _fmt_float(x) -> str:
+    return repr(float(x))
+
+
+def _exact(value, meta) -> ResultEnvelope:
     return ResultEnvelope(value_exact=str(value), value_float=float(value),
                           meta=meta)
+
+
+def _table(columns, rows, value_float, meta) -> ResultEnvelope:
+    return ResultEnvelope(table={"columns": columns, "rows": rows},
+                          value_float=value_float, meta=meta)
+
+
+def _samples(x_name, xs, vals, meta) -> ResultEnvelope:
+    """Real samples of a wavefunction as x, real, imag, abs2 rows; the value
+    is the largest |sample|."""
+    import numpy as np
+    rows = [[_fmt_float(xs[i]), _fmt_float(vals[i]), "0.0",
+             _fmt_float(vals[i] ** 2)] for i in range(len(xs))]
+    return _table([x_name, "real", "imag", "abs2"], rows,
+                  float(np.max(np.abs(vals))), meta)
+
+
+def _matrix(M, value_float, meta) -> ResultEnvelope:
+    n = len(M)
+    rows = [[i] + [_fmt_float(v) for v in M[i]] for i in range(n)]
+    return _table(["row"] + [f"c{j}" for j in range(n)], rows, value_float, meta)
+
+
+def _complex(z, value_float, meta, columns=("re", "im")) -> ResultEnvelope:
+    return _table(list(columns), [[_fmt_float(z.real), _fmt_float(z.imag)]],
+                  value_float, meta)
+
+
+# ---------------------------------------------------------------------------
+# the command table: group -> op -> (argument specs, handler), in the order
+# the parser lists them
+# ---------------------------------------------------------------------------
+_COMMANDS: dict[str, dict] = {}
+
+
+def _arg(flag, type=int, nargs=None, **kw):
+    """One argument spec; required unless it has a default."""
+    kw.setdefault("required", "default" not in kw)
+    return flag, dict(type=type, nargs=nargs, **kw)
+
+
+def _command(group, op, *specs):
+    def register(handler):
+        _COMMANDS.setdefault(group, {})[op] = (specs, handler)
+        return handler
+    return register
+
+
+_TWO_JM = (_arg("--two-j", nargs=3), _arg("--two-m", nargs=3))
+_SU3_LABELS = tuple(_arg(f"--{nm}") for nm in ("lam1", "lam2", "lam3", "mu3"))
+_SEED = _arg("--seed", default=0)
+_HYDROGEN = (_arg("--dim", default=3), _arg("--n"), _arg("--l"),
+             _arg("--points", default=50), _arg("--rmax", float, default=None))
+_SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
+
+
+# --- wigner ----------------------------------------------------------------
+@_command("wigner", "3j", *_TWO_JM)
+def _wigner_3j(args):
+    from .wigner import threej
+    return _exact(threej(*args.two_j, *args.two_m), "van der Waerden single-sum 3j")
+
+
+@_command("wigner", "cg", *_TWO_JM)
+def _wigner_cg(args):
+    from .exact import HalfInt
+    from .wigner import clebsch_gordan
+    val = clebsch_gordan(*(HalfInt(x) for pair in zip(args.two_j, args.two_m)
+                           for x in pair))
+    return _exact(val, "Clebsch-Gordan from 3j, Condon-Shortley")
+
+
+@_command("wigner", "6j", _arg("--two-j", nargs=6),
+          _arg("--route", str, choices=("gf", "oracle"), default="gf"))
+def _wigner_6j(args):
+    from .wigner import sixj_gf, sixj_oracle
+    fn = sixj_gf if args.route == "gf" else sixj_oracle
+    return _exact(fn(*args.two_j), f"6j via {args.route}")
+
+
+@_command("wigner", "9j", _arg("--two-j", nargs=9))
+def _wigner_9j(args):
+    from .wigner import ninej
+    rows = tuple(tuple(args.two_j[3 * r:3 * r + 3]) for r in range(3))
+    return _exact(ninej(rows), "9j magnetic sum")
+
+
+@_command("wigner", "regge", *_TWO_JM)
+def _wigner_regge(args):
+    from .wigner import ThreeJLabel, regge_orbit
+    orbit = regge_orbit(ThreeJLabel(tuple(args.two_j), tuple(args.two_m)))
+    rows = sorted([list(l.two_j) + list(l.two_m) + [ph] for l, ph in orbit])
+    return _table(["tj1", "tj2", "tj3", "tm1", "tm2", "tm3", "phase"], rows,
+                  float(len(rows)), "Regge magic-square orbit")
+
+
+@_command("wigner", "gaunt", _arg("--l", nargs=3), _arg("--m", nargs=3))
+def _wigner_gaunt(args):
+    from .wigner import gaunt
+    val = gaunt(args.l[0], args.m[0], args.l[1], args.m[1], args.l[2], args.m[2])
+    return ResultEnvelope(value_float=val, meta="Gaunt triple-Y integral")
+
+
+# --- su3 -------------------------------------------------------------------
+@_command("su3", "decompose", _arg("--lam1"), _arg("--lam2"))
+def _su3_decompose(args):
+    from .su3 import dim_su3, su3_decompose_multfree
+    rows = [[lam3, mu3, dim_su3(lam3, mu3)]
+            for lam3, mu3 in su3_decompose_multfree(args.lam1, args.lam2)]
+    return _table(["lam3", "mu3", "dim"], rows, float(len(rows)),
+                  "multiplicity-free decomposition")
+
+
+@_command("su3", "wigner", *_SU3_LABELS,
+          _arg("--a1", nargs=3, metavar=("Y", "TWO_T", "TWO_T0")),
+          _arg("--a2", nargs=3), _arg("--a3", nargs=3))
+def _su3_wigner(args):
+    from .su3 import Su3Label, su3_wigner_multfree
+    labels = [Su3Label.from_key(lam, mu, tuple(a)) for lam, mu, a in
+              ((args.lam1, 0, args.a1), (args.lam2, 0, args.a2),
+               (args.lam3, args.mu3, args.a3))]
+    w, iso = su3_wigner_multfree(args.lam1, args.lam2, args.lam3, args.mu3, *labels)
+    env = _exact(w, "SU(3) invariant-contraction Wigner")
+    env.table = {"columns": ["isoscalar_exact", "isoscalar_float"],
+                 "rows": [[str(iso), _fmt_float(iso)]]}
+    return env
+
+
+@_command("su3", "isoscalar", *_SU3_LABELS,
+          _arg("--chain1", nargs=2, metavar=("Y", "TWO_T")),
+          _arg("--chain2", nargs=2), _arg("--chain3", nargs=2))
+def _su3_isoscalar(args):
+    from .su3 import su3_isoscalar
+    iso = su3_isoscalar(args.lam1, args.lam2, args.lam3, args.mu3,
+                        tuple(args.chain1), tuple(args.chain2), tuple(args.chain3))
+    return _exact(iso, "SU(3) isoscalar factor")
+
+
+@_command("su3", "euler",
+          _arg("--a", float, nargs=3, metavar=("PSI", "THETA", "PHI")),
+          _arg("--nu3", float), _arg("--beta3", float), _arg("--b", float, nargs=3))
+def _su3_euler(args):
+    import numpy as np
+    from .su3 import su3_euler_matrix
+    U = su3_euler_matrix(tuple(args.a), args.nu3, args.beta3, tuple(args.b))
+    rows = [[i, j, _fmt_float(U[i, j].real), _fmt_float(U[i, j].imag)]
+            for i in range(3) for j in range(3)]
+    unit = float(np.linalg.norm(U.conj().T @ U - np.eye(3)))
+    return _table(["row", "col", "re", "im"], rows, unit,
+                  "SU(3) Euler factorization; value is ||U^dag U - 1||")
+
+
+# --- gelfand ---------------------------------------------------------------
+@_command("gelfand", "dim", _arg("--h", nargs="+"))
+def _gelfand_dim(args):
+    from .unitary import IrrepLabel, weyl_dimension
+    return ResultEnvelope(value_float=float(weyl_dimension(IrrepLabel(tuple(args.h)))),
+                          meta="Weyl dimension formula")
+
+
+@_command("gelfand", "enumerate", _arg("--h", nargs="+"))
+def _gelfand_enumerate(args):
+    from .unitary import IrrepLabel, gelfand_enumerate, pattern_weight
+    pats = gelfand_enumerate(IrrepLabel(tuple(args.h)))
+    rows = [[p.to_text(), " ".join(map(str, pattern_weight(p)))] for p in pats]
+    return _table(["pattern", "weight"], rows, float(len(pats)),
+                  "betweenness enumeration")
+
+
+@_command("gelfand", "weight", _arg("--pattern", str))
+def _gelfand_weight(args):
+    from .unitary import GelfandPattern, pattern_weight
+    w = pattern_weight(GelfandPattern.from_text(args.pattern))
+    return _table([f"w{i+1}" for i in range(len(w))], [list(w)], float(sum(w)),
+                  "diagonal generator eigenvalues")
+
+
+@_command("gelfand", "poly", _arg("--pattern", str))
+def _gelfand_poly(args):
+    from .unitary import GelfandPattern, boson_polynomial
+    terms = boson_polynomial(GelfandPattern.from_text(args.pattern))
+    rows = [[str(c), " ".join(f"D{''.join(map(str, m))}^{e}"
+                              for m, e in sorted(expo.items()))]
+            for c, expo in terms]
+    return _table(["coefficient", "monomial"], rows, float(len(rows)),
+                  "boson polynomial (unnormalized)")
+
+
+# --- hurwitz ---------------------------------------------------------------
+@_command("hurwitz", "matrix", _arg("--n"), _arg("--u", float, nargs="+"))
+def _hurwitz_matrix(args):
+    import numpy as np
+    from .hurwitz import hurwitz_matrix
+    H = hurwitz_matrix(args.n, args.u)
+    res = float(np.linalg.norm(H.T @ H - (np.asarray(args.u) ** 2).sum() * np.eye(args.n)))
+    return _matrix(H, res, "Hurwitz matrix; value is ||H^T H - |u|^2 I||")
+
+
+@_command("hurwitz", "ks", _arg("--u", float, nargs=4))
+def _hurwitz_ks(args):
+    from .hurwitz import ks_transform
+    x = ks_transform(args.u)
+    return _table(["x", "y", "z"], [[_fmt_float(v) for v in x]],
+                  math.sqrt(sum(float(v) ** 2 for v in x)),
+                  "KS transform; value is |x| = |u|^2")
+
+
+@_command("hurwitz", "cayley", _arg("--n"), _arg("--u", float, nargs="+"))
+def _hurwitz_cayley(args):
+    import numpy as np
+    from .hurwitz import cayley_rotation
+    O = cayley_rotation(args.n, args.u)
+    r2 = float(np.dot(args.u, args.u))
+    res = float(np.linalg.norm(O.T @ O - r2 * r2 * np.eye(args.n)))
+    return _matrix(O, res, "Cayley rotation; value is orthogonality residual")
+
+
+@_command("hurwitz", "cross", _arg("--n"), _arg("--a", float, nargs="+"),
+          _arg("--b", float, nargs="+"))
+def _hurwitz_cross(args):
+    import numpy as np
+    from .hurwitz import cross_product
+    v = cross_product(args.n, args.a, args.b)
+    return _table([f"x{i+1}" for i in range(args.n)], [[_fmt_float(t) for t in v]],
+                  float(np.linalg.norm(v)), "cross product; value is |a x b|")
+
+
+@_command("hurwitz", "check", _arg("--n"), _SEED)
+def _hurwitz_check(args):
+    import numpy as np
+    from .hurwitz import hurwitz_matrix
+    u = np.random.default_rng(args.seed).normal(size=args.n)
+    H = hurwitz_matrix(args.n, u)
+    res = float(np.linalg.norm(H.T @ H - float(u @ u) * np.eye(args.n)))
+    return ResultEnvelope(value_float=res,
+                          meta="||H^T H - |u|^2 I|| at a seeded random point")
+
+
+# --- hydrogen --------------------------------------------------------------
+@_command("hydrogen", "position", *_HYDROGEN)
+def _hydrogen_position(args):
+    import numpy as np
+    from .special import hydrogen_radial
+    r = np.linspace(1e-6, args.rmax or 8.0 * args.n * args.n, args.points)
+    return _samples("r", r, hydrogen_radial(args.dim, args.n, args.l, r),
+                    "radial wavefunction samples")
+
+
+@_command("hydrogen", "momentum", *_HYDROGEN)
+def _hydrogen_momentum(args):
+    import numpy as np
+    from .special import hydrogen_momentum_radial
+    d = 1.0 / (args.n + (args.dim - 3) / 2.0)
+    p = np.linspace(1e-4, args.rmax or 6.0 * d * 5, args.points)
+    return _samples("p", p, hydrogen_momentum_radial(args.dim, args.n, args.l, p),
+                    "momentum wavefunction samples (Gegenbauer form)")
+
+
+@_command("hydrogen", "verify", *_HYDROGEN, _SEED)
+def _hydrogen_verify(args):
+    import numpy as np
+    from .special import fourier_momentum_oracle, hydrogen_momentum_radial
+    N, n, l = args.dim, args.n, args.l
+    d = 1.0 / (n + (N - 3) / 2.0)
+    p = np.linspace(0.05 * d, 5.0 * d, args.points)
+    closed = np.abs(hydrogen_momentum_radial(N, n, l, p))
+    oracle = fourier_momentum_oracle(N, n, l, p)
+    scale = np.max(oracle)
+    rel = float(np.max(np.abs(closed - oracle) / np.maximum(oracle, 1e-3 * scale)))
+    return ResultEnvelope(value_float=rel,
+                          meta="max relative gap closed-form vs Hankel oracle")
+
+
+# --- oscillator ------------------------------------------------------------
+@_command("oscillator", "wf", _arg("--n"), _arg("--qmax", float, default=5.0),
+          _arg("--points", default=41))
+def _oscillator_wf(args):
+    import numpy as np
+    from .oscillator import ho_wavefunction
+    q = np.linspace(-args.qmax, args.qmax, args.points)
+    return _samples("q", q, ho_wavefunction(args.n, q),
+                    "oscillator eigenfunction samples")
+
+
+@_command("oscillator", "genfunc", _arg("--z", float, nargs=2, metavar=("RE", "IM")),
+          _arg("--q", float))
+def _oscillator_genfunc(args):
+    from .oscillator import ho_generating_function, ho_wavefunction
+    z = complex(args.z[0], args.z[1])
+    val = complex(ho_generating_function(z, args.q))
+    series = sum((z ** k / math.sqrt(math.factorial(k)))
+                 * float(ho_wavefunction(k, args.q)) for k in range(61))
+    return _complex(val, abs(val - series),
+                    "closed generating function; value is |closed - 60-term sum|")
+
+
+@_command("oscillator", "propagator", _arg("--beta", float),
+          _arg("--xmax", float, default=2.0), _arg("--points", default=9))
+def _oscillator_propagator(args):
+    import numpy as np
+    from .oscillator import OscillatorParams, ho_propagator
+    params = OscillatorParams()
+    xs = np.linspace(-args.xmax, args.xmax, args.points)
+    rows = []
+    for x in xs:
+        for xp in xs:
+            k = ho_propagator(params, x, xp, -1j * args.beta)
+            rows.append([_fmt_float(x), _fmt_float(xp),
+                         _fmt_float(k.real), _fmt_float(k.imag)])
+    return _table(["x", "xp", "re_k", "im_k"], rows, float(len(rows)),
+                  "imaginary-time oscillator kernel samples")
+
+
+@_command("oscillator", "magnetic", _arg("--beta", float),
+          _arg("--omega-c", float, default=0.0), _arg("--r1", float, nargs=2),
+          _arg("--r2", float, nargs=2))
+def _oscillator_magnetic(args):
+    from .oscillator import OscillatorParams, magnetic_propagator
+    k = magnetic_propagator(OscillatorParams(), args.omega_c, tuple(args.r1),
+                            tuple(args.r2), -1j * args.beta)
+    return _complex(k, abs(k), "magnetic-oscillator kernel", ("re_k", "im_k"))
+
+
+# --- manybody --------------------------------------------------------------
+@_command("manybody", "cramer", _arg("--n", default=4), _arg("--s", default=2), _SEED)
+def _manybody_cramer(args):
+    from fractions import Fraction
+    import numpy as np
+    from .manybody import (SubstitutionQuery, generalized_cramer,
+                           substituted_determinant_direct)
+    rng = np.random.default_rng(args.seed)
+
+    def rational_matrix(n, m):
+        return tuple(tuple(Fraction(int(rng.integers(-9, 10))) for _ in range(m))
+                     for _ in range(n))
+
+    A = rational_matrix(args.n, args.n)
+    B = rational_matrix(args.n, args.s)
+    pos = tuple(sorted(rng.permutation(args.n)[:args.s].tolist()))
+    q = SubstitutionQuery(A, B, pos)
+    v1 = generalized_cramer(q)
+    v2 = substituted_determinant_direct(q)
+    return ResultEnvelope(value_exact=f"{v1.numerator}/{v1.denominator}",
+                          value_float=float(v1 - v2),
+                          meta="generalized Cramer; value_float is (cramer - direct)")
+
+
+def _slater_system(args):
+    """The seeded generator and the random Slater system it drew first."""
+    import numpy as np
+    from .manybody import SlaterSystem
+    rng = np.random.default_rng(args.seed)
+    R = np.eye(args.m) + 0.3 * (rng.normal(size=(args.m, args.m))
+                                + 1j * rng.normal(size=(args.m, args.m)))
+    return rng, SlaterSystem(args.m, args.n_occ, tuple(map(tuple, R.tolist())))
+
+
+@_command("manybody", "overlap", *_SLATER)
+def _manybody_overlap(args):
+    from .manybody import slater_overlap, slater_overlap_fock
+    _, sysm = _slater_system(args)
+    a = slater_overlap(sysm)
+    return _complex(a, abs(a - slater_overlap_fock(sysm)),
+                    "overlap determinant; value is |det - Fock oracle|")
+
+
+@_command("manybody", "lowdin", *_SLATER)
+def _manybody_lowdin(args):
+    from .manybody import lowdin_matrix_element, lowdin_matrix_element_fock
+    rng, sysm = _slater_system(args)
+    T = rng.normal(size=(args.m, args.m)) + 1j * rng.normal(size=(args.m, args.m))
+    a = lowdin_matrix_element(sysm, T)
+    return _complex(a, abs(a - lowdin_matrix_element_fock(sysm, T)),
+                    "one-body Lowdin element; value is |formula - oracle|")
+
+
+@_command("manybody", "thouless", *_SLATER)
+def _manybody_thouless(args):
+    from .manybody import thouless_residual
+    return ResultEnvelope(value_float=thouless_residual(_slater_system(args)[1]),
+                          meta="Thouless reconstruction residual")
+
+
+@_command("manybody", "lipkin", _arg("--n-particles"), _arg("--e", float, default=1.0),
+          _arg("--v", float, default=1.0))
+def _manybody_lipkin(args):
+    from .manybody import LipkinModel, lipkin_spectrum
+    ev = lipkin_spectrum(LipkinModel(args.n_particles, args.e, args.v))
+    return _table(["index", "energy"], [[i, _fmt_float(ev[i])] for i in range(len(ev))],
+                  float(ev[0]), "Lipkin exact spectrum")
+
+
+@_command("manybody", "boson-coeffs", _arg("--k-max", default=4))
+def _manybody_boson_coeffs(args):
+    from .manybody import boson_expansion_coeffs
+    al = boson_expansion_coeffs(args.k_max)
+    return _table(["k", "alpha"], [[k, _fmt_float(al[k])] for k in range(len(al))],
+                  al[-1], "quasi-boson expansion coefficients")
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="gfkit", description=__doc__)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub = p.add_subparsers(dest="group", required=True)
-
-    def add(group, name, **kw):
-        q = group.add_parser(name, **kw)
-        return q
-
-    # --- wigner ------------------------------------------------------------
-    wg = add(sub, "wigner").add_subparsers(dest="op", required=True)
-    q = wg.add_parser("3j")
-    q.add_argument("--two-j", nargs=3, type=int, required=True)
-    q.add_argument("--two-m", nargs=3, type=int, required=True)
-    q = wg.add_parser("cg")
-    q.add_argument("--two-j", nargs=3, type=int, required=True)
-    q.add_argument("--two-m", nargs=3, type=int, required=True)
-    q = wg.add_parser("6j")
-    q.add_argument("--two-j", nargs=6, type=int, required=True)
-    q.add_argument("--route", choices=("gf", "oracle"), default="gf")
-    q = wg.add_parser("9j")
-    q.add_argument("--two-j", nargs=9, type=int, required=True)
-    q = wg.add_parser("regge")
-    q.add_argument("--two-j", nargs=3, type=int, required=True)
-    q.add_argument("--two-m", nargs=3, type=int, required=True)
-    q = wg.add_parser("gaunt")
-    q.add_argument("--l", nargs=3, type=int, required=True)
-    q.add_argument("--m", nargs=3, type=int, required=True)
-
-    # --- su3 ----------------------------------------------------------------
-    sg = add(sub, "su3").add_subparsers(dest="op", required=True)
-    q = sg.add_parser("decompose")
-    q.add_argument("--lam1", type=int, required=True)
-    q.add_argument("--lam2", type=int, required=True)
-    q = sg.add_parser("wigner")
-    for nm in ("lam1", "lam2", "lam3", "mu3"):
-        q.add_argument(f"--{nm}", type=int, required=True)
-    q.add_argument("--a1", nargs=3, type=int, required=True,
-                   metavar=("Y", "TWO_T", "TWO_T0"))
-    q.add_argument("--a2", nargs=3, type=int, required=True)
-    q.add_argument("--a3", nargs=3, type=int, required=True)
-    q = sg.add_parser("isoscalar")
-    for nm in ("lam1", "lam2", "lam3", "mu3"):
-        q.add_argument(f"--{nm}", type=int, required=True)
-    q.add_argument("--chain1", nargs=2, type=int, required=True, metavar=("Y", "TWO_T"))
-    q.add_argument("--chain2", nargs=2, type=int, required=True)
-    q.add_argument("--chain3", nargs=2, type=int, required=True)
-    q = sg.add_parser("euler")
-    q.add_argument("--a", nargs=3, type=float, required=True, metavar=("PSI", "THETA", "PHI"))
-    q.add_argument("--nu3", type=float, required=True)
-    q.add_argument("--beta3", type=float, required=True)
-    q.add_argument("--b", nargs=3, type=float, required=True)
-
-    # --- gelfand -------------------------------------------------------------
-    gg = add(sub, "gelfand").add_subparsers(dest="op", required=True)
-    q = gg.add_parser("dim")
-    q.add_argument("--h", nargs="+", type=int, required=True)
-    q = gg.add_parser("enumerate")
-    q.add_argument("--h", nargs="+", type=int, required=True)
-    q = gg.add_parser("weight")
-    q.add_argument("--pattern", type=str, required=True)
-    q = gg.add_parser("poly")
-    q.add_argument("--pattern", type=str, required=True)
-
-    # --- hurwitz --------------------------------------------------------------
-    hg = add(sub, "hurwitz").add_subparsers(dest="op", required=True)
-    q = hg.add_parser("matrix")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--u", nargs="+", type=float, required=True)
-    q = hg.add_parser("ks")
-    q.add_argument("--u", nargs=4, type=float, required=True)
-    q = hg.add_parser("cayley")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--u", nargs="+", type=float, required=True)
-    q = hg.add_parser("cross")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", nargs="+", type=float, required=True)
-    q.add_argument("--b", nargs="+", type=float, required=True)
-    q = hg.add_parser("check")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-
-    # --- hydrogen ---------------------------------------------------------------
-    yg = add(sub, "hydrogen").add_subparsers(dest="op", required=True)
-    for nm in ("position", "momentum", "verify"):
-        q = yg.add_parser(nm)
-        q.add_argument("--dim", type=int, default=3)
-        q.add_argument("--n", type=int, required=True)
-        q.add_argument("--l", type=int, required=True)
-        q.add_argument("--points", type=int, default=50)
-        q.add_argument("--rmax", type=float, default=None)
-        if nm == "verify":
-            q.add_argument("--seed", type=int, default=0)
-
-    # --- oscillator ---------------------------------------------------------------
-    og = add(sub, "oscillator").add_subparsers(dest="op", required=True)
-    q = og.add_parser("wf")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--qmax", type=float, default=5.0)
-    q.add_argument("--points", type=int, default=41)
-    q = og.add_parser("genfunc")
-    q.add_argument("--z", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    q.add_argument("--q", type=float, required=True)
-    q = og.add_parser("propagator")
-    q.add_argument("--beta", type=float, required=True)
-    q.add_argument("--xmax", type=float, default=2.0)
-    q.add_argument("--points", type=int, default=9)
-    q = og.add_parser("magnetic")
-    q.add_argument("--beta", type=float, required=True)
-    q.add_argument("--omega-c", type=float, default=0.0)
-    q.add_argument("--r1", nargs=2, type=float, required=True)
-    q.add_argument("--r2", nargs=2, type=float, required=True)
-
-    # --- manybody ---------------------------------------------------------------
-    mg = add(sub, "manybody").add_subparsers(dest="op", required=True)
-    q = mg.add_parser("cramer")
-    q.add_argument("--n", type=int, default=4)
-    q.add_argument("--s", type=int, default=2)
-    q.add_argument("--seed", type=int, default=0)
-    for nm in ("overlap", "lowdin", "thouless"):
-        q = mg.add_parser(nm)
-        q.add_argument("--m", type=int, default=4)
-        q.add_argument("--n-occ", type=int, default=2)
-        q.add_argument("--seed", type=int, default=0)
-    q = mg.add_parser("lipkin")
-    q.add_argument("--n-particles", type=int, required=True)
-    q.add_argument("--e", type=float, default=1.0)
-    q.add_argument("--v", type=float, default=1.0)
-    q = mg.add_parser("boson-coeffs")
-    q.add_argument("--k-max", type=int, default=4)
+    groups = p.add_subparsers(dest="group", required=True)
+    for group, ops in _COMMANDS.items():
+        sub = groups.add_parser(group).add_subparsers(dest="op", required=True)
+        for op, (specs, handler) in ops.items():
+            q = sub.add_parser(op)
+            q.set_defaults(handler=handler)
+            for flag, kw in specs:
+                q.add_argument(flag, **kw)
     return p
 
 
-def _fmt_float(x) -> str:
-    return repr(float(x))
-
-
-def _random_rational_matrix(rng, n, m):
-    return tuple(tuple(Fraction(int(rng.integers(-9, 10))) for _ in range(m))
-                 for _ in range(n))
-
-
-def _dispatch(args) -> ResultEnvelope:
-    g, op = args.group, getattr(args, "op", None)
-    if g == "wigner":
-        if op == "3j":
-            val = wigner.threej(*args.two_j, *args.two_m)
-            return _sr_env(val, "van der Waerden single-sum 3j")
-        if op == "cg":
-            tj, tm = args.two_j, args.two_m
-            val = wigner.clebsch_gordan(*(exact.HalfInt(x) for pair in
-                                          zip(tj, tm) for x in pair))
-            return _sr_env(val, "Clebsch-Gordan from 3j, Condon-Shortley")
-        if op == "6j":
-            fn = wigner.sixj_gf if args.route == "gf" else wigner.sixj_oracle
-            val = fn(*args.two_j)
-            return _sr_env(val, f"6j via {args.route}")
-        if op == "9j":
-            rows = tuple(tuple(args.two_j[3 * r:3 * r + 3]) for r in range(3))
-            return _sr_env(wigner.ninej(rows), "9j magnetic sum")
-        if op == "regge":
-            orbit = wigner.regge_orbit(wigner.ThreeJLabel(tuple(args.two_j),
-                                                          tuple(args.two_m)))
-            rows = sorted([list(l.two_j) + list(l.two_m) + [ph]
-                           for l, ph in orbit])
-            return ResultEnvelope(
-                value_float=float(len(rows)),
-                table={"columns": ["tj1", "tj2", "tj3", "tm1", "tm2", "tm3", "phase"],
-                       "rows": rows},
-                meta="Regge magic-square orbit")
-        if op == "gaunt":
-            val = wigner.gaunt(args.l[0], args.m[0], args.l[1], args.m[1],
-                               args.l[2], args.m[2])
-            return ResultEnvelope(value_float=val, meta="Gaunt triple-Y integral")
-    if g == "su3":
-        if op == "decompose":
-            rows = [[lam3, mu3, su3.dim_su3(lam3, mu3)]
-                    for lam3, mu3 in su3.su3_decompose_multfree(args.lam1, args.lam2)]
-            return ResultEnvelope(table={"columns": ["lam3", "mu3", "dim"],
-                                         "rows": rows},
-                                  value_float=float(len(rows)),
-                                  meta="multiplicity-free decomposition")
-        if op == "wigner":
-            def lab(lam, mu, a):
-                return su3.Su3Label.from_key(lam, mu, tuple(a))
-            w, iso = su3.su3_wigner_multfree(
-                args.lam1, args.lam2, args.lam3, args.mu3,
-                lab(args.lam1, 0, args.a1), lab(args.lam2, 0, args.a2),
-                lab(args.lam3, args.mu3, args.a3))
-            env = _sr_env(w, "SU(3) invariant-contraction Wigner")
-            env.table = {"columns": ["isoscalar_exact", "isoscalar_float"],
-                         "rows": [[str(iso), _fmt_float(iso)]]}
-            return env
-        if op == "isoscalar":
-            iso = su3.su3_isoscalar(args.lam1, args.lam2, args.lam3, args.mu3,
-                                    tuple(args.chain1), tuple(args.chain2),
-                                    tuple(args.chain3))
-            return _sr_env(iso, "SU(3) isoscalar factor")
-        if op == "euler":
-            U = su3.su3_euler_matrix(tuple(args.a), args.nu3, args.beta3,
-                                     tuple(args.b))
-            rows = [[i, j, _fmt_float(U[i, j].real), _fmt_float(U[i, j].imag)]
-                    for i in range(3) for j in range(3)]
-            unit = float(np.linalg.norm(U.conj().T @ U - np.eye(3)))
-            return ResultEnvelope(table={"columns": ["row", "col", "re", "im"],
-                                         "rows": rows},
-                                  value_float=unit,
-                                  meta="SU(3) Euler factorization; value is ||U^dag U - 1||")
-    if g == "gelfand":
-        if op == "dim":
-            return ResultEnvelope(
-                value_float=float(unitary.weyl_dimension(unitary.IrrepLabel(tuple(args.h)))),
-                meta="Weyl dimension formula")
-        if op == "enumerate":
-            pats = unitary.gelfand_enumerate(unitary.IrrepLabel(tuple(args.h)))
-            rows = [[p.to_text(), " ".join(map(str, unitary.pattern_weight(p)))]
-                    for p in pats]
-            return ResultEnvelope(table={"columns": ["pattern", "weight"],
-                                         "rows": rows},
-                                  value_float=float(len(pats)),
-                                  meta="betweenness enumeration")
-        if op == "weight":
-            pat = unitary.GelfandPattern.from_text(args.pattern)
-            w = unitary.pattern_weight(pat)
-            return ResultEnvelope(table={"columns": [f"w{i+1}" for i in range(len(w))],
-                                         "rows": [list(w)]},
-                                  value_float=float(sum(w)),
-                                  meta="diagonal generator eigenvalues")
-        if op == "poly":
-            pat = unitary.GelfandPattern.from_text(args.pattern)
-            terms = unitary.boson_polynomial(pat)
-            rows = [[str(c), " ".join(f"D{''.join(map(str, m))}^{e}"
-                                      for m, e in sorted(expo.items()))]
-                    for c, expo in terms]
-            return ResultEnvelope(table={"columns": ["coefficient", "monomial"],
-                                         "rows": rows},
-                                  value_float=float(len(rows)),
-                                  meta="boson polynomial (unnormalized)")
-    if g == "hurwitz":
-        if op == "matrix":
-            H = hurwitz.hurwitz_matrix(args.n, args.u)
-            rows = [[i] + [_fmt_float(v) for v in H[i]] for i in range(args.n)]
-            return ResultEnvelope(table={"columns": ["row"] + [f"c{j}" for j in range(args.n)],
-                                         "rows": rows},
-                                  value_float=float(np.linalg.norm(H.T @ H - (np.asarray(args.u) ** 2).sum() * np.eye(args.n))),
-                                  meta="Hurwitz matrix; value is ||H^T H - |u|^2 I||")
-        if op == "ks":
-            x = hurwitz.ks_transform(args.u)
-            return ResultEnvelope(table={"columns": ["x", "y", "z"],
-                                         "rows": [[_fmt_float(v) for v in x]]},
-                                  value_float=math.sqrt(sum(float(v) ** 2 for v in x)),
-                                  meta="KS transform; value is |x| = |u|^2")
-        if op == "cayley":
-            O = hurwitz.cayley_rotation(args.n, args.u)
-            rows = [[i] + [_fmt_float(v) for v in O[i]] for i in range(args.n)]
-            r2 = float(np.dot(args.u, args.u))
-            res = float(np.linalg.norm(O.T @ O - r2 * r2 * np.eye(args.n)))
-            return ResultEnvelope(table={"columns": ["row"] + [f"c{j}" for j in range(args.n)],
-                                         "rows": rows},
-                                  value_float=res,
-                                  meta="Cayley rotation; value is orthogonality residual")
-        if op == "cross":
-            v = hurwitz.cross_product(args.n, args.a, args.b)
-            return ResultEnvelope(table={"columns": [f"x{i+1}" for i in range(args.n)],
-                                         "rows": [[_fmt_float(t) for t in v]]},
-                                  value_float=float(np.linalg.norm(v)),
-                                  meta="cross product; value is |a x b|")
-        if op == "check":
-            rng = np.random.default_rng(args.seed)
-            u = rng.normal(size=args.n)
-            H = hurwitz.hurwitz_matrix(args.n, u)
-            res = float(np.linalg.norm(H.T @ H - float(u @ u) * np.eye(args.n)))
-            return ResultEnvelope(value_float=res,
-                                  meta="||H^T H - |u|^2 I|| at a seeded random point")
-    if g == "hydrogen":
-        N, n, l = args.dim, args.n, args.l
-        if op == "position":
-            rmax = args.rmax or 8.0 * n * n
-            r = np.linspace(1e-6, rmax, args.points)
-            vals = special.hydrogen_radial(N, n, l, r)
-            rows = [[_fmt_float(r[i]), _fmt_float(vals[i]), "0.0",
-                     _fmt_float(vals[i] ** 2)] for i in range(len(r))]
-            return ResultEnvelope(table={"columns": ["r", "real", "imag", "abs2"],
-                                         "rows": rows},
-                                  value_float=float(np.max(np.abs(vals))),
-                                  meta="radial wavefunction samples")
-        if op == "momentum":
-            d = 1.0 / (n + (N - 3) / 2.0)
-            pmax = args.rmax or 6.0 * d * 5
-            p = np.linspace(1e-4, pmax, args.points)
-            vals = special.hydrogen_momentum_radial(N, n, l, p)
-            rows = [[_fmt_float(p[i]), _fmt_float(vals[i]), "0.0",
-                     _fmt_float(vals[i] ** 2)] for i in range(len(p))]
-            return ResultEnvelope(table={"columns": ["p", "real", "imag", "abs2"],
-                                         "rows": rows},
-                                  value_float=float(np.max(np.abs(vals))),
-                                  meta="momentum wavefunction samples (Gegenbauer form)")
-        if op == "verify":
-            d = 1.0 / (n + (N - 3) / 2.0)
-            p = np.linspace(0.05 * d, 5.0 * d, args.points)
-            closed = np.abs(special.hydrogen_momentum_radial(N, n, l, p))
-            oracle = special.fourier_momentum_oracle(N, n, l, p)
-            scale = np.max(oracle)
-            rel = float(np.max(np.abs(closed - oracle)
-                               / np.maximum(oracle, 1e-3 * scale)))
-            return ResultEnvelope(value_float=rel,
-                                  meta="max relative gap closed-form vs Hankel oracle")
-    if g == "oscillator":
-        if op == "wf":
-            q = np.linspace(-args.qmax, args.qmax, args.points)
-            vals = oscillator.ho_wavefunction(args.n, q)
-            rows = [[_fmt_float(q[i]), _fmt_float(vals[i]), "0.0",
-                     _fmt_float(vals[i] ** 2)] for i in range(len(q))]
-            return ResultEnvelope(table={"columns": ["q", "real", "imag", "abs2"],
-                                         "rows": rows},
-                                  value_float=float(np.max(np.abs(vals))),
-                                  meta="oscillator eigenfunction samples")
-        if op == "genfunc":
-            z = complex(args.z[0], args.z[1])
-            val = complex(oscillator.ho_generating_function(z, args.q))
-            series = sum((z ** k / math.sqrt(math.factorial(k)))
-                         * float(oscillator.ho_wavefunction(k, args.q))
-                         for k in range(61))
-            return ResultEnvelope(value_float=abs(val - series),
-                                  table={"columns": ["re", "im"],
-                                         "rows": [[_fmt_float(val.real), _fmt_float(val.imag)]]},
-                                  meta="closed generating function; value is |closed - 60-term sum|")
-        if op == "propagator":
-            params = oscillator.OscillatorParams()
-            xs = np.linspace(-args.xmax, args.xmax, args.points)
-            rows = []
-            for x in xs:
-                for xp in xs:
-                    k = oscillator.ho_propagator(params, x, xp, -1j * args.beta)
-                    rows.append([_fmt_float(x), _fmt_float(xp),
-                                 _fmt_float(k.real), _fmt_float(k.imag)])
-            return ResultEnvelope(table={"columns": ["x", "xp", "re_k", "im_k"],
-                                         "rows": rows},
-                                  value_float=float(len(rows)),
-                                  meta="imaginary-time oscillator kernel samples")
-        if op == "magnetic":
-            params = oscillator.OscillatorParams()
-            k = oscillator.magnetic_propagator(params, args.omega_c,
-                                               tuple(args.r1), tuple(args.r2),
-                                               -1j * args.beta)
-            return ResultEnvelope(table={"columns": ["re_k", "im_k"],
-                                         "rows": [[_fmt_float(k.real), _fmt_float(k.imag)]]},
-                                  value_float=abs(k),
-                                  meta="magnetic-oscillator kernel")
-    if g == "manybody":
-        if op == "cramer":
-            rng = np.random.default_rng(args.seed)
-            A = _random_rational_matrix(rng, args.n, args.n)
-            B = _random_rational_matrix(rng, args.n, args.s)
-            pos = tuple(sorted(rng.permutation(args.n)[:args.s].tolist()))
-            q = manybody.SubstitutionQuery(A, B, pos)
-            v1 = manybody.generalized_cramer(q)
-            v2 = manybody.substituted_determinant_direct(q)
-            return ResultEnvelope(value_exact=f"{v1.numerator}/{v1.denominator}",
-                                  value_float=float(v1 - v2),
-                                  meta="generalized Cramer; value_float is (cramer - direct)")
-        if op in ("overlap", "lowdin", "thouless"):
-            rng = np.random.default_rng(args.seed)
-            R = np.eye(args.m) + 0.3 * (rng.normal(size=(args.m, args.m))
-                                        + 1j * rng.normal(size=(args.m, args.m)))
-            sysm = manybody.SlaterSystem(args.m, args.n_occ,
-                                         tuple(map(tuple, R.tolist())))
-            if op == "overlap":
-                a = manybody.slater_overlap(sysm)
-                b = manybody.slater_overlap_fock(sysm)
-                return ResultEnvelope(value_float=abs(a - b),
-                                      table={"columns": ["re", "im"],
-                                             "rows": [[_fmt_float(a.real), _fmt_float(a.imag)]]},
-                                      meta="overlap determinant; value is |det - Fock oracle|")
-            if op == "lowdin":
-                T = rng.normal(size=(args.m, args.m)) + 1j * rng.normal(size=(args.m, args.m))
-                a = manybody.lowdin_matrix_element(sysm, T)
-                b = manybody.lowdin_matrix_element_fock(sysm, T)
-                return ResultEnvelope(value_float=abs(a - b),
-                                      table={"columns": ["re", "im"],
-                                             "rows": [[_fmt_float(a.real), _fmt_float(a.imag)]]},
-                                      meta="one-body Lowdin element; value is |formula - oracle|")
-            res = manybody.thouless_residual(sysm)
-            return ResultEnvelope(value_float=res,
-                                  meta="Thouless reconstruction residual")
-        if op == "lipkin":
-            model = manybody.LipkinModel(args.n_particles, args.e, args.v)
-            ev = manybody.lipkin_spectrum(model)
-            rows = [[i, _fmt_float(ev[i])] for i in range(len(ev))]
-            return ResultEnvelope(table={"columns": ["index", "energy"], "rows": rows},
-                                  value_float=float(ev[0]),
-                                  meta="Lipkin exact spectrum")
-        if op == "boson-coeffs":
-            al = manybody.boson_expansion_coeffs(args.k_max)
-            rows = [[k, _fmt_float(al[k])] for k in range(len(al))]
-            return ResultEnvelope(table={"columns": ["k", "alpha"], "rows": rows},
-                                  value_float=al[-1],
-                                  meta="quasi-boson expansion coefficients")
-    raise UsageError(f"unhandled command {g} {op}")
-
-
 def run_command(argv) -> tuple[ResultEnvelope, int]:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        return ResultEnvelope(status="error", message=f"usage: {exc}"), 2
-    try:
-        env = _dispatch(args)
-        return env, 0
+        args = _build_parser().parse_args(argv)
+        return args.handler(args), 0
     except UsageError as exc:
         return ResultEnvelope(status="error", message=f"usage: {exc}"), 2
     except (ValueError, ArithmeticError, KeyError) as exc:

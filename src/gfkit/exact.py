@@ -250,7 +250,6 @@ class SqrtRational:
 
 
 SR_ZERO = SqrtRational(0, 1, _canonical=True)
-SR_ONE = SqrtRational(1, 1, _canonical=True)
 
 _SR_RE = re.compile(
     r"^\s*(-?\d+)/(\d+)\s*(?:\*\s*sqrt\(\s*(-?\d+)/(\d+)\s*\))?\s*$")

@@ -7,7 +7,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .polytools import (poly_add, poly_compose, poly_const, poly_eval,
                         poly_laplacian, poly_mul, poly_scale, poly_var)
@@ -62,44 +61,27 @@ def hurwitz_symbolic(n: int):
 def cayley_dickson_matrix(n: int, u) -> np.ndarray:
     """Left-multiplication matrix of the Cayley-Dickson doubling chain;
     recursive alternative generator of a Hurwitz matrix family."""
-    if n == 1:
-        return np.array([[float(u[0])]])
-    if n not in (2, 4, 8):
+    if n not in (1, 2, 4, 8):
         raise ValueError("n must be in {1, 2, 4, 8}")
-    m = n // 2
-    a, b = np.asarray(u[:m], dtype=float), np.asarray(u[m:], dtype=float)
+    u = np.asarray(u, dtype=float)
+    return np.column_stack([_cd_mul(n, u, e) for e in np.eye(n)])
 
-    def conj(v):
-        w = -np.asarray(v, dtype=float)
-        w[0] = -w[0]
-        return w
 
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        c, d = e[:m], e[m:]
-        # (a,b)(c,d) = (a c - conj(d) b, d a + b conj(c))
-        top = _cd_mul(m, a, c) - _cd_mul(m, conj(d), b)
-        bot = _cd_mul(m, d, a) + _cd_mul(m, b, conj(c))
-        cols.append(np.concatenate([top, bot]))
-    return np.column_stack(cols)
+def _conj(v):
+    w = -np.asarray(v, dtype=float)
+    w[0] = -w[0]
+    return w
 
 
 def _cd_mul(m, x, y):
+    """Cayley-Dickson product (a,b)(c,d) = (a c - conj(d) b, d a + b conj(c))."""
     if m == 1:
         return np.array([x[0] * y[0]])
     h = m // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-
-    def conj(v):
-        w = -np.asarray(v, dtype=float)
-        w[0] = -w[0]
-        return w
-
-    top = _cd_mul(h, a, c) - _cd_mul(h, conj(d), b)
-    bot = _cd_mul(h, d, a) + _cd_mul(h, b, conj(c))
+    top = _cd_mul(h, a, c) - _cd_mul(h, _conj(d), b)
+    bot = _cd_mul(h, d, a) + _cd_mul(h, b, _conj(c))
     return np.concatenate([top, bot])
 
 
@@ -218,6 +200,8 @@ def v_matrix_properties(n: int, x, theta: float = math.pi / 2) -> dict:
     """Residuals of the V-matrix identities: V^3 = -r^2 V and the rotation
     exponential exp(-i theta (iV)) = 1 - i sin(theta) (iV) - (1-cos)(iV)^2
     (checked at unit |x| in its literal complex form)."""
+    import scipy.linalg
+
     x = np.asarray(x, dtype=float)
     V = v_matrix(n, x)
     r2 = float(x @ x)

@@ -115,17 +115,25 @@ def _occupations(M, n):
     return [frozenset(c) for c in itertools.combinations(range(M), n)]
 
 
+def _fermion_op(state, orb, create):
+    """c_orb^+ |state> if create, else c_orb |state>: returns (sign,
+    new_state), the sign (-1)^(occupied orbitals below orb), or None when
+    the orbital is already full (create) or empty (annihilate)."""
+    if (orb in state) == create:
+        return None
+    sign = (-1) ** sum(1 for r in state if r < orb)
+    return sign, (state | {orb}) if create else (state - {orb})
+
+
 def _apply_cdag_c(state, p, q):
     """c_p^+ c_q |state>, returns (sign, new_state) or None."""
-    if q not in state:
+    cq = _fermion_op(state, q, False)
+    if cq is None:
         return None
-    rest = state - {q}
-    if p in rest:
+    cp = _fermion_op(cq[1], p, True)
+    if cp is None:
         return None
-    sl = sorted(state)
-    sign = (-1) ** sl.index(q)
-    sign *= (-1) ** sum(1 for r in sorted(rest) if r < p)
-    return sign, rest | {p}
+    return cq[0] * cp[0], cp[1]
 
 
 def transform_slater(sys: SlaterSystem):
@@ -211,23 +219,19 @@ def lowdin_two_body_fock(sys: SlaterSystem, Vt) -> complex:
     ref = frozenset(range(sys.n_occ))
     acc = 0j
     for state, amp in psi.items():
-        sl = sorted(state)
         for r in state:
-            for s in state - {r}:
-                sgn1 = (-1) ** sl.index(r)
-                rem1 = sorted(state - {r})
-                sgn1 *= (-1) ** rem1.index(s)
-                rem2 = state - {r, s}
+            sr, rem1 = _fermion_op(state, r, False)
+            for s in rem1:
+                ss, rem2 = _fermion_op(rem1, s, False)
                 for q in range(sys.M):
-                    if q in rem2:
+                    cq = _fermion_op(rem2, q, True)
+                    if cq is None:
                         continue
                     for p in range(sys.M):
-                        if p == q or p in rem2:
+                        cp = _fermion_op(cq[1], p, True)
+                        if cp is None or cp[1] != ref:
                             continue
-                        if rem2 | {p, q} != ref:
-                            continue
-                        sg = sgn1 * (-1) ** sum(1 for x in sorted(rem2) if x < q)
-                        sg *= (-1) ** sum(1 for x in sorted(rem2 | {q}) if x < p)
+                        sg = sr * ss * cq[0] * cp[0]
                         acc += 0.25 * Vt[p, q, r, s] * sg * amp
     return acc
 
@@ -248,14 +252,13 @@ def thouless_residual(sys: SlaterSystem) -> float:
     def apply_ph(comp):
         out = {}
         for state, amp in comp.items():
-            sl = sorted(state)
             for i in [x for x in state if x < n]:
+                si, hole = _fermion_op(state, i, False)
                 for k in range(n, M):
-                    if k in state:
+                    ck = _fermion_op(hole, k, True)
+                    if ck is None:
                         continue
-                    sign = (-1) ** sl.index(i)
-                    sign *= (-1) ** sum(1 for r in sorted(state - {i}) if r < k)
-                    ns = (state - {i}) | {k}
+                    sign, ns = si * ck[0], ck[1]
                     out[ns] = out.get(ns, 0) + amp * X[k - n, i] * sign
         return out
 

@@ -13,10 +13,6 @@ import math
 from fractions import Fraction
 
 
-def poly_zero():
-    return {}
-
-
 def poly_const(c, nvars):
     if c == 0:
         return {}

@@ -324,13 +324,13 @@ def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
                             s3 - tl2, s2 - tl1, s3 - tl1))
     if coeff == 0:
         return SR_ZERO
-    val = SqrtRational(Fraction(coeff))
+    # coeff^2 times the four squared triangle deltas, then one square root
+    sq = Fraction(coeff * coeff)
     for (a, b, c) in triads:
         J = (a + b + c) // 2
-        dsq = Fraction(fact2(a + b - c) * fact2(a - b + c) * fact2(-a + b + c),
+        sq *= Fraction(fact2(a + b - c) * fact2(a - b + c) * fact2(-a + b + c),
                        factorials(J + 1))
-        val = val * SqrtRational.from_square(dsq)
-    return val
+    return SqrtRational.from_square(sq, 1 if coeff > 0 else -1)
 
 
 def wigner_6j_gf(label: SixJLabel) -> SqrtRational:

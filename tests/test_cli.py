@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +121,64 @@ def test_cli_determinism_corpus():
         assert code1 == code2
         for fmt in ("json", "csv", "text"):
             assert render(env1, fmt) == render(env2, fmt), argv
+
+
+# Argvs that must fail: usage errors exit 2, domain errors exit 1.
+ERROR_ARGVS = [
+    ["frobnicate"],
+    [],
+    ["wigner"],
+    ["wigner", "7j", "--two-j", "2", "2", "2"],
+    ["wigner", "3j", "--two-j", "2", "2", "2"],
+    ["wigner", "3j", "--two-j", "2", "2"],
+    ["su3", "decompose", "--lam1", "x", "--lam2", "1"],
+    ["wigner", "6j", "--two-j", "2", "2", "2", "2", "2", "2", "--route", "bad"],
+    ["gelfand", "weight", "--pattern", "2 0 / 3"],
+    ["wigner", "regge", "--two-j", "2", "2", "6", "--two-m", "0", "0", "0"],
+    ["manybody", "lipkin", "--n-particles", "3"],
+]
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def golden_record(argv):
+    env, code = run(list(argv))
+    record = {"argv": list(argv), "code": code}
+    for fmt in ("json", "csv", "text"):
+        record[fmt] = render(env, fmt).decode()
+    return record
+
+
+def test_cli_golden_bytes():
+    # Exit code and json/csv/text bytes of every command, as recorded in
+    # tests/data/cli_golden.json; regenerate it (run this file as a script)
+    # only for an intended output change.
+    cases = json.loads(GOLDEN.read_text())
+    assert [c["argv"] for c in cases] == CORPUS + ERROR_ARGVS
+    for case in cases:
+        assert golden_record(case["argv"]) == case, case["argv"]
+
+
+def test_exact_commands_load_no_numpy():
+    # Each command imports only its own kernel: in one fresh interpreter,
+    # wigner and gelfand load neither numpy nor scipy, and su3, manybody
+    # and hurwitz add numpy but not scipy.
+    stages = [[a for a in CORPUS if a[0] in groups]
+              for groups in (("wigner", "gelfand"), ("su3", "manybody", "hurwitz"))]
+    driver = (
+        "import sys\n"
+        "from gfkit.cli import run_command\n"
+        f"for argvs in {stages!r}:\n"
+        "    for argv in argvs:\n"
+        "        assert run_command(argv)[1] == 0, argv\n"
+        "    print([m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", driver], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.stdout.splitlines() == ["[]", "['numpy']"]
+
+
+if __name__ == "__main__":
+    records = [json.dumps(golden_record(a)) for a in CORPUS + ERROR_ARGVS]
+    GOLDEN.write_text("[\n" + ",\n".join(records) + "\n]\n")
