@@ -3,7 +3,8 @@ machine-readable output (json, csv, text).
 
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
-2 usage error.
+2 usage error.  su3 wigner and su3 isoscalar refuse lam1 + lam2 above
+SU3_MAX_LAM_SUM (16) with exit 1, before any coupling table is built.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -199,6 +200,20 @@ def _wigner_gaunt(args):
 
 
 # --- su3 -------------------------------------------------------------------
+# su3 wigner and isoscalar build the whole (lam1,0) x (lam2,0) -> (lam3,mu3)
+# coupling table, whose build time grows steeply with lam1 + lam2: the
+# slowest table at lam1 + lam2 = 16 takes about 0.3 s, at 18 about 0.8 s, at
+# 20 about 1.2 s (one 2-vCPU VM).  Larger couplings are refused before any
+# table is built.
+SU3_MAX_LAM_SUM = 16
+
+
+def _su3_size_guard(args):
+    if args.lam1 + args.lam2 > SU3_MAX_LAM_SUM:
+        raise ValueError(f"lam1 + lam2 = {args.lam1 + args.lam2} exceeds the "
+                         f"su3 coupling-table cap of {SU3_MAX_LAM_SUM}")
+
+
 @_command("su3", "decompose", _arg("--lam1"), _arg("--lam2"))
 def _su3_decompose(args):
     from .su3 import dim_su3, su3_decompose_multfree
@@ -212,6 +227,7 @@ def _su3_decompose(args):
           _arg("--a1", nargs=3, metavar=("Y", "TWO_T", "TWO_T0")),
           _arg("--a2", nargs=3), _arg("--a3", nargs=3))
 def _su3_wigner(args):
+    _su3_size_guard(args)
     from .su3 import Su3Label, su3_wigner_multfree
     labels = [Su3Label.from_key(lam, mu, tuple(a)) for lam, mu, a in
               ((args.lam1, 0, args.a1), (args.lam2, 0, args.a2),
@@ -227,6 +243,7 @@ def _su3_wigner(args):
           _arg("--chain1", nargs=2, metavar=("Y", "TWO_T")),
           _arg("--chain2", nargs=2), _arg("--chain3", nargs=2))
 def _su3_isoscalar(args):
+    _su3_size_guard(args)
     from .su3 import su3_isoscalar
     iso = su3_isoscalar(args.lam1, args.lam2, args.lam3, args.mu3,
                         tuple(args.chain1), tuple(args.chain2), tuple(args.chain3))

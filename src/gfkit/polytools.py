@@ -1,7 +1,8 @@
 """Sparse exact multivariate polynomials and truncated power series.
 
 A polynomial is a dict mapping exponent tuples to Fraction (or int)
-coefficients.  All operations are exact; these are workhorses for the
+coefficients.  All operations are exact, and poly_mul, poly_pow and
+bargmann_dot keep integer coefficients integer; these are workhorses for the
 symbolic identity checks (Hurwitz products, Laplacian pullback, boson
 polynomials).  TruncatedSeries expands g(tau)^-2 term by term; it is the
 test oracle for the closed-form 6j coefficient in wigner, not a production
@@ -56,7 +57,7 @@ def poly_mul(a, b):
 
 
 def poly_pow(a, n, nvars):
-    out = poly_const(1, nvars)
+    out = {tuple([0] * nvars): 1}
     base = a
     while n:
         if n & 1:
@@ -117,15 +118,13 @@ def poly_compose(a, subs, nvars_out):
 
 def bargmann_dot(a, b):
     """Fock-Bargmann inner product of two real-coefficient polynomials:
-    monomials are orthogonal with norm^2 = prod(e_i!)."""
-    tot = Fraction(0)
+    monomials are orthogonal with norm^2 = prod(e_i!).  Iterates over a, so
+    pass the smaller polynomial first."""
+    tot = 0
     for e, c in a.items():
         cb = b.get(e)
         if cb:
-            f = 1
-            for x in e:
-                f *= math.factorial(x)
-            tot += c * cb * f
+            tot += c * cb * math.prod(map(math.factorial, e))
     return tot
 
 

@@ -6,6 +6,10 @@ Atomic units, Z = 1.  N-dimensional states use delta_n = 1/(n + (N-3)/2);
 the momentum-space closed form is the Gegenbauer expression
   ~ (delta p)^l C_{n-l-1}^{l+(N-1)/2}((p^2-d^2)/(p^2+d^2)) / (p^2+d^2)^{l+(N+1)/2}
 validated pointwise against the Hankel-transform oracle.
+
+scipy.special is imported only inside the functions that call it (the
+hydrogen normalizations and the Hankel oracle), so a caller of the
+polynomials alone, such as gfkit.oscillator, loads numpy but not scipy.
 """
 from __future__ import annotations
 
@@ -14,9 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln as _gammaln
-from scipy.special import jv as _besselj
 
 from .quadrature import tanhsinh_halfline, gauss_legendre
 
@@ -214,10 +215,11 @@ class HydrogenState:
 
 def radial_norm_constant(N, n, l) -> float:
     """Closed-form N_{n,l} * omega^{N/2} of the N-dim radial function."""
+    from scipy.special import gammaln
     halfshift = n + (N - 3) / 2.0
     omega = 2.0 / halfshift
-    lognum = 0.5 * (_gammaln(n - l) - math.log(2 * halfshift)
-                    - _gammaln(n + l + N - 2))
+    lognum = 0.5 * (gammaln(n - l) - math.log(2 * halfshift)
+                    - gammaln(n + l + N - 2))
     return math.exp(lognum) * omega ** (N / 2.0)
 
 
@@ -233,12 +235,13 @@ def hydrogen_radial(N, n, l, r):
 def hydrogen_momentum_radial(N, n, l, p):
     """Closed-form radial momentum amplitude F_{n,l}(p), nonnegative-p grid;
     integral of F^2 p^{N-1} dp = 1."""
+    from scipy.special import gamma
     p = np.asarray(p, dtype=float)
     d = 1.0 / (n + (N - 3) / 2.0)
     x = (p * p - d * d) / (p * p + d * d)
     pref = math.sqrt(math.factorial(n - l - 1) * (n + (N - 3) / 2.0)
-                     / (2 * math.pi * _gamma(n + l + N - 2)))
-    pref *= 2.0 ** (2 * l + N) * d ** (N / 2.0 + 1) * _gamma(l + (N - 1) / 2.0)
+                     / (2 * math.pi * gamma(n + l + N - 2)))
+    pref *= 2.0 ** (2 * l + N) * d ** (N / 2.0 + 1) * gamma(l + (N - 1) / 2.0)
     return (pref * (d * p) ** l / (p * p + d * d) ** (l + (N + 1) / 2.0)
             * gegenbauer(n - l - 1, l + (N - 1) / 2.0, x))
 
@@ -268,13 +271,14 @@ def fourier_momentum_oracle(N, n, l, p_grid):
     """|radial momentum amplitude| from the Hankel integral
     int R_{nl}(r) J_nu(pr) (pr)^{-(N-2)/2} r^{N-1} dr, nu = l + (N-2)/2,
     by adaptive tanh-sinh quadrature, vectorized over the p grid."""
+    from scipy.special import jv
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
     nu = l + (N - 2) / 2.0
 
     def integrand(r):
         r = np.asarray(r)
         pr = np.outer(p_grid, r)
-        vals = (hydrogen_radial(N, n, l, r)[None, :] * _besselj(nu, pr)
+        vals = (hydrogen_radial(N, n, l, r)[None, :] * jv(nu, pr)
                 * pr ** (-(N - 2) / 2.0) * r[None, :] ** (N - 1))
         return vals
 
@@ -285,13 +289,14 @@ def fourier_momentum_oracle(N, n, l, p_grid):
 def gaussian_hankel_selftransform(p_grid, N=3):
     """Oracle sanity input: exp(-r^2/2) maps to itself under the l = 0
     radial Fourier transform in N dimensions."""
+    from scipy.special import jv
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
     nu = (N - 2) / 2.0
 
     def integrand(r):
         r = np.asarray(r)
         pr = np.outer(p_grid, r)
-        return (np.exp(-r * r / 2)[None, :] * _besselj(nu, pr)
+        return (np.exp(-r * r / 2)[None, :] * jv(nu, pr)
                 * pr ** (-(N - 2) / 2.0) * r[None, :] ** (N - 1))
 
     return tanhsinh_halfline(integrand)

@@ -3,9 +3,13 @@ factors, and the Euler-angle factorization of SU(3) matrices.
 
 Wigner coefficients come from the invariant polynomial
   h = N [z1.(z3 x z5)]^{mu3} (z3.z56)^{lam2-mu3} (z1.z56)^{lam1-mu3}
-contracted against basis states in Fock-Bargmann space; everything is
-exact rational arithmetic, the normalization is fixed by orthonormality
-(the per-state sum of squared coefficients equals 1/dim), and the values
+contracted against basis states in Fock-Bargmann space, z56 = z5 x z6.
+The (lam,0) states are monomials, so a product state z1^a1 z3^a2 meets only
+the slice of h with those (z1, z3) exponents.  The slices are indexed once,
+each kept factored over the polynomials z5^f z56^nu, and each conjugated
+third state is dotted against its slice only.  All of this is exact integer
+arithmetic; the normalization, fixed by orthonormality (the per-state sum of
+squared coefficients equals 1/dim), is the one rational step, and the values
 factor exactly into isoscalar times SU(2) 3j.
 """
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import SR_ZERO, SqrtRational, HalfInt
+from .exact import SR_ZERO, SqrtRational
 from .polytools import bargmann_dot, poly_mul, poly_pow
 from .wigner import threej
 
@@ -81,106 +85,103 @@ def su3_decompose_multfree(lam1: int, lam2: int):
 
 
 # ---------------------------------------------------------------------------
-# basis polynomials in Fock-Bargmann variables
+# basis polynomials in Fock-Bargmann variables, integer coefficients
 # ---------------------------------------------------------------------------
-def _v_poly(lam, mu, p, q, tt0, zoff, woff, nvars):
-    """Generating-function extraction of V^{(lam,mu)}_{p,q,t0}, unnormalized.
+def _monomial_exponents(lam, key):
+    """(a, b, c) of the (lam,0) basis state z_1^a z_2^b z_3^c / sqrt(a! b! c!)."""
+    y, tt, tt0 = key
+    return (tt + tt0) // 2, (tt - tt0) // 2, lam - (y + 2 * lam) // 3
 
-    z triplet at zoff, w triplet at woff.  Convention carries the (-1)^q of
-    the state normalization separately (see _v_state)."""
+
+def _compositions(n):
+    """Exponent triples of total degree n."""
+    return [(a, b, n - a - b) for a in range(n + 1) for b in range(n - a + 1)]
+
+
+def _multinomial(n, parts):
+    out = math.factorial(n)
+    for x in parts:
+        out //= math.factorial(x)
+    return out
+
+
+class _CrossBasis:
+    """The polynomials z^f w^nu, w = z x z', on (z, z') = variables 0-2, 3-5,
+    with integer coefficients, built once per (f, nu) and kept."""
+
+    def __init__(self, max_power):
+        self.wpow = []   # wpow[k][n] = w_k^n, n <= max_power
+        for k in range(3):
+            i1, i2 = (k + 1) % 3, (k + 2) % 3
+            plus, minus = [0] * 6, [0] * 6
+            plus[i1] = plus[3 + i2] = minus[i2] = minus[3 + i1] = 1
+            wk = {tuple(plus): 1, tuple(minus): -1}
+            pw = [{(0,) * 6: 1}]
+            for _ in range(max_power):
+                pw.append(poly_mul(pw[-1], wk))
+            self.wpow.append(pw)
+        self.w_nu = {}
+        self.polys = {}
+
+    def __call__(self, f, nu):
+        out = self.polys.get((f, nu))
+        if out is None:
+            w = self.w_nu.get(nu)
+            if w is None:
+                w0, w1, w2 = self.wpow
+                w = self.w_nu[nu] = poly_mul(poly_mul(w0[nu[0]], w1[nu[1]]), w2[nu[2]])
+            out = self.polys[f, nu] = poly_mul({f + (0, 0, 0): 1}, w)
+        return out
+
+
+def _v_poly(lam, mu, p, q, tt0, basis):
+    """Generating-function extraction of V^{(lam,mu)}_{p,q,t0} with w = z x z'
+    substituted, as a polynomial on the variables of basis (a _CrossBasis).
+
+    Integer numerators only: every term shares the denominator
+    p! (lam-p)! (mu-q)! q!, which cancels in the normalized coefficients.
+    The (-1)^q of the state normalization is carried separately."""
     tt = mu + p - q
     b = mu - q
     out = {}
     for i in range(p + 1):
         j = i + b - (tt + tt0) // 2
-        if j < 0 or j > b or (p - i) + j != (tt - tt0) // 2:
+        if not 0 <= j <= b:
             continue
-        coef = Fraction(math.comb(p, i) * math.comb(b, j) * (-1) ** (b - j),
-                        math.factorial(p) * math.factorial(lam - p)
-                        * math.factorial(b) * math.factorial(q))
-        e = [0] * nvars
-        e[zoff] += i
-        e[zoff + 1] += p - i
-        e[zoff + 2] += lam - p
-        e[woff] += j
-        e[woff + 1] += b - j
-        e[woff + 2] += q
-        key = tuple(e)
-        out[key] = out.get(key, Fraction(0)) + coef
-    return out
-
-
-def _cross_sub(poly, woff, aoff, boff, nvars_out):
-    """Substitute w = a x b and project onto the first nvars_out variables."""
-    def comp(k):
-        i1, i2 = (k + 1) % 3, (k + 2) % 3
-        e1 = [0] * nvars_out
-        e1[aoff + i1] = 1
-        e1[boff + i2] = 1
-        e2 = [0] * nvars_out
-        e2[aoff + i2] = 1
-        e2[boff + i1] = 1
-        return {tuple(e1): Fraction(1), tuple(e2): Fraction(-1)}
-
-    W = [comp(k) for k in range(3)]
-    out = {}
-    for e, c in poly.items():
-        base = list(e[:nvars_out])
-        wexp = e[woff:woff + 3]
-        term = {tuple(base): c}
-        for k in range(3):
-            if wexp[k]:
-                term = poly_mul(term, poly_pow(W[k], wexp[k], nvars_out))
-        for ee, cc in term.items():
-            out[ee] = out.get(ee, Fraction(0)) + cc
+        c = math.comb(p, i) * math.comb(b, j) * (-1) ** (b - j)
+        for e, x in basis((i, p - i, lam - p), (j, b - j, q)).items():
+            out[e] = out.get(e, 0) + c * x
     return {e: c for e, c in out.items() if c}
 
 
-_NV = 12  # z1: 0-2, z3: 3-5, z5: 6-8, z6: 9-11
+def _invariant_slices(lam1, lam2, mu3):
+    """The invariant h0 = [z1.(z3 x z5)]^k1 (z1.w)^k3 (z3.w)^k2, w = z5 x z6,
+    indexed by its (z1, z3) exponents; each slice is kept factored, as
+    {(z1, z3) exponents: {(f, nu): c}} with h0[a1, a2] = sum c z5^f w^nu and
+    integer c.
 
-
-def _invariant(lam1, lam2, mu3):
+    By the multinomial theorem the z1^g z3^d term of (z1.w)^k3 (z3.w)^k2 is
+    multinom(k3; g) multinom(k2; d) w^(g+d), so each term z1^r z3^s z5^f of
+    the determinant power adds to the slice at (r+g, s+d)."""
     k1, k2, k3 = mu3, lam2 - mu3, lam1 - mu3
     det = {}
     for perm in itertools.permutations(range(3)):
         sg = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-        e = [0] * _NV
-        e[0 + perm[0]] = 1
-        e[3 + perm[1]] = 1
-        e[6 + perm[2]] = 1
-        det[tuple(e)] = Fraction(sg)
-
-    def dot_with_cross56(off):
-        out = {}
-        for k in range(3):
-            i1, i2 = (k + 1) % 3, (k + 2) % 3
-            for (a, b, sgn) in ((i1, i2, 1), (i2, i1, -1)):
-                e = [0] * _NV
-                e[off + k] += 1
-                e[6 + a] += 1
-                e[9 + b] += 1
-                out[tuple(e)] = out.get(tuple(e), Fraction(0)) + sgn
-        return out
-
-    h = poly_pow(det, k1, _NV)
-    h = poly_mul(h, poly_pow(dot_with_cross56(3), k2, _NV))
-    h = poly_mul(h, poly_pow(dot_with_cross56(0), k3, _NV))
-    return h
-
-
-def _mono_state(lam, key, zoff):
-    """(lam,0) basis state: monomial and its squared norm."""
-    y, tt, tt0 = key
-    p = (y + 2 * lam) // 3
-    a = (tt + tt0) // 2
-    b = (tt - tt0) // 2
-    c = lam - p
-    e = [0] * _NV
-    e[zoff] = a
-    e[zoff + 1] = b
-    e[zoff + 2] = c
-    nsq = Fraction(math.factorial(a) * math.factorial(b) * math.factorial(c))
-    return {tuple(e): Fraction(1)}, nsq
+        e = [0] * 9
+        e[perm[0]] = e[3 + perm[1]] = e[6 + perm[2]] = 1
+        det[tuple(e)] = sg
+    gs = [(g, _multinomial(k3, g)) for g in _compositions(k3)]
+    ds = [(d, _multinomial(k2, d)) for d in _compositions(k2)]
+    slices = {}
+    for e, c in poly_pow(det, k1, 9).items():
+        f = e[6:]
+        for g, cg in gs:
+            a1 = (e[0] + g[0], e[1] + g[1], e[2] + g[2])
+            for d, cd in ds:
+                h = slices.setdefault(a1 + (e[3] + d[0], e[4] + d[1], e[5] + d[2]), {})
+                fnu = (f, (g[0] + d[0], g[1] + d[1], g[2] + d[2]))
+                h[fnu] = h.get(fnu, 0) + c * cg * cd
+    return {a: {fnu: c for fnu, c in h.items() if c} for a, h in slices.items()}
 
 
 @lru_cache(maxsize=64)
@@ -194,8 +195,9 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
     if lam1 < 0 or lam2 < 0 or not 0 <= mu3 <= min(lam1, lam2):
         raise ValueError("bad multiplicity-free coupling labels")
     lam3 = lam1 + lam2 - 2 * mu3
-    h0 = _invariant(lam1, lam2, mu3)
-    # conjugated third-state polynomials on (z5, z6)
+    slices = _invariant_slices(lam1, lam2, mu3)
+    basis = _CrossBasis(lam3)   # on (z5, z6); every w power is at most lam3
+    # conjugated third-state polynomials on (z5, z6), grouped by (y, 2t0)
     v3 = {}
     n3sq = {}
     for p3 in range(lam3 + 1):
@@ -204,49 +206,59 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
             y3 = -(2 * lam3 + mu3) + 3 * (p3 + q3)
             pc, qc = mu3 - q3, lam3 - p3
             for tt03 in range(-tt3, tt3 + 1, 2):
-                raw = _v_poly(mu3, lam3, pc, qc, -tt03, 6, 12, 15)
-                vc = _cross_sub(raw, 12, 6, 9, _NV)
+                vc = _v_poly(mu3, lam3, pc, qc, -tt03, basis)
                 # conjugation phase (-1)^{y_c/2 - t0_c} with y_c=-y3,
                 # t0_c=-t03, plus the state's own (-1)^{q} convention
                 expo = (tt03 - y3) // 2 + qc
                 if expo % 2:
                     vc = {e: -c for e, c in vc.items()}
-                v3[(y3, tt3, tt03)] = vc
-                n3sq[(y3, tt3, tt03)] = bargmann_dot(vc, vc)
+                key3 = (y3, tt3, tt03)
+                v3.setdefault((y3, tt03), []).append((key3, vc))
+                n3sq[key3] = bargmann_dot(vc, vc)
+    dots = {}   # (key3, f, nu) -> <vc | z5^f w^nu>, shared by all slices
+    # <m1 m2 vc | h0> with m1 m2 = z1^a1 z3^a2 is a1! a2! <vc | h0[a1, a2]>.
+    # raw_vals holds t = <vc | h0[a1, a2]> and a1! a2! t^2, so the squared
+    # coefficient before normalization, <m1 m2 vc | h0>^2 / (|m1|^2 |m2|^2
+    # |vc|^2), is a1! a2! t^2 / |vc|^2.
     raw_vals = {}
     for key1 in su3_state_keys(lam1, 0):
-        m1, n1sq = _mono_state(lam1, key1, 0)
+        a1 = _monomial_exponents(lam1, key1)
         for key2 in su3_state_keys(lam2, 0):
-            m2, n2sq = _mono_state(lam2, key2, 3)
-            m12 = poly_mul(m1, m2)
-            for key3, vc in v3.items():
-                if key1[0] + key2[0] != key3[0] or key1[2] + key2[2] != key3[2]:
-                    continue
-                t = bargmann_dot(poly_mul(m12, vc), h0)
+            a2 = _monomial_exponents(lam2, key2)
+            h = slices.get(a1 + a2)
+            if h is None:
+                continue
+            n12 = math.prod(map(math.factorial, a1 + a2))
+            for key3, vc in v3.get((key1[0] + key2[0], key1[2] + key2[2]), ()):
+                t = 0
+                for (f, nu), c in h.items():
+                    x = dots.get((key3, f, nu))
+                    if x is None:
+                        x = dots[key3, f, nu] = bargmann_dot(basis(f, nu), vc)
+                    t += c * x
                 if t:
-                    raw_vals[(key1, key2, key3)] = (t, n1sq * n2sq * n3sq[key3])
+                    raw_vals[(key1, key2, key3)] = (t, n12 * t * t)
     if not raw_vals:
         return {}
-    # squared values and Schur normalization
-    per3 = {}
-    for (k1, k2, k3), (t, nsq) in raw_vals.items():
-        per3[k3] = per3.get(k3, Fraction(0)) + t * t / nsq
-    s0 = next(iter(per3.values()))
-    if any(v != s0 for v in per3.values()):
+    # Schur normalization: the sum of squares over each key3, sum3 / |vc|^2,
+    # is one constant s0, and wigner^2 = a1! a2! t^2 / (|vc|^2 s0 dim3)
+    # = a1! a2! t^2 / (sum3 dim3)
+    sum3 = {}
+    for (k1, k2, k3), (_, sq) in raw_vals.items():
+        sum3[k3] = sum3.get(k3, 0) + sq
+    if len({Fraction(s, n3sq[k3]) for k3, s in sum3.items()}) != 1:
         raise AssertionError("invariant tensor failed Schur constancy")
     dim3 = dim_su3(lam3, mu3)
-    scale_sq = 1 / (s0 * dim3)   # wigner^2 = t^2/nsq * scale_sq
-    # conjugation metric phase, making wigner = isoscalar * 3j exact
-    table = {}
-    for (k1, k2, k3), (t, nsq) in raw_vals.items():
-        sign = 1 if t > 0 else -1
-        sign *= (-1) ** ((k3[1] - k3[2]) // 2)
-        table[(k1, k2, k3)] = SqrtRational.from_square(t * t / nsq * scale_sq, sign)
+
+    def sign(key, t):
+        # conjugation metric phase, making wigner = isoscalar * 3j exact
+        return (1 if t > 0 else -1) * (-1) ** ((key[2][1] - key[2][2]) // 2)
+
     # overall sign: highest key3, then highest (key1,key2), coefficient > 0
-    top = max(table, key=lambda k: (k[2], k[0], k[1]))
-    if table[top].coeff < 0:
-        table = {k: -v for k, v in table.items()}
-    return table
+    top = max(raw_vals, key=lambda k: (k[2], k[0], k[1]))
+    flip = sign(top, raw_vals[top][0])
+    return {k: SqrtRational.from_square(Fraction(sq, sum3[k[2]] * dim3), flip * sign(k, t))
+            for k, (t, sq) in raw_vals.items()}
 
 
 def su3_wigner_multfree(lam1, lam2, lam3, mu3, a1: Su3Label, a2: Su3Label,
@@ -300,9 +312,7 @@ def _gell_mann_action(lam, key, i, j):
 
     States are monomials z1^a z2^b z3^c / sqrt(a! b! c!), E_ij = z_i d/d z_j.
     """
-    y, tt, tt0 = key
-    p = (y + 2 * lam) // 3
-    abc = [(tt + tt0) // 2, (tt - tt0) // 2, lam - p]
+    abc = _monomial_exponents(lam, key)
     if abc[j] == 0:
         return []
     nb = list(abc)

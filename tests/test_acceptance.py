@@ -164,9 +164,11 @@ def test_06_bfr_reconstruction():
 
 
 def test_07_su3_completeness_and_factorization():
+    # exact checks (sum of w^2 = 1/dim per key3, w = isoscalar x 3j) on
+    # lam_i <= 5; the float Casimir projection on lam_i <= 3
     t0 = time.time()
     ok = True
-    for lam1, lam2 in itertools.product(range(4), repeat=2):
+    for lam1, lam2 in itertools.product(range(6), repeat=2):
         C = None
         for lam3, mu3 in su3.su3_decompose_multfree(lam1, lam2):
             tab = su3.coupling_table(lam1, lam2, mu3)
@@ -181,6 +183,8 @@ def test_07_su3_completeness_and_factorization():
             dim3 = su3.dim_su3(lam3, mu3)
             if set(per3.values()) != {Fraction(1, dim3)} or len(per3) != dim3:
                 ok = False
+            if max(lam1, lam2) > 3:
+                continue
             # explicit product-state projection
             if C is None:
                 C, _ = su3.casimir_matrix(lam1, lam2)
@@ -189,8 +193,9 @@ def test_07_su3_completeness_and_factorization():
             for v in vecs.values():
                 if np.linalg.norm(C @ v - ev * v) >= 1e-10:
                     ok = False
-    report(7, ok, f"(projection residual < 1e-10 and exact isoscalar x 3j "
-                  f"factorization, lam_i <= 3, {time.time() - t0:.1f}s)")
+    report(7, ok, f"(exact isoscalar x 3j factorization and 1/dim sums, "
+                  f"lam_i <= 5; projection residual < 1e-10, lam_i <= 3; "
+                  f"{time.time() - t0:.1f}s)")
 
 
 def test_08_hurwitz_identities():

@@ -159,12 +159,39 @@ def test_cli_golden_bytes():
         assert golden_record(case["argv"]) == case, case["argv"]
 
 
+def test_su3_size_cap_refuses_before_building():
+    # su3 wigner and isoscalar exit 1 above the documented cap on lam1 + lam2
+    # and build no coupling table; at the cap they run.
+    from gfkit import su3
+    from gfkit.cli import SU3_MAX_LAM_SUM
+
+    def argvs(lam1, op):
+        labels = ["--lam1", str(lam1), "--lam2", "0", "--lam3", str(lam1), "--mu3", "0"]
+        hw = [str(lam1), str(lam1)]   # highest-weight (y, 2t) of (lam1, 0)
+        if op == "wigner":
+            return ["su3", "wigner", *labels, "--a1", *hw, str(lam1),
+                    "--a2", "0", "0", "0", "--a3", *hw, str(lam1)]
+        return ["su3", "isoscalar", *labels, "--chain1", *hw,
+                "--chain2", "0", "0", "--chain3", *hw]
+
+    before = su3.coupling_table.cache_info()
+    for op in ("wigner", "isoscalar"):
+        env, code = run(argvs(SU3_MAX_LAM_SUM + 1, op))
+        assert code == 1 and "cap" in env.message, env.message
+    assert su3.coupling_table.cache_info() == before
+    for op in ("wigner", "isoscalar"):
+        assert run(argvs(SU3_MAX_LAM_SUM, op))[1] == 0
+    env, code = run(["su3", "decompose", "--lam1", "40", "--lam2", "40"])
+    assert code == 0
+
+
 def test_exact_commands_load_no_numpy():
     # Each command imports only its own kernel: in one fresh interpreter,
-    # wigner and gelfand load neither numpy nor scipy, and su3, manybody
-    # and hurwitz add numpy but not scipy.
+    # wigner and gelfand load neither numpy nor scipy, and su3, manybody,
+    # hurwitz and oscillator add numpy but not scipy.
     stages = [[a for a in CORPUS if a[0] in groups]
-              for groups in (("wigner", "gelfand"), ("su3", "manybody", "hurwitz"))]
+              for groups in (("wigner", "gelfand"),
+                             ("su3", "manybody", "hurwitz", "oscillator"))]
     driver = (
         "import sys\n"
         "from gfkit.cli import run_command\n"

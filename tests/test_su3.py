@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,3 +146,35 @@ def test_euler_matrix():
         U = su3_euler_matrix(tuple(a), nu3, beta3, tuple(b))
         assert np.linalg.norm(U.conj().T @ U - np.eye(3)) < 1e-14
         assert abs(np.linalg.det(U) - 1) < 1e-14
+
+
+DIGESTS = Path(__file__).parent / "data" / "su3_table_digests.json"
+
+
+def digest_labels():
+    """Every (lam1, lam2, mu3) with lam1, lam2 <= 5, plus the pairs with
+    lam <= 6 and lam1 + lam2 <= 8 (the su3-table benchmark pairs)."""
+    pairs = {(a, b) for a in range(7) for b in range(7)
+             if max(a, b) <= 5 or a + b <= 8}
+    return [(a, b, mu3) for a, b in sorted(pairs) for mu3 in range(min(a, b) + 1)]
+
+
+def table_digest(lam1, lam2, mu3):
+    entries = sorted([list(k1), list(k2), list(k3), str(w)]
+                     for (k1, k2, k3), w in coupling_table(lam1, lam2, mu3).items())
+    return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+
+
+def digest_record():
+    return {f"{a} {b} {mu3}": table_digest(a, b, mu3) for a, b, mu3 in digest_labels()}
+
+
+def test_coupling_tables_match_digests():
+    # One sha256 per coupling table, as recorded in
+    # tests/data/su3_table_digests.json; regenerate it (run this file as a
+    # script) only for an intended change of the tables.
+    assert digest_record() == json.loads(DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(digest_record(), indent=1) + "\n")
