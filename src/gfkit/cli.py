@@ -4,7 +4,9 @@ machine-readable output (json, csv, text).
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 2 usage error.  su3 wigner and su3 isoscalar refuse lam1 + lam2 above
-SU3_MAX_LAM_SUM (16) with exit 1, before any coupling table is built.
+SU3_MAX_LAM_SUM (16), wigner 3j, cg and 6j refuse a sum of their |2j|
+above WIGNER_MAX_TWO_J_SUM (4800), and wigner 6j --route oracle above
+WIGNER_ORACLE_MAX_TWO_J_SUM (144), with exit 1, before any work starts.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -153,14 +155,34 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 
 
 # --- wigner ----------------------------------------------------------------
+# A 3j, CG or 6j grows the factorial table to about half the sum of its 2j,
+# and its time grows steeply with that sum.  Measured (one 2-vCPU VM): at a
+# 2j sum of 2400 the slowest 3j tried takes 34 ms and the table holds 0.9 MB;
+# at 4800, 0.3 s and 3.7 MB; at 9600, 2.4 s and 16 MB.  The 6j with all six
+# 2j equal takes 6 ms, 49 ms and 0.4 s at those sums.  The 6j oracle is a
+# magnetic sum of O(j^5) terms: 0.19 s with all six 2j = 24 (a sum of 144),
+# 6.2 s with all 2j = 40 (240), where its 3j working set also outgrows the
+# 3j cache.  Larger labels are refused before any work.
+WIGNER_MAX_TWO_J_SUM = 4800
+WIGNER_ORACLE_MAX_TWO_J_SUM = 144
+
+
+def _wigner_size_guard(args, cap=WIGNER_MAX_TWO_J_SUM):
+    total = sum(abs(x) for x in args.two_j)
+    if total > cap:
+        raise ValueError(f"sum of |2j| = {total} exceeds the wigner cap of {cap}")
+
+
 @_command("wigner", "3j", *_TWO_JM)
 def _wigner_3j(args):
+    _wigner_size_guard(args)
     from .wigner import threej
     return _exact(threej(*args.two_j, *args.two_m), "van der Waerden single-sum 3j")
 
 
 @_command("wigner", "cg", *_TWO_JM)
 def _wigner_cg(args):
+    _wigner_size_guard(args)
     from .exact import HalfInt
     from .wigner import clebsch_gordan
     val = clebsch_gordan(*(HalfInt(x) for pair in zip(args.two_j, args.two_m)
@@ -171,6 +193,8 @@ def _wigner_cg(args):
 @_command("wigner", "6j", _arg("--two-j", nargs=6),
           _arg("--route", str, choices=("gf", "oracle"), default="gf"))
 def _wigner_6j(args):
+    _wigner_size_guard(args, WIGNER_MAX_TWO_J_SUM if args.route == "gf"
+                       else WIGNER_ORACLE_MAX_TWO_J_SUM)
     from .wigner import sixj_gf, sixj_oracle
     fn = sixj_gf if args.route == "gf" else sixj_oracle
     return _exact(fn(*args.two_j), f"6j via {args.route}")

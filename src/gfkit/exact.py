@@ -4,6 +4,17 @@ cached factorials.
 Values of the form (p/q)*sqrt(r/s) are closed under the products and
 same-radicand sums that recoupling coefficients require, so every 3j/6j/9j
 and isoscalar factor in this package is held exactly.
+
+The canonical form puts the square-free part of the squared value under the
+root.  Arbitrary input (the general constructor, from_square, parse) finds
+it by factoring: trial division, then Pollard rho.  The recoupling kernels
+never factor.  Their square roots are of factorial ratios, whose primes are
+known: the factorial table keeps, for each n, a bitmask of the primes with
+odd exponent in n!, so the ratio's square-free part is an XOR of masks
+(sqrt_factorial_ratio), and the rational sum in front stays outside the
+root.  Two gcds then move each prime of the square-free part to the side of
+the radicand the canonical form wants (_place); products, quotients and
+sums on one ray of canonical values use the same gcd step.
 """
 from __future__ import annotations
 
@@ -126,14 +137,15 @@ class SqrtRational:
     __slots__ = ("coeff", "radicand")
 
     def __init__(self, coeff, radicand=1, _canonical=False):
+        if _canonical:
+            # callers pass the two Fractions of a form already canonical
+            self.coeff = coeff
+            self.radicand = radicand
+            return
         coeff = Fraction(coeff)
         radicand = Fraction(radicand)
         if radicand < 0:
             raise ValueError("negative radicand")
-        if _canonical:
-            self.coeff = coeff
-            self.radicand = radicand
-            return
         if coeff == 0 or radicand == 0:
             self.coeff = Fraction(0)
             self.radicand = Fraction(1)
@@ -144,48 +156,52 @@ class SqrtRational:
         sign = 1 if coeff > 0 else -1
         rootn, freen = square_free_split(sq.numerator)
         rootd, freed = square_free_split(sq.denominator)
-        self.coeff = sign * Fraction(rootn, rootd)
+        self.coeff = Fraction(sign * rootn, rootd)
         self.radicand = Fraction(freen, freed)
 
     @staticmethod
     def from_square(sq, sign=1) -> "SqrtRational":
-        """sign * sqrt(sq) for a non-negative Fraction sq."""
-        sq = Fraction(sq)
+        """sign * sqrt(sq) for a non-negative Fraction sq; factors sq."""
+        if not isinstance(sq, Fraction):
+            sq = Fraction(sq)
         if sq < 0:
             raise ValueError("negative square")
         if sq == 0 or sign == 0:
             return SR_ZERO
         rootn, freen = square_free_split(sq.numerator)
         rootd, freed = square_free_split(sq.denominator)
-        return SqrtRational(sign * Fraction(rootn, rootd),
-                            Fraction(freen, freed), _canonical=True)
+        return SqrtRational(Fraction(sign * rootn, rootd), Fraction(freen, freed),
+                            _canonical=True)
+
+    @staticmethod
+    def from_factorial_ratio(c, num_args, den_args) -> "SqrtRational":
+        """c * sqrt(prod n! over num_args / prod n! over den_args), c rational.
+
+        No factoring: the ratio's square-free part comes from the factorial
+        table's odd-prime masks (sqrt_factorial_ratio), then two gcds place
+        it (_place)."""
+        root, free = sqrt_factorial_ratio(num_args, den_args)
+        return _place(c * root, free, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff * other, self.radicand)
+            return _place(self.coeff * other, *_parts(self.radicand))
         if not isinstance(other, SqrtRational):
             return NotImplemented
-        if self.coeff == 0 or other.coeff == 0:
-            return SR_ZERO
-        if self.radicand == other.radicand:
-            return SqrtRational(self.coeff * other.coeff * self.radicand,
-                                Fraction(1), _canonical=True)  # rational: exact
-        sq = (self.coeff * other.coeff) ** 2 * self.radicand * other.radicand
-        sign = 1 if (self.coeff > 0) == (other.coeff > 0) else -1
-        return SqrtRational.from_square(sq, sign)
+        return _product(self.coeff * other.coeff, *_parts(self.radicand),
+                        *_parts(other.radicand))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff / other, self.radicand)
+            return _place(self.coeff / other, *_parts(self.radicand))
         if not isinstance(other, SqrtRational):
             return NotImplemented
         if other.coeff == 0:
             raise ZeroDivisionError("division by zero SqrtRational")
-        inv = SqrtRational(1 / (other.coeff * other.radicand), other.radicand,
-                           _canonical=True)
-        return self * inv
+        n2, d2 = _parts(other.radicand)
+        return _product(self.coeff / other.coeff, *_parts(self.radicand), d2, n2)
 
     def __add__(self, other):
         if not isinstance(other, SqrtRational):
@@ -195,7 +211,7 @@ class SqrtRational:
         if other.coeff == 0:
             return self
         if self.radicand == other.radicand:
-            return SqrtRational(self.coeff + other.coeff, self.radicand)
+            return _place(self.coeff + other.coeff, *_parts(self.radicand))
         # fractional radicands admit several squarefree num/den splits of one
         # radical ray (sqrt(2/5) = 2 sqrt(1/10)); rescale when the ratio is a
         # perfect rational square, otherwise the sum leaves the value type
@@ -204,7 +220,7 @@ class SqrtRational:
         except ValueError:
             raise ValueError(
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})")
-        return SqrtRational(self.coeff + other.coeff * rho, self.radicand)
+        return _place(self.coeff + other.coeff * rho, *_parts(self.radicand))
 
     def __sub__(self, other):
         return self + (-other)
@@ -249,7 +265,37 @@ class SqrtRational:
         return f"{c}*sqrt({self.radicand.numerator}/{self.radicand.denominator})"
 
 
-SR_ZERO = SqrtRational(0, 1, _canonical=True)
+SR_ZERO = SqrtRational(Fraction(0), Fraction(1), _canonical=True)
+
+
+def _parts(radicand: Fraction) -> tuple[int, int]:
+    return radicand.numerator, radicand.denominator
+
+
+def _place(c: Fraction, n: int, d: int) -> SqrtRational:
+    """Canonical c * sqrt(n/d) for square-free coprime n, d, by two gcds.
+
+    The canonical radicand is the square-free part of c^2 n/d, so a prime of
+    n that divides den(c) belongs under the root's denominator, and a prime
+    of d that divides num(c) under its numerator; every other prime of n or d
+    already sits where it belongs."""
+    if c == 0:
+        return SR_ZERO
+    up = math.gcd(n, c.denominator)      # sqrt(n/d) = up * sqrt((n/up)/(d up))
+    down = math.gcd(d, c.numerator)      # sqrt(n/d) = sqrt((n down)/(d/down)) / down
+    if up != 1 or down != 1:
+        c = c * up / down
+        n, d = n // up * down, d // down * up
+    return SqrtRational(c, Fraction(n, d), _canonical=True)
+
+
+def _product(c: Fraction, n1: int, d1: int, n2: int, d2: int) -> SqrtRational:
+    """Canonical c * sqrt(n1 n2 / (d1 d2)) for square-free coprime pairs
+    (n1, d1) and (n2, d2): shared primes leave the root by gcds."""
+    g, h = math.gcd(n1, n2), math.gcd(d1, d2)
+    n, d = (n1 // g) * (n2 // g), (d1 // h) * (d2 // h)
+    e = math.gcd(n, d)
+    return _place(c * g / h, n // e, d // e)
 
 _SR_RE = re.compile(
     r"^\s*(-?\d+)/(\d+)\s*(?:\*\s*sqrt\(\s*(-?\d+)/(\d+)\s*\))?\s*$")
@@ -335,12 +381,19 @@ def _two(x) -> int:
 
 
 class FactorialCache:
-    """Monotonically growing table of factorials; thread-safe growth."""
+    """Monotonically growing table of factorials; thread-safe growth.
+
+    Alongside n! it keeps, for each n, the set of primes with odd exponent
+    in n! as a bitmask over `primes` (bit i stands for primes[i]), so the
+    square-free part of a factorial ratio is an XOR of masks."""
 
     def __init__(self, n_max: int | None = None):
         if n_max is None:
             n_max = int(os.environ.get("GFKIT_FACT_MAX", "512"))
         self._table = [1]
+        self._odd = [0]
+        self.primes = []
+        self._prime_bit = {}
         self._lock = threading.Lock()
         self.grow(n_max)
 
@@ -348,9 +401,24 @@ class FactorialCache:
         if n < len(self._table):
             return
         with self._lock:
-            t = self._table
+            t, odd, primes, bit = self._table, self._odd, self.primes, self._prime_bit
             while len(t) <= n:
-                t.append(t[-1] * len(t))
+                m = r = len(t)
+                mask = odd[-1]
+                for i, p in enumerate(primes):
+                    if p * p > r:
+                        break
+                    while r % p == 0:
+                        r //= p
+                        mask ^= 1 << i
+                if r > 1:                  # the prime left after trial division
+                    if r == m:
+                        bit[m] = len(primes)
+                        primes.append(m)
+                    mask ^= 1 << bit[r]
+                # readers index _odd[n] once n < len(_table): append _odd first
+                odd.append(mask)
+                t.append(t[-1] * m)
 
     def __call__(self, n: int) -> int:
         if n < 0:
@@ -366,6 +434,36 @@ class FactorialCache:
 
 
 factorials = FactorialCache()
+
+
+def sqrt_factorial_ratio(num_args, den_args) -> tuple[Fraction, int]:
+    """(R, k) with prod n! over num_args / prod n! over den_args = R^2 k,
+    R a positive Fraction and k a square-free int.
+
+    k is the product of the primes whose masks XOR to one; every prime of a
+    factorial ratio is at most its largest argument, so nothing is factored.
+    The ratio divided by k is a rational square, and R is the isqrt of its
+    numerator over the isqrt of its denominator."""
+    args = (*num_args, *den_args)
+    if min(args, default=0) < 0:
+        raise ValueError("factorial of negative argument")
+    factorials.grow(max(args, default=0))
+    t, odd, primes = factorials._table, factorials._odd, factorials.primes
+    num = den = 1
+    mask = 0
+    for n in num_args:
+        num *= t[n]
+        mask ^= odd[n]
+    for n in den_args:
+        den *= t[n]
+        mask ^= odd[n]
+    k = 1
+    while mask:
+        low = mask & -mask
+        k *= primes[low.bit_length() - 1]
+        mask ^= low
+    q = Fraction(num, den * k)
+    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator)), k
 
 
 def fact2(two_n: int) -> int:
@@ -398,10 +496,9 @@ def triangle_delta(a, b, c) -> SqrtRational:
         raise ValueError("a+b+c must be integral")
     if not triangle_ok(ta, tb, tc):
         raise TriangleError(f"triangle violated: ({a},{b},{c})")
-    J2 = ta + tb + tc
-    sq = Fraction(fact2(J2 - 2 * ta) * fact2(J2 - 2 * tb) * fact2(J2 - 2 * tc),
-                  factorials(J2 // 2 + 1))
-    return SqrtRational.from_square(sq)
+    J = (ta + tb + tc) // 2
+    return SqrtRational.from_factorial_ratio(
+        1, ((tb + tc - ta) // 2, (ta + tc - tb) // 2, (ta + tb - tc) // 2), (J + 1,))
 
 
 def sqrt_ratio_of_squares(q_num: Fraction, q_den: Fraction) -> Fraction:

@@ -9,6 +9,14 @@ function reduced to Racah's sum), so the route keeps no state.  The two
 routes must agree exactly and the test suite enforces it; the tests also
 check the closed form against the truncated series of g^-2
 (polytools.TruncatedSeries), which only they use.
+
+The 3j, CG and 6j never factor an integer.  Each is a rational sum times the
+square root of a factorial ratio, and SqrtRational.from_factorial_ratio
+keeps the sum outside the root and canonicalizes from the factorial table's
+prime masks by gcds.  The 3j core is an lru_cache bounded at 2**14 labels
+holding each label's sign, exact square and canonical value: threej returns
+the value, and the magnetic sums (the 6j oracle, the 9j) read sign and
+square.  Those sums and the second 3j route still end in from_square.
 """
 from __future__ import annotations
 
@@ -66,16 +74,23 @@ class NineJLabel:
 # ---------------------------------------------------------------------------
 # 3j: Van der Waerden single sum (sign, square) core
 # ---------------------------------------------------------------------------
-@lru_cache(maxsize=200000)
+# Bounded.  The largest repeated working set measured is 1,384 labels: every
+# 3j with 2j <= 6 plus the 303 that the 9j with 2j <= 4 read.  An entry with
+# 2j in 40..60 holds about 570 B, so the cap keeps the cache near 9 MB on a
+# stream of distinct labels.
+@lru_cache(maxsize=1 << 14)
 def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
-    """(sign, square) of the 3j symbol, doubled arguments."""
+    """(sign, square, value) of the 3j symbol, doubled arguments.
+
+    The value is phase * S * sqrt(factorial ratio), with the single sum S
+    kept outside the root, so its canonical form needs no factoring."""
     if tm1 + tm2 + tm3 != 0:
-        return 0, Fraction(0)
+        return _ZERO_CORE
     if not triangle_ok(tj1, tj2, tj3):
-        return 0, Fraction(0)
+        return _ZERO_CORE
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if abs(tm) > tj or (tj - tm) % 2:
-            return 0, Fraction(0)
+            return _ZERO_CORE
     kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
     kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     s = Fraction(0)
@@ -88,41 +103,42 @@ def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
                * fact2(tj3 - tj1 - tm2 + 2 * k))
         s += Fraction((-1) ** k, den)
     if s == 0:
-        return 0, Fraction(0)
+        return _ZERO_CORE
     J = (tj1 + tj2 + tj3) // 2
-    pref = Fraction(fact2(tj1 + tj2 - tj3) * fact2(tj1 - tj2 + tj3)
-                    * fact2(-tj1 + tj2 + tj3), factorials(J + 1))
-    pref *= (fact2(tj1 + tm1) * fact2(tj1 - tm1) * fact2(tj2 + tm2)
-             * fact2(tj2 - tm2) * fact2(tj3 + tm3) * fact2(tj3 - tm3))
-    phase = neg_one_pow((tj1 - tj2 - tm3) // 2)
-    sign = phase if s > 0 else -phase
-    return sign, pref * s * s
+    value = SqrtRational.from_factorial_ratio(
+        neg_one_pow((tj1 - tj2 - tm3) // 2) * s,
+        ((tj1 + tj2 - tj3) // 2, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
+         (tj1 + tm1) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
+         (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
+        (J + 1,))
+    return (1 if value.coeff > 0 else -1), value.square(), value
+
+
+_ZERO_CORE = (0, Fraction(0), SR_ZERO)
 
 
 def threej(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
     """3j symbol with doubled integer arguments."""
-    sign, sq = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
-    if sign == 0:
-        return SR_ZERO
-    return SqrtRational.from_square(sq, sign)
+    return _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)[2]
 
 
 def wigner_3j(label: ThreeJLabel) -> SqrtRational:
     return threej(*label.two_j, *label.two_m)
 
 
-def threej_second_route(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
-    """Independent 3j evaluation: the defining factorial sum of the
-    Clebsch-Gordan coefficient, summed in descending order with raw
-    math.factorial, then converted through the 3j phase relation.
+def threej_second_route_square(tj1, tj2, tj3, tm1, tm2, tm3) -> tuple[int, Fraction]:
+    """Independent 3j evaluation as (sign, exact square): the defining
+    factorial sum of the Clebsch-Gordan coefficient, summed in descending
+    order with raw math.factorial, then converted through the 3j phase
+    relation.
 
     Deliberately avoids the cached-factorial path of _threej_core.
     """
     if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
-        return SR_ZERO
+        return 0, Fraction(0)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if abs(tm) > tj or (tj - tm) % 2:
-            return SR_ZERO
+            return 0, Fraction(0)
     tj12, tm12 = tj3, -tm3
 
     def f(two_n):
@@ -137,16 +153,20 @@ def threej_second_route(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
                * f(tj12 - tj2 + tm1 + 2 * k) * f(tj12 - tj1 - tm2 + 2 * k))
         s += Fraction((-1) ** k, den)
     if s == 0:
-        return SR_ZERO
+        return 0, Fraction(0)
     sq = Fraction((tj12 + 1) * f(tj12 + tj1 - tj2) * f(tj12 - tj1 + tj2)
                   * f(tj1 + tj2 - tj12), f(tj1 + tj2 + tj12 + 2))
     sq *= (f(tj12 + tm12) * f(tj12 - tm12) * f(tj1 - tm1) * f(tj1 + tm1)
            * f(tj2 - tm2) * f(tj2 + tm2))
-    cg_sign = 1 if s > 0 else -1
-    cg = SqrtRational.from_square(sq * s * s, cg_sign)
     # 3j = (-1)^{j1-j2-m3} / sqrt(2 j3 + 1) * <j1 m1 j2 m2 | j3 -m3>
     phase = neg_one_pow((tj1 - tj2 - tm3) // 2)
-    return cg * SqrtRational.from_square(Fraction(1, tj3 + 1), phase)
+    return (phase if s > 0 else -phase), sq * s * s / (tj3 + 1)
+
+
+def threej_second_route(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
+    """The second route's 3j, canonicalized from its exact square."""
+    sign, sq = threej_second_route_square(tj1, tj2, tj3, tm1, tm2, tm3)
+    return SqrtRational.from_square(sq, sign)
 
 
 def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> SqrtRational:
@@ -156,7 +176,8 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> SqrtRational:
         for x in (j1, m1, j2, m2, j3, m3))
     phase = neg_one_pow((tj1 - tj2 + tm3) // 2)
     val = threej(tj1, tj2, tj3, tm1, tm2, -tm3)
-    return val * SqrtRational.from_square(Fraction(tj3 + 1), phase)
+    # sqrt(2 j3 + 1) = sqrt((2 j3 + 1)! / (2 j3)!)
+    return val * SqrtRational.from_factorial_ratio(phase, (tj3 + 1,), (tj3,))
 
 
 # ---------------------------------------------------------------------------
@@ -195,54 +216,26 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            s0, q0 = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
+            s0, q0, _ = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
             if s0 == 0:
                 continue
             for tmu1 in range(-tl1, tl1 + 1, 2):
-                s1, q1 = None, None
                 for tmu2 in range(-tl2, tl2 + 1, 2):
-                    s1, q1 = _threej_core(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+                    s1, q1, _ = _threej_core(tl1, tl2, tj3, tmu1, -tmu2, tm3)
                     if s1 == 0:
                         continue
                     tmu3 = tmu2 + tm1
                     if abs(tmu3) > tl3:
                         continue
-                    s2, q2 = _threej_core(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+                    s2, q2, _ = _threej_core(tl2, tl3, tj1, tmu2, -tmu3, tm1)
                     if s2 == 0:
                         continue
-                    s3, q3 = _threej_core(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+                    s3, q3, _ = _threej_core(tl3, tl1, tj2, tmu3, -tmu1, tm2)
                     if s3 == 0:
                         continue
                     ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
                     terms.append((ph * s0 * s1 * s2 * s3, q0 * q1 * q2 * q3))
     return _sum_signed_sqrts(terms)
-
-
-def sixj_fixed_m(tj1, tj2, tj3, tl1, tl2, tl3, tm1, tm2, tm3) -> SqrtRational:
-    """6j from the mu-sum at one fixed magnetic configuration, divided by the
-    accompanying 3j; used to assert the m-independence of the contraction."""
-    s0, q0 = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
-    if s0 == 0:
-        raise ValueError("chosen (m1,m2,m3) has vanishing 3j")
-    terms = []
-    for tmu1 in range(-tl1, tl1 + 1, 2):
-        for tmu2 in range(-tl2, tl2 + 1, 2):
-            s1, q1 = _threej_core(tl1, tl2, tj3, tmu1, -tmu2, tm3)
-            if s1 == 0:
-                continue
-            tmu3 = tmu2 + tm1
-            if abs(tmu3) > tl3:
-                continue
-            s2, q2 = _threej_core(tl2, tl3, tj1, tmu2, -tmu3, tm1)
-            if s2 == 0:
-                continue
-            s3, q3 = _threej_core(tl3, tl1, tj2, tmu3, -tmu1, tm2)
-            if s3 == 0:
-                continue
-            ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
-            terms.append((ph * s1 * s2 * s3, q1 * q2 * q3))
-    inner = _sum_signed_sqrts(terms)
-    return inner / SqrtRational.from_square(q0, s0)
 
 
 def wigner_6j_oracle(label: SixJLabel) -> SqrtRational:
@@ -324,13 +317,12 @@ def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
                             s3 - tl2, s2 - tl1, s3 - tl1))
     if coeff == 0:
         return SR_ZERO
-    # coeff^2 times the four squared triangle deltas, then one square root
-    sq = Fraction(coeff * coeff)
-    for (a, b, c) in triads:
-        J = (a + b + c) // 2
-        sq *= Fraction(fact2(a + b - c) * fact2(a - b + c) * fact2(-a + b + c),
-                       factorials(J + 1))
-    return SqrtRational.from_square(sq, 1 if coeff > 0 else -1)
+    # coeff times the four triangle deltas under one square root
+    return SqrtRational.from_factorial_ratio(
+        coeff,
+        [x for a, b, c in triads for x in ((a + b - c) // 2, (a - b + c) // 2,
+                                           (-a + b + c) // 2)],
+        (s0 + 1, s1 + 1, s2 + 1, s3 + 1))
 
 
 def wigner_6j_gf(label: SixJLabel) -> SqrtRational:
@@ -351,7 +343,7 @@ def ninej(two_j_rows) -> SqrtRational:
             mc = -ma - mb
             if abs(mc) > c:
                 continue
-            s1, q1 = _threej_core(a, b, c, ma, mb, mc)
+            s1, q1, _ = _threej_core(a, b, c, ma, mb, mc)
             if s1 == 0:
                 continue
             for md in range(-d, d + 1, 2):
@@ -359,7 +351,7 @@ def ninej(two_j_rows) -> SqrtRational:
                     mf = -md - me
                     if abs(mf) > f:
                         continue
-                    s2, q2 = _threej_core(d, e, f, md, me, mf)
+                    s2, q2, _ = _threej_core(d, e, f, md, me, mf)
                     if s2 == 0:
                         continue
                     mg = -ma - md
@@ -367,16 +359,16 @@ def ninej(two_j_rows) -> SqrtRational:
                     mi = -mc - mf
                     if abs(mg) > g or abs(mh) > h or abs(mi) > i:
                         continue
-                    s3, q3 = _threej_core(g, h, i, mg, mh, mi)
+                    s3, q3, _ = _threej_core(g, h, i, mg, mh, mi)
                     if s3 == 0:
                         continue
-                    s4, q4 = _threej_core(a, d, g, ma, md, mg)
+                    s4, q4, _ = _threej_core(a, d, g, ma, md, mg)
                     if s4 == 0:
                         continue
-                    s5, q5 = _threej_core(b, e, h, mb, me, mh)
+                    s5, q5, _ = _threej_core(b, e, h, mb, me, mh)
                     if s5 == 0:
                         continue
-                    s6, q6 = _threej_core(c, f, i, mc, mf, mi)
+                    s6, q6, _ = _threej_core(c, f, i, mc, mf, mi)
                     if s6 == 0:
                         continue
                     terms.append((s1 * s2 * s3 * s4 * s5 * s6,

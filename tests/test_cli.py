@@ -185,6 +185,31 @@ def test_su3_size_cap_refuses_before_building():
     assert code == 0
 
 
+def test_wigner_size_cap_refuses_before_work():
+    # wigner 3j, cg and 6j exit 1 above the documented caps on the sum of
+    # |2j|, before the factorial table or the 3j cache is touched; at the
+    # caps they run.
+    from gfkit.cli import WIGNER_MAX_TWO_J_SUM, WIGNER_ORACLE_MAX_TWO_J_SUM
+    from gfkit.exact import factorials
+    from gfkit.wigner import _threej_core
+
+    def argv(total, op, route):
+        n = 6 if op == "6j" else 3
+        tail = ["--route", route] if op == "6j" else ["--two-m", "0", "0", "0"]
+        return ["wigner", op, "--two-j", *[str(total // n)] * n, *tail]
+
+    cases = [(WIGNER_MAX_TWO_J_SUM, op, "gf") for op in ("3j", "cg", "6j")]
+    cases.append((WIGNER_ORACLE_MAX_TWO_J_SUM, "6j", "oracle"))
+    before = len(factorials._table), _threej_core.cache_info()
+    for cap, op, route in cases:
+        assert cap % 6 == 0   # so that argv(cap, ...) sums to the cap exactly
+        env, code = run(argv(cap + 6, op, route))
+        assert code == 1 and "cap" in env.message, env.message
+    assert (len(factorials._table), _threej_core.cache_info()) == before
+    for cap, op, route in cases:
+        assert run(argv(cap, op, route))[1] == 0
+
+
 def test_exact_commands_load_no_numpy():
     # Each command imports only its own kernel: in one fresh interpreter,
     # wigner and gelfand load neither numpy nor scipy, and su3, manybody,

@@ -1,13 +1,15 @@
 import math
 import random
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfkit.exact import (FactorialCache, HalfInt, SqrtRational, TriangleError,
                          canonicalize, parse_sqrt_rational, square_free_split,
-                         triangle_delta)
+                         sqrt_factorial_ratio, triangle_delta, _place)
 
 
 def sr(c, r=1):
@@ -139,3 +141,108 @@ def test_factorial_cache_growth_and_threads():
         t.join()
     assert all(results)
     assert fc.binomial(10, 3) == 120
+
+
+def odd_primes_of_factorial(n):
+    """Primes with odd exponent in n!, by Legendre's formula."""
+    out = set()
+    for p in range(2, n + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            e, q = 0, p
+            while q <= n:
+                e += n // q
+                q *= p
+            if e % 2:
+                out.add(p)
+    return out
+
+
+def test_factorial_masks_follow_legendre():
+    fc = FactorialCache(150)
+    for n in range(151):
+        assert fc._table[n] == math.factorial(n)
+        assert {p for i, p in enumerate(fc.primes) if fc._odd[n] >> i & 1} == \
+            odd_primes_of_factorial(n)
+
+
+def test_factorial_masks_grown_from_threads():
+    serial = FactorialCache(2000)
+    fc = FactorialCache(0)
+    targets = list(range(1, 2001, 7)) + [2000]
+    random.Random(6).shuffle(targets)
+    n_threads = 4
+
+    def work(first):
+        for n in targets[first::n_threads]:
+            fc(n)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert fc._table == serial._table
+    assert fc._odd == serial._odd
+    assert fc.primes == serial.primes
+
+
+fractions = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+nonzero_fractions = fractions.filter(bool)
+factorial_args = st.lists(st.integers(0, 80), max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonzero_fractions, factorial_args, factorial_args)
+def test_factorial_ratio_placement_matches_from_square(s, num, den):
+    ratio = Fraction(math.prod(map(math.factorial, num)),
+                     math.prod(map(math.factorial, den)))
+    root, free = sqrt_factorial_ratio(num, den)
+    assert root > 0 and root * root * free == ratio
+    assert square_free_split(free) == (1, free)
+    got = SqrtRational.from_factorial_ratio(s, num, den)
+    want = SqrtRational.from_square(s * s * ratio, 1 if s > 0 else -1)
+    assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
+
+
+square_free = st.integers(1, 3000).map(lambda n: square_free_split(n)[1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fractions, square_free, square_free)
+def test_place_matches_general_constructor(c, n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    got = _place(c, n, d)
+    want = SqrtRational(c, Fraction(n, d))
+    assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
+
+
+small_fractions = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 4))
+canonical = st.builds(SqrtRational, small_fractions,
+                      st.builds(Fraction, st.integers(0, 10 ** 4), st.integers(1, 10 ** 4)))
+
+
+def parts(v):
+    return v.coeff, v.radicand
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(canonical, canonical, small_fractions.filter(bool))
+def test_arithmetic_matches_general_constructor(a, b, q):
+    assert parts(a * b) == parts(SqrtRational(a.coeff * b.coeff, a.radicand * b.radicand))
+    assert parts(a * q) == parts(q * a) == parts(SqrtRational(a.coeff * q, a.radicand))
+    assert parts(a / q) == parts(SqrtRational(a.coeff / q, a.radicand))
+    if b:
+        assert parts(a / b) == parts(SqrtRational(a.coeff / b.coeff,
+                                                  a.radicand / b.radicand))
+    # sums on a's ray: the same radicand, or one rescaled by a rational square
+    assert parts(a + a) == parts(SqrtRational(2 * a.coeff, a.radicand))
+    assert not a - a
+    assert parts(a + SqrtRational(q, a.radicand)) == \
+        parts(SqrtRational(a.coeff + q, a.radicand))

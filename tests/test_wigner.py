@@ -3,20 +3,24 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
-from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, triangle_ok
+from gfkit import exact
+from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, neg_one_pow, triangle_ok
 from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_const,
                              poly_var, poly_add)
 from gfkit.wigner import (NineJLabel, SixJLabel, ThreeJLabel, clebsch_gordan,
                           gaunt, gf_coefficient, ninej, regge_orbit,
-                          sixj_fixed_m, sixj_gf, sixj_oracle, threej,
-                          threej_second_route, wigner_3j, wigner_6j_gf,
-                          wigner_6j_oracle, wigner_9j, _G_TERMS, _TAU_VARS)
+                          sixj_gf, sixj_oracle, threej,
+                          threej_second_route, threej_second_route_square,
+                          wigner_3j, wigner_6j_gf, wigner_6j_oracle,
+                          wigner_9j, _G_TERMS, _TAU_VARS, _sum_signed_sqrts,
+                          _threej_core)
 
 
 def sr(c, r=1):
@@ -32,6 +36,25 @@ def valid_threej_labels(tjmax):
                         tm3 = -tm1 - tm2
                         if abs(tm3) <= tj3:
                             yield tj1, tj2, tj3, tm1, tm2, tm3
+
+
+def random_threej_label(rng, lo, hi):
+    """A valid 3j label with every 2j in [lo, hi]."""
+    while True:
+        tj1, tj2 = rng.randint(lo, hi), rng.randint(lo, hi)
+        lo3, hi3 = max(abs(tj1 - tj2), lo), min(tj1 + tj2, hi)
+        if lo3 > hi3:
+            continue
+        tj3 = rng.randint(lo3, hi3)
+        if (tj1 + tj2 + tj3) % 2:
+            continue
+        tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
+        if abs(tm1 + tm2) <= tj3:
+            return tj1, tj2, tj3, tm1, tm2, -tm1 - tm2
+
+
+def sign_of(v):
+    return (v.coeff > 0) - (v.coeff < 0)
 
 
 def test_threej_examples():
@@ -53,6 +76,92 @@ def test_threej_second_route_spotcheck():
     labels = list(valid_threej_labels(6))
     for lab in random.sample(labels, 200):
         assert threej(*lab) == threej_second_route(*lab)
+
+
+def test_threej_equals_from_square_of_its_core():
+    # the factor-free canonical value is the from_square form, label by label
+    for lab in valid_threej_labels(10):
+        sign, sq, value = _threej_core(*lab)
+        assert threej(*lab) is value
+        want = SqrtRational.from_square(sq, sign)
+        assert (value.coeff, value.radicand) == (want.coeff, want.radicand)
+
+
+def test_kernels_never_factor(monkeypatch):
+    def refuse(n, *args):
+        raise AssertionError(f"square_free_split({n}) called")
+
+    monkeypatch.setattr(exact, "square_free_split", refuse)
+    _threej_core.cache_clear()
+    rng = random.Random(8)
+    for _ in range(40):
+        lab = random_threej_label(rng, 0, 60)
+        v = threej(*lab)
+        assert v.square() == _threej_core(*lab)[1]
+        tj1, tj2, tj3, tm1, tm2, tm3 = lab
+        cg = clebsch_gordan(*(HalfInt(x) for x in (tj1, tm1, tj2, tm2, tj3, -tm3)))
+        assert cg.square() == v.square() * (tj3 + 1)
+    for _ in range(20):
+        tj1, tj2, tj3, _, _, _ = random_threej_label(rng, 0, 60)
+        tl1 = rng.randint(0, 60)
+        l2s = [x for x in range(61) if triangle_ok(tl1, x, tj3)]
+        tl2 = rng.choice(l2s)
+        l3s = [x for x in range(61) if triangle_ok(tj1, tl2, x) and triangle_ok(tl1, tj2, x)]
+        if l3s:
+            sixj_gf(tj1, tj2, tj3, tl1, tl2, rng.choice(l3s))
+    assert sixj_gf(*[60] * 6)
+
+
+def test_threej_large_j_against_second_route():
+    # 2j in 300..400: each 3j well under a second; checked by exact square
+    # and sign against the second route, which takes no square root
+    rng = random.Random(9)
+    _threej_core.cache_clear()
+    for _ in range(30):
+        lab = random_threej_label(rng, 300, 400)
+        t0 = time.perf_counter()
+        v = threej(*lab)
+        assert time.perf_counter() - t0 < 1.0, lab
+        sign, sq = threej_second_route_square(*lab)
+        assert (sign_of(v), v.square()) == (sign, sq), lab
+
+
+def racah_sixj_square(tj1, tj2, tj3, tl1, tl2, tl3):
+    """(sign, exact square) of the 6j from Racah's formula with math.factorial."""
+    f = math.factorial
+    tri = ((tj1, tj2, tj3), (tj1, tl2, tl3), (tl1, tj2, tl3), (tl1, tl2, tj3))
+    delta2 = Fraction(1)
+    for a, b, c in tri:
+        delta2 *= Fraction(f((a + b - c) // 2) * f((a - b + c) // 2) * f((b + c - a) // 2),
+                           f((a + b + c) // 2 + 1))
+    alphas = [sum(t) // 2 for t in tri]
+    betas = [(tj1 + tj2 + tl1 + tl2) // 2, (tj2 + tj3 + tl2 + tl3) // 2,
+             (tj3 + tj1 + tl3 + tl1) // 2]
+    s = 0
+    for t in range(max(alphas), min(betas) + 1):
+        den = math.prod(f(t - a) for a in alphas) * math.prod(f(b - t) for b in betas)
+        s += Fraction((-1) ** t * f(t + 1), den)
+    return (s > 0) - (s < 0), s * s * delta2
+
+
+def test_sixj_gf_large_j():
+    for tj in (100, 200, 400):
+        t0 = time.perf_counter()
+        v = sixj_gf(*[tj] * 6)
+        assert time.perf_counter() - t0 < 2.0, tj
+        assert (sign_of(v), v.square()) == racah_sixj_square(*[tj] * 6)
+
+
+def test_sixj_gf_orthogonality_large_j():
+    # sum_x (2x+1)(2f+1) {a b x; c d f}{a b x; c d f'} = delta(f, f'), exactly
+    a, b, c, d = 99, 101, 97, 103
+    xs = range(max(abs(a - b), abs(c - d)), min(a + b, c + d) + 1, 2)
+    for f, fp in ((100, 100), (4, 4), (100, 102), (4, 198), (50, 150)):
+        total = SR_ZERO
+        for x in xs:
+            total = total + sixj_gf(a, b, x, c, d, f) * sixj_gf(a, b, x, c, d, fp) \
+                * ((x + 1) * (f + 1))
+        assert total == (SqrtRational(1) if f == fp else SR_ZERO), (f, fp)
 
 
 def test_clebsch_gordan_examples():
@@ -107,6 +216,32 @@ def test_sixj_examples_both_routes():
     assert sixj_oracle(0, 2, 4, 2, 2, 2) == SR_ZERO
     lab = SixJLabel((2, 2, 2, 2, 2, 2))
     assert wigner_6j_oracle(lab) == wigner_6j_gf(lab)
+
+
+def sixj_fixed_m(tj1, tj2, tj3, tl1, tl2, tl3, tm1, tm2, tm3) -> SqrtRational:
+    """6j from the mu-sum at one fixed magnetic configuration, divided by the
+    accompanying 3j; used to assert the m-independence of the contraction."""
+    s0, q0, v0 = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
+    if s0 == 0:
+        raise ValueError("chosen (m1,m2,m3) has vanishing 3j")
+    terms = []
+    for tmu1 in range(-tl1, tl1 + 1, 2):
+        for tmu2 in range(-tl2, tl2 + 1, 2):
+            s1, q1, _ = _threej_core(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+            if s1 == 0:
+                continue
+            tmu3 = tmu2 + tm1
+            if abs(tmu3) > tl3:
+                continue
+            s2, q2, _ = _threej_core(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+            if s2 == 0:
+                continue
+            s3, q3, _ = _threej_core(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+            if s3 == 0:
+                continue
+            ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
+            terms.append((ph * s1 * s2 * s3, q1 * q2 * q3))
+    return _sum_signed_sqrts(terms) / v0
 
 
 def test_sixj_fixed_m_self_consistency():
