@@ -5,8 +5,9 @@ Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 2 usage error.  su3 wigner and su3 isoscalar refuse lam1 + lam2 above
 SU3_MAX_LAM_SUM (16), wigner 3j, cg and 6j refuse a sum of their |2j|
-above WIGNER_MAX_TWO_J_SUM (4800), and wigner 6j --route oracle above
-WIGNER_ORACLE_MAX_TWO_J_SUM (144), with exit 1, before any work starts.
+above WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
+WIGNER_ORACLE_MAX_TWO_J_SUM (144) and wigner 9j above
+WIGNER_9J_MAX_TWO_J_SUM (108), with exit 1, before any work starts.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -162,9 +163,13 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # 2j equal takes 6 ms, 49 ms and 0.4 s at those sums.  The 6j oracle is a
 # magnetic sum of O(j^5) terms: 0.19 s with all six 2j = 24 (a sum of 144),
 # 6.2 s with all 2j = 40 (240), where its 3j working set also outgrows the
-# 3j cache.  Larger labels are refused before any work.
+# 3j cache.  The 9j is a magnetic sum of O(j^6) terms: with all nine 2j
+# equal it takes 0.06 s at 8 (a sum of 72), 0.28 s at 12 (108) and 0.73 s at
+# 16 (144); the slowest of 12 random labels takes 0.23 s at a sum of 108 and
+# 0.37 s at 126.  Larger labels are refused before any work.
 WIGNER_MAX_TWO_J_SUM = 4800
 WIGNER_ORACLE_MAX_TWO_J_SUM = 144
+WIGNER_9J_MAX_TWO_J_SUM = 108
 
 
 def _wigner_size_guard(args, cap=WIGNER_MAX_TWO_J_SUM):
@@ -202,6 +207,7 @@ def _wigner_6j(args):
 
 @_command("wigner", "9j", _arg("--two-j", nargs=9))
 def _wigner_9j(args):
+    _wigner_size_guard(args, WIGNER_9J_MAX_TWO_J_SUM)
     from .wigner import ninej
     rows = tuple(tuple(args.two_j[3 * r:3 * r + 3]) for r in range(3))
     return _exact(ninej(rows), "9j magnetic sum")

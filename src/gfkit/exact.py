@@ -6,8 +6,8 @@ same-radicand sums that recoupling coefficients require, so every 3j/6j/9j
 and isoscalar factor in this package is held exactly.
 
 The canonical form puts the square-free part of the squared value under the
-root.  Arbitrary input (the general constructor, from_square, parse) finds
-it by factoring: trial division, then Pollard rho.  The recoupling kernels
+root.  Arbitrary input (from_square, and through it the general constructor
+and parse) finds it by factoring: trial division, then Pollard rho.  The recoupling kernels
 never factor.  Their square roots are of factorial ratios, whose primes are
 known: the factorial table keeps, for each n, a bitmask of the primes with
 odd exponent in n!, so the ratio's square-free part is an XOR of masks
@@ -19,12 +19,9 @@ sums on one ray of canonical values use the same gcd step.
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from fractions import Fraction
-
-Rational = Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -142,22 +139,14 @@ class SqrtRational:
             self.coeff = coeff
             self.radicand = radicand
             return
-        coeff = Fraction(coeff)
-        radicand = Fraction(radicand)
+        coeff, radicand = Fraction(coeff), Fraction(radicand)
         if radicand < 0:
             raise ValueError("negative radicand")
-        if coeff == 0 or radicand == 0:
-            self.coeff = Fraction(0)
-            self.radicand = Fraction(1)
-            return
         # unique form: radicand = squarefree part of the squared value, so
         # equal values always canonicalize to identical components
-        sq = coeff * coeff * radicand
-        sign = 1 if coeff > 0 else -1
-        rootn, freen = square_free_split(sq.numerator)
-        rootd, freed = square_free_split(sq.denominator)
-        self.coeff = Fraction(sign * rootn, rootd)
-        self.radicand = Fraction(freen, freed)
+        value = SqrtRational.from_square(coeff * coeff * radicand,
+                                         1 if coeff > 0 else -1)
+        self.coeff, self.radicand = value.coeff, value.radicand
 
     @staticmethod
     def from_square(sq, sign=1) -> "SqrtRational":
@@ -387,9 +376,7 @@ class FactorialCache:
     in n! as a bitmask over `primes` (bit i stands for primes[i]), so the
     square-free part of a factorial ratio is an XOR of masks."""
 
-    def __init__(self, n_max: int | None = None):
-        if n_max is None:
-            n_max = int(os.environ.get("GFKIT_FACT_MAX", "512"))
+    def __init__(self, n_max: int = 512):
         self._table = [1]
         self._odd = [0]
         self.primes = []

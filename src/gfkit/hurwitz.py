@@ -1,5 +1,9 @@
 """Hurwitz matrices, octonionic quadratic transformations, Cayley rotations,
 3-D and 7-D cross products and the Laplacian pullback identity.
+
+Each quadratic map is written once, as a function of u; its component
+polynomials, which the pullback identity composes, are read off the map by
+polarization on unit vectors.
 """
 from __future__ import annotations
 
@@ -122,51 +126,34 @@ QUAD_MAPS = {(2, 2): levi_civita, (3, 4): ks_transform, (5, 8): r8_to_r5}
 
 
 def quad_map_polynomials(pair):
-    """Component polynomials of the (n,N) quadratic map, exact."""
+    """Component polynomials of the (n,N) quadratic map, exact.
+
+    Each component x is a quadratic form in u, so polarizing QUAD_MAPS[pair]
+    on unit vectors gives its coefficients: u_i^2 has x(e_i), and u_i u_j
+    (i < j) has x(e_i + e_j) - x(e_i) - x(e_j)."""
     if pair not in QUAD_MAPS:
         raise ValueError(f"unsupported pair {pair}")
-    return _quad_polys(pair, pair[1])
+    n, N = pair
+    x = QUAD_MAPS[pair]
 
+    def unit(*idx):
+        """e_i + e_j + ..., also the exponent tuple of u_i u_j ..."""
+        u = [0] * N
+        for i in idx:
+            u[i] += 1
+        return u
 
-def _quad_polys(pair, N):
-    def var(i):
-        return poly_var(i, N)
-
-    def mul(a, b):
-        return poly_mul(a, b)
-
-    def sc(a, c):
-        return poly_scale(a, Fraction(c))
-
-    def add(*ps):
-        out = {}
-        for p in ps:
-            out = poly_add(out, p)
-        return out
-
-    u = [var(i) for i in range(N)]
-    if pair == (2, 2):
-        return [add(mul(u[0], u[0]), sc(mul(u[1], u[1]), -1)),
-                sc(mul(u[0], u[1]), 2)]
-    if pair == (3, 4):
-        return [sc(add(mul(u[0], u[2]), mul(u[1], u[3])), 2),
-                sc(add(sc(mul(u[0], u[3]), -1), mul(u[1], u[2])), 2),
-                add(mul(u[0], u[0]), mul(u[1], u[1]),
-                    sc(mul(u[2], u[2]), -1), sc(mul(u[3], u[3]), -1))]
-    if pair == (5, 8):
-        return [sc(add(mul(u[0], u[4]), mul(u[1], u[5]),
-                       mul(u[2], u[6]), mul(u[3], u[7])), 2),
-                sc(add(mul(u[0], u[5]), sc(mul(u[1], u[4]), -1),
-                       mul(u[3], u[6]), sc(mul(u[2], u[7]), -1)), 2),
-                sc(add(mul(u[0], u[6]), mul(u[1], u[7]),
-                       sc(mul(u[2], u[4]), -1), sc(mul(u[3], u[5]), -1)), 2),
-                sc(add(mul(u[0], u[7]), sc(mul(u[1], u[6]), -1),
-                       mul(u[2], u[5]), sc(mul(u[3], u[4]), -1)), 2),
-                add(mul(u[0], u[0]), mul(u[1], u[1]), mul(u[2], u[2]),
-                    mul(u[3], u[3]), sc(mul(u[4], u[4]), -1),
-                    sc(mul(u[5], u[5]), -1), sc(mul(u[6], u[6]), -1),
-                    sc(mul(u[7], u[7]), -1))]
-    raise ValueError(pair)
+    diag = [x(unit(i)) for i in range(N)]
+    comps = [{} for _ in range(n)]
+    for i in range(N):
+        for j in range(i, N):
+            e = unit(i, j)
+            vals = diag[i] if i == j else [
+                c - a - b for c, a, b in zip(x(e), diag[i], diag[j])]
+            for comp, v in zip(comps, vals):
+                if v:
+                    comp[tuple(e)] = Fraction(v)
+    return comps
 
 
 # ---------------------------------------------------------------------------

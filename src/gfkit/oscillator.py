@@ -4,7 +4,8 @@ field) and the cylindrical basis.
 
 Real-time kernels are evaluated at complex time; imaginary time t = -i beta
 gives the Mehler kernel (real, positive).  The square-root branch of the
-prefactor is fixed by continuity from Euclidean time.
+prefactor is fixed by continuity from Euclidean time.  Both propagators
+share one real-time tilt and caustic check.
 """
 from __future__ import annotations
 
@@ -50,9 +51,20 @@ def ho_generating_function(z, q):
     return math.pi ** -0.25 * np.exp(math.sqrt(2) * q * z - q * q / 2 - z * z / 2)
 
 
-def _csqrt_euclidean(w):
-    """sqrt with the branch reached by continuity from positive real w."""
-    return cmath.sqrt(w)
+def _tilted_time(t, omega, eps):
+    """(t, omega t, sin(omega t)) after the real-time tilt
+    t -> t(1 - i eps), eps = 1e-8 by default on the real axis; raises
+    CausticError where sin(omega t) = 0 on the real axis."""
+    t = complex(t)
+    if eps is None:
+        eps = 1e-8 if (t.imag == 0 and t.real != 0) else 0.0
+    if eps:
+        t = t * (1 - 1j * eps)
+    alpha = omega * t
+    s = cmath.sin(alpha)
+    if s == 0 or (t.imag == 0 and abs(s) < 1e-9):
+        raise CausticError("sin(omega t) = 0")
+    return t, alpha, s
 
 
 def ho_propagator(params: OscillatorParams, x, xp, t, eps=None):
@@ -61,18 +73,10 @@ def ho_propagator(params: OscillatorParams, x, xp, t, eps=None):
     eps = 1e-8 by default to dodge caustics; pass eps=0 to evaluate on the
     real axis, where sin(omega t) = 0 raises CausticError."""
     m, w, hb = params.mass, params.omega, params.hbar
-    t = complex(t)
-    if eps is None:
-        eps = 1e-8 if (t.imag == 0 and t.real != 0) else 0.0
-    if eps:
-        t = t * (1 - 1j * eps)
-    alpha = w * t
-    s = cmath.sin(alpha)
-    if s == 0 or (t.imag == 0 and abs(s) < 1e-9):
-        raise CausticError("sin(omega t) = 0")
+    _, alpha, s = _tilted_time(t, w, eps)
     lam = math.sqrt(m * w / hb)
     q, qp = lam * x, lam * xp
-    pref = _csqrt_euclidean(m * w / (2j * math.pi * hb * s))
+    pref = cmath.sqrt(m * w / (2j * math.pi * hb * s))
     return pref * cmath.exp(1j / (2 * s) * ((q * q + qp * qp) * cmath.cos(alpha)
                                             - 2 * q * qp))
 
@@ -84,16 +88,8 @@ def magnetic_propagator(params: OscillatorParams, omega_c, r1, r2, t, eps=None):
     Real time gets the same default 1e-8 tilt as the 1-D kernel."""
     m, w0, hb = params.mass, params.omega, params.hbar
     w = math.sqrt(w0 * w0 + omega_c * omega_c)
-    t = complex(t)
-    if eps is None:
-        eps = 1e-8 if (t.imag == 0 and t.real != 0) else 0.0
-    if eps:
-        t = t * (1 - 1j * eps)
-    alpha = w * t
+    t, alpha, s = _tilted_time(t, w, eps)
     beta = omega_c * t
-    s = cmath.sin(alpha)
-    if s == 0 or (t.imag == 0 and abs(s) < 1e-9):
-        raise CausticError("sin(omega t) = 0")
     x1, y1 = r1
     x2, y2 = r2
     pref = m * w / (2j * math.pi * hb * s)

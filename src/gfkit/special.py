@@ -5,7 +5,9 @@ numeric Hankel/Fourier oracle and generating-function residuals.
 Atomic units, Z = 1.  N-dimensional states use delta_n = 1/(n + (N-3)/2);
 the momentum-space closed form is the Gegenbauer expression
   ~ (delta p)^l C_{n-l-1}^{l+(N-1)/2}((p^2-d^2)/(p^2+d^2)) / (p^2+d^2)^{l+(N+1)/2}
-validated pointwise against the Hankel-transform oracle.
+validated pointwise against the Hankel-transform oracle, which shares its
+integrand with the Gaussian self-transform check.  Hyperspherical harmonics
+are normalized link by link with the closed-form Gegenbauer norm.
 
 scipy.special is imported only inside the functions that call it (the
 hydrogen normalizations and the Hankel oracle), so a caller of the
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadrature import tanhsinh_halfline, gauss_legendre
+from .quadrature import tanhsinh_halfline
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +152,13 @@ def spherical_harmonic(l, m, theta, phi):
     return (-1) ** am * np.conj(val)
 
 
-def hyperspherical_harmonic(N, l, mus, angles, _norm_cache={}):
+def hyperspherical_harmonic(N, l, mus, angles):
     """Y_{l,{mu}} on S^{N-1}; chain l = mu_1 >= mu_2 >= ... >= |mu_{N-1}|.
 
-    angles = (theta_1..theta_{N-2}, phi); normalization enforced numerically
-    (more robust than the closed-form constant for general chains).
+    angles = (theta_1..theta_{N-2}, phi).  Link j of the chain is
+    C_n^a(cos theta_j) sin^{mu_{j+1}} theta_j with n = mu_j - |mu_{j+1}| and
+    a = (N-j-1)/2 + |mu_{j+1}|, normalized by the closed-form Gegenbauer norm
+    int_0^pi (C_n^a)^2 sin^{2a} = pi 2^{1-2a} Gamma(n+2a) / (n! (n+a) Gamma(a)^2).
     N = 2 returns e^{i m phi}/sqrt(2 pi).
     """
     chain = (l,) + tuple(mus)
@@ -168,20 +172,14 @@ def hyperspherical_harmonic(N, l, mus, angles, _norm_cache={}):
     phi = angles[N - 2]
     val = np.exp(1j * m * np.asarray(phi)) / math.sqrt(2 * math.pi)
     for j in range(1, N - 1):          # theta_j, j = 1..N-2
-        alpha_j = (N - j - 1) / 2.0
-        mu_j = chain[j - 1]
         mu_j1 = abs(chain[j])
-        deg = mu_j - mu_j1
-        ct = np.cos(thetas[j - 1])
-        st = np.sin(thetas[j - 1])
-        factor = gegenbauer(deg, alpha_j + mu_j1, ct) * st ** mu_j1
-        key = (N, j, mu_j, mu_j1)
-        if key not in _norm_cache:
-            xs, ws = gauss_legendre(400, 0.0, math.pi)
-            f = (gegenbauer(deg, alpha_j + mu_j1, np.cos(xs))
-                 * np.sin(xs) ** mu_j1) ** 2 * np.sin(xs) ** (N - 1 - j)
-            _norm_cache[key] = 1.0 / math.sqrt(float(np.sum(f * ws)))
-        val = val * factor * _norm_cache[key]
+        deg = chain[j - 1] - mu_j1
+        a = (N - j - 1) / 2.0 + mu_j1
+        log_norm = (math.log(math.pi) + (1 - 2 * a) * math.log(2)
+                    + math.lgamma(deg + 2 * a) - math.lgamma(deg + 1)
+                    - math.log(deg + a) - 2 * math.lgamma(a))
+        val = val * (gegenbauer(deg, a, np.cos(thetas[j - 1]))
+                     * np.sin(thetas[j - 1]) ** mu_j1 * math.exp(-0.5 * log_norm))
     return val
 
 
@@ -267,39 +265,32 @@ def hydrogen_momentum_wf(state: HydrogenState, p, angles):
     return -((1j) ** state.l) * F * Y
 
 
-def fourier_momentum_oracle(N, n, l, p_grid):
-    """|radial momentum amplitude| from the Hankel integral
-    int R_{nl}(r) J_nu(pr) (pr)^{-(N-2)/2} r^{N-1} dr, nu = l + (N-2)/2,
-    by adaptive tanh-sinh quadrature, vectorized over the p grid."""
+def _hankel_transform(f, N, nu, p_grid):
+    """int f(r) J_nu(pr) (pr)^{-(N-2)/2} r^{N-1} dr over r > 0 by adaptive
+    tanh-sinh quadrature, vectorized over the p grid."""
     from scipy.special import jv
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    nu = l + (N - 2) / 2.0
 
     def integrand(r):
         r = np.asarray(r)
         pr = np.outer(p_grid, r)
-        vals = (hydrogen_radial(N, n, l, r)[None, :] * jv(nu, pr)
+        return (f(r)[None, :] * jv(nu, pr)
                 * pr ** (-(N - 2) / 2.0) * r[None, :] ** (N - 1))
-        return vals
 
-    est = tanhsinh_halfline(integrand)
-    return np.abs(est)
+    return tanhsinh_halfline(integrand)
+
+
+def fourier_momentum_oracle(N, n, l, p_grid):
+    """|radial momentum amplitude| from the Hankel integral of R_{nl} with
+    nu = l + (N-2)/2."""
+    return np.abs(_hankel_transform(lambda r: hydrogen_radial(N, n, l, r),
+                                    N, l + (N - 2) / 2.0, p_grid))
 
 
 def gaussian_hankel_selftransform(p_grid, N=3):
     """Oracle sanity input: exp(-r^2/2) maps to itself under the l = 0
     radial Fourier transform in N dimensions."""
-    from scipy.special import jv
-    p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    nu = (N - 2) / 2.0
-
-    def integrand(r):
-        r = np.asarray(r)
-        pr = np.outer(p_grid, r)
-        return (np.exp(-r * r / 2)[None, :] * jv(nu, pr)
-                * pr ** (-(N - 2) / 2.0) * r[None, :] ** (N - 1))
-
-    return tanhsinh_halfline(integrand)
+    return _hankel_transform(lambda r: np.exp(-r * r / 2), N, (N - 2) / 2.0, p_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ each kept factored over the polynomials z5^f z56^nu, and each conjugated
 third state is dotted against its slice only.  All of this is exact integer
 arithmetic; the normalization, fixed by orthonormality (the per-state sum of
 squared coefficients equals 1/dim), is the one rational step, and the values
-factor exactly into isoscalar times SU(2) 3j.
+factor exactly into isoscalar times SU(2) 3j.  An isoscalar factor is one
+table entry, the stretched one, over its 3j.
 """
 from __future__ import annotations
 
@@ -277,26 +278,21 @@ def su3_wigner_multfree(lam1, lam2, lam3, mu3, a1: Su3Label, a2: Su3Label,
 
 
 def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
-    """Isoscalar factor for the (y,t)-chains; wigner = isoscalar * 3j."""
+    """Isoscalar factor for the (y,t)-chains; wigner = isoscalar * 3j.
+
+    The factor does not depend on the t0 projections, so one magnetic
+    triple gives it: the stretched one, t01 = t1 and t02 = -t2, whose 3j
+    single sum has only the k = 0 term and so is nonzero whenever the
+    t triangle holds."""
     if (lam3, mu3) not in su3_decompose_multfree(lam1, lam2):
         return SR_ZERO
-    table = coupling_table(lam1, lam2, mu3)
-    y1, tt1 = chain1
-    y2, tt2 = chain2
-    y3, tt3 = chain3
-    for tt01 in range(-tt1, tt1 + 1, 2):
-        for tt02 in range(-tt2, tt2 + 1, 2):
-            tt03 = tt01 + tt02
-            if abs(tt03) > tt3:
-                continue
-            tj = threej(tt1, tt2, tt3, tt01, tt02, -tt03)
-            if not tj:
-                continue
-            w = table.get(((y1, tt1, tt01), (y2, tt2, tt02), (y3, tt3, tt03)))
-            if w is None:
-                return SR_ZERO
-            return w / tj
-    return SR_ZERO
+    (y1, tt1), (y2, tt2), (y3, tt3) = chain1, chain2, chain3
+    tj = threej(tt1, tt2, tt3, tt1, -tt2, tt2 - tt1)
+    if not tj:
+        return SR_ZERO
+    w = coupling_table(lam1, lam2, mu3).get(
+        ((y1, tt1, tt1), (y2, tt2, -tt2), (y3, tt3, tt1 - tt2)))
+    return SR_ZERO if w is None else w / tj
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """U(n) representation machinery: Gel'fand patterns, Weyl dimensions,
 weights, the binary coding of fundamental-representation minors, the
 P_n(1) combinatorial factors and the U(3)/U(4) boson polynomials.
+
+The boson polynomials come from one expansion of the branching kernel with
+the polytools polynomial product; the P_n(1) oracle is that expansion with
+every minor set to 1.
 """
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+
+from .polytools import poly_mul, poly_pow
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +214,7 @@ def pn1_oracle(n: int, pat: GelfandPattern) -> int:
     identification, no closed form)."""
     if pat.n != n:
         raise ValueError("pattern size does not match n")
-    if n == 2:
-        return 1
-    return sum(_kernel_terms(pat, unit_minors=True).values())
+    return sum(_kernel_terms(pat).values())
 
 
 # ---------------------------------------------------------------------------
@@ -254,90 +258,53 @@ def bfr_generating_terms(n: int):
     return out
 
 
-def _kernel_terms(pat: GelfandPattern, unit_minors=False):
+def _kernel_terms(pat: GelfandPattern):
     """Expand the U(n)->U(n-1) branching kernel for the given pattern.
 
-    Returns {(minor_exponents, param_exponents): integer coefficient} where
-    minor_exponents indexes _minor_names(n) and param_exponents is a tuple of
-    ("x"/"y", lam, mu, exponent) over the U(n-1) parameter set.
+    Returns {minor exponents: integer coefficient}, the exponents indexing
+    _minor_names(n).  The kernel is a polynomial in the minors and the
+    U(n-1) parameters, one flat exponent tuple (minors, then parameters);
+    its coefficient of the U(n-1) parameter monomial of the pattern is the
+    boson polynomial.
 
     The bracket for each level-n hook is the sub-sum of the full generating
-    function holding the minors that carry that hook's parameter.
+    function holding the minors that carry that hook's parameter.  Every
+    bracket coefficient is +1, so no term of the product cancels.
     """
     n = pat.n
     if n < 2:
         raise ValueError("need n >= 2")
-    minors = _minor_names(n)
-    midx = {m: i for i, m in enumerate(minors)}
-    pvars = _param_vars(n)
-    pidx = {v: i for i, v in enumerate(pvars)}
-    nm, np_ = len(minors), len(pvars)
+    nm = len(_minor_names(n))
+    pidx = {v: nm + i for i, v in enumerate(_param_vars(n))}
+    nvars = nm + len(pidx)
 
-    # bucket the generating-function terms of U(n) by their level-n tag
-    buckets = {}
-    for rows, mono in bfr_generating_terms(n):
-        tag = None
-        rest = []
+    # bucket the generating-function terms of U(n) by their level-n tag;
+    # every minor carries exactly one level-n parameter
+    brackets = {}
+    for i, (_rows, mono) in enumerate(bfr_generating_terms(n)):
+        e = [0] * nvars
+        e[i] = 1
         for t, lam, mu in mono.factors:
             if lam == n:
                 tag = (t, mu)
             else:
-                rest.append((t, lam, mu))
-        if tag is None:
-            # minors with no level-n parameter do not appear for n >= 2
-            # except via the all-ones y(n,n) special case handled above
-            raise AssertionError("every minor carries a level-n parameter")
-        buckets.setdefault(tag, []).append((rows, tuple(rest)))
+                e[pidx[(t, lam, mu)]] += 1
+        brackets.setdefault(tag, {})[tuple(e)] = 1
 
-    def bracket_poly(tag):
-        out = {}
-        for rows, rest in buckets[tag]:
-            me = [0] * nm
-            me[midx[rows]] = 1
-            pe = [0] * np_
-            for t, lam, mu in rest:
-                pe[pidx[(t, lam, mu)]] += 1
-            key = (tuple(me), tuple(pe))
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def mulpoly(a, b):
-        out = {}
-        for (m1, p1), c1 in a.items():
-            for (m2, p2), c2 in b.items():
-                key = (tuple(x + y for x, y in zip(m1, m2)),
-                       tuple(x + y for x, y in zip(p1, p2)))
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
-
-    def powpoly(a, k):
-        out = {((0,) * nm, (0,) * np_): 1}
-        for _ in range(k):
-            out = mulpoly(out, a)
-        return out
-
-    poly = {((0,) * nm, (0,) * np_): 1}
+    poly = {(0,) * nvars: 1}
     # hooks at level n: x(n,mu) carries exponent L(n,mu), y(n,mu) -> R(n,mu);
     # mu = n uses y(n,n) with exponent h_{n,n}
     for mu in range(1, n):
-        poly = mulpoly(poly, powpoly(bracket_poly(("y", mu)), R_hook(pat, n, mu)))
-        poly = mulpoly(poly, powpoly(bracket_poly(("x", mu)), L_hook(pat, n, mu)))
-    hnn = pat.rows[0][n - 1]
-    poly = mulpoly(poly, powpoly(bracket_poly(("y", n)), hnn))
+        poly = poly_mul(poly, poly_pow(brackets["y", mu], R_hook(pat, n, mu), nvars))
+        poly = poly_mul(poly, poly_pow(brackets["x", mu], L_hook(pat, n, mu), nvars))
+    poly = poly_mul(poly, poly_pow(brackets["y", n], pat.rows[0][n - 1], nvars))
 
     # collect the coefficient of the U(n-1) parameter monomial
-    sub = GelfandPattern(pat.rows[1:]) if n > 1 else None
-    target = [0] * np_
-    for t, lam, mu, e in _phi_exponents(sub):
+    target = [0] * nvars
+    for t, lam, mu, e in _phi_exponents(GelfandPattern(pat.rows[1:])):
         target[pidx[(t, lam, mu)]] = e
-    target = tuple(target)
-    out = {}
-    for (me, pe), c in poly.items():
-        if pe != target:
-            continue
-        key = ((0,) * nm, pe) if unit_minors else (me, pe)
-        out[key] = out.get(key, 0) + c
-    return out
+    target = tuple(target[nm:])
+    return {e[:nm]: c for e, c in poly.items() if e[nm:] == target}
 
 
 def boson_polynomial(pat: GelfandPattern):
@@ -352,7 +319,7 @@ def boson_polynomial(pat: GelfandPattern):
         raise ValueError("boson polynomials implemented for U(3) and U(4)")
     minors = _minor_names(n)
     terms = []
-    for (me, _pe), c in _kernel_terms(pat).items():
+    for me, c in _kernel_terms(pat).items():
         expo = {minors[i]: e for i, e in enumerate(me) if e}
         terms.append((c, expo))
     terms.sort(key=lambda t: sorted(t[1].items()))

@@ -210,6 +210,25 @@ def test_wigner_size_cap_refuses_before_work():
         assert run(argv(cap, op, route))[1] == 0
 
 
+def test_wigner_9j_cap_refuses_before_work():
+    # wigner 9j exits 1 above the documented cap on the sum of |2j| and
+    # reads no 3j; with all nine 2j equal at the cap it runs.
+    from gfkit.cli import WIGNER_9J_MAX_TWO_J_SUM as cap
+    from gfkit.wigner import _threej_core
+
+    def argv(two_j):
+        return ["wigner", "9j", "--two-j", *[str(two_j)] * 9]
+
+    assert cap % 18 == 0   # all nine 2j equal and even: every triad valid
+    before = _threej_core.cache_info()
+    for two_j in (cap // 9 + 1, cap // 9 + 2, 10 * cap):
+        env, code = run(argv(two_j))
+        assert code == 1 and "cap" in env.message, env.message
+    assert _threej_core.cache_info() == before
+    env, code = run(argv(cap // 9))
+    assert code == 0 and env.value_exact != "0/1"
+
+
 def test_exact_commands_load_no_numpy():
     # Each command imports only its own kernel: in one fresh interpreter,
     # wigner and gelfand load neither numpy nor scipy, and su3, manybody,

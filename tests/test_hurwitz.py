@@ -12,7 +12,9 @@ from gfkit.hurwitz import (cayley_dickson_matrix, cayley_rotation,
                            laplacian_pullback_residual, levi_civita,
                            quad_map_polynomials, r8_to_r5, v_matrix,
                            v_matrix_properties)
-from gfkit.polytools import (poly_add, poly_const, poly_mul, poly_var)
+from gfkit.hurwitz import QUAD_MAPS
+from gfkit.polytools import (poly_add, poly_const, poly_eval, poly_mul,
+                             poly_var)
 
 
 def test_hurwitz_symbolic_identity():
@@ -71,6 +73,19 @@ def test_quad_maps_norm_identity():
     u8 = [Fraction(k, 7) for k in (3, -2, 5, 1, -4, 2, 6, -1)]
     x5 = r8_to_r5(u8)
     assert sum(v * v for v in x5) == (sum(v * v for v in u8)) ** 2
+
+
+def test_quad_map_polynomials_evaluate_to_the_maps():
+    # each component polynomial, evaluated at seeded random rational points,
+    # equals the map it was derived from
+    rng = np.random.default_rng(11)
+    for pair, fn in QUAD_MAPS.items():
+        comps = quad_map_polynomials(pair)
+        assert len(comps) == pair[0]
+        for _ in range(20):
+            u = [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 30)))
+                 for _ in range(pair[1])]
+            assert [poly_eval(c, u) for c in comps] == list(fn(u))
 
 
 def test_cayley_rotation3():

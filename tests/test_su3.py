@@ -58,6 +58,26 @@ def test_factorization_exact():
                 iso = su3_isoscalar(lam1, lam2, lam3, mu3, (k1[0], k1[1]),
                                     (k2[0], k2[1]), (k3[0], k3[1]))
                 assert w == iso * tj
+            # every other chain triple, the third chain taken from any irrep
+            # of the decomposition, has isoscalar factor exactly 0
+            chains = {(k1[:2], k2[:2], k3[:2]) for k1, k2, k3 in tab}
+            for c1, c2, c3 in itertools.product(
+                    {k[:2] for k in su3_state_keys(lam1, 0)},
+                    {k[:2] for k in su3_state_keys(lam2, 0)},
+                    {k[:2] for l3, m3 in su3_decompose_multfree(lam1, lam2)
+                     for k in su3_state_keys(l3, m3)}):
+                if (c1, c2, c3) not in chains:
+                    assert su3_isoscalar(lam1, lam2, lam3, mu3, c1, c2, c3) == SR_ZERO
+    # (2,0) x (1,0) -> (1,1): the t triangle (1, 0, 0) fails, and (y, 2t) =
+    # (3, 3) lies in (3,0) but not in (1,1); the same chains with a valid
+    # triangle, or in (3,0), give nonzero factors
+    assert su3_isoscalar(2, 1, 1, 1, (2, 2), (-2, 0), (0, 0)) == SR_ZERO
+    assert su3_isoscalar(2, 1, 1, 1, (2, 2), (-2, 0), (0, 2)) == SqrtRational(Fraction(-1, 2))
+    assert su3_isoscalar(2, 1, 1, 1, (2, 2), (1, 1), (3, 3)) == SR_ZERO
+    assert su3_isoscalar(2, 1, 3, 0, (2, 2), (1, 1), (3, 3)) == SqrtRational(1, Fraction(2, 5))
+    # a first chain outside (2,0), and a hypercharge that does not add up
+    assert su3_isoscalar(2, 1, 3, 0, (2, 0), (1, 1), (3, 1)) == SR_ZERO
+    assert su3_isoscalar(2, 1, 3, 0, (2, 2), (1, 1), (0, 2)) == SR_ZERO
 
 
 def test_isoscalar_t0_independence():

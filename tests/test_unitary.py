@@ -1,11 +1,9 @@
 import itertools
-import math
-import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
 from gfkit.unitary import (BfrTable, GelfandPattern, IrrepLabel, bfr_phi,
                            bfr_generating_terms, boson_polynomial,
                            gelfand_enumerate, highest_pattern, pattern_weight,
@@ -222,38 +220,40 @@ def test_u3_hypergeometric_terms_run_to_the_end():
     assert [e[(2, 3)] for _, e in terms] == list(range(10, 211))
 
 
-def test_u3_orthogonality_montecarlo():
-    # distinct patterns of one irrep are orthogonal under the Gaussian measure
-    rng = np.random.default_rng(42)
-    pats = gelfand_enumerate(IrrepLabel((2, 1, 0)))
+def _u3_minor_polys():
+    """Each minor of the 3x3 matrix z (the given rows, columns 1..k) as an
+    exact polynomial in the nine z_ij, variable 3(i-1) + (j-1)."""
+    out = {}
+    for k in (1, 2, 3):
+        for rows in itertools.combinations((1, 2, 3), k):
+            det = {}
+            for perm in itertools.permutations(range(k)):
+                inv = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+                e = [0] * 9
+                for col, r in enumerate(perm):
+                    e[3 * (rows[r] - 1) + col] += 1
+                det[tuple(e)] = (-1) ** inv
+            out[rows] = det
+    return out
 
-    def minors(z):
-        out = {}
-        for k in (1, 2, 3):
-            for rows in itertools.combinations((1, 2, 3), k):
-                sub = z[np.ix_([r - 1 for r in rows], list(range(k)))]
-                out[rows] = np.linalg.det(sub)
-        return out
 
-    nsamp = 20000
-    vals = np.zeros((len(pats), nsamp), dtype=complex)
-    for s in range(nsamp):
-        z = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) * math.sqrt(0.5)
-        mm = minors(z)
-        for i, pat in enumerate(pats):
-            tot = 0j
+def test_u3_orthogonality_exact():
+    # distinct patterns of one irrep are orthogonal under the Gaussian
+    # measure with E|z_ij|^2 = 1, which is the Fock-Bargmann product: every
+    # off-diagonal product is exactly 0, and every norm is positive
+    minors = _u3_minor_polys()
+    for top in ((2, 1, 0), (3, 1, 0), (2, 2, 1), (3, 2, 0), (4, 2, 1),
+                (4, 2, 0), (5, 3, 0)):
+        polys = []
+        for pat in gelfand_enumerate(IrrepLabel(top)):
+            p = {}
             for c, expo in boson_polynomial(pat):
-                term = complex(c)
+                term = {(0,) * 9: c}
                 for rows, e in expo.items():
-                    term *= mm[rows] ** e
-                tot += term
-            vals[i, s] = tot
-    gram = vals.conj() @ vals.T / nsamp
-    norms = np.sqrt(np.real(np.diag(gram)))
-    for i in range(len(pats)):
-        for j in range(len(pats)):
-            if i == j:
-                continue
-            corr = abs(gram[i, j]) / (norms[i] * norms[j])
-            # 3 sigma of the MC estimator ~ 3/sqrt(nsamp)
-            assert corr < 3.0 / math.sqrt(nsamp) * 3
+                    term = poly_mul(term, poly_pow(minors[rows], e, 9))
+                p = poly_add(p, term)
+            polys.append(p)
+        for i, a in enumerate(polys):
+            assert bargmann_dot(a, a) > 0
+            for b in polys[i + 1:]:
+                assert bargmann_dot(a, b) == 0
