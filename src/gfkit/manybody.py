@@ -20,34 +20,16 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
-def _solve_fraction(A, B):
-    """X with A X = B over Fractions (A: n x n nested lists, B: n x s)."""
+def _eliminate(A, B):
+    """(det A, X) with A X = B over Fractions (A: n x n, B: n x s) by
+    forward elimination and back substitution; X is None when det A = 0."""
     n = len(A)
-    s = len(B[0])
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(B[i][k]) for k in range(s)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular matrix in generalized Cramer")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [v * inv for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[c])]
-    return [[M[i][n + k] for k in range(s)] for i in range(n)]
-
-
-def det_fraction(A) -> Fraction:
-    n = len(A)
-    M = [[Fraction(v) for v in row] for row in A]
+    M = [[Fraction(v) for v in A[i]] + [Fraction(v) for v in B[i]] for i in range(n)]
     det = Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             det = -det
@@ -57,7 +39,15 @@ def det_fraction(A) -> Fraction:
             if M[r][c]:
                 f = M[r][c] * inv
                 M[r] = [vr - f * vc for vr, vc in zip(M[r], M[c])]
-    return det
+    X = [None] * n
+    for i in reversed(range(n)):
+        X[i] = [(M[i][n + k] - sum(M[i][j] * X[j][k] for j in range(i + 1, n))) / M[i][i]
+                for k in range(len(B[i]))]
+    return det, X
+
+
+def det_fraction(A) -> Fraction:
+    return _eliminate(A, [()] * len(A))[0]
 
 
 @dataclass(frozen=True)
@@ -77,11 +67,10 @@ class SubstitutionQuery:
 
 def generalized_cramer(q: SubstitutionQuery) -> Fraction:
     """det(A with columns q.positions replaced by B's columns) computed as
-    det(A) * det[x(k, i_l)] where A X = B (Gauss elimination)."""
-    dA = det_fraction(q.A)
+    det(A) * det[x(k, i_l)] where A X = B (one Gauss elimination)."""
+    dA, X = _eliminate(q.A, q.B)
     if dA == 0:
         raise SingularMatrixError("det(A) = 0")
-    X = _solve_fraction([list(r) for r in q.A], [list(r) for r in q.B])
     s = len(q.positions)
     minor = [[X[q.positions[l]][k] for l in range(s)] for k in range(s)]
     return dA * det_fraction(minor)
@@ -98,7 +87,7 @@ def substituted_determinant_direct(q: SubstitutionQuery) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Fock-space oracle (bitmask occupations, explicit fermion signs)
+# Fock-space oracle (frozenset occupations, explicit fermion signs)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SlaterSystem:
@@ -319,6 +308,8 @@ def lipkin_spectrum(model: LipkinModel) -> np.ndarray:
 def boson_expansion_coeffs(k_max: int) -> list:
     """alpha_0..alpha_{k_max} from the triangular recurrence
     sum_{j=0}^{n-1} (-1)^j n!/(n-j-1)! alpha_j = n sqrt(n), alpha_0 = 1."""
+    if k_max < 0:
+        raise ValueError("k_max >= 0")
     alphas = []
     for idx in range(k_max + 1):
         n = idx + 1

@@ -139,16 +139,8 @@ class TruncatedSeries:
         self.terms = {e: c for e, c in terms.items() if sum(e) <= max_degree and c}
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = {}
-        md = self.max_degree
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > md:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return TruncatedSeries(out, self.nvars, md)
+        return TruncatedSeries(poly_mul(self.terms, other.terms), self.nvars,
+                               self.max_degree)
 
     def inverse(self) -> "TruncatedSeries":
         """1/self for series with unit constant term.
@@ -160,28 +152,19 @@ class TruncatedSeries:
         one = tuple([0] * self.nvars)
         if self.terms.get(one) != 1:
             raise ValueError("series inverse needs unit constant term")
-        f1 = {e: c for e, c in self.terms.items() if e != one}
-        if not f1:
+        minus_f1 = TruncatedSeries({e: -c for e, c in self.terms.items() if e != one},
+                                   self.nvars, self.max_degree)
+        if not minus_f1.terms:
             return TruncatedSeries({one: 1}, self.nvars, self.max_degree)
-        mindeg = min(sum(e) for e in f1)
-        h = {one: 1}
+        mindeg = min(sum(e) for e in minus_f1.terms)
+        h = TruncatedSeries({one: 1}, self.nvars, self.max_degree)
         for _ in range(self.max_degree // mindeg + 1):
-            new = {one: 1}
-            for e1, c1 in f1.items():
-                d1 = sum(e1)
-                for e2, c2 in h.items():
-                    if d1 + sum(e2) > self.max_degree:
-                        continue
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    s = new.get(e, 0) - c1 * c2
-                    if s:
-                        new[e] = s
-                    else:
-                        new.pop(e, None)
-            if new == h:
+            new = TruncatedSeries(poly_add({one: 1}, minus_f1.mul(h).terms),
+                                  self.nvars, self.max_degree)
+            if new.terms == h.terms:
                 break
             h = new
-        return TruncatedSeries(h, self.nvars, self.max_degree)
+        return h
 
     def coefficient(self, expo) -> Fraction:
         return self.terms.get(tuple(expo), 0)

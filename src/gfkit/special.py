@@ -1,6 +1,7 @@
 """Classical orthogonal polynomials, spherical and hyperspherical harmonics,
 hydrogen wavefunctions in position and momentum space (3-D and N-D), the
-numeric Hankel/Fourier oracle and generating-function residuals.
+numeric Hankel/Fourier oracle (with its tanh-sinh rule on (0, inf)) and
+generating-function residuals.
 
 Atomic units, Z = 1.  N-dimensional states use delta_n = 1/(n + (N-3)/2);
 the momentum-space closed form is the Gegenbauer expression
@@ -21,14 +22,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadrature import tanhsinh_halfline
-
 
 # ---------------------------------------------------------------------------
 # polynomial families by three-term recurrence
 # ---------------------------------------------------------------------------
+def _check_degree(n):
+    if n < 0:
+        raise ValueError("polynomial degree n >= 0")
+
+
 def laguerre(n, alpha, x):
     """L_n^{(alpha)}(x), stable upward recurrence; vectorized in x."""
+    _check_degree(n)
     if alpha <= -1:
         raise ValueError("laguerre needs alpha > -1")
     x = np.asarray(x, dtype=float)
@@ -43,6 +48,7 @@ def laguerre(n, alpha, x):
 
 def gegenbauer(n, alpha, x):
     """C_n^{(alpha)}(x); alpha > -1/2."""
+    _check_degree(n)
     if alpha <= -0.5:
         raise ValueError("gegenbauer needs alpha > -1/2")
     x = np.asarray(x, dtype=float)
@@ -57,6 +63,7 @@ def gegenbauer(n, alpha, x):
 
 def hermite(n, x):
     """Physicists' H_n(x)."""
+    _check_degree(n)
     x = np.asarray(x, dtype=float)
     p0 = np.ones_like(x)
     if n == 0:
@@ -68,41 +75,9 @@ def hermite(n, x):
 
 
 def legendre(n, x):
-    x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0
-    p1 = x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1
-
-
-@dataclass(frozen=True)
-class PolyFamily:
-    family: str           # laguerre | gegenbauer | hermite | legendre
-    degree: int
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree >= 0")
-        if self.family == "laguerre" and self.alpha <= -1:
-            raise ValueError("alpha > -1")
-        if self.family == "gegenbauer" and self.alpha <= -0.5:
-            raise ValueError("alpha > -1/2")
-
-
-def poly_eval(p: PolyFamily, x):
-    if p.family == "laguerre":
-        return laguerre(p.degree, p.alpha, x)
-    if p.family == "gegenbauer":
-        return gegenbauer(p.degree, p.alpha, x)
-    if p.family == "hermite":
-        return hermite(p.degree, x)
-    if p.family == "legendre":
-        return legendre(p.degree, x)
-    raise ValueError(f"unknown family {p.family}")
+    """P_n(x) = C_n^{(1/2)}(x); alpha = 1/2 makes every recurrence factor an
+    exact float, so the values equal the Legendre recurrence's bit for bit."""
+    return gegenbauer(n, 0.5, x)
 
 
 def laguerre_coeffs(n, alpha_num: Fraction):
@@ -221,8 +196,14 @@ def radial_norm_constant(N, n, l) -> float:
     return math.exp(lognum) * omega ** (N / 2.0)
 
 
+def _check_hydrogen_nl(n, l):
+    if not 0 <= l < n:
+        raise ValueError("hydrogen states need 0 <= l < n")
+
+
 def hydrogen_radial(N, n, l, r):
     """R_{n,l}(r) in N dimensions; integral of R^2 r^{N-1} dr = 1."""
+    _check_hydrogen_nl(n, l)
     r = np.asarray(r, dtype=float)
     delta = 1.0 / (n + (N - 3) / 2.0)
     x = 2 * delta * r
@@ -233,6 +214,7 @@ def hydrogen_radial(N, n, l, r):
 def hydrogen_momentum_radial(N, n, l, p):
     """Closed-form radial momentum amplitude F_{n,l}(p), nonnegative-p grid;
     integral of F^2 p^{N-1} dp = 1."""
+    _check_hydrogen_nl(n, l)
     from scipy.special import gamma
     p = np.asarray(p, dtype=float)
     d = 1.0 / (n + (N - 3) / 2.0)
@@ -263,6 +245,29 @@ def hydrogen_momentum_wf(state: HydrogenState, p, angles):
         return (1j) ** state.l * F * Y
     Y = hyperspherical_harmonic(state.N, state.l, state.mus, angles)
     return -((1j) ** state.l) * F * Y
+
+
+def tanhsinh_halfline(f, level_max=12, tol=1e-12):
+    """integral_0^inf f(r) dr by tanh-sinh with the exp(pi/2 sinh t) map.
+
+    f may return an array with the node axis last broadcast: f(r[None,:]) of
+    shape (..., len(r)).  Doubles the node density until the result settles.
+    """
+    h = 0.5
+    tmax = 4.0
+    prev = None
+    for _ in range(level_max):
+        t = np.arange(-tmax, tmax + 1e-12, h)
+        u = np.pi / 2 * np.sinh(t)
+        r = np.exp(u)
+        w = h * r * np.pi / 2 * np.cosh(t)
+        vals = f(r)
+        est = np.sum(vals * w, axis=-1)
+        if prev is not None and np.all(np.abs(est - prev) <= tol * (1 + np.max(np.abs(est)))):
+            return est
+        prev = est
+        h /= 2
+    return prev
 
 
 def _hankel_transform(f, N, nu, p_grid):

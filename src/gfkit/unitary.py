@@ -326,21 +326,9 @@ def boson_polynomial(pat: GelfandPattern):
     return terms
 
 
-def u3_boson_polynomial(pat: GelfandPattern):
-    if pat.n != 3:
-        raise ValueError("u3_boson_polynomial needs an n=3 pattern")
-    return boson_polynomial(pat)
-
-
-def u4_boson_polynomial(pat: GelfandPattern):
-    if pat.n != 4:
-        raise ValueError("u4_boson_polynomial needs an n=4 pattern")
-    return boson_polynomial(pat)
-
-
 def u3_hypergeometric_terms(pat: GelfandPattern):
     """Term list of the 2F1 form of the U(3) basis (series expansion of the
-    hypergeometric factor), same exponent keys as u3_boson_polynomial but
+    hypergeometric factor), same exponent keys as boson_polynomial but
     with its own (unnormalized) coefficient scale."""
     (h13, h23, h33), (h12, h22), (h11,) = pat.rows
     # base exponents (k = 0 term): D12^{h22-h33} D13^{h23-h22} D1^{h11-h23}

@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from gfkit.exact import SR_ZERO, SqrtRational, triangle_ok
 from gfkit import hurwitz, manybody, oscillator, special, su3, unitary
@@ -251,7 +250,7 @@ def test_10_hydrogen_momentum():
     t0 = time.time()
     worst_rel = 0.0
     worst_norm = 0.0
-    from gfkit.quadrature import tanhsinh_halfline
+    from gfkit.special import tanhsinh_halfline
     for N in range(2, 7):
         for n in range(1, 5):
             for l in range(0, n):
@@ -374,6 +373,7 @@ def test_15_cli_determinism():
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
     ok = len(CORPUS) >= 25
     for argv in CORPUS:
@@ -394,10 +394,11 @@ def test_15_cli_determinism():
         "    env, code = run_command(list(argv))\n"
         "    out.append(render(env, 'json'))\n"
         "sys.stdout.buffer.write(b''.join(out))\n"
-    ) % str(__import__("pathlib").Path(__file__).parent)
+    ) % str(Path(__file__).parent)
+    src = Path(__file__).resolve().parents[1] / "src"
     runs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
         res = subprocess.run([sys.executable, "-c", driver], env=env,
                              capture_output=True, check=True)
         runs.append(res.stdout)

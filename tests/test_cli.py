@@ -39,8 +39,12 @@ def test_usage_error():
 
 
 def test_domain_error_exit_one():
-    env, code = run(["gelfand", "weight", "--pattern", "2 0 / 3"])
-    assert code == 1 and env.status == "error"
+    for argv in (["gelfand", "weight", "--pattern", "2 0 / 3"],
+                 ["hydrogen", "position", "--dim", "3", "--n", "1", "--l", "1"],
+                 ["hydrogen", "momentum", "--n", "1", "--l", "2"],
+                 ["manybody", "boson-coeffs", "--k-max", "-3"]):
+        env, code = run(argv)
+        assert code == 1 and env.status == "error", argv
 
 
 def test_json_rendering_sorted():
@@ -227,6 +231,37 @@ def test_wigner_9j_cap_refuses_before_work():
     assert _threej_core.cache_info() == before
     env, code = run(argv(cap // 9))
     assert code == 0 and env.value_exact != "0/1"
+
+
+def test_runaway_caps_refuse_before_work(monkeypatch):
+    # manybody lipkin and gelfand enumerate exit 1 above their documented
+    # caps without calling their kernels; exactly at the caps they run.
+    from gfkit import manybody, unitary
+    from gfkit.cli import GELFAND_MAX_PATTERNS, LIPKIN_MAX_PARTICLES
+
+    def lipkin(n):
+        return ["manybody", "lipkin", "--n-particles", str(n)]
+
+    def enumerate_u2(dim):
+        return ["gelfand", "enumerate", "--h", str(dim - 1), "0"]
+
+    def untouched(*args):
+        raise AssertionError("kernel reached past the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(manybody, "lipkin_spectrum", untouched)
+        m.setattr(unitary, "gelfand_enumerate", untouched)
+        for argv in (lipkin(LIPKIN_MAX_PARTICLES + 2), lipkin(10 ** 9),
+                     enumerate_u2(GELFAND_MAX_PATTERNS + 1),
+                     ["gelfand", "enumerate", "--h", "60", "30", "0"],
+                     ["gelfand", "enumerate", "--h", "40", "30", "20", "10", "0"]):
+            env, code = run(argv)
+            assert code == 1 and "cap" in env.message, (argv, env.message)
+    assert LIPKIN_MAX_PARTICLES % 2 == 0   # the Lipkin model needs even N
+    env, code = run(lipkin(LIPKIN_MAX_PARTICLES))
+    assert code == 0 and len(env.table["rows"]) == LIPKIN_MAX_PARTICLES + 1
+    env, code = run(enumerate_u2(GELFAND_MAX_PATTERNS))
+    assert code == 0 and len(env.table["rows"]) == GELFAND_MAX_PATTERNS
 
 
 def test_exact_commands_load_no_numpy():

@@ -13,8 +13,7 @@ from gfkit.manybody import (LipkinModel, SingularMatrixError, SlaterSystem,
                             lowdin_matrix_element_fock, lowdin_two_body,
                             lowdin_two_body_fock, slater_overlap,
                             slater_overlap_fock, substituted_determinant_direct,
-                            thouless_residual, thouless_term_count,
-                            transform_slater)
+                            thouless_residual, thouless_term_count)
 
 
 def frac_matrix(rng, n, m):
@@ -171,6 +170,8 @@ def test_boson_expansion_coeffs():
     al8 = boson_expansion_coeffs(8)
     for n in range(1, 9):
         assert boson_recurrence_residual(al8, n) < 1e-12
+    with pytest.raises(ValueError):
+        boson_expansion_coeffs(-3)
 
 
 def test_lipkin_boson_images():

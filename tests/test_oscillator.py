@@ -184,7 +184,7 @@ def test_cylindrical_wavefunction():
     expect = lam * np.exp(-lam ** 2 * rho ** 2 / 2) / math.sqrt(math.pi)
     assert np.allclose(vals, expect, rtol=1e-12)
     # norms on the plane for (j,m) = (1,0) and (3/2, 1/2)
-    from gfkit.quadrature import tanhsinh_halfline
+    from gfkit.special import tanhsinh_halfline
     for (tj, tm) in ((2, 0), (3, 1)):
         nrm = tanhsinh_halfline(
             lambda r: np.abs(cylindrical_wavefunction(tj, tm, 1.0, r, 0.0)) ** 2

@@ -4,27 +4,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gfkit.quadrature import gauss_legendre, tanhsinh_finite, tanhsinh_halfline
-from gfkit.special import (HydrogenState, PolyFamily, fourier_momentum_oracle,
+from gfkit.special import (HydrogenState, fourier_momentum_oracle,
                            gaussian_hankel_selftransform, gegenbauer,
                            genfunc_residual, hermite, hydrogen_momentum_radial,
                            hydrogen_momentum_wf, hydrogen_position_wf,
                            hydrogen_radial, hyperspherical_harmonic,
-                           laguerre, laguerre_coeffs, legendre, poly_eval,
-                           spherical_harmonic)
+                           laguerre, laguerre_coeffs, legendre,
+                           spherical_harmonic, tanhsinh_halfline)
 
 
 def test_poly_eval_examples():
-    assert poly_eval(PolyFamily("laguerre", 0, 2.5), 3.0) == 1.0
+    assert laguerre(0, 2.5, 3.0) == 1.0
     q = 1.3
-    assert poly_eval(PolyFamily("hermite", 2), q) == pytest.approx(4 * q * q - 2)
+    assert hermite(2, q) == pytest.approx(4 * q * q - 2)
     x = 0.4
-    assert poly_eval(PolyFamily("gegenbauer", 2, 1.0), x) == pytest.approx(4 * x * x - 1)
-    assert poly_eval(PolyFamily("legendre", 2), x) == pytest.approx(1.5 * x * x - 0.5)
+    assert gegenbauer(2, 1.0, x) == pytest.approx(4 * x * x - 1)
+    assert legendre(2, x) == pytest.approx(1.5 * x * x - 0.5)
     with pytest.raises(ValueError):
-        PolyFamily("laguerre", 2, -1.5)
+        laguerre(2, -1.5, x)
     with pytest.raises(ValueError):
-        PolyFamily("gegenbauer", 2, -0.7)
+        gegenbauer(2, -0.7, x)
+    # every family refuses a negative degree
+    for fn in (lambda n: laguerre(n, 0.5, x), lambda n: gegenbauer(n, 1.0, x),
+               lambda n: hermite(n, x), lambda n: legendre(n, x)):
+        with pytest.raises(ValueError):
+            fn(-1)
 
 
 def test_laguerre_orthogonality_quadrature():
@@ -76,6 +80,13 @@ def test_hydrogen_state_invariants():
         HydrogenState(3, 1, 1, (0,))
     with pytest.raises(ValueError):
         HydrogenState(1, 1, 0)
+    # the radial functions keep the same rule, 0 <= l < n
+    r = np.linspace(1e-6, 8.0, 5)
+    for n, l in ((1, 1), (1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            hydrogen_radial(3, n, l, r)
+        with pytest.raises(ValueError):
+            hydrogen_momentum_radial(3, n, l, r)
 
 
 def test_position_wavefunctions():
@@ -145,7 +156,8 @@ def test_hyperspherical_normalized():
     def norm(N, l, mus, ngrid=40):
         xs = []
         for j in range(1, N - 1):
-            xs.append(gauss_legendre(ngrid, 0.0, math.pi))
+            x, w = np.polynomial.legendre.leggauss(ngrid)
+            xs.append((math.pi / 2 + math.pi / 2 * x, math.pi / 2 * w))
         phi = np.linspace(0, 2 * math.pi, 48, endpoint=False)
         mesh = np.meshgrid(*[t[0] for t in xs], phi, indexing="ij")
         vals = np.abs(hyperspherical_harmonic(N, l, mus, tuple(mesh))) ** 2
@@ -181,8 +193,3 @@ def test_genfunc_residuals():
     assert series == pytest.approx(closed, rel=1e-10)
     with pytest.raises(ValueError):
         genfunc_residual("legendre", 1.1, 0.0)
-
-
-def test_tanhsinh_finite():
-    val = tanhsinh_finite(lambda x: np.sin(x), 0.0, math.pi)
-    assert val == pytest.approx(2.0, rel=1e-12)

@@ -7,8 +7,7 @@ from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
 from gfkit.unitary import (BfrTable, GelfandPattern, IrrepLabel, bfr_phi,
                            bfr_generating_terms, boson_polynomial,
                            gelfand_enumerate, highest_pattern, pattern_weight,
-                           pn1, pn1_oracle, u3_boson_polynomial,
-                           u3_hypergeometric_terms, u4_boson_polynomial,
+                           pn1, pn1_oracle, u3_hypergeometric_terms,
                            weyl_dimension)
 
 
@@ -163,9 +162,9 @@ def test_pn1_oracle_agreement():
 
 def test_u3_boson_polynomial_examples():
     pat = GelfandPattern(((2, 0, 0), (2, 0), (2,)))
-    assert u3_boson_polynomial(pat) == [(1, {(1,): 2})]
+    assert boson_polynomial(pat) == [(1, {(1,): 2})]
     pat = GelfandPattern(((2, 1, 0), (2, 0), (1,)))
-    terms = u3_boson_polynomial(pat)
+    terms = boson_polynomial(pat)
     assert len(terms) == 2
     assert all(c == 1 for c, _ in terms)
     assert sorted(tuple(sorted(e.items())) for _, e in terms) == [
@@ -175,21 +174,21 @@ def test_u3_boson_polynomial_examples():
 def test_u3_unit_substitution_is_p3():
     for top in ((2, 1, 0), (3, 2, 1), (2, 2, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
-            terms = u3_boson_polynomial(pat)
+            terms = boson_polynomial(pat)
             assert sum(c for c, _ in terms) == pn1(3, pat)
 
 
 def test_u4_boson_polynomial_examples():
     pat = GelfandPattern(((1, 0, 0, 0), (1, 0, 0), (1, 0), (1,)))
-    assert u4_boson_polynomial(pat) == [(1, {(1,): 1})]
+    assert boson_polynomial(pat) == [(1, {(1,): 1})]
     pat = GelfandPattern(((1, 1, 0, 0), (1, 1, 0), (1, 1), (1,)))
-    assert u4_boson_polynomial(pat) == [(1, {(1, 2): 1})]
+    assert boson_polynomial(pat) == [(1, {(1, 2): 1})]
 
 
 def test_u4_unit_substitution_is_p4():
     for top in ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
-            terms = u4_boson_polynomial(pat)
+            terms = boson_polynomial(pat)
             assert sum(c for c, _ in terms) == pn1(4, pat)
             # every exponent solution respects the minor degree constraints
             (h4, h3, h2, h1) = pat.rows
@@ -205,7 +204,7 @@ def test_u3_hypergeometric_crosscheck():
     for rows in (((2, 1, 0), (2, 0), (1,)), ((3, 1, 0), (2, 1), (2,)),
                  ((2, 2, 0), (2, 1), (1,))):
         pat = GelfandPattern(rows)
-        a = {tuple(sorted(e.items())): Fraction(c) for c, e in u3_boson_polynomial(pat)}
+        a = {tuple(sorted(e.items())): Fraction(c) for c, e in boson_polynomial(pat)}
         b = {tuple(sorted(e.items())): Fraction(c) for c, e in u3_hypergeometric_terms(pat)}
         assert set(a) == set(b)
         ratios = {a[k] / b[k] for k in a}

@@ -12,8 +12,8 @@ from hypothesis import given, settings, assume, strategies as st
 
 from gfkit import exact
 from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, neg_one_pow, triangle_ok
-from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_const,
-                             poly_var, poly_add)
+from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_var,
+                             poly_add)
 from gfkit.wigner import (NineJLabel, SixJLabel, ThreeJLabel, clebsch_gordan,
                           gaunt, gf_coefficient, ninej, regge_orbit,
                           sixj_gf, sixj_oracle, threej,
@@ -446,7 +446,6 @@ def test_gaunt():
     assert gaunt(1, 0, 0, 0, 0, 0) == 0.0
     # quadrature oracle for (1,0,1,0,2,0)
     from gfkit.special import spherical_harmonic
-    from gfkit.quadrature import gauss_legendre
     ct, w = np.polynomial.legendre.leggauss(60)
     theta = np.arccos(ct)
     val = 2 * math.pi * np.sum(
