@@ -7,9 +7,12 @@ verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 SU3_MAX_LAM_SUM (16), wigner 3j, cg and 6j refuse a sum of their |2j|
 above WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
 WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
-(108), gelfand enumerate above GELFAND_MAX_PATTERNS (20000) patterns and
-manybody lipkin above LIPKIN_MAX_PARTICLES (1000), with exit 1, before any
-work starts.
+(108), gelfand enumerate above GELFAND_MAX_PATTERNS (20000) patterns,
+manybody lipkin above LIPKIN_MAX_PARTICLES (1000), hydrogen position and
+momentum and oscillator wf above SAMPLES_MAX_POINTS (100000) points,
+hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points and
+oscillator propagator above PROPAGATOR_MAX_KERNELS (90000) = points^2
+kernels, with exit 1, before any work starts.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -165,10 +168,10 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # 2j equal takes 6 ms, 49 ms and 0.4 s at those sums.  The 6j oracle is a
 # magnetic sum of O(j^5) terms: 0.19 s with all six 2j = 24 (a sum of 144),
 # 6.2 s with all 2j = 40 (240), where its 3j working set also outgrows the
-# 3j cache.  The 9j is a magnetic sum of O(j^6) terms: with all nine 2j
-# equal it takes 0.06 s at 8 (a sum of 72), 0.28 s at 12 (108) and 0.73 s at
-# 16 (144); the slowest of 12 random labels takes 0.23 s at a sum of 108 and
-# 0.37 s at 126.  Larger labels are refused before any work.
+# 3j cache.  The 9j is a sum over x of three 6j: with all nine 2j equal it
+# takes 2 ms at 12 (a sum of 108), 0.07 s at 100 and 0.5 s at 200; the
+# slowest of 200 random labels with a sum up to 108 takes 2 ms, so its cap is
+# conservative.  Larger labels are refused before any work.
 WIGNER_MAX_TWO_J_SUM = 4800
 WIGNER_ORACLE_MAX_TWO_J_SUM = 144
 WIGNER_9J_MAX_TWO_J_SUM = 108
@@ -212,7 +215,7 @@ def _wigner_9j(args):
     _wigner_size_guard(args, WIGNER_9J_MAX_TWO_J_SUM)
     from .wigner import ninej
     rows = tuple(tuple(args.two_j[3 * r:3 * r + 3]) for r in range(3))
-    return _exact(ninej(rows), "9j magnetic sum")
+    return _exact(ninej(rows), "9j as a sum of three 6j")
 
 
 @_command("wigner", "regge", *_TWO_JM)
@@ -395,9 +398,28 @@ def _hurwitz_check(args):
                           meta="||H^T H - |u|^2 I|| at a seeded random point")
 
 
+# --- sampled kernels -------------------------------------------------------
+# Measured (one 2-vCPU VM, a fresh process with its numpy and scipy imports,
+# rendering included): hydrogen position and momentum at 100,000 points take
+# about 0.8-1.3 s and 105 MB peak, oscillator wf 0.5-0.9 s and 81 MB;
+# hydrogen verify builds a (points x quadrature nodes) Hankel array and takes
+# 1.8-2.4 s and 118 MB at 1000 points, 7.2 s and 337 MB at 4000; oscillator
+# propagator evaluates points^2 kernels, 1.1 s and 81 MB at 300 points
+# (90,000 kernels).  Larger requests are refused before any work.
+SAMPLES_MAX_POINTS = 100000
+HYDROGEN_VERIFY_MAX_POINTS = 1000
+PROPAGATOR_MAX_KERNELS = 90000
+
+
+def _points_guard(count, cap, what="points"):
+    if count > cap:
+        raise ValueError(f"{what} = {count} exceeds the cap of {cap}")
+
+
 # --- hydrogen --------------------------------------------------------------
 @_command("hydrogen", "position", *_HYDROGEN)
 def _hydrogen_position(args):
+    _points_guard(args.points, SAMPLES_MAX_POINTS)
     import numpy as np
     from .special import hydrogen_radial
     r = np.linspace(1e-6, args.rmax or 8.0 * args.n * args.n, args.points)
@@ -407,6 +429,7 @@ def _hydrogen_position(args):
 
 @_command("hydrogen", "momentum", *_HYDROGEN)
 def _hydrogen_momentum(args):
+    _points_guard(args.points, SAMPLES_MAX_POINTS)
     import numpy as np
     from .special import hydrogen_momentum_radial
     d = 1.0 / (args.n + (args.dim - 3) / 2.0)
@@ -417,6 +440,7 @@ def _hydrogen_momentum(args):
 
 @_command("hydrogen", "verify", *_HYDROGEN, _SEED)
 def _hydrogen_verify(args):
+    _points_guard(args.points, HYDROGEN_VERIFY_MAX_POINTS)
     import numpy as np
     from .special import fourier_momentum_oracle, hydrogen_momentum_radial
     N, n, l = args.dim, args.n, args.l
@@ -434,6 +458,7 @@ def _hydrogen_verify(args):
 @_command("oscillator", "wf", _arg("--n"), _arg("--qmax", float, default=5.0),
           _arg("--points", default=41))
 def _oscillator_wf(args):
+    _points_guard(args.points, SAMPLES_MAX_POINTS)
     import numpy as np
     from .oscillator import ho_wavefunction
     q = np.linspace(-args.qmax, args.qmax, args.points)
@@ -456,6 +481,7 @@ def _oscillator_genfunc(args):
 @_command("oscillator", "propagator", _arg("--beta", float),
           _arg("--xmax", float, default=2.0), _arg("--points", default=9))
 def _oscillator_propagator(args):
+    _points_guard(args.points ** 2, PROPAGATOR_MAX_KERNELS, "points^2")
     import numpy as np
     from .oscillator import OscillatorParams, ho_propagator
     params = OscillatorParams()

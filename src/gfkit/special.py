@@ -171,8 +171,8 @@ class HydrogenState:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N >= 2")
-        if self.n < self.l + 1:
-            raise ValueError("n >= l+1")
+        if not 0 <= self.l < self.n:
+            raise ValueError("hydrogen states need 0 <= l < n")
         chain = (self.l,) + tuple(self.mus)
         if self.mus:
             for a, b in zip(chain, chain[1:-1]):

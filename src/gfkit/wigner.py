@@ -13,10 +13,11 @@ check the closed form against the truncated series of g^-2
 The 3j, CG and 6j never factor an integer.  Each is a rational sum times the
 square root of a factorial ratio, and SqrtRational.from_factorial_ratio
 keeps the sum outside the root and canonicalizes from the factorial table's
-prime masks by gcds.  The 3j core is an lru_cache bounded at 2**14 labels
-holding each label's sign, exact square and canonical value: threej returns
-the value, and the magnetic sums (the 6j oracle, the 9j) read sign and
-square.  Those sums and the second 3j route still end in from_square.
+prime masks by gcds.  The 9j is a single sum over x of three GF-route 6j, so
+it never factors either.  The 3j core is an lru_cache bounded at 2**14
+labels holding each label's sign, exact square and canonical value: threej
+returns the value, and the only magnetic sum left, the 6j oracle, reads sign
+and square.  That oracle and the second 3j route still end in from_square.
 """
 from __future__ import annotations
 
@@ -74,10 +75,10 @@ class NineJLabel:
 # ---------------------------------------------------------------------------
 # 3j: Van der Waerden single sum (sign, square) core
 # ---------------------------------------------------------------------------
-# Bounded.  The largest repeated working set measured is 1,384 labels: every
-# 3j with 2j <= 6 plus the 303 that the 9j with 2j <= 4 read.  An entry with
-# 2j in 40..60 holds about 570 B, so the cap keeps the cache near 9 MB on a
-# stream of distinct labels.
+# Bounded.  The largest repeated working set measured is 1,384 labels, every
+# 3j with 2j <= 6; the 9j, a sum of 6j, no longer fills the cache.  An entry
+# with 2j in 40..60 holds about 570 B, so the cap keeps the cache near 9 MB
+# on a stream of distinct labels.
 @lru_cache(maxsize=1 << 14)
 def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
     """(sign, square, value) of the 3j symbol, doubled arguments.
@@ -245,40 +246,21 @@ def wigner_6j_oracle(label: SixJLabel) -> SqrtRational:
 # ---------------------------------------------------------------------------
 # 6j via the generating function g(tau)^-2
 # ---------------------------------------------------------------------------
-# tau variable order, tau_{i nu} for the four-triad coupling scheme
-_TAU_VARS = ("01", "02", "03", "10", "20", "30", "12", "21", "13", "31", "23", "32")
-_TAU_IDX = {v: i for i, v in enumerate(_TAU_VARS)}
-
-
-def _tau_monomial(*names):
-    e = [0] * 12
-    for nm in names:
-        e[_TAU_IDX[nm]] += 1
-    return tuple(e)
-
-
-# g = 1 + a0+a1+a2+a3 + b1+b2+b3.  Each b_i pairs tau_{0i} tau_{i0} with the
-# opposite column's product, completing the symmetric pattern; only this
-# completion reproduces the definitional magnetic sum (tests enforce equality
-# on every label).  gf_coefficient hard-codes which a and b hold each tau;
-# the tests check it against the truncated series of this g.
-_G_TERMS = [
-    _tau_monomial("10", "20", "30"),
-    _tau_monomial("01", "31", "21"),
-    _tau_monomial("32", "02", "12"),
-    _tau_monomial("23", "13", "03"),
-    _tau_monomial("01", "10", "23", "32"),
-    _tau_monomial("02", "20", "13", "31"),
-    _tau_monomial("03", "30", "12", "21"),
-]
-
-
 def gf_coefficient(expo) -> int:
-    """Exact coefficient of tau^expo in g(tau)^-2, expo in _TAU_VARS order.
+    """Exact coefficient of tau^expo in g(tau)^-2.
 
-    With g = 1 + sum_k t_k, the coefficient is sum_n (-1)^N (N+1)!/prod n_k!
-    over n in N^7 with sum_k n_k t_k = tau^expo, N = sum n_k.  Every tau lies
-    in exactly one a_i and one b_i, so z = n_b1 fixes the other six:
+    expo holds the exponents of the twelve tau_{i nu} in the order tau_01,
+    tau_02, tau_03, tau_10, tau_20, tau_30, tau_12, tau_21, tau_13, tau_31,
+    tau_23, tau_32.  g = 1 + a0 + a1 + a2 + a3 + b1 + b2 + b3 with
+    a0 = tau_10 tau_20 tau_30, a1 = tau_01 tau_31 tau_21,
+    a2 = tau_32 tau_02 tau_12, a3 = tau_23 tau_13 tau_03, and
+    b_i = tau_0i tau_i0 tau_jk tau_kj for {i, j, k} = {1, 2, 3}; only this
+    completion of the b_i reproduces the magnetic-sum 6j.
+
+    Writing t_k for those seven terms, the coefficient is
+    sum_n (-1)^N (N+1)!/prod n_k! over n in N^7 with
+    sum_k n_k t_k = tau^expo, N = sum n_k.  Every tau lies in exactly one
+    a_i and one b_i, so z = n_b1 fixes the other six:
     a0..a3 = (e10, e01, e32, e23) - z and b2, b3 = (e20 - e10, e30 - e10) + z.
     The six remaining tau equations do not depend on z; when they hold, the
     sum is Racah's single sum over z.
@@ -330,50 +312,21 @@ def wigner_6j_gf(label: SixJLabel) -> SqrtRational:
 
 
 # ---------------------------------------------------------------------------
-# 9j: magnetic sum over six 3j symbols
+# 9j: sum over x of three 6j symbols
 # ---------------------------------------------------------------------------
 def ninej(two_j_rows) -> SqrtRational:
+    """9j = sum_x (-1)^{2x} (2x+1) {a b c; f i x}{d e f; b x h}{g h i; x a d},
+    doubled arguments, each 6j from sixj_gf."""
     (a, b, c), (d, e, f), (g, h, i) = two_j_rows
     for tri in ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i)):
         if sum(tri) % 2 or not triangle_ok(*tri):
             return SR_ZERO
-    terms = []
-    for ma in range(-a, a + 1, 2):
-        for mb in range(-b, b + 1, 2):
-            mc = -ma - mb
-            if abs(mc) > c:
-                continue
-            s1, q1, _ = _threej_core(a, b, c, ma, mb, mc)
-            if s1 == 0:
-                continue
-            for md in range(-d, d + 1, 2):
-                for me in range(-e, e + 1, 2):
-                    mf = -md - me
-                    if abs(mf) > f:
-                        continue
-                    s2, q2, _ = _threej_core(d, e, f, md, me, mf)
-                    if s2 == 0:
-                        continue
-                    mg = -ma - md
-                    mh = -mb - me
-                    mi = -mc - mf
-                    if abs(mg) > g or abs(mh) > h or abs(mi) > i:
-                        continue
-                    s3, q3, _ = _threej_core(g, h, i, mg, mh, mi)
-                    if s3 == 0:
-                        continue
-                    s4, q4, _ = _threej_core(a, d, g, ma, md, mg)
-                    if s4 == 0:
-                        continue
-                    s5, q5, _ = _threej_core(b, e, h, mb, me, mh)
-                    if s5 == 0:
-                        continue
-                    s6, q6, _ = _threej_core(c, f, i, mc, mf, mi)
-                    if s6 == 0:
-                        continue
-                    terms.append((s1 * s2 * s3 * s4 * s5 * s6,
-                                  q1 * q2 * q3 * q4 * q5 * q6))
-    return _sum_signed_sqrts(terms)
+    lo, hi = max(abs(a - i), abs(b - f), abs(d - h)), min(a + i, b + f, d + h)
+    total = SR_ZERO
+    for x in range(lo, hi + 1, 2):
+        total = total + (sixj_gf(a, b, c, f, i, x) * sixj_gf(d, e, f, b, x, h)
+                         * sixj_gf(g, h, i, x, a, d) * (neg_one_pow(x) * (x + 1)))
+    return total
 
 
 def wigner_9j(label: NineJLabel) -> SqrtRational:

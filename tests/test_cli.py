@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,21 +215,24 @@ def test_wigner_size_cap_refuses_before_work():
         assert run(argv(cap, op, route))[1] == 0
 
 
-def test_wigner_9j_cap_refuses_before_work():
-    # wigner 9j exits 1 above the documented cap on the sum of |2j| and
-    # reads no 3j; with all nine 2j equal at the cap it runs.
+def test_wigner_9j_cap_refuses_before_work(monkeypatch):
+    # wigner 9j exits 1 above the documented cap on the sum of |2j| without
+    # reaching a 6j; with all nine 2j equal at the cap it runs.
+    from gfkit import wigner
     from gfkit.cli import WIGNER_9J_MAX_TWO_J_SUM as cap
-    from gfkit.wigner import _threej_core
 
     def argv(two_j):
         return ["wigner", "9j", "--two-j", *[str(two_j)] * 9]
 
+    def untouched(*args):
+        raise AssertionError("9j reached a 6j past the cap")
+
     assert cap % 18 == 0   # all nine 2j equal and even: every triad valid
-    before = _threej_core.cache_info()
-    for two_j in (cap // 9 + 1, cap // 9 + 2, 10 * cap):
-        env, code = run(argv(two_j))
-        assert code == 1 and "cap" in env.message, env.message
-    assert _threej_core.cache_info() == before
+    with monkeypatch.context() as m:
+        m.setattr(wigner, "sixj_gf", untouched)
+        for two_j in (cap // 9 + 1, cap // 9 + 2, 10 * cap):
+            env, code = run(argv(two_j))
+            assert code == 1 and "cap" in env.message, env.message
     env, code = run(argv(cap // 9))
     assert code == 0 and env.value_exact != "0/1"
 
@@ -262,6 +266,53 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
     assert code == 0 and len(env.table["rows"]) == LIPKIN_MAX_PARTICLES + 1
     env, code = run(enumerate_u2(GELFAND_MAX_PATTERNS))
     assert code == 0 and len(env.table["rows"]) == GELFAND_MAX_PATTERNS
+
+
+def test_points_caps_refuse_before_work(monkeypatch):
+    # hydrogen position, momentum and verify and oscillator wf and
+    # propagator exit 1 above their documented point caps without calling
+    # their kernels; exactly at the caps they run.
+    from gfkit import oscillator, special
+    from gfkit.cli import (HYDROGEN_VERIFY_MAX_POINTS, PROPAGATOR_MAX_KERNELS,
+                           SAMPLES_MAX_POINTS)
+
+    def hydrogen(op, points):
+        return ["hydrogen", op, "--n", "2", "--l", "1", "--points", str(points)]
+
+    def wf(points):
+        return ["oscillator", "wf", "--n", "3", "--points", str(points)]
+
+    def propagator(points):
+        return ["oscillator", "propagator", "--beta", "1", "--points", str(points)]
+
+    def untouched(*args):
+        raise AssertionError("kernel reached past the cap")
+
+    side = math.isqrt(PROPAGATOR_MAX_KERNELS)
+    assert side * side == PROPAGATOR_MAX_KERNELS   # so that the cap is reachable
+    with monkeypatch.context() as m:
+        for name in ("hydrogen_radial", "hydrogen_momentum_radial",
+                     "fourier_momentum_oracle"):
+            m.setattr(special, name, untouched)
+        for name in ("ho_wavefunction", "ho_propagator"):
+            m.setattr(oscillator, name, untouched)
+        for argv in (hydrogen("position", SAMPLES_MAX_POINTS + 1),
+                     hydrogen("momentum", SAMPLES_MAX_POINTS + 1),
+                     hydrogen("position", 10 ** 12),
+                     hydrogen("verify", HYDROGEN_VERIFY_MAX_POINTS + 1),
+                     hydrogen("verify", 10 ** 9),
+                     wf(SAMPLES_MAX_POINTS + 1), wf(10 ** 12),
+                     propagator(side + 1), propagator(10 ** 6)):
+            env, code = run(argv)
+            assert code == 1 and "cap" in env.message, (argv, env.message)
+    for argv in (hydrogen("position", SAMPLES_MAX_POINTS),
+                 hydrogen("momentum", SAMPLES_MAX_POINTS),
+                 hydrogen("verify", HYDROGEN_VERIFY_MAX_POINTS),
+                 wf(SAMPLES_MAX_POINTS)):
+        env, code = run(argv)
+        assert code == 0, (argv, env.message)
+    env, code = run(propagator(side))
+    assert code == 0 and len(env.table["rows"]) == PROPAGATOR_MAX_KERNELS
 
 
 def test_exact_commands_load_no_numpy():

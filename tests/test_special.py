@@ -80,6 +80,11 @@ def test_hydrogen_state_invariants():
         HydrogenState(3, 1, 1, (0,))
     with pytest.raises(ValueError):
         HydrogenState(1, 1, 0)
+    for l in (-1, -3):   # l < 0 with and without a hyperspherical chain
+        with pytest.raises(ValueError):
+            HydrogenState(3, 2, l)
+        with pytest.raises(ValueError):
+            HydrogenState(3, 2, l, (0,))
     # the radial functions keep the same rule, 0 <= l < n
     r = np.linspace(1e-6, 8.0, 5)
     for n, l in ((1, 1), (1, 2), (2, -1)):

@@ -19,7 +19,7 @@ from gfkit.wigner import (NineJLabel, SixJLabel, ThreeJLabel, clebsch_gordan,
                           sixj_gf, sixj_oracle, threej,
                           threej_second_route, threej_second_route_square,
                           wigner_3j, wigner_6j_gf, wigner_6j_oracle,
-                          wigner_9j, _G_TERMS, _TAU_VARS, _sum_signed_sqrts,
+                          wigner_9j, _PARITY, _PERM3, _sum_signed_sqrts,
                           _threej_core)
 
 
@@ -51,6 +51,22 @@ def random_threej_label(rng, lo, hi):
         tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
         if abs(tm1 + tm2) <= tj3:
             return tj1, tj2, tj3, tm1, tm2, -tm1 - tm2
+
+
+def random_ninej_label(rng, lo, hi):
+    """A 9j label with every 2j in [lo, hi] and all six triads valid."""
+    def thirds(x, y):
+        return [z for z in range(lo, hi + 1) if triangle_ok(x, y, z)]
+
+    while True:
+        a, b, d, e = (rng.randint(lo, hi) for _ in range(4))
+        pools = thirds(a, b), thirds(d, e), thirds(a, d), thirds(b, e)
+        if not all(pools):
+            continue
+        c, f, g, h = (rng.choice(pool) for pool in pools)
+        i_s = [z for z in thirds(c, f) if triangle_ok(g, h, z)]
+        if i_s:
+            return ((a, b, c), (d, e, f), (g, h, rng.choice(i_s)))
 
 
 def sign_of(v):
@@ -110,6 +126,9 @@ def test_kernels_never_factor(monkeypatch):
         if l3s:
             sixj_gf(tj1, tj2, tj3, tl1, tl2, rng.choice(l3s))
     assert sixj_gf(*[60] * 6)
+    for _ in range(8):
+        ninej(random_ninej_label(rng, 0, 40))
+    assert ninej(((40,) * 3,) * 3)
 
 
 def test_threej_large_j_against_second_route():
@@ -291,12 +310,37 @@ def sixj_triads_ok(lab):
                ((j1, j2, j3), (j1, l2, l3), (l1, j2, l3), (l1, l2, j3)))
 
 
+# tau variable order, tau_{i nu} for the four-triad coupling scheme
+TAU_VARS = ("01", "02", "03", "10", "20", "30", "12", "21", "13", "31", "23", "32")
+TAU_IDX = {v: i for i, v in enumerate(TAU_VARS)}
+
+
+def tau_monomial(*names):
+    e = [0] * 12
+    for nm in names:
+        e[TAU_IDX[nm]] += 1
+    return tuple(e)
+
+
+# the seven non-constant terms a0..a3, b1..b3 of g, as gf_coefficient's
+# docstring spells them out
+G_TERMS = [
+    tau_monomial("10", "20", "30"),
+    tau_monomial("01", "31", "21"),
+    tau_monomial("32", "02", "12"),
+    tau_monomial("23", "13", "03"),
+    tau_monomial("01", "10", "23", "32"),
+    tau_monomial("02", "20", "13", "31"),
+    tau_monomial("03", "30", "12", "21"),
+]
+
+
 def test_gf_coefficient_matches_series():
     # the closed form against the literal series of g^-2 at degree 18, the
     # total degree of every 6j label with 2j <= 3
     one = (0,) * 12
     g = {one: 1}
-    for t in _G_TERMS:
+    for t in G_TERMS:
         g[t] = 1
     gs = TruncatedSeries(g, 12, 18)
     series = gs.mul(gs).inverse()
@@ -311,7 +355,7 @@ def test_gf_coefficient_matches_series():
         if any(sum(t) % 2 for t in triads):
             continue
         expo = []
-        for v in _TAU_VARS:
+        for v in TAU_VARS:
             i, nu = int(v[0]), int(v[1])
             expo.append(sum(triads[i]) // 2 - lab[pair_of[min(i, nu), max(i, nu)]])
         assert sum(expo) <= 18
@@ -384,28 +428,73 @@ def test_ninej_examples():
     assert v == sr(Fraction(-1, 18))
 
 
-def test_ninej_independent_summation_order():
-    # 9j = sum_x (-1)^{2x}(2x+1) {a b c; f i x}{d e f; b x h}{g h i; x a d}
-    def ninej_via_sixj(rows):
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        lo = max(abs(a - i), abs(b - f), abs(d - h))
-        hi = min(a + i, b + f, d + h)
-        total = SR_ZERO
-        for x in range(lo, hi + 1, 2):
-            term = sixj_oracle(a, b, c, f, i, x) * \
-                sixj_oracle(d, e, f, b, x, h) * \
-                sixj_oracle(g, h, i, x, a, d)
-            term = term * Fraction((x + 1) * (-1 if x % 2 else 1))
-            if term:
-                total = total + term if total else term
-        return total if total else SR_ZERO
+def ninej_magnetic(two_j_rows) -> SqrtRational:
+    """The 9j oracle: the definitional magnetic sum over six 3j symbols."""
+    (a, b, c), (d, e, f), (g, h, i) = two_j_rows
+    for tri in ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i)):
+        if sum(tri) % 2 or not triangle_ok(*tri):
+            return SR_ZERO
+    terms = []
+    for ma in range(-a, a + 1, 2):
+        for mb in range(-b, b + 1, 2):
+            mc = -ma - mb
+            if abs(mc) > c:
+                continue
+            s1, q1, _ = _threej_core(a, b, c, ma, mb, mc)
+            if s1 == 0:
+                continue
+            for md in range(-d, d + 1, 2):
+                for me in range(-e, e + 1, 2):
+                    mf = -md - me
+                    if abs(mf) > f:
+                        continue
+                    s2, q2, _ = _threej_core(d, e, f, md, me, mf)
+                    if s2 == 0:
+                        continue
+                    mg = -ma - md
+                    mh = -mb - me
+                    mi = -mc - mf
+                    if abs(mg) > g or abs(mh) > h or abs(mi) > i:
+                        continue
+                    s3, q3, _ = _threej_core(g, h, i, mg, mh, mi)
+                    if s3 == 0:
+                        continue
+                    s4, q4, _ = _threej_core(a, d, g, ma, md, mg)
+                    if s4 == 0:
+                        continue
+                    s5, q5, _ = _threej_core(b, e, h, mb, me, mh)
+                    if s5 == 0:
+                        continue
+                    s6, q6, _ = _threej_core(c, f, i, mc, mf, mi)
+                    if s6 == 0:
+                        continue
+                    terms.append((s1 * s2 * s3 * s4 * s5 * s6,
+                                  q1 * q2 * q3 * q4 * q5 * q6))
+    return _sum_signed_sqrts(terms)
 
+
+def test_ninej_independent_summation_order():
+    # the 6j-sum route against the magnetic sum over six 3j
     cases = [((1, 1, 2), (1, 1, 2), (2, 2, 0)),
              ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
              ((1, 1, 2), (1, 1, 2), (2, 2, 4)),
              ((2, 1, 1), (1, 2, 1), (1, 1, 2))]
     for rows in cases:
-        assert ninej(rows) == ninej_via_sixj(rows)
+        assert ninej(rows) == ninej_magnetic(rows)
+
+
+def test_ninej_against_magnetic_sum_sampled():
+    # seeded labels with every 2j in 0..4 and in 5..8, and all nine 2j equal
+    rng = random.Random(11)
+    labels = [random_ninej_label(rng, 0, 4) for _ in range(200)]
+    labels += [random_ninej_label(rng, 5, 8) for _ in range(40)]
+    labels += [((tj,) * 3,) * 3 for tj in (4, 8)]
+    nonzero = 0
+    for rows in labels:
+        v = ninej(rows)
+        assert v == ninej_magnetic(rows), rows
+        nonzero += bool(v)
+    assert nonzero > len(labels) // 2
 
 
 def test_ninej_symmetries():
@@ -416,6 +505,35 @@ def test_ninej_symmetries():
     swapped = (rows[1], rows[0], rows[2])
     J = sum(sum(r) for r in rows) // 2
     assert ninej(swapped) == (v if J % 2 == 0 else -v)
+
+
+@st.composite
+def ninej_labels(draw, tjmax=8):
+    def third(x, y):
+        return draw(st.sampled_from(range(abs(x - y), min(x + y, tjmax) + 1, 2)))
+
+    a, b, d, e = (draw(st.integers(0, tjmax)) for _ in range(4))
+    c, f, g, h = third(a, b), third(d, e), third(a, d), third(b, e)
+    i_s = [z for z in range(tjmax + 1) if triangle_ok(c, f, z) and triangle_ok(g, h, z)]
+    assume(i_s)
+    return ((a, b, c), (d, e, f), (g, h, draw(st.sampled_from(i_s))))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ninej_labels())
+def test_ninej_72_symmetries(rows):
+    # odd row or column permutations each give (-1)^{sum of the nine j};
+    # transposition gives no phase
+    v = ninej(rows)
+    j_sum = sum(map(sum, rows)) // 2
+    for rp in _PERM3:
+        for cp in _PERM3:
+            for transpose in (False, True):
+                sq = tuple(zip(*rows)) if transpose else rows
+                image = tuple(tuple(sq[r][c] for c in cp) for r in rp)
+                phase = neg_one_pow(j_sum * (_PARITY[rp] + _PARITY[cp]))
+                assert ninej(image) == v * phase, (rows, image)
+
 
 
 def test_regge_orbit_examples():
