@@ -453,13 +453,6 @@ def sqrt_factorial_ratio(num_args, den_args) -> tuple[Fraction, int]:
     return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator)), k
 
 
-def fact2(two_n: int) -> int:
-    """factorial of a doubled-integer argument that must be even and >= 0."""
-    if two_n < 0 or two_n % 2:
-        raise ValueError(f"factorial of {two_n}/2")
-    return factorials(two_n // 2)
-
-
 def neg_one_pow(k: int) -> int:
     """(-1)**k as an exact int for any integer k (negative included)."""
     return -1 if k & 1 else 1

@@ -13,11 +13,15 @@ check the closed form against the truncated series of g^-2
 The 3j, CG and 6j never factor an integer.  Each is a rational sum times the
 square root of a factorial ratio, and SqrtRational.from_factorial_ratio
 keeps the sum outside the root and canonicalizes from the factorial table's
-prime masks by gcds.  The 9j is a single sum over x of three GF-route 6j, so
-it never factors either.  The 3j core is an lru_cache bounded at 2**14
-labels holding each label's sign, exact square and canonical value: threej
-returns the value, and the only magnetic sum left, the 6j oracle, reads sign
-and square.  That oracle and the second 3j route still end in from_square.
+prime masks by gcds.  The 3j's single sum is summed in integers over one
+common denominator, its terms following each other by the exact term ratio,
+so a 3j builds one Fraction, not one per term.  The 9j is a single sum over
+x of three GF-route 6j, so it never factors either.  The 3j core is an
+lru_cache bounded at 2**14 labels holding each label's sign, exact square
+and canonical value; threej and clebsch_gordan read it.  The only magnetic
+sum left, the 6j oracle, keeps the sign and exact square of the 3j it reads
+in a table of its own call, so it leaves the shared cache alone.  That
+oracle and the second 3j route still end in from_square.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (SR_ZERO, SqrtRational, factorials, fact2, neg_one_pow,
+from .exact import (SR_ZERO, SqrtRational, factorials, neg_one_pow,
                     sqrt_ratio_of_squares, triangle_ok, HalfInt)
 
 
@@ -75,6 +79,44 @@ class NineJLabel:
 # ---------------------------------------------------------------------------
 # 3j: Van der Waerden single sum (sign, square) core
 # ---------------------------------------------------------------------------
+def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
+    """The 3j symbol, doubled arguments, as (s, num_args, den_args) with
+    3j = s * sqrt(prod n! over num_args / prod n! over den_args); None where
+    it vanishes.  s is the phase times Van der Waerden's single sum
+
+        S = sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!),
+
+    summed in integers over the common denominator
+    D = kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, which every
+    term's denominator divides: the first numerator D / den_kmin is a
+    quotient of three rising factorials, each next one follows from the
+    previous by the term ratio with an exact division, and one Fraction
+    reduces the total."""
+    if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
+        return None
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+        if abs(tm) > tj or (tj - tm) % 2:
+            return None
+    a, b, c = (tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
+    kmin, kmax = max(0, -d, -e), min(a, b, c)
+    t = neg_one_pow(kmin) * (factorials(kmax) // factorials(kmin)
+                             * (factorials(d + kmax) // factorials(d + kmin))
+                             * (factorials(e + kmax) // factorials(e + kmin)))
+    total = 0
+    for k in range(kmin, kmax + 1):
+        total += t
+        t = -t * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
+    if total == 0:
+        return None
+    den = (factorials(kmax) * factorials(a - kmin) * factorials(b - kmin)
+           * factorials(c - kmin) * factorials(d + kmax) * factorials(e + kmax))
+    return (Fraction(neg_one_pow((tj1 - tj2 - tm3) // 2) * total, den),
+            (a, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
+             (tj1 + tm1) // 2, b, c, (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
+            ((tj1 + tj2 + tj3) // 2 + 1,))
+
+
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
 # 3j with 2j <= 6; the 9j, a sum of 6j, no longer fills the cache.  An entry
 # with 2j in 40..60 holds about 570 B, so the cap keeps the cache near 9 MB
@@ -83,35 +125,13 @@ class NineJLabel:
 def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
     """(sign, square, value) of the 3j symbol, doubled arguments.
 
-    The value is phase * S * sqrt(factorial ratio), with the single sum S
-    kept outside the root, so its canonical form needs no factoring."""
-    if tm1 + tm2 + tm3 != 0:
+    The value is s * sqrt(factorial ratio) from _threej_sum, whose single
+    sum is taken in integers over one common denominator; s stays outside
+    the root, so the canonical form needs no factoring."""
+    parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3)
+    if parts is None:
         return _ZERO_CORE
-    if not triangle_ok(tj1, tj2, tj3):
-        return _ZERO_CORE
-    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
-        if abs(tm) > tj or (tj - tm) % 2:
-            return _ZERO_CORE
-    kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
-    kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    s = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (factorials(k)
-               * fact2(tj1 + tj2 - tj3 - 2 * k)
-               * fact2(tj1 - tm1 - 2 * k)
-               * fact2(tj2 + tm2 - 2 * k)
-               * fact2(tj3 - tj2 + tm1 + 2 * k)
-               * fact2(tj3 - tj1 - tm2 + 2 * k))
-        s += Fraction((-1) ** k, den)
-    if s == 0:
-        return _ZERO_CORE
-    J = (tj1 + tj2 + tj3) // 2
-    value = SqrtRational.from_factorial_ratio(
-        neg_one_pow((tj1 - tj2 - tm3) // 2) * s,
-        ((tj1 + tj2 - tj3) // 2, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
-         (tj1 + tm1) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
-         (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
-        (J + 1,))
+    value = SqrtRational.from_factorial_ratio(*parts)
     return (1 if value.coeff > 0 else -1), value.square(), value
 
 
@@ -211,31 +231,52 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     two_j = (tj1, tj2, tj3, tl1, tl2, tl3)
     if any((a + b + c) % 2 or not triangle_ok(a, b, c) for a, b, c in _sixj_triads(two_j)):
         return SR_ZERO
+    # (sign, exact square) of each 3j it reads, straight from _threej_sum, in
+    # a table of this call: the shared cache is left alone (at all six
+    # 2j = 40 they are 68,921 distinct labels, which would only evict each
+    # other there), and no square passes through the production canonical form.
+    table = {}
+
+    def sign_square(*label):
+        entry = table.get(label)
+        if entry is None:
+            parts = _threej_sum(*label)
+            if parts is None:
+                entry = (0, 0)
+            else:
+                s, num_args, den_args = parts
+                entry = ((1 if s > 0 else -1),
+                         Fraction(s.numerator ** 2 * math.prod(map(factorials, num_args)),
+                                  s.denominator ** 2 * math.prod(map(factorials, den_args))))
+            table[label] = entry
+        return entry
+
     terms = []
     for tm1 in range(-tj1, tj1 + 1, 2):
         for tm2 in range(-tj2, tj2 + 1, 2):
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            s0, q0, _ = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
+            s0, q0 = sign_square(tj1, tj2, tj3, tm1, tm2, tm3)
             if s0 == 0:
                 continue
+            # the m sums of the second and third 3j fix mu2 and mu3; every
+            # other (mu1, mu2) term is zero
             for tmu1 in range(-tl1, tl1 + 1, 2):
-                for tmu2 in range(-tl2, tl2 + 1, 2):
-                    s1, q1, _ = _threej_core(tl1, tl2, tj3, tmu1, -tmu2, tm3)
-                    if s1 == 0:
-                        continue
-                    tmu3 = tmu2 + tm1
-                    if abs(tmu3) > tl3:
-                        continue
-                    s2, q2, _ = _threej_core(tl2, tl3, tj1, tmu2, -tmu3, tm1)
-                    if s2 == 0:
-                        continue
-                    s3, q3, _ = _threej_core(tl3, tl1, tj2, tmu3, -tmu1, tm2)
-                    if s3 == 0:
-                        continue
-                    ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
-                    terms.append((ph * s0 * s1 * s2 * s3, q0 * q1 * q2 * q3))
+                tmu2, tmu3 = tmu1 + tm3, tmu1 + tm3 + tm1
+                if abs(tmu2) > tl2 or abs(tmu3) > tl3:
+                    continue
+                s1, q1 = sign_square(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+                if s1 == 0:
+                    continue
+                s2, q2 = sign_square(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+                if s2 == 0:
+                    continue
+                s3, q3 = sign_square(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+                if s3 == 0:
+                    continue
+                ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
+                terms.append((ph * s0 * s1 * s2 * s3, q0 * q1 * q2 * q3))
     return _sum_signed_sqrts(terms)
 
 

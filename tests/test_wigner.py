@@ -145,6 +145,20 @@ def test_threej_large_j_against_second_route():
         assert (sign_of(v), v.square()) == (sign, sq), lab
 
 
+def test_threej_integer_sum_against_second_route():
+    # many-term sums (2j 40..60 and 100..140) and sums that cancel to zero:
+    # the integer sum over one denominator gives the second route's sign and
+    # exact square
+    rng = random.Random(10)
+    labels = ([random_threej_label(rng, 40, 60) for _ in range(2000)]
+              + [random_threej_label(rng, 100, 140) for _ in range(200)])
+    for lab in labels:
+        assert _threej_core(*lab)[:2] == threej_second_route_square(*lab), lab
+    for lab in ((3, 6, 7, -1, -2, 3), (3, 3, 4, -1, -1, 2)):
+        assert _threej_core(*lab)[2] == SR_ZERO
+        assert threej_second_route(*lab) == SR_ZERO
+
+
 def racah_sixj_square(tj1, tj2, tj3, tl1, tl2, tl3):
     """(sign, exact square) of the 6j from Racah's formula with math.factorial."""
     f = math.factorial
@@ -395,6 +409,13 @@ def test_sixj_gf_all_equal_large():
         assert sixj_gf(*[tj] * 6) == sixj_oracle(*[tj] * 6)
 
 
+def test_sixj_oracle_leaves_shared_cache_alone():
+    # the oracle reads its 3j through a table of its own call
+    before = _threej_core.cache_info()
+    assert sixj_oracle(*[32] * 6) == sixj_gf(*[32] * 6)
+    assert _threej_core.cache_info() == before
+
+
 @st.composite
 def sixj_labels(draw, tjmax=12):
     def third(a, b):
@@ -557,6 +578,26 @@ def test_regge_orbits_random():
         assert 72 % len(orb) == 0
         for member, phase in orb:
             assert wigner_3j(member) == v0 * phase
+
+
+@st.composite
+def threej_labels(draw, tjmax=60):
+    tj1, tj2 = draw(st.integers(0, tjmax)), draw(st.integers(0, tjmax))
+    tj3 = draw(st.sampled_from(range(abs(tj1 - tj2), min(tj1 + tj2, tjmax) + 1, 2)))
+    tm1 = draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+    tm2 = draw(st.sampled_from(range(-tj2, tj2 + 1, 2)))
+    assume(abs(tm1 + tm2) <= tj3)
+    return ThreeJLabel((tj1, tj2, tj3), (tm1, tm2, -tm1 - tm2))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(threej_labels())
+def test_regge_orbit_hypothesis(seed):
+    # each image has its own summation range, so a wrong first or last term
+    # of the integer sum breaks the symmetry
+    v0 = wigner_3j(seed)
+    for member, phase in regge_orbit(seed):
+        assert wigner_3j(member) == v0 * phase, (seed, member)
 
 
 def test_gaunt():
