@@ -132,6 +132,12 @@ def _complex(z, value_float, meta, columns=("re", "im")) -> ResultEnvelope:
                   value_float, meta)
 
 
+def _cap(what, value, cap):
+    """Refuse a request whose size exceeds its cap, before any work."""
+    if value > cap:
+        raise ValueError(f"{what} = {value} exceeds the cap of {cap}")
+
+
 # ---------------------------------------------------------------------------
 # the command table: group -> op -> (argument specs, handler), in the order
 # the parser lists them
@@ -177,22 +183,16 @@ WIGNER_ORACLE_MAX_TWO_J_SUM = 144
 WIGNER_9J_MAX_TWO_J_SUM = 108
 
 
-def _wigner_size_guard(args, cap=WIGNER_MAX_TWO_J_SUM):
-    total = sum(abs(x) for x in args.two_j)
-    if total > cap:
-        raise ValueError(f"sum of |2j| = {total} exceeds the wigner cap of {cap}")
-
-
 @_command("wigner", "3j", *_TWO_JM)
 def _wigner_3j(args):
-    _wigner_size_guard(args)
+    _cap("sum of |2j|", sum(map(abs, args.two_j)), WIGNER_MAX_TWO_J_SUM)
     from .wigner import threej
     return _exact(threej(*args.two_j, *args.two_m), "van der Waerden single-sum 3j")
 
 
 @_command("wigner", "cg", *_TWO_JM)
 def _wigner_cg(args):
-    _wigner_size_guard(args)
+    _cap("sum of |2j|", sum(map(abs, args.two_j)), WIGNER_MAX_TWO_J_SUM)
     from .exact import HalfInt
     from .wigner import clebsch_gordan
     val = clebsch_gordan(*(HalfInt(x) for pair in zip(args.two_j, args.two_m)
@@ -203,8 +203,8 @@ def _wigner_cg(args):
 @_command("wigner", "6j", _arg("--two-j", nargs=6),
           _arg("--route", str, choices=("gf", "oracle"), default="gf"))
 def _wigner_6j(args):
-    _wigner_size_guard(args, WIGNER_MAX_TWO_J_SUM if args.route == "gf"
-                       else WIGNER_ORACLE_MAX_TWO_J_SUM)
+    _cap("sum of |2j|", sum(map(abs, args.two_j)),
+         WIGNER_MAX_TWO_J_SUM if args.route == "gf" else WIGNER_ORACLE_MAX_TWO_J_SUM)
     from .wigner import sixj_gf, sixj_oracle
     fn = sixj_gf if args.route == "gf" else sixj_oracle
     return _exact(fn(*args.two_j), f"6j via {args.route}")
@@ -212,7 +212,7 @@ def _wigner_6j(args):
 
 @_command("wigner", "9j", _arg("--two-j", nargs=9))
 def _wigner_9j(args):
-    _wigner_size_guard(args, WIGNER_9J_MAX_TWO_J_SUM)
+    _cap("sum of |2j|", sum(map(abs, args.two_j)), WIGNER_9J_MAX_TWO_J_SUM)
     from .wigner import ninej
     rows = tuple(tuple(args.two_j[3 * r:3 * r + 3]) for r in range(3))
     return _exact(ninej(rows), "9j as a sum of three 6j")
@@ -243,12 +243,6 @@ def _wigner_gaunt(args):
 SU3_MAX_LAM_SUM = 16
 
 
-def _su3_size_guard(args):
-    if args.lam1 + args.lam2 > SU3_MAX_LAM_SUM:
-        raise ValueError(f"lam1 + lam2 = {args.lam1 + args.lam2} exceeds the "
-                         f"su3 coupling-table cap of {SU3_MAX_LAM_SUM}")
-
-
 @_command("su3", "decompose", _arg("--lam1"), _arg("--lam2"))
 def _su3_decompose(args):
     from .su3 import dim_su3, su3_decompose_multfree
@@ -262,7 +256,7 @@ def _su3_decompose(args):
           _arg("--a1", nargs=3, metavar=("Y", "TWO_T", "TWO_T0")),
           _arg("--a2", nargs=3), _arg("--a3", nargs=3))
 def _su3_wigner(args):
-    _su3_size_guard(args)
+    _cap("lam1 + lam2", args.lam1 + args.lam2, SU3_MAX_LAM_SUM)
     from .su3 import Su3Label, su3_wigner_multfree
     labels = [Su3Label.from_key(lam, mu, tuple(a)) for lam, mu, a in
               ((args.lam1, 0, args.a1), (args.lam2, 0, args.a2),
@@ -278,7 +272,7 @@ def _su3_wigner(args):
           _arg("--chain1", nargs=2, metavar=("Y", "TWO_T")),
           _arg("--chain2", nargs=2), _arg("--chain3", nargs=2))
 def _su3_isoscalar(args):
-    _su3_size_guard(args)
+    _cap("lam1 + lam2", args.lam1 + args.lam2, SU3_MAX_LAM_SUM)
     from .su3 import su3_isoscalar
     iso = su3_isoscalar(args.lam1, args.lam2, args.lam3, args.mu3,
                         tuple(args.chain1), tuple(args.chain2), tuple(args.chain3))
@@ -320,9 +314,7 @@ def _gelfand_enumerate(args):
     from .unitary import IrrepLabel, gelfand_enumerate, pattern_weight, weyl_dimension
     label = IrrepLabel(tuple(args.h))
     dim = weyl_dimension(label)
-    if dim > GELFAND_MAX_PATTERNS:
-        raise ValueError(f"Weyl dimension {dim} exceeds the gelfand enumerate "
-                         f"cap of {GELFAND_MAX_PATTERNS} patterns")
+    _cap("Weyl dimension", dim, GELFAND_MAX_PATTERNS)
     pats = gelfand_enumerate(label)
     rows = [[p.to_text(), " ".join(map(str, pattern_weight(p)))] for p in pats]
     return _table(["pattern", "weight"], rows, float(len(pats)),
@@ -411,15 +403,10 @@ HYDROGEN_VERIFY_MAX_POINTS = 1000
 PROPAGATOR_MAX_KERNELS = 90000
 
 
-def _points_guard(count, cap, what="points"):
-    if count > cap:
-        raise ValueError(f"{what} = {count} exceeds the cap of {cap}")
-
-
 # --- hydrogen --------------------------------------------------------------
 @_command("hydrogen", "position", *_HYDROGEN)
 def _hydrogen_position(args):
-    _points_guard(args.points, SAMPLES_MAX_POINTS)
+    _cap("points", args.points, SAMPLES_MAX_POINTS)
     import numpy as np
     from .special import hydrogen_radial
     r = np.linspace(1e-6, args.rmax or 8.0 * args.n * args.n, args.points)
@@ -429,7 +416,7 @@ def _hydrogen_position(args):
 
 @_command("hydrogen", "momentum", *_HYDROGEN)
 def _hydrogen_momentum(args):
-    _points_guard(args.points, SAMPLES_MAX_POINTS)
+    _cap("points", args.points, SAMPLES_MAX_POINTS)
     import numpy as np
     from .special import hydrogen_momentum_radial
     d = 1.0 / (args.n + (args.dim - 3) / 2.0)
@@ -440,7 +427,7 @@ def _hydrogen_momentum(args):
 
 @_command("hydrogen", "verify", *_HYDROGEN, _SEED)
 def _hydrogen_verify(args):
-    _points_guard(args.points, HYDROGEN_VERIFY_MAX_POINTS)
+    _cap("points", args.points, HYDROGEN_VERIFY_MAX_POINTS)
     import numpy as np
     from .special import fourier_momentum_oracle, hydrogen_momentum_radial
     N, n, l = args.dim, args.n, args.l
@@ -458,7 +445,7 @@ def _hydrogen_verify(args):
 @_command("oscillator", "wf", _arg("--n"), _arg("--qmax", float, default=5.0),
           _arg("--points", default=41))
 def _oscillator_wf(args):
-    _points_guard(args.points, SAMPLES_MAX_POINTS)
+    _cap("points", args.points, SAMPLES_MAX_POINTS)
     import numpy as np
     from .oscillator import ho_wavefunction
     q = np.linspace(-args.qmax, args.qmax, args.points)
@@ -481,7 +468,7 @@ def _oscillator_genfunc(args):
 @_command("oscillator", "propagator", _arg("--beta", float),
           _arg("--xmax", float, default=2.0), _arg("--points", default=9))
 def _oscillator_propagator(args):
-    _points_guard(args.points ** 2, PROPAGATOR_MAX_KERNELS, "points^2")
+    _cap("points^2", args.points ** 2, PROPAGATOR_MAX_KERNELS)
     import numpy as np
     from .oscillator import OscillatorParams, ho_propagator
     params = OscillatorParams()
@@ -576,9 +563,7 @@ LIPKIN_MAX_PARTICLES = 1000
 @_command("manybody", "lipkin", _arg("--n-particles"), _arg("--e", float, default=1.0),
           _arg("--v", float, default=1.0))
 def _manybody_lipkin(args):
-    if args.n_particles > LIPKIN_MAX_PARTICLES:
-        raise ValueError(f"n-particles = {args.n_particles} exceeds the lipkin "
-                         f"cap of {LIPKIN_MAX_PARTICLES}")
+    _cap("n-particles", args.n_particles, LIPKIN_MAX_PARTICLES)
     from .manybody import LipkinModel, lipkin_spectrum
     ev = lipkin_spectrum(LipkinModel(args.n_particles, args.e, args.v))
     return _table(["index", "energy"], [[i, _fmt_float(ev[i])] for i in range(len(ev))],

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: square roots of rationals, half-integers,
-cached factorials.
+"""Exact arithmetic substrate: square roots of rationals, doubled-integer
+angular momenta, cached factorials.
 
 Values of the form (p/q)*sqrt(r/s) are closed under the products and
 same-radicand sums that recoupling coefficients require, so every 3j/6j/9j
@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import re
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-DEFAULT_TRIAL_BOUND = 10 ** 6
+_TRIAL_BOUND = 10 ** 6
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -69,10 +70,10 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")
 
 
-def square_free_split(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> tuple[int, int]:
+def square_free_split(n: int) -> tuple[int, int]:
     """n = square * free with free squarefree; returns (sqrt(square), free).
 
-    Trial division up to trial_bound, Pollard rho beyond; n >= 1.
+    Trial division up to _TRIAL_BOUND, Pollard rho beyond; n >= 1.
     """
     if n < 1:
         raise ValueError("square_free_split needs n >= 1")
@@ -94,7 +95,7 @@ def square_free_split(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> tuple[i
             continue
         p = 2
         found = False
-        while p * p <= m and p <= trial_bound:
+        while p * p <= m and p <= _TRIAL_BOUND:
             if m % p == 0:
                 e = 0
                 while m % p == 0:
@@ -199,17 +200,14 @@ class SqrtRational:
             return other
         if other.coeff == 0:
             return self
-        if self.radicand == other.radicand:
-            return _place(self.coeff + other.coeff, *_parts(self.radicand))
-        # fractional radicands admit several squarefree num/den splits of one
-        # radical ray (sqrt(2/5) = 2 sqrt(1/10)); rescale when the ratio is a
-        # perfect rational square, otherwise the sum leaves the value type
-        try:
-            rho = sqrt_ratio_of_squares(other.radicand, self.radicand)
-        except ValueError:
+        # canonical n/d has n, d square-free and coprime, so
+        # c sqrt(n/d) = (c/d) sqrt(n d): one ray exactly when n1 d1 = n2 d2
+        n1, d1 = _parts(self.radicand)
+        n2, d2 = _parts(other.radicand)
+        if n1 * d1 != n2 * d2:
             raise ValueError(
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})")
-        return _place(self.coeff + other.coeff * rho, *_parts(self.radicand))
+        return _place(self.coeff / d1 + other.coeff / d2, n1 * d1, 1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -301,72 +299,11 @@ def parse_sqrt_rational(text: str) -> SqrtRational:
     return SqrtRational(coeff, Fraction(int(m.group(3)), int(m.group(4))))
 
 
-def canonicalize(value: SqrtRational) -> SqrtRational:
-    """Re-canonicalize (idempotent on already-canonical values)."""
-    return SqrtRational(value.coeff, value.radicand)
-
-
+@dataclass(frozen=True)
 class HalfInt:
     """Angular momentum stored as a doubled integer, value = two_j/2."""
 
-    __slots__ = ("two_j",)
-
-    def __init__(self, two_j: int):
-        self.two_j = int(two_j)
-
-    @staticmethod
-    def from_value(v) -> "HalfInt":
-        fr = Fraction(v)
-        if fr.denominator not in (1, 2):
-            raise ValueError(f"{v} is not a half-integer")
-        return HalfInt(fr.numerator * (2 // fr.denominator))
-
-    def __add__(self, other):
-        return HalfInt(self.two_j + _two(other))
-
-    def __sub__(self, other):
-        return HalfInt(self.two_j - _two(other))
-
-    def __neg__(self):
-        return HalfInt(-self.two_j)
-
-    def __eq__(self, other):
-        if not isinstance(other, (HalfInt, int)):
-            return NotImplemented
-        return self.two_j == _two(other)
-
-    def __lt__(self, other):
-        return self.two_j < _two(other)
-
-    def __le__(self, other):
-        return self.two_j <= _two(other)
-
-    def __hash__(self):
-        return hash(("HalfInt", self.two_j))
-
-    def __abs__(self):
-        return HalfInt(abs(self.two_j))
-
-    def is_integer(self) -> bool:
-        return self.two_j % 2 == 0
-
-    def __float__(self):
-        return self.two_j / 2.0
-
-    def __str__(self):
-        if self.two_j % 2 == 0:
-            return str(self.two_j // 2)
-        return f"{self.two_j}/2"
-
-    __repr__ = __str__
-
-
-def _two(x) -> int:
-    if isinstance(x, HalfInt):
-        return x.two_j
-    if isinstance(x, int):
-        return 2 * x
-    raise TypeError(f"cannot combine HalfInt with {type(x)}")
+    two_j: int
 
 
 class FactorialCache:
@@ -413,11 +350,6 @@ class FactorialCache:
         if n >= len(self._table):
             self.grow(n)
         return self._table[n]
-
-    def binomial(self, n: int, k: int) -> int:
-        if k < 0 or k > n:
-            return 0
-        return self(n) // (self(k) * self(n - k))
 
 
 factorials = FactorialCache()

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytools import (poly_add, poly_compose, poly_const, poly_eval,
-                        poly_laplacian, poly_mul, poly_scale, poly_var)
+from .polytools import (poly_add, poly_compose, poly_const, poly_laplacian,
+                        poly_mul, poly_scale, poly_var)
 
 _H2 = ((("+", 1), ("-", 2)),
        (("+", 2), ("+", 1)))
@@ -246,12 +246,11 @@ def cayley_rotation_closed3(u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Laplacian pullback
 # ---------------------------------------------------------------------------
-def laplacian_pullback_residual(pair, f_poly, u) -> float:
-    """|Delta_u f(x(u)) - 4 |u|^2 (Delta_x f)(x(u))| at the point u.
+def laplacian_pullback_difference(pair, f_poly) -> dict:
+    """Delta_u f(x(u)) - 4 |u|^2 (Delta_x f)(x(u)) as an exact polynomial in u.
 
     f_poly: exact polynomial in the n target variables (dict exponents ->
-    Fraction).  The difference is formed symbolically, so the residual is an
-    exact zero evaluated in floating point.
+    Fraction).  The identity holds exactly when the difference is {}.
     """
     n, N = pair
     comps = quad_map_polynomials(pair)
@@ -263,8 +262,7 @@ def laplacian_pullback_residual(pair, f_poly, u) -> float:
     for i in range(N):
         u2 = poly_add(u2, poly_mul(poly_var(i, N), poly_var(i, N)))
     rhs = poly_scale(poly_mul(u2, lap_x_pulled), 4)
-    diff = poly_add(lap_u, poly_scale(rhs, -1))
-    return abs(float(poly_eval(diff, [Fraction(x) for x in u])))
+    return poly_add(lap_u, poly_scale(rhs, -1))
 
 
 # ---------------------------------------------------------------------------

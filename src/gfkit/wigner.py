@@ -17,11 +17,11 @@ prime masks by gcds.  The 3j's single sum is summed in integers over one
 common denominator, its terms following each other by the exact term ratio,
 so a 3j builds one Fraction, not one per term.  The 9j is a single sum over
 x of three GF-route 6j, so it never factors either.  The 3j core is an
-lru_cache bounded at 2**14 labels holding each label's sign, exact square
-and canonical value; threej and clebsch_gordan read it.  The only magnetic
-sum left, the 6j oracle, keeps the sign and exact square of the 3j it reads
-in a table of its own call, so it leaves the shared cache alone.  That
-oracle and the second 3j route still end in from_square.
+lru_cache bounded at 2**14 labels holding each label's canonical value;
+threej and clebsch_gordan read it.  The only magnetic sum left, the 6j
+oracle, keeps the sign and exact square of the 3j it reads in a table of
+its own call, so it leaves the shared cache alone.  That oracle and the
+second 3j route still end in from_square.
 """
 from __future__ import annotations
 
@@ -50,34 +50,8 @@ class ThreeJLabel:
                 raise ValueError("|m| <= j violated")
 
 
-@dataclass(frozen=True)
-class SixJLabel:
-    two_j: tuple  # (j1, j2, j3, l1, l2, l3) doubled
-
-    def __post_init__(self):
-        tj1, tj2, tj3, tl1, tl2, tl3 = self.two_j
-        for (a, b, c) in ((tj1, tj2, tj3), (tj1, tl2, tl3),
-                          (tl1, tj2, tl3), (tl1, tl2, tj3)):
-            if (a + b + c) % 2:
-                raise ValueError("each 6j triad needs even doubled sum")
-
-
-@dataclass(frozen=True)
-class NineJLabel:
-    two_j: tuple  # 3x3 nested tuple, doubled
-
-    def __post_init__(self):
-        rows = self.two_j
-        for r in rows:
-            if sum(r) % 2:
-                raise ValueError("9j row triad parity")
-        for c in range(3):
-            if sum(rows[r][c] for r in range(3)) % 2:
-                raise ValueError("9j column triad parity")
-
-
 # ---------------------------------------------------------------------------
-# 3j: Van der Waerden single sum (sign, square) core
+# 3j: Van der Waerden single sum
 # ---------------------------------------------------------------------------
 def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
     """The 3j symbol, doubled arguments, as (s, num_args, den_args) with
@@ -119,32 +93,25 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
 
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
 # 3j with 2j <= 6; the 9j, a sum of 6j, no longer fills the cache.  An entry
-# with 2j in 40..60 holds about 570 B, so the cap keeps the cache near 9 MB
-# on a stream of distinct labels.
+# with 2j in 40..60, key included, holds about 410 B (tracemalloc), so the
+# cap keeps the cache near 6.7 MB on a stream of distinct labels.
 @lru_cache(maxsize=1 << 14)
 def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
-    """(sign, square, value) of the 3j symbol, doubled arguments.
+    """The 3j symbol's canonical value, doubled arguments; SR_ZERO where it
+    vanishes.
 
     The value is s * sqrt(factorial ratio) from _threej_sum, whose single
     sum is taken in integers over one common denominator; s stays outside
     the root, so the canonical form needs no factoring."""
     parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3)
     if parts is None:
-        return _ZERO_CORE
-    value = SqrtRational.from_factorial_ratio(*parts)
-    return (1 if value.coeff > 0 else -1), value.square(), value
-
-
-_ZERO_CORE = (0, Fraction(0), SR_ZERO)
+        return SR_ZERO
+    return SqrtRational.from_factorial_ratio(*parts)
 
 
 def threej(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
     """3j symbol with doubled integer arguments."""
-    return _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)[2]
-
-
-def wigner_3j(label: ThreeJLabel) -> SqrtRational:
-    return threej(*label.two_j, *label.two_m)
+    return _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
 
 
 def threej_second_route_square(tj1, tj2, tj3, tm1, tm2, tm3) -> tuple[int, Fraction]:
@@ -280,10 +247,6 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     return _sum_signed_sqrts(terms)
 
 
-def wigner_6j_oracle(label: SixJLabel) -> SqrtRational:
-    return sixj_oracle(*label.two_j)
-
-
 # ---------------------------------------------------------------------------
 # 6j via the generating function g(tau)^-2
 # ---------------------------------------------------------------------------
@@ -348,10 +311,6 @@ def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
         (s0 + 1, s1 + 1, s2 + 1, s3 + 1))
 
 
-def wigner_6j_gf(label: SixJLabel) -> SqrtRational:
-    return sixj_gf(*label.two_j)
-
-
 # ---------------------------------------------------------------------------
 # 9j: sum over x of three 6j symbols
 # ---------------------------------------------------------------------------
@@ -368,10 +327,6 @@ def ninej(two_j_rows) -> SqrtRational:
         total = total + (sixj_gf(a, b, c, f, i, x) * sixj_gf(d, e, f, b, x, h)
                          * sixj_gf(g, h, i, x, a, d) * (neg_one_pow(x) * (x + 1)))
     return total
-
-
-def wigner_9j(label: NineJLabel) -> SqrtRational:
-    return ninej(label.two_j)
 
 
 # ---------------------------------------------------------------------------

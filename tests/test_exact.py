@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfkit.exact import (FactorialCache, HalfInt, SqrtRational, TriangleError,
-                         canonicalize, parse_sqrt_rational, square_free_split,
+from gfkit.exact import (SR_ZERO, FactorialCache, HalfInt, SqrtRational,
+                         TriangleError, parse_sqrt_rational, square_free_split,
                          sqrt_factorial_ratio, triangle_delta, _place)
 
 
@@ -31,7 +31,7 @@ def test_canonicalize_idempotent_and_unique():
         c = Fraction(random.randint(-60, 60), random.randint(1, 40))
         r = Fraction(random.randint(0, 99), random.randint(1, 99))
         v = SqrtRational(c, r)
-        assert canonicalize(v) == v
+        assert SqrtRational(v.coeff, v.radicand) == v
         if c != 0 and r != 0:
             # same value presented differently must canonicalize identically
             w = SqrtRational(c * r, 1 / r)
@@ -65,8 +65,14 @@ def test_add_same_radicand():
     assert sr(1, 2) + sr(-1, 2) == sr(0, 1)
     with pytest.raises(ValueError):
         sr(1, 2) + sr(1, 3)
-    # adding zero works regardless of radicand
+    # adding zero works regardless of radicand, and returns the other operand
     assert sr(0) + sr(1, 3) == sr(1, 3)
+    v = sr(1, 3)
+    assert SR_ZERO + v is v and v + SR_ZERO is v
+    # one ray, two canonical radicands: c sqrt(n/d) = (c/d) sqrt(n d)
+    assert sr(1, Fraction(2, 5)) + sr(1, 10) == sr(6, Fraction(2, 5))
+    assert sr(1, Fraction(1, 2)) + sr(1, 2) == sr(Fraction(3, 2), 2)
+    assert sr(1, 10) + sr(1, Fraction(2, 5)) == sr(6, Fraction(2, 5))
 
 
 def test_float_monotone_in_coeff():
@@ -113,16 +119,10 @@ def test_triangle_delta_symmetric():
 
 def test_halfint():
     h = HalfInt(3)
-    assert str(h) == "3/2"
-    assert str(HalfInt(4)) == "2"
-    assert h + HalfInt(1) == HalfInt(4)
-    assert -h == HalfInt(-3)
-    assert abs(HalfInt(-5)) == HalfInt(5)
-    assert not h.is_integer()
-    assert float(h) == 1.5
-    assert HalfInt.from_value(Fraction(3, 2)) == h
-    with pytest.raises(ValueError):
-        HalfInt.from_value(Fraction(1, 3))
+    assert h.two_j == 3
+    assert h == HalfInt(3) and h != HalfInt(-3)
+    assert hash(h) == hash(HalfInt(3))
+    assert len({HalfInt(3), HalfInt(3), HalfInt(4)}) == 2
 
 
 def test_factorial_cache_growth_and_threads():
@@ -140,7 +140,6 @@ def test_factorial_cache_growth_and_threads():
     for t in threads:
         t.join()
     assert all(results)
-    assert fc.binomial(10, 3) == 120
 
 
 def odd_primes_of_factorial(n):

@@ -14,13 +14,10 @@ from gfkit import exact
 from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, neg_one_pow, triangle_ok
 from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_var,
                              poly_add)
-from gfkit.wigner import (NineJLabel, SixJLabel, ThreeJLabel, clebsch_gordan,
-                          gaunt, gf_coefficient, ninej, regge_orbit,
-                          sixj_gf, sixj_oracle, threej,
+from gfkit.wigner import (ThreeJLabel, clebsch_gordan, gaunt, gf_coefficient,
+                          ninej, regge_orbit, sixj_gf, sixj_oracle, threej,
                           threej_second_route, threej_second_route_square,
-                          wigner_3j, wigner_6j_gf, wigner_6j_oracle,
-                          wigner_9j, _PARITY, _PERM3, _sum_signed_sqrts,
-                          _threej_core)
+                          _PARITY, _PERM3, _sum_signed_sqrts, _threej_core)
 
 
 def sr(c, r=1):
@@ -73,11 +70,25 @@ def sign_of(v):
     return (v.coeff > 0) - (v.coeff < 0)
 
 
+def threej_sign_squares():
+    """A reader of (sign, exact square) of threej's value, label by label,
+    with a table of its own: an oracle takes one per call, so each 3j it
+    reads is squared once."""
+    table = {}
+
+    def sign_square(*label):
+        entry = table.get(label)
+        if entry is None:
+            v = threej(*label)
+            entry = table[label] = (sign_of(v), v.square())
+        return entry
+    return sign_square
+
+
 def test_threej_examples():
     assert threej(0, 0, 0, 0, 0, 0) == sr(1)
     assert threej(2, 2, 2, 2, -2, 0) == SqrtRational(1, Fraction(1, 6))
     assert threej(2, 2, 4, 0, 0, 0) == SqrtRational(1, Fraction(2, 15))
-    assert wigner_3j(ThreeJLabel((2, 2, 2), (2, -2, 0))) == SqrtRational(1, Fraction(1, 6))
 
 
 def test_threej_selection_rules_return_zero():
@@ -96,11 +107,26 @@ def test_threej_second_route_spotcheck():
 
 def test_threej_equals_from_square_of_its_core():
     # the factor-free canonical value is the from_square form, label by label
+    sign_square = threej_sign_squares()
     for lab in valid_threej_labels(10):
-        sign, sq, value = _threej_core(*lab)
-        assert threej(*lab) is value
+        value = threej(*lab)
+        sign, sq = sign_square(*lab)
         want = SqrtRational.from_square(sq, sign)
         assert (value.coeff, value.radicand) == (want.coeff, want.radicand)
+
+
+def test_threej_cache_holds_the_value():
+    # each entry of the bounded cache is the label's canonical value, and
+    # threej returns that object
+    _threej_core.cache_clear()
+    lab = (4, 2, 2, 2, -2, 0)
+    assert threej(*lab) is threej(*lab)
+    assert isinstance(_threej_core(*lab), SqrtRational)
+    assert _threej_core(*lab) is threej(*lab)
+    assert threej(2, 2, 8, 0, 0, 0) is SR_ZERO       # triangle fails
+    assert threej(1, 1, 1, 1, -1, 0) is SR_ZERO      # odd doubled sum
+    info = _threej_core.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (4, 3, 1 << 14)
 
 
 def test_kernels_never_factor(monkeypatch):
@@ -109,11 +135,12 @@ def test_kernels_never_factor(monkeypatch):
 
     monkeypatch.setattr(exact, "square_free_split", refuse)
     _threej_core.cache_clear()
+    sign_square = threej_sign_squares()
     rng = random.Random(8)
     for _ in range(40):
         lab = random_threej_label(rng, 0, 60)
         v = threej(*lab)
-        assert v.square() == _threej_core(*lab)[1]
+        assert sign_square(*lab) == threej_second_route_square(*lab), lab
         tj1, tj2, tj3, tm1, tm2, tm3 = lab
         cg = clebsch_gordan(*(HalfInt(x) for x in (tj1, tm1, tj2, tm2, tj3, -tm3)))
         assert cg.square() == v.square() * (tj3 + 1)
@@ -152,10 +179,11 @@ def test_threej_integer_sum_against_second_route():
     rng = random.Random(10)
     labels = ([random_threej_label(rng, 40, 60) for _ in range(2000)]
               + [random_threej_label(rng, 100, 140) for _ in range(200)])
+    sign_square = threej_sign_squares()
     for lab in labels:
-        assert _threej_core(*lab)[:2] == threej_second_route_square(*lab), lab
+        assert sign_square(*lab) == threej_second_route_square(*lab), lab
     for lab in ((3, 6, 7, -1, -2, 3), (3, 3, 4, -1, -1, 2)):
-        assert _threej_core(*lab)[2] == SR_ZERO
+        assert threej(*lab) == SR_ZERO
         assert threej_second_route(*lab) == SR_ZERO
 
 
@@ -247,29 +275,28 @@ def test_sixj_examples_both_routes():
     assert sixj_gf(0, 0, 0, 0, 0, 0) == sr(1)
     # triad failure
     assert sixj_oracle(0, 2, 4, 2, 2, 2) == SR_ZERO
-    lab = SixJLabel((2, 2, 2, 2, 2, 2))
-    assert wigner_6j_oracle(lab) == wigner_6j_gf(lab)
 
 
 def sixj_fixed_m(tj1, tj2, tj3, tl1, tl2, tl3, tm1, tm2, tm3) -> SqrtRational:
     """6j from the mu-sum at one fixed magnetic configuration, divided by the
     accompanying 3j; used to assert the m-independence of the contraction."""
-    s0, q0, v0 = _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
-    if s0 == 0:
+    v0 = threej(tj1, tj2, tj3, tm1, tm2, tm3)
+    if not v0:
         raise ValueError("chosen (m1,m2,m3) has vanishing 3j")
+    sign_square = threej_sign_squares()
     terms = []
     for tmu1 in range(-tl1, tl1 + 1, 2):
         for tmu2 in range(-tl2, tl2 + 1, 2):
-            s1, q1, _ = _threej_core(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+            s1, q1 = sign_square(tl1, tl2, tj3, tmu1, -tmu2, tm3)
             if s1 == 0:
                 continue
             tmu3 = tmu2 + tm1
             if abs(tmu3) > tl3:
                 continue
-            s2, q2, _ = _threej_core(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+            s2, q2 = sign_square(tl2, tl3, tj1, tmu2, -tmu3, tm1)
             if s2 == 0:
                 continue
-            s3, q3, _ = _threej_core(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+            s3, q3 = sign_square(tl3, tl1, tj2, tmu3, -tmu1, tm2)
             if s3 == 0:
                 continue
             ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
@@ -445,7 +472,7 @@ def test_ninej_examples():
     assert ninej(((0, 0, 0), (0, 0, 0), (0, 0, 0))) == sr(1)
     # row triad triangle failure
     assert ninej(((2, 2, 6), (2, 2, 2), (2, 2, 2))) == SR_ZERO
-    v = wigner_9j(NineJLabel(((1, 1, 2), (1, 1, 2), (2, 2, 0))))
+    v = ninej(((1, 1, 2), (1, 1, 2), (2, 2, 0)))
     assert v == sr(Fraction(-1, 18))
 
 
@@ -455,13 +482,14 @@ def ninej_magnetic(two_j_rows) -> SqrtRational:
     for tri in ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i)):
         if sum(tri) % 2 or not triangle_ok(*tri):
             return SR_ZERO
+    sign_square = threej_sign_squares()
     terms = []
     for ma in range(-a, a + 1, 2):
         for mb in range(-b, b + 1, 2):
             mc = -ma - mb
             if abs(mc) > c:
                 continue
-            s1, q1, _ = _threej_core(a, b, c, ma, mb, mc)
+            s1, q1 = sign_square(a, b, c, ma, mb, mc)
             if s1 == 0:
                 continue
             for md in range(-d, d + 1, 2):
@@ -469,7 +497,7 @@ def ninej_magnetic(two_j_rows) -> SqrtRational:
                     mf = -md - me
                     if abs(mf) > f:
                         continue
-                    s2, q2, _ = _threej_core(d, e, f, md, me, mf)
+                    s2, q2 = sign_square(d, e, f, md, me, mf)
                     if s2 == 0:
                         continue
                     mg = -ma - md
@@ -477,16 +505,16 @@ def ninej_magnetic(two_j_rows) -> SqrtRational:
                     mi = -mc - mf
                     if abs(mg) > g or abs(mh) > h or abs(mi) > i:
                         continue
-                    s3, q3, _ = _threej_core(g, h, i, mg, mh, mi)
+                    s3, q3 = sign_square(g, h, i, mg, mh, mi)
                     if s3 == 0:
                         continue
-                    s4, q4, _ = _threej_core(a, d, g, ma, md, mg)
+                    s4, q4 = sign_square(a, d, g, ma, md, mg)
                     if s4 == 0:
                         continue
-                    s5, q5, _ = _threej_core(b, e, h, mb, me, mh)
+                    s5, q5 = sign_square(b, e, h, mb, me, mh)
                     if s5 == 0:
                         continue
-                    s6, q6, _ = _threej_core(c, f, i, mc, mf, mi)
+                    s6, q6 = sign_square(c, f, i, mc, mf, mi)
                     if s6 == 0:
                         continue
                     terms.append((s1 * s2 * s3 * s4 * s5 * s6,
@@ -561,11 +589,11 @@ def test_regge_orbit_examples():
     orb = regge_orbit(ThreeJLabel((0, 0, 0), (0, 0, 0)))
     assert len(orb) == 1
     seed = ThreeJLabel((2, 2, 2), (2, -2, 0))
-    v0 = wigner_3j(seed)
+    v0 = threej(*seed.two_j, *seed.two_m)
     orb = regge_orbit(seed)
     assert 72 % len(orb) == 0
     for lab, phase in orb:
-        assert wigner_3j(lab) == v0 * phase
+        assert threej(*lab.two_j, *lab.two_m) == v0 * phase
 
 
 def test_regge_orbits_random():
@@ -573,11 +601,11 @@ def test_regge_orbits_random():
     labels = [lab for lab in valid_threej_labels(6)]
     for lab in random.sample(labels, 60):
         seed = ThreeJLabel(lab[:3], lab[3:])
-        v0 = wigner_3j(seed)
+        v0 = threej(*seed.two_j, *seed.two_m)
         orb = regge_orbit(seed)
         assert 72 % len(orb) == 0
         for member, phase in orb:
-            assert wigner_3j(member) == v0 * phase
+            assert threej(*member.two_j, *member.two_m) == v0 * phase
 
 
 @st.composite
@@ -595,9 +623,9 @@ def threej_labels(draw, tjmax=60):
 def test_regge_orbit_hypothesis(seed):
     # each image has its own summation range, so a wrong first or last term
     # of the integer sum breaks the symmetry
-    v0 = wigner_3j(seed)
+    v0 = threej(*seed.two_j, *seed.two_m)
     for member, phase in regge_orbit(seed):
-        assert wigner_3j(member) == v0 * phase, (seed, member)
+        assert threej(*member.two_j, *member.two_m) == v0 * phase, (seed, member)
 
 
 def test_gaunt():
