@@ -174,10 +174,11 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # 2j equal takes 6 ms, 49 ms and 0.4 s at those sums.  The 6j oracle is a
 # magnetic sum of O(j^5) terms: 0.19 s with all six 2j = 24 (a sum of 144),
 # 6.2 s with all 2j = 40 (240), where its 3j working set also outgrows the
-# 3j cache.  The 9j is a sum over x of three 6j: with all nine 2j equal it
-# takes 2 ms at 12 (a sum of 108), 0.07 s at 100 and 0.5 s at 200; the
-# slowest of 200 random labels with a sum up to 108 takes 2 ms, so its cap is
-# conservative.  Larger labels are refused before any work.
+# 3j cache.  The 9j is one rational sum over x of three 6j coefficients:
+# with all nine 2j equal it takes 0.5 ms at 12 (a sum of 108), 31 ms at 100
+# and 0.26 s at 200; the slowest of 200 random labels with every 2j up to 12
+# takes 0.4 ms, so its cap is conservative.  Larger labels are refused before
+# any work.
 WIGNER_MAX_TWO_J_SUM = 4800
 WIGNER_ORACLE_MAX_TWO_J_SUM = 144
 WIGNER_9J_MAX_TWO_J_SUM = 108

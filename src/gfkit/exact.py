@@ -12,16 +12,17 @@ never factor.  Their square roots are of factorial ratios, whose primes are
 known: the factorial table keeps, for each n, a bitmask of the primes with
 odd exponent in n!, so the ratio's square-free part is an XOR of masks
 (sqrt_factorial_ratio), and the rational sum in front stays outside the
-root.  Two gcds then move each prime of the square-free part to the side of
-the radicand the canonical form wants (_place); products, quotients and
-sums on one ray of canonical values use the same gcd step.
+root.  In integers, one gcd reduces the coefficient and a second moves each
+prime of the square-free part that divides its denominator under the root's
+denominator.  Products, quotients and sums on one ray of canonical values
+place their primes by the same kind of gcd step (_place).
 """
 from __future__ import annotations
 
 import math
 import re
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -167,11 +168,20 @@ class SqrtRational:
     def from_factorial_ratio(c, num_args, den_args) -> "SqrtRational":
         """c * sqrt(prod n! over num_args / prod n! over den_args), c rational.
 
-        No factoring: the ratio's square-free part comes from the factorial
-        table's odd-prime masks (sqrt_factorial_ratio), then two gcds place
-        it (_place)."""
-        root, free = sqrt_factorial_ratio(num_args, den_args)
-        return _place(c * root, free, 1)
+        No factoring: the ratio is (r/s)^2 k with k the square-free part
+        from the factorial table's odd-prime masks (sqrt_factorial_ratio).
+        In integers, with c = p/q, one gcd reduces p r / (q s) and a second
+        moves the primes of k that divide its denominator under the root's
+        denominator; two Fractions are built at the end."""
+        if not c:
+            return SR_ZERO
+        r, s, k = sqrt_factorial_ratio(num_args, den_args)
+        num, den = c.numerator * r, c.denominator * s
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        up = math.gcd(k, den)    # c sqrt(k) = c up sqrt((k/up)/up)
+        return SqrtRational(Fraction(num, den // up), Fraction(k // up, up),
+                            _canonical=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -201,13 +211,14 @@ class SqrtRational:
         if other.coeff == 0:
             return self
         # canonical n/d has n, d square-free and coprime, so
-        # c sqrt(n/d) = (c/d) sqrt(n d): one ray exactly when n1 d1 = n2 d2
+        # c sqrt(n/d) = (c/d) sqrt(n d): one ray exactly when n1 d1 = n2 d2,
+        # and then c2 sqrt(n2/d2) = c2 (d1/d2) sqrt(n1/d1)
         n1, d1 = _parts(self.radicand)
         n2, d2 = _parts(other.radicand)
         if n1 * d1 != n2 * d2:
             raise ValueError(
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})")
-        return _place(self.coeff / d1 + other.coeff / d2, n1 * d1, 1)
+        return _place(self.coeff + other.coeff * Fraction(d1, d2), n1, d1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -299,11 +310,12 @@ def parse_sqrt_rational(text: str) -> SqrtRational:
     return SqrtRational(coeff, Fraction(int(m.group(3)), int(m.group(4))))
 
 
-@dataclass(frozen=True)
-class HalfInt:
+class HalfInt(namedtuple("HalfInt", "two_j")):
     """Angular momentum stored as a doubled integer, value = two_j/2."""
 
-    two_j: int
+    # a named tuple, not a dataclass: importing dataclasses loads inspect,
+    # about 0.7 MB in every process that imports gfkit
+    __slots__ = ()
 
 
 class FactorialCache:
@@ -313,7 +325,7 @@ class FactorialCache:
     in n! as a bitmask over `primes` (bit i stands for primes[i]), so the
     square-free part of a factorial ratio is an XOR of masks."""
 
-    def __init__(self, n_max: int = 512):
+    def __init__(self, n_max: int = 0):
         self._table = [1]
         self._odd = [0]
         self.primes = []
@@ -355,14 +367,13 @@ class FactorialCache:
 factorials = FactorialCache()
 
 
-def sqrt_factorial_ratio(num_args, den_args) -> tuple[Fraction, int]:
-    """(R, k) with prod n! over num_args / prod n! over den_args = R^2 k,
-    R a positive Fraction and k a square-free int.
+def sqrt_factorial_ratio(num_args, den_args) -> tuple[int, int, int]:
+    """(r, s, k) with prod n! over num_args / prod n! over den_args
+    = (r/s)^2 k, r and s positive coprime ints and k a square-free int.
 
     k is the product of the primes whose masks XOR to one; every prime of a
     factorial ratio is at most its largest argument, so nothing is factored.
-    The ratio divided by k is a rational square, and R is the isqrt of its
-    numerator over the isqrt of its denominator."""
+    The ratio divided by k, reduced by one gcd, is r^2 / s^2."""
     args = (*num_args, *den_args)
     if min(args, default=0) < 0:
         raise ValueError("factorial of negative argument")
@@ -381,8 +392,9 @@ def sqrt_factorial_ratio(num_args, den_args) -> tuple[Fraction, int]:
         low = mask & -mask
         k *= primes[low.bit_length() - 1]
         mask ^= low
-    q = Fraction(num, den * k)
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator)), k
+    den *= k
+    g = math.gcd(num, den)
+    return math.isqrt(num // g), math.isqrt(den // g), k
 
 
 def neg_one_pow(k: int) -> int:

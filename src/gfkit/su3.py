@@ -11,7 +11,7 @@ third state is dotted against its slice only.  All of this is exact integer
 arithmetic; the normalization, fixed by orthonormality (the per-state sum of
 squared coefficients equals 1/dim), is the one rational step, and the values
 factor exactly into isoscalar times SU(2) 3j.  An isoscalar factor is one
-table entry, the stretched one, over its 3j.
+table entry, the stretched one, over its 3j, kept with the table once read.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import SR_ZERO, SqrtRational
+from .exact import SR_ZERO, SqrtRational, triangle_ok
 from .polytools import bargmann_dot, poly_mul, poly_pow
 from .wigner import threej
 
@@ -185,6 +185,19 @@ def _invariant_slices(lam1, lam2, mu3):
     return {a: {fnu: c for fnu, c in h.items() if c} for a, h in slices.items()}
 
 
+class _CouplingTable(dict):
+    """A coupling table, {(key1, key2, key3): SqrtRational}, holding in `iso`
+    the isoscalar factors su3_isoscalar has read from it, keyed by the three
+    (y, 2t) chains.  They live in the table's own cache entry, so
+    coupling_table.cache_clear() drops them with it."""
+
+    __slots__ = ("iso",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.iso = {}
+
+
 @lru_cache(maxsize=64)
 def coupling_table(lam1: int, lam2: int, mu3: int):
     """Exact Wigner table for (lam1,0) x (lam2,0) -> (lam3, mu3).
@@ -240,7 +253,7 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
                 if t:
                     raw_vals[(key1, key2, key3)] = (t, n12 * t * t)
     if not raw_vals:
-        return {}
+        return _CouplingTable()
     # Schur normalization: the sum of squares over each key3, sum3 / |vc|^2,
     # is one constant s0, and wigner^2 = a1! a2! t^2 / (|vc|^2 s0 dim3)
     # = a1! a2! t^2 / (sum3 dim3)
@@ -258,8 +271,9 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
     # overall sign: highest key3, then highest (key1,key2), coefficient > 0
     top = max(raw_vals, key=lambda k: (k[2], k[0], k[1]))
     flip = sign(top, raw_vals[top][0])
-    return {k: SqrtRational.from_square(Fraction(sq, sum3[k[2]] * dim3), flip * sign(k, t))
-            for k, (t, sq) in raw_vals.items()}
+    return _CouplingTable(
+        (k, SqrtRational.from_square(Fraction(sq, sum3[k[2]] * dim3), flip * sign(k, t)))
+        for k, (t, sq) in raw_vals.items())
 
 
 def su3_wigner_multfree(lam1, lam2, lam3, mu3, a1: Su3Label, a2: Su3Label,
@@ -282,17 +296,23 @@ def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
 
     The factor does not depend on the t0 projections, so one magnetic
     triple gives it: the stretched one, t01 = t1 and t02 = -t2, whose 3j
-    single sum has only the k = 0 term and so is nonzero whenever the
-    t triangle holds."""
+    single sum has only the k = 0 term and so is nonzero exactly when the
+    t triangle holds.  Each factor is computed once per table and kept in
+    the table's cache entry."""
     if (lam3, mu3) not in su3_decompose_multfree(lam1, lam2):
         return SR_ZERO
     (y1, tt1), (y2, tt2), (y3, tt3) = chain1, chain2, chain3
-    tj = threej(tt1, tt2, tt3, tt1, -tt2, tt2 - tt1)
-    if not tj:
+    if not triangle_ok(tt1, tt2, tt3):
         return SR_ZERO
-    w = coupling_table(lam1, lam2, mu3).get(
-        ((y1, tt1, tt1), (y2, tt2, -tt2), (y3, tt3, tt1 - tt2)))
-    return SR_ZERO if w is None else w / tj
+    table = coupling_table(lam1, lam2, mu3)
+    key = (y1, tt1, y2, tt2, y3, tt3)
+    iso = table.iso.get(key)
+    if iso is None:
+        w = table.get(((y1, tt1, tt1), (y2, tt2, -tt2), (y3, tt3, tt1 - tt2)))
+        # two threads may both fill one key; they store equal values
+        iso = table.iso[key] = (SR_ZERO if w is None
+                                else w / threej(tt1, tt2, tt3, tt1, -tt2, tt2 - tt1))
+    return iso
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,20 @@ square root of a factorial ratio, and SqrtRational.from_factorial_ratio
 keeps the sum outside the root and canonicalizes from the factorial table's
 prime masks by gcds.  The 3j's single sum is summed in integers over one
 common denominator, its terms following each other by the exact term ratio,
-so a 3j builds one Fraction, not one per term.  The 9j is a single sum over
-x of three GF-route 6j, so it never factors either.  The 3j core is an
-lru_cache bounded at 2**14 labels holding each label's canonical value;
-threej and clebsch_gordan read it.  The only magnetic sum left, the 6j
-oracle, keeps the sign and exact square of the 3j it reads in a table of
-its own call, so it leaves the shared cache alone.  That oracle and the
-second 3j route still end in from_square.
+so a 3j builds one Fraction, not one per term.  The 9j is Racah's form of
+the x-sum of three GF-route 6j: each x-triad's delta appears in two of the
+three 6j and leaves the root, so the 9j is one rational x-sum, summed in
+integers, under the root of its six row and column deltas, and it never
+factors either.  The 3j core is an lru_cache bounded at 2**14 labels
+holding each label's canonical value; threej and clebsch_gordan read it.
+The only magnetic sum left, the 6j oracle, keeps the sign and exact square
+of the 3j it reads in a table of its own call, so it leaves the shared cache
+alone.  That oracle and the second 3j route still end in from_square.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,17 +39,18 @@ from .exact import (SR_ZERO, SqrtRational, factorials, neg_one_pow,
 # ---------------------------------------------------------------------------
 # labels
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ThreeJLabel:
-    two_j: tuple
-    two_m: tuple
+class ThreeJLabel(namedtuple("ThreeJLabel", "two_j two_m")):
+    """A 3j label, the doubled j and m triples; a named tuple, as HalfInt."""
 
-    def __post_init__(self):
-        for tj, tm in zip(self.two_j, self.two_m):
+    __slots__ = ()
+
+    def __new__(cls, two_j, two_m):
+        for tj, tm in zip(two_j, two_m):
             if (tj - tm) % 2:
                 raise ValueError("two_m parity must match two_j")
             if abs(tm) > tj:
                 raise ValueError("|m| <= j violated")
+        return super().__new__(cls, two_j, two_m)
 
 
 # ---------------------------------------------------------------------------
@@ -287,46 +290,82 @@ def gf_coefficient(expo) -> int:
     return total
 
 
+def _triad_args(a, b, c):
+    """The factorial arguments of the triangle delta of doubled (a, b, c):
+    Delta^2 = prod n! over these three / (s + 1)!, s = (a + b + c)/2."""
+    return (a + b - c) // 2, (a - b + c) // 2, (-a + b + c) // 2
+
+
+def _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3) -> int:
+    """The integer g(tau)^-2 coefficient of a 6j whose four triads pass:
+    6j = coefficient * the four triangle deltas."""
+    # tau_{i nu} carries J_i - 2 j_{i nu}, J_i the sum of triad i's three j;
+    # pair labels j_{01}=j1, j_{02}=j2, j_{03}=j3, j_{12}=l3, j_{13}=l2, j_{23}=l1
+    s0, s1 = (tj1 + tj2 + tj3) // 2, (tj1 + tl2 + tl3) // 2
+    s2, s3 = (tl1 + tj2 + tl3) // 2, (tl1 + tl2 + tj3) // 2
+    return gf_coefficient((s0 - tj1, s0 - tj2, s0 - tj3,
+                           s1 - tj1, s2 - tj2, s3 - tj3,
+                           s1 - tl3, s2 - tl3, s1 - tl2,
+                           s3 - tl2, s2 - tl1, s3 - tl1))
+
+
 def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     """6j as the g(tau)^-2 coefficient times the four triangle deltas."""
-    two_j = (tj1, tj2, tj3, tl1, tl2, tl3)
-    triads = _sixj_triads(two_j)
+    triads = _sixj_triads((tj1, tj2, tj3, tl1, tl2, tl3))
     for t in triads:
         if sum(t) % 2 or not triangle_ok(*t):
             return SR_ZERO
-    # tau_{i nu} carries J_i - 2 j_{i nu}, J_i the sum of triad i's three j;
-    # pair labels j_{01}=j1, j_{02}=j2, j_{03}=j3, j_{12}=l3, j_{13}=l2, j_{23}=l1
-    s0, s1, s2, s3 = (sum(t) // 2 for t in triads)
-    coeff = gf_coefficient((s0 - tj1, s0 - tj2, s0 - tj3,
-                            s1 - tj1, s2 - tj2, s3 - tj3,
-                            s1 - tl3, s2 - tl3, s1 - tl2,
-                            s3 - tl2, s2 - tl1, s3 - tl1))
-    if coeff == 0:
-        return SR_ZERO
-    # coeff times the four triangle deltas under one square root
+    # the coefficient times the four triangle deltas under one square root
     return SqrtRational.from_factorial_ratio(
-        coeff,
-        [x for a, b, c in triads for x in ((a + b - c) // 2, (a - b + c) // 2,
-                                           (-a + b + c) // 2)],
-        (s0 + 1, s1 + 1, s2 + 1, s3 + 1))
+        _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3),
+        [n for t in triads for n in _triad_args(*t)],
+        [sum(t) // 2 + 1 for t in triads])
 
 
 # ---------------------------------------------------------------------------
-# 9j: sum over x of three 6j symbols
+# 9j: one rational sum over x under one square root
 # ---------------------------------------------------------------------------
 def ninej(two_j_rows) -> SqrtRational:
     """9j = sum_x (-1)^{2x} (2x+1) {a b c; f i x}{d e f; b x h}{g h i; x a d},
-    doubled arguments, each 6j from sixj_gf."""
+    doubled arguments, in Racah's form: one rational x-sum under one root.
+
+    Each 6j is its g(tau)^-2 coefficient c_k times the root of its four
+    triangle deltas.  The six row and column triads each sit in one 6j, and
+    each x-triad, (a i x), (f b x) and (d x h), in two, so its delta leaves
+    the root as the rational Delta^2.  The 9j is
+    sqrt(prod of the six row and column Delta^2) times
+    sum_x (-1)^{2x} (2x+1) c1 c2 c3 Delta^2(a i x) Delta^2(f b x) Delta^2(d x h),
+    summed in integers over the common denominator, the three x-triads'
+    (s+1)! at the largest x."""
     (a, b, c), (d, e, f), (g, h, i) = two_j_rows
-    for tri in ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i)):
+    triads = ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))
+    for tri in triads:
         if sum(tri) % 2 or not triangle_ok(*tri):
             return SR_ZERO
-    lo, hi = max(abs(a - i), abs(b - f), abs(d - h)), min(a + i, b + f, d + h)
-    total = SR_ZERO
+    pairs = ((a, i), (f, b), (d, h))
+    lo, hi = max(abs(p - q) for p, q in pairs), min(p + q for p, q in pairs)
+    # the row and column parities give a + i, b + f and d + h one parity,
+    # so every x in lo..hi passes the three x-triads
+    tops = [(p + q + hi) // 2 + 1 for p, q in pairs]
+    total = 0
     for x in range(lo, hi + 1, 2):
-        total = total + (sixj_gf(a, b, c, f, i, x) * sixj_gf(d, e, f, b, x, h)
-                         * sixj_gf(g, h, i, x, a, d) * (neg_one_pow(x) * (x + 1)))
-    return total
+        term = (_sixj_coefficient(a, b, c, f, i, x) * _sixj_coefficient(d, e, f, b, x, h)
+                * _sixj_coefficient(g, h, i, x, a, d))
+        if not term:
+            continue
+        term *= x + 1
+        for (p, q), top in zip(pairs, tops):
+            u, v, w = _triad_args(p, q, x)
+            # Delta^2(p q x) times the common denominator (top)!
+            term *= (factorials(u) * factorials(v) * factorials(w)
+                     * (factorials(top) // factorials((p + q + x) // 2 + 1)))
+        total += -term if x & 1 else term
+    if not total:
+        return SR_ZERO
+    return SqrtRational.from_factorial_ratio(
+        Fraction(total, math.prod(map(factorials, tops))),
+        [n for t in triads for n in _triad_args(*t)],
+        [sum(t) // 2 + 1 for t in triads])
 
 
 # ---------------------------------------------------------------------------

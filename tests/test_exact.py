@@ -1,8 +1,11 @@
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +128,17 @@ def test_halfint():
     assert len({HalfInt(3), HalfInt(3), HalfInt(4)}) == 2
 
 
+def test_import_loads_no_dataclasses():
+    # HalfInt and ThreeJLabel are named tuples, so a fresh `import gfkit`
+    # loads neither dataclasses nor the inspect module it would pull in
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys, gfkit\n"
+              "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.stdout.splitlines() == ["[]"]
+
+
 def test_factorial_cache_growth_and_threads():
     fc = FactorialCache(10)
     assert fc(10) == math.factorial(10)
@@ -201,8 +215,9 @@ factorial_args = st.lists(st.integers(0, 80), max_size=6)
 def test_factorial_ratio_placement_matches_from_square(s, num, den):
     ratio = Fraction(math.prod(map(math.factorial, num)),
                      math.prod(map(math.factorial, den)))
-    root, free = sqrt_factorial_ratio(num, den)
-    assert root > 0 and root * root * free == ratio
+    rn, rd, free = sqrt_factorial_ratio(num, den)
+    assert rn > 0 and rd > 0 and math.gcd(rn, rd) == 1
+    assert Fraction(rn, rd) ** 2 * free == ratio
     assert square_free_split(free) == (1, free)
     got = SqrtRational.from_factorial_ratio(s, num, den)
     want = SqrtRational.from_square(s * s * ratio, 1 if s > 0 else -1)

@@ -80,6 +80,28 @@ def test_factorization_exact():
     assert su3_isoscalar(2, 1, 3, 0, (2, 2), (1, 1), (0, 2)) == SR_ZERO
 
 
+def test_isoscalars_cleared_with_their_table():
+    # the isoscalar factors live in their coupling table's cache entry: a
+    # clear drops them with the table, and the rebuilt ones are equal
+    lam1, lam2, mu3 = 3, 2, 1
+    lam3 = lam1 + lam2 - 2 * mu3
+    coupling_table.cache_clear()
+    chains = sorted({(k1[:2], k2[:2], k3[:2]) for k1, k2, k3 in coupling_table(lam1, lam2, mu3)})
+    first = [su3_isoscalar(lam1, lam2, lam3, mu3, *c) for c in chains]
+    table = coupling_table(lam1, lam2, mu3)
+    assert len(table.iso) == len(chains) and any(first)
+    assert coupling_table.cache_info().misses == 1
+    coupling_table.cache_clear()
+    assert [su3_isoscalar(lam1, lam2, lam3, mu3, *c) for c in chains] == first
+    assert coupling_table.cache_info().misses == 1
+    assert coupling_table(lam1, lam2, mu3) is not table
+    # a failed t triangle, (1, 0, 0), returns zero before any table is built
+    coupling_table.cache_clear()
+    assert su3_isoscalar(2, 1, 1, 1, (2, 2), (-2, 0), (0, 0)) is SR_ZERO
+    info = coupling_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
 def test_isoscalar_t0_independence():
     # wigner/3j is constant across all magnetic pairs of each chain
     tab = coupling_table(3, 2, 1)

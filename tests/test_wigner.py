@@ -546,6 +546,39 @@ def test_ninej_against_magnetic_sum_sampled():
     assert nonzero > len(labels) // 2
 
 
+def ninej_via_sixj(two_j_rows) -> SqrtRational:
+    """The 9j as the x-sum of three sixj_gf products, added as SqrtRational
+    values.  x runs over every integer up to the largest x-triad bound, so
+    wherever a triad fails, sixj_gf's own check gives the zero."""
+    (a, b, c), (d, e, f), (g, h, i) = two_j_rows
+    total = SR_ZERO
+    for x in range(max(a + i, b + f, d + h) + 1):
+        total = total + (sixj_gf(a, b, c, f, i, x) * sixj_gf(d, e, f, b, x, h)
+                         * sixj_gf(g, h, i, x, a, d) * (neg_one_pow(x) * (x + 1)))
+    return total
+
+
+def test_ninej_equals_three_sixj_sum():
+    # ninej's one root over a rational x-sum against the x-sum of the three
+    # canonical 6j: seeded labels with every 2j in 0..4 and in 5..8, and all
+    # nine 2j = 12
+    rng = random.Random(12)
+    labels = [random_ninej_label(rng, 0, 4) for _ in range(300)]
+    labels += [random_ninej_label(rng, 5, 8) for _ in range(60)]
+    labels.append(((12,) * 3,) * 3)
+    clipped = nonzero = 0
+    for rows in labels:
+        v = ninej(rows)
+        assert v == ninej_via_sixj(rows), rows
+        nonzero += bool(v)
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        # some x between the three x-triads' bounds fails one of them
+        clipped += len({abs(a - i), abs(b - f), abs(d - h)}) > 1 \
+            or len({a + i, b + f, d + h}) > 1
+    assert nonzero > len(labels) // 2
+    assert clipped > len(labels) // 2
+
+
 def test_ninej_symmetries():
     rows = ((2, 2, 2), (2, 2, 2), (2, 2, 0))
     v = ninej(rows)
