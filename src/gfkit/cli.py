@@ -7,9 +7,11 @@ verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 SU3_MAX_LAM_SUM (16), wigner 3j, cg and 6j refuse a sum of their |2j|
 above WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
 WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
-(108), gelfand enumerate above GELFAND_MAX_PATTERNS (20000) patterns,
-manybody lipkin above LIPKIN_MAX_PARTICLES (1000), hydrogen position and
-momentum and oscillator wf above SAMPLES_MAX_POINTS (100000) points,
+(108), wigner gaunt a sum of its |2l| above WIGNER_MAX_TWO_J_SUM, gelfand
+enumerate above GELFAND_MAX_PATTERNS (20000) patterns, gelfand poly a
+top-row sum above GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above
+LIPKIN_MAX_PARTICLES (1000), hydrogen position and momentum and
+oscillator wf above SAMPLES_MAX_POINTS (100000) points,
 hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points and
 oscillator propagator above PROPAGATOR_MAX_KERNELS (90000) = points^2
 kernels, with exit 1, before any work starts.
@@ -230,6 +232,8 @@ def _wigner_regge(args):
 
 @_command("wigner", "gaunt", _arg("--l", nargs=3), _arg("--m", nargs=3))
 def _wigner_gaunt(args):
+    # its two 3j have 2j = 2l, so the 3j's cap bounds the sum of |2l|
+    _cap("sum of |2l|", 2 * sum(map(abs, args.l)), WIGNER_MAX_TWO_J_SUM)
     from .wigner import gaunt
     val = gaunt(args.l[0], args.m[0], args.l[1], args.m[1], args.l[2], args.m[2])
     return ResultEnvelope(value_float=val, meta="Gaunt triple-Y integral")
@@ -300,7 +304,15 @@ def _su3_euler(args):
 # pattern costs 10-26 us with its rendering: 20,000 patterns take 0.2 s for
 # U(2) and 0.3-0.5 s for U(3)-U(5) (about 1 MB of json); 50,000 take 0.5 s
 # for U(2), 37,000 take 1.0 s for U(6).  Larger irreps are refused.
+# gelfand poly expands the branching kernel, whose brackets are raised to the
+# level-n hooks of the pattern, so its cost grows with the top-row sum, and
+# steeply for U(4).  Measured (one 2-vCPU VM, one process), the slowest U(4)
+# pattern at a top-row sum of 32 (20 10 2 0 / 20 6 0 / 6 0 / 0) takes 0.9 s
+# and 77 MB, at 36 1.3 s and 137 MB, at 40 2.8 s and 225 MB; U(3) at 32 takes
+# a few ms, and reaches 1.5 s and 258 MB only at 3000.  Larger patterns are
+# refused.
 GELFAND_MAX_PATTERNS = 20000
+GELFAND_POLY_MAX_TOP_SUM = 32
 
 
 @_command("gelfand", "dim", _arg("--h", nargs="+"))
@@ -333,7 +345,10 @@ def _gelfand_weight(args):
 @_command("gelfand", "poly", _arg("--pattern", str))
 def _gelfand_poly(args):
     from .unitary import GelfandPattern, boson_polynomial
-    terms = boson_polynomial(GelfandPattern.from_text(args.pattern))
+    pat = GelfandPattern.from_text(args.pattern)
+    # .top refuses a negative entry, which would make an exponent negative
+    _cap("top-row sum", sum(pat.top.h), GELFAND_POLY_MAX_TOP_SUM)
+    terms = boson_polynomial(pat)
     rows = [[str(c), " ".join(f"D{''.join(map(str, m))}^{e}"
                               for m, e in sorted(expo.items()))]
             for c, expo in terms]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 from collections import namedtuple
 from fractions import Fraction
@@ -245,13 +246,23 @@ class SqrtRational:
     def __float__(self):
         # documented rule: float numerator/denominator separately, one divide,
         # one sqrt; falls back to correctly rounded Fraction division when the
-        # integers overflow a double
+        # integers overflow a double.  Where a part is no normal double (a
+        # 1000-bit denominator underflows to 0, a radicand may overflow) the
+        # rule would lose the value, so the exact square is rooted instead.
         def fdiv(fr: Fraction) -> float:
             try:
                 return float(fr.numerator) / float(fr.denominator)
             except OverflowError:
                 return float(fr)
-        return fdiv(self.coeff) * math.sqrt(fdiv(self.radicand))
+        lo, hi = sys.float_info.min, sys.float_info.max
+        try:
+            c, r = fdiv(self.coeff), fdiv(self.radicand)
+            if lo <= abs(c) <= hi and lo <= abs(r) <= hi:
+                return c * math.sqrt(r)
+        except OverflowError:
+            pass
+        root = _sqrt_fraction(self.square())
+        return -root if self.coeff < 0 else root
 
     def __repr__(self):
         return f"SqrtRational({self.coeff!s}, {self.radicand!s})"
@@ -264,6 +275,16 @@ class SqrtRational:
 
 
 SR_ZERO = SqrtRational(Fraction(0), Fraction(1), _canonical=True)
+
+
+def _sqrt_fraction(q: Fraction) -> float:
+    """sqrt(q) for a non-negative Fraction of any size: the integer square root
+    of q 4^s, s chosen so that it has about 64 bits, scaled back by 2^-s.
+    Raises OverflowError above the double range."""
+    n, d = q.numerator, q.denominator
+    s = (128 - n.bit_length() + d.bit_length()) // 2
+    root = math.isqrt((n << 2 * s) // d if s >= 0 else n // (d << -2 * s))
+    return math.ldexp(float(root), -s)
 
 
 def _parts(radicand: Fraction) -> tuple[int, int]:
@@ -410,6 +431,12 @@ class TriangleError(ValueError):
     pass
 
 
+def _triad_args(a, b, c):
+    """The factorial arguments of the triangle delta of doubled (a, b, c):
+    Delta^2 = prod n! over these three / (s + 1)!, s = (a + b + c)/2."""
+    return (a + b - c) // 2, (a - b + c) // 2, (-a + b + c) // 2
+
+
 def triangle_delta(a, b, c) -> SqrtRational:
     """sqrt[(J-2a)!(J-2b)!(J-2c)!/(J+1)!] with J = a+b+c.
 
@@ -420,9 +447,8 @@ def triangle_delta(a, b, c) -> SqrtRational:
         raise ValueError("a+b+c must be integral")
     if not triangle_ok(ta, tb, tc):
         raise TriangleError(f"triangle violated: ({a},{b},{c})")
-    J = (ta + tb + tc) // 2
     return SqrtRational.from_factorial_ratio(
-        1, ((tb + tc - ta) // 2, (ta + tc - tb) // 2, (ta + tb - tc) // 2), (J + 1,))
+        1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
 
 
 def sqrt_ratio_of_squares(q_num: Fraction, q_den: Fraction) -> Fraction:

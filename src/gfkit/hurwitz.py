@@ -1,9 +1,11 @@
 """Hurwitz matrices, octonionic quadratic transformations, Cayley rotations,
-3-D and 7-D cross products and the Laplacian pullback identity.
+3-D and 7-D cross products and the Gegenbauer-Gaussian closed forms.
 
 Each quadratic map is written once, as a function of u; its component
-polynomials, which the pullback identity composes, are read off the map by
-polarization on unit vectors.
+polynomials are read off the map by polarization on unit vectors.  The
+tests compose them to check the Laplacian pullback identity exactly, and
+check the Gegenbauer-Gaussian identities as the exact polynomial identity
+det(I - alpha A(x)) = (1 - 2 alpha x_last + alpha^2 |x|^2)^k.
 """
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytools import (poly_add, poly_compose, poly_const, poly_laplacian,
-                        poly_mul, poly_scale, poly_var)
+from .polytools import poly_var
 
 _H2 = ((("+", 1), ("-", 2)),
        (("+", 2), ("+", 1)))
@@ -244,48 +245,8 @@ def cayley_rotation_closed3(u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Laplacian pullback
-# ---------------------------------------------------------------------------
-def laplacian_pullback_difference(pair, f_poly) -> dict:
-    """Delta_u f(x(u)) - 4 |u|^2 (Delta_x f)(x(u)) as an exact polynomial in u.
-
-    f_poly: exact polynomial in the n target variables (dict exponents ->
-    Fraction).  The identity holds exactly when the difference is {}.
-    """
-    n, N = pair
-    comps = quad_map_polynomials(pair)
-    composed = poly_compose(f_poly, comps, N)
-    lap_u = poly_laplacian(composed, N)
-    lap_x = poly_laplacian(f_poly, n)
-    lap_x_pulled = poly_compose(lap_x, comps, N)
-    u2 = poly_const(0, N)
-    for i in range(N):
-        u2 = poly_add(u2, poly_mul(poly_var(i, N), poly_var(i, N)))
-    rhs = poly_scale(poly_mul(u2, lap_x_pulled), 4)
-    return poly_add(lap_u, poly_scale(rhs, -1))
-
-
-# ---------------------------------------------------------------------------
 # Gegenbauer-Gaussian identities
 # ---------------------------------------------------------------------------
-def _a_matrix(n_case, x):
-    if n_case == 1:
-        x1, x2, x3 = x
-        return np.array([[x3 + 1j * x2, 1j * x1], [1j * x1, x3 - 1j * x2]])
-    if n_case == 2:
-        x1, x2, x3, x4 = x
-        return np.array([[x4 + 1j * x3, x2 + 1j * x1],
-                         [-x2 + 1j * x1, x4 - 1j * x3]])
-    if n_case == 3:
-        x1, x2, x3, x4, x5, x6 = x
-        return np.array([
-            [x6 + 1j * x5, 0, -x1 + 1j * x2, -x4 + 1j * x3],
-            [0, x6 + 1j * x5, -x4 - 1j * x3, x1 + 1j * x2],
-            [x1 + 1j * x2, x4 - 1j * x3, x6 - 1j * x5, 0],
-            [x4 + 1j * x3, -x1 + 1j * x2, 0, x6 - 1j * x5]])
-    raise ValueError("n_case must be 1, 2 or 3")
-
-
 def gegenbauer_gaussian_closed(n_case, alpha, x) -> complex:
     """(1 - 2 x_last alpha + alpha^2 r^2)^{-m}, m = 1/2, 1, 2."""
     x = np.asarray(x, dtype=float)
@@ -293,33 +254,3 @@ def gegenbauer_gaussian_closed(n_case, alpha, x) -> complex:
     base = 1 - 2 * x[-1] * alpha + alpha * alpha * r2
     m = {1: 0.5, 2: 1.0, 3: 2.0}[n_case]
     return base ** (-m)
-
-
-def gegenbauer_gaussian_identity(n_case, alpha, x, samples=10 ** 6,
-                                 seed=0, nodes=80):
-    """Residual |numeric Gaussian integral - closed form|.
-
-    Case 1 uses tensor Gauss-Hermite quadrature over the two real variables;
-    cases 2 and 3 use seeded Monte Carlo over the Gaussian measure.
-    """
-    x = np.asarray(x, dtype=float)
-    A = _a_matrix(n_case, x)
-    closed = gegenbauer_gaussian_closed(n_case, alpha, x)
-    if abs(alpha) * max(np.linalg.norm(x), 1.0) >= 1.0:
-        raise ValueError("parameters outside the convergence domain")
-    if n_case == 1:
-        t, w = np.polynomial.hermite.hermgauss(nodes)
-        U1, U2 = np.meshgrid(t, t)
-        W = np.outer(w, w) / math.pi
-        quad = (A[0, 0] * U1 * U1 + A[1, 1] * U2 * U2
-                + (A[0, 1] + A[1, 0]) * U1 * U2)
-        est = np.sum(W * np.exp(alpha * quad))
-    else:
-        rng = np.random.default_rng(seed)
-        ncomplex = A.shape[0]
-        zr = rng.normal(scale=math.sqrt(0.5), size=(samples, ncomplex))
-        zi = rng.normal(scale=math.sqrt(0.5), size=(samples, ncomplex))
-        z = zr + 1j * zi
-        quad = np.einsum("si,ij,sj->s", z.conj(), A, z)
-        est = np.mean(np.exp(alpha * quad))
-    return abs(est - closed)

@@ -202,29 +202,6 @@ def lowdin_two_body(sys: SlaterSystem, Vt) -> complex:
     return complex(dA * total / 4)
 
 
-def lowdin_two_body_fock(sys: SlaterSystem, Vt) -> complex:
-    Vt = np.asarray(Vt, dtype=complex)
-    psi = transform_slater(sys)
-    ref = frozenset(range(sys.n_occ))
-    acc = 0j
-    for state, amp in psi.items():
-        for r in state:
-            sr, rem1 = _fermion_op(state, r, False)
-            for s in rem1:
-                ss, rem2 = _fermion_op(rem1, s, False)
-                for q in range(sys.M):
-                    cq = _fermion_op(rem2, q, True)
-                    if cq is None:
-                        continue
-                    for p in range(sys.M):
-                        cp = _fermion_op(cq[1], p, True)
-                        if cp is None or cp[1] != ref:
-                            continue
-                        sg = sr * ss * cq[0] * cp[0]
-                        acc += 0.25 * Vt[p, q, r, s] * sg * amp
-    return acc
-
-
 def thouless_residual(sys: SlaterSystem) -> float:
     """Norm of U|Phi> - <Phi|U|Phi> exp(sum x(k,i) b_k^+ a_i)|Phi> in the
     Fock expansion; the exponential terminates by nilpotency."""
@@ -261,11 +238,6 @@ def thouless_residual(sys: SlaterSystem) -> float:
     for s in set(psi) | set(expo):
         err += abs(psi.get(s, 0) - ov * expo.get(s, 0)) ** 2
     return math.sqrt(err)
-
-
-def thouless_term_count(sys: SlaterSystem) -> int:
-    """Number of series terms before nilpotency kills the expansion."""
-    return min(sys.n_occ, sys.M - sys.n_occ) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +291,6 @@ def boson_expansion_coeffs(k_max: int) -> list:
         coef = (-1) ** idx * math.factorial(n) / math.factorial(n - idx - 1)
         alphas.append((rhs - s) / coef)
     return alphas
-
-
-def boson_recurrence_residual(alphas, n: int) -> float:
-    lhs = sum((-1) ** j * math.factorial(n) / math.factorial(n - j - 1) * alphas[j]
-              for j in range(n))
-    return abs(lhs - n * math.sqrt(n))
 
 
 def lipkin_ladder_series(model: LipkinModel, power: int):

@@ -144,23 +144,3 @@ def cylindrical_cartesian_overlap(nx: int, ny: int, two_j: int, two_m: int):
     # (-1)^{j-m} from the generating function, (-1)^{|m|-m} from the
     # negative-m reflection of the e^{-2 i m phi} convention
     return (-1) ** (q + (abs(two_m) - two_m) // 2) * amp
-
-
-def fock_measure_residual(alpha, beta, nodes=80):
-    """|e^{alpha beta} - int e^{alpha conj(z)} e^{beta z} dmu(z)| by tensor
-    Gauss-Hermite over Re z, Im z."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    X, Y = np.meshgrid(t, t)
-    W = np.outer(w, w) / math.pi
-    Z = X + 1j * Y
-    est = np.sum(W * np.exp(alpha * np.conj(Z) + beta * Z))
-    return abs(est - cmath.exp(alpha * beta))
-
-
-def mehler_eigensum(x, xp, beta, nmax=80):
-    """Truncated sum_n u_n(x) u_n(xp) e^{-beta(n+1/2)} (m = omega = hbar = 1)."""
-    tot = 0.0
-    for n in range(nmax + 1):
-        tot += (float(ho_wavefunction(n, x)) * float(ho_wavefunction(n, xp))
-                * math.exp(-beta * (n + 0.5)))
-    return tot

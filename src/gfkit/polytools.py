@@ -2,11 +2,12 @@
 
 A polynomial is a dict mapping exponent tuples to Fraction (or int)
 coefficients.  All operations are exact, and poly_mul, poly_pow and
-bargmann_dot keep integer coefficients integer; these are workhorses for the
-symbolic identity checks (Hurwitz products, Laplacian pullback, boson
-polynomials).  TruncatedSeries expands g(tau)^-2 term by term; it is the
-test oracle for the closed-form 6j coefficient in wigner, not a production
-route.
+bargmann_dot keep integer coefficients integer.  The SU(3) contraction, the
+U(n) boson polynomials and the symbolic Hurwitz matrices are built from
+them, and the tests' exact identity checks (the Hurwitz products, the
+Laplacian pullback, the Gegenbauer-Gaussian determinants) use them too.
+TruncatedSeries expands g(tau)^-2 term by term; it is the test oracle for
+the closed-form 6j coefficient in wigner, not a production route.
 """
 from __future__ import annotations
 
@@ -57,6 +58,9 @@ def poly_mul(a, b):
 
 
 def poly_pow(a, n, nvars):
+    if n < 0:
+        # the squaring loop below would never end
+        raise ValueError("poly_pow needs an exponent n >= 0")
     out = {tuple([0] * nvars): 1}
     base = a
     while n:

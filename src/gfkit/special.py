@@ -1,13 +1,13 @@
 """Classical orthogonal polynomials, spherical and hyperspherical harmonics,
-hydrogen wavefunctions in position and momentum space (3-D and N-D), the
-numeric Hankel/Fourier oracle (with its tanh-sinh rule on (0, inf)) and
-generating-function residuals.
+hydrogen wavefunctions in position and momentum space (3-D and N-D) and the
+numeric Hankel/Fourier oracle (with its tanh-sinh rule on (0, inf)).
 
 Atomic units, Z = 1.  N-dimensional states use delta_n = 1/(n + (N-3)/2);
 the momentum-space closed form is the Gegenbauer expression
   ~ (delta p)^l C_{n-l-1}^{l+(N-1)/2}((p^2-d^2)/(p^2+d^2)) / (p^2+d^2)^{l+(N+1)/2}
-validated pointwise against the Hankel-transform oracle, which shares its
-integrand with the Gaussian self-transform check.  Hyperspherical harmonics
+validated pointwise against the Hankel-transform oracle, which hydrogen
+verify reports against; the tests check the oracle's transform on a Gaussian,
+which maps to itself.  Hyperspherical harmonics
 are normalized link by link with the closed-form Gegenbauer norm.
 
 scipy.special is imported only inside the functions that call it (the
@@ -290,36 +290,3 @@ def fourier_momentum_oracle(N, n, l, p_grid):
     nu = l + (N-2)/2."""
     return np.abs(_hankel_transform(lambda r: hydrogen_radial(N, n, l, r),
                                     N, l + (N - 2) / 2.0, p_grid))
-
-
-def gaussian_hankel_selftransform(p_grid, N=3):
-    """Oracle sanity input: exp(-r^2/2) maps to itself under the l = 0
-    radial Fourier transform in N dimensions."""
-    return _hankel_transform(lambda r: np.exp(-r * r / 2), N, (N - 2) / 2.0, p_grid)
-
-
-# ---------------------------------------------------------------------------
-# generating function residuals
-# ---------------------------------------------------------------------------
-def genfunc_residual(kind, r, t, alpha=1.0, order=80):
-    """|truncated series - closed form| for the classical generating
-    functions; r is the expansion variable (|r| < 1), t the argument."""
-    if abs(r) >= 1:
-        raise ValueError("need |r| < 1")
-    if kind == "legendre":
-        closed = 1.0 / math.sqrt(1 - 2 * r * t + r * r)
-        series = sum(r ** n * float(legendre(n, t)) for n in range(order + 1))
-    elif kind == "gegenbauer":
-        closed = (1 - 2 * r * t + r * r) ** (-alpha)
-        series = sum(r ** n * float(gegenbauer(n, alpha, t)) for n in range(order + 1))
-    elif kind == "character":
-        # sum_j r^{2j} chi_j(theta) = 1/(1 - 2 r cos(theta) + r^2) with
-        # chi_j = sin((2j+1)theta)/sin(theta) and r stepping by sqrt there;
-        # equivalently sum_k r^k U_k(cos theta)
-        closed = 1.0 / (1 - 2 * r * t + r * r)
-        series = 0.0
-        for k in range(order + 1):
-            series += r ** k * float(gegenbauer(k, 1.0, t))
-    else:
-        raise ValueError(f"unknown kind {kind}")
-    return abs(series - closed)

@@ -12,6 +12,8 @@ arithmetic; the normalization, fixed by orthonormality (the per-state sum of
 squared coefficients equals 1/dim), is the one rational step, and the values
 factor exactly into isoscalar times SU(2) 3j.  An isoscalar factor is one
 table entry, the stretched one, over its 3j, kept with the table once read.
+The tests project the coupled states of the tables onto eigenvectors of the
+quadratic Casimir built on the product space, an oracle kept beside them.
 """
 from __future__ import annotations
 
@@ -313,91 +315,6 @@ def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
         iso = table.iso[key] = (SR_ZERO if w is None
                                 else w / threej(tt1, tt2, tt3, tt1, -tt2, tt2 - tt1))
     return iso
-
-
-# ---------------------------------------------------------------------------
-# generators on the product space (for verification / projection)
-# ---------------------------------------------------------------------------
-def product_states(lam1, lam2):
-    return [(k1, k2) for k1 in su3_state_keys(lam1, 0)
-            for k2 in su3_state_keys(lam2, 0)]
-
-
-def _gell_mann_action(lam, key, i, j):
-    """E_ij acting on the (lam,0) monomial state: list of (key', amplitude).
-
-    States are monomials z1^a z2^b z3^c / sqrt(a! b! c!), E_ij = z_i d/d z_j.
-    """
-    abc = _monomial_exponents(lam, key)
-    if abc[j] == 0:
-        return []
-    nb = list(abc)
-    nb[j] -= 1
-    nb[i] += 1
-    amp = math.sqrt(nb[i] * abc[j])
-    a, b, _ = nb
-    return [((-(2 * lam) + 3 * (a + b), a + b, a - b), amp)]
-
-
-def casimir_matrix(lam1, lam2):
-    """Quadratic Casimir sum_{ij} E_ij E_ji on (lam1,0) x (lam2,0), numpy."""
-    states = product_states(lam1, lam2)
-    idx = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-
-    def e_action(i, j, vec):
-        out = np.zeros(dim)
-        for s, a in enumerate(vec):
-            if a == 0.0:
-                continue
-            k1, k2 = states[s]
-            for nk1, amp in _gell_mann_action(lam1, k1, i, j):
-                out[idx[(nk1, k2)]] += a * amp
-            for nk2, amp in _gell_mann_action(lam2, k2, i, j):
-                out[idx[(k1, nk2)]] += a * amp
-        return out
-
-    C = np.zeros((dim, dim))
-    for col in range(dim):
-        v = np.zeros(dim)
-        v[col] = 1.0
-        acc = np.zeros(dim)
-        for i in range(3):
-            for j in range(3):
-                acc += e_action(i, j, e_action(j, i, v))
-        C[:, col] = acc
-    return C, states
-
-
-def casimir_eigenvalue(lam, mu):
-    """Eigenvalue of sum E_ij E_ji on (lam,mu) in the U(3) normalization used
-    by casimir_matrix (boson realization with lam+mu boxes)."""
-    # highest weight w = (lam+mu, mu, 0): <C> = sum w_i(w_i + 3 - 2i) + ... use
-    # standard formula sum_i w_i(w_i + n + 1 - 2i) for sum_{ij} E_ij E_ji
-    w = (lam + mu, mu, 0)
-    return float(sum(wi * (wi + 3 + 1 - 2 * (i + 1)) for i, wi in enumerate(w)))
-
-
-def coupled_vectors(lam1, lam2, mu3):
-    """Float vectors of the coupled states in the product basis, one per key3,
-    built from the exact wigner table (columns are orthonormal)."""
-    lam3 = lam1 + lam2 - 2 * mu3
-    table = coupling_table(lam1, lam2, mu3)
-    states = product_states(lam1, lam2)
-    idx = {s: i for i, s in enumerate(states)}
-    keys3 = su3_state_keys(lam3, mu3)
-    dim3 = dim_su3(lam3, mu3)
-    vecs = {}
-    for k3 in keys3:
-        v = np.zeros(len(states))
-        for (k1, k2, kk3), w in table.items():
-            if kk3 != k3:
-                continue
-            # undo the conjugation metric so the vector is the plain coupled
-            # state; the metric squares away in norms either way
-            v[idx[(k1, k2)]] = float(w) * (-1) ** ((k3[1] - k3[2]) // 2)
-        vecs[k3] = v * math.sqrt(dim3)
-    return vecs, states
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ weights, the binary coding of fundamental-representation minors, the
 P_n(1) combinatorial factors and the U(3)/U(4) boson polynomials.
 
 The boson polynomials come from one expansion of the branching kernel with
-the polytools polynomial product; the P_n(1) oracle is that expansion with
-every minor set to 1.
+the polytools polynomial product; the tests' P_n(1) oracle is that
+expansion with every minor set to 1.
 """
 from __future__ import annotations
 
@@ -208,15 +208,6 @@ def pn1(n: int, pat: GelfandPattern) -> Fraction:
     return Fraction(val)
 
 
-def pn1_oracle(n: int, pat: GelfandPattern) -> int:
-    """Independent P_n(1): expand the branching-kernel product at unit minors
-    and pick the coefficient of the parameter monomial (polynomial
-    identification, no closed form)."""
-    if pat.n != n:
-        raise ValueError("pattern size does not match n")
-    return sum(_kernel_terms(pat).values())
-
-
 # ---------------------------------------------------------------------------
 # boson polynomials from the branching kernel
 # ---------------------------------------------------------------------------
@@ -323,30 +314,4 @@ def boson_polynomial(pat: GelfandPattern):
         expo = {minors[i]: e for i, e in enumerate(me) if e}
         terms.append((c, expo))
     terms.sort(key=lambda t: sorted(t[1].items()))
-    return terms
-
-
-def u3_hypergeometric_terms(pat: GelfandPattern):
-    """Term list of the 2F1 form of the U(3) basis (series expansion of the
-    hypergeometric factor), same exponent keys as boson_polynomial but
-    with its own (unnormalized) coefficient scale."""
-    (h13, h23, h33), (h12, h22), (h11,) = pat.rows
-    # base exponents (k = 0 term): D12^{h22-h33} D13^{h23-h22} D1^{h11-h23}
-    #   D2^{h12-h11} D3^{h13-h12} D123^{h33}; each k shifts D1,D23 up and
-    #   D2,D13 down.   Pochhammer ratio of 2F1(a, b; c; x), a=h22-h23 etc.
-    a = h22 - h23
-    b = h11 - h12
-    c = h11 - h23 + 1
-    # regularized start: the base term needs h11 >= h23; otherwise the
-    # series begins at the first k with non-negative exponents.  It ends
-    # where a + k or b + k reaches 0; betweenness keeps every exponent
-    # non-negative in between.
-    coef = Fraction(1)
-    terms = []
-    for k in range(max(0, h23 - h11), min(h23 - h22, h12 - h11) + 1):
-        expo = {(1,): h11 - h23 + k, (2,): h12 - h11 - k, (3,): h13 - h12,
-                (1, 2): h22 - h33, (1, 3): h23 - h22 - k, (2, 3): k,
-                (1, 2, 3): h33}
-        terms.append((coef, {kk: v for kk, v in expo.items() if v}))
-        coef *= Fraction((a + k) * (b + k), (c + k) * (k + 1))
     return terms

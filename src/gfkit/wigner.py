@@ -32,8 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (SR_ZERO, SqrtRational, factorials, neg_one_pow,
-                    sqrt_ratio_of_squares, triangle_ok, HalfInt)
+from .exact import (SR_ZERO, SqrtRational, _triad_args, factorials,
+                    neg_one_pow, sqrt_ratio_of_squares, triangle_ok, HalfInt)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +288,6 @@ def gf_coefficient(expo) -> int:
             * factorials(b3 + z))
         total += -term if n & 1 else term
     return total
-
-
-def _triad_args(a, b, c):
-    """The factorial arguments of the triangle delta of doubled (a, b, c):
-    Delta^2 = prod n! over these three / (s + 1)!, s = (a + b + c)/2."""
-    return (a + b - c) // 2, (a - b + c) // 2, (-a + b + c) // 2
 
 
 def _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3) -> int:

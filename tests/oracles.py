@@ -1,0 +1,266 @@
+"""Independent oracles that only the tests call.
+
+Each function here recomputes a quantity of gfkit by a second, deliberately
+naive route (a brute-force Fock-space sum, a numeric quadrature, an explicit
+product-state projection, an expansion with every minor set to 1), so that a
+test can hold the production route against it.  They live beside the tests,
+not in the package: gfkit keeps one production route per quantity, plus the
+oracles its command line itself reports against (sixj_oracle,
+fourier_momentum_oracle, slater_overlap_fock, lowdin_matrix_element_fock,
+substituted_determinant_direct, threej_second_route).
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from gfkit.hurwitz import quad_map_polynomials
+from gfkit.manybody import SlaterSystem, _fermion_op, transform_slater
+from gfkit.oscillator import ho_wavefunction
+from gfkit.polytools import (poly_add, poly_compose, poly_const, poly_laplacian,
+                             poly_mul, poly_scale, poly_var)
+from gfkit.special import _hankel_transform, gegenbauer, legendre
+from gfkit.su3 import (_monomial_exponents, coupling_table, dim_su3,
+                       su3_state_keys)
+from gfkit.unitary import GelfandPattern, _kernel_terms
+
+
+# ---------------------------------------------------------------------------
+# su3: generators on the product space, the Casimir-projection oracle
+# ---------------------------------------------------------------------------
+def product_states(lam1, lam2):
+    return [(k1, k2) for k1 in su3_state_keys(lam1, 0)
+            for k2 in su3_state_keys(lam2, 0)]
+
+
+def _gell_mann_action(lam, key, i, j):
+    """E_ij acting on the (lam,0) monomial state: list of (key', amplitude).
+
+    States are monomials z1^a z2^b z3^c / sqrt(a! b! c!), E_ij = z_i d/d z_j.
+    """
+    abc = _monomial_exponents(lam, key)
+    if abc[j] == 0:
+        return []
+    nb = list(abc)
+    nb[j] -= 1
+    nb[i] += 1
+    amp = math.sqrt(nb[i] * abc[j])
+    a, b, _ = nb
+    return [((-(2 * lam) + 3 * (a + b), a + b, a - b), amp)]
+
+
+def casimir_matrix(lam1, lam2):
+    """Quadratic Casimir sum_{ij} E_ij E_ji on (lam1,0) x (lam2,0), numpy."""
+    states = product_states(lam1, lam2)
+    idx = {s: i for i, s in enumerate(states)}
+    dim = len(states)
+
+    def e_action(i, j, vec):
+        out = np.zeros(dim)
+        for s, a in enumerate(vec):
+            if a == 0.0:
+                continue
+            k1, k2 = states[s]
+            for nk1, amp in _gell_mann_action(lam1, k1, i, j):
+                out[idx[(nk1, k2)]] += a * amp
+            for nk2, amp in _gell_mann_action(lam2, k2, i, j):
+                out[idx[(k1, nk2)]] += a * amp
+        return out
+
+    C = np.zeros((dim, dim))
+    for col in range(dim):
+        v = np.zeros(dim)
+        v[col] = 1.0
+        acc = np.zeros(dim)
+        for i in range(3):
+            for j in range(3):
+                acc += e_action(i, j, e_action(j, i, v))
+        C[:, col] = acc
+    return C, states
+
+
+def casimir_eigenvalue(lam, mu):
+    """Eigenvalue of sum E_ij E_ji on (lam,mu) in the U(3) normalization used
+    by casimir_matrix (boson realization with lam+mu boxes)."""
+    # highest weight w = (lam+mu, mu, 0): <C> = sum w_i(w_i + 3 - 2i) + ... use
+    # standard formula sum_i w_i(w_i + n + 1 - 2i) for sum_{ij} E_ij E_ji
+    w = (lam + mu, mu, 0)
+    return float(sum(wi * (wi + 3 + 1 - 2 * (i + 1)) for i, wi in enumerate(w)))
+
+
+def coupled_vectors(lam1, lam2, mu3):
+    """Float vectors of the coupled states in the product basis, one per key3,
+    built from the exact wigner table (columns are orthonormal)."""
+    lam3 = lam1 + lam2 - 2 * mu3
+    table = coupling_table(lam1, lam2, mu3)
+    states = product_states(lam1, lam2)
+    idx = {s: i for i, s in enumerate(states)}
+    keys3 = su3_state_keys(lam3, mu3)
+    dim3 = dim_su3(lam3, mu3)
+    vecs = {}
+    for k3 in keys3:
+        v = np.zeros(len(states))
+        for (k1, k2, kk3), w in table.items():
+            if kk3 != k3:
+                continue
+            # undo the conjugation metric so the vector is the plain coupled
+            # state; the metric squares away in norms either way
+            v[idx[(k1, k2)]] = float(w) * (-1) ** ((k3[1] - k3[2]) // 2)
+        vecs[k3] = v * math.sqrt(dim3)
+    return vecs, states
+
+
+# ---------------------------------------------------------------------------
+# hurwitz: the Laplacian pullback
+# ---------------------------------------------------------------------------
+def laplacian_pullback_difference(pair, f_poly) -> dict:
+    """Delta_u f(x(u)) - 4 |u|^2 (Delta_x f)(x(u)) as an exact polynomial in u.
+
+    f_poly: exact polynomial in the n target variables (dict exponents ->
+    Fraction).  The identity holds exactly when the difference is {}.
+    """
+    n, N = pair
+    comps = quad_map_polynomials(pair)
+    composed = poly_compose(f_poly, comps, N)
+    lap_u = poly_laplacian(composed, N)
+    lap_x = poly_laplacian(f_poly, n)
+    lap_x_pulled = poly_compose(lap_x, comps, N)
+    u2 = poly_const(0, N)
+    for i in range(N):
+        u2 = poly_add(u2, poly_mul(poly_var(i, N), poly_var(i, N)))
+    rhs = poly_scale(poly_mul(u2, lap_x_pulled), 4)
+    return poly_add(lap_u, poly_scale(rhs, -1))
+
+
+# ---------------------------------------------------------------------------
+# manybody: Fock-space sums
+# ---------------------------------------------------------------------------
+def lowdin_two_body_fock(sys: SlaterSystem, Vt) -> complex:
+    Vt = np.asarray(Vt, dtype=complex)
+    psi = transform_slater(sys)
+    ref = frozenset(range(sys.n_occ))
+    acc = 0j
+    for state, amp in psi.items():
+        for r in state:
+            sr, rem1 = _fermion_op(state, r, False)
+            for s in rem1:
+                ss, rem2 = _fermion_op(rem1, s, False)
+                for q in range(sys.M):
+                    cq = _fermion_op(rem2, q, True)
+                    if cq is None:
+                        continue
+                    for p in range(sys.M):
+                        cp = _fermion_op(cq[1], p, True)
+                        if cp is None or cp[1] != ref:
+                            continue
+                        sg = sr * ss * cq[0] * cp[0]
+                        acc += 0.25 * Vt[p, q, r, s] * sg * amp
+    return acc
+
+
+def thouless_term_count(sys: SlaterSystem) -> int:
+    """Number of series terms before nilpotency kills the expansion."""
+    return min(sys.n_occ, sys.M - sys.n_occ) + 1
+
+
+def boson_recurrence_residual(alphas, n: int) -> float:
+    lhs = sum((-1) ** j * math.factorial(n) / math.factorial(n - j - 1) * alphas[j]
+              for j in range(n))
+    return abs(lhs - n * math.sqrt(n))
+
+
+# ---------------------------------------------------------------------------
+# unitary: P_n(1) and the U(3) hypergeometric form
+# ---------------------------------------------------------------------------
+def pn1_oracle(n: int, pat: GelfandPattern) -> int:
+    """Independent P_n(1): expand the branching-kernel product at unit minors
+    and pick the coefficient of the parameter monomial (polynomial
+    identification, no closed form)."""
+    if pat.n != n:
+        raise ValueError("pattern size does not match n")
+    return sum(_kernel_terms(pat).values())
+
+
+def u3_hypergeometric_terms(pat: GelfandPattern):
+    """Term list of the 2F1 form of the U(3) basis (series expansion of the
+    hypergeometric factor), same exponent keys as boson_polynomial but
+    with its own (unnormalized) coefficient scale."""
+    (h13, h23, h33), (h12, h22), (h11,) = pat.rows
+    # base exponents (k = 0 term): D12^{h22-h33} D13^{h23-h22} D1^{h11-h23}
+    #   D2^{h12-h11} D3^{h13-h12} D123^{h33}; each k shifts D1,D23 up and
+    #   D2,D13 down.   Pochhammer ratio of 2F1(a, b; c; x), a=h22-h23 etc.
+    a = h22 - h23
+    b = h11 - h12
+    c = h11 - h23 + 1
+    # regularized start: the base term needs h11 >= h23; otherwise the
+    # series begins at the first k with non-negative exponents.  It ends
+    # where a + k or b + k reaches 0; betweenness keeps every exponent
+    # non-negative in between.
+    coef = Fraction(1)
+    terms = []
+    for k in range(max(0, h23 - h11), min(h23 - h22, h12 - h11) + 1):
+        expo = {(1,): h11 - h23 + k, (2,): h12 - h11 - k, (3,): h13 - h12,
+                (1, 2): h22 - h33, (1, 3): h23 - h22 - k, (2, 3): k,
+                (1, 2, 3): h33}
+        terms.append((coef, {kk: v for kk, v in expo.items() if v}))
+        coef *= Fraction((a + k) * (b + k), (c + k) * (k + 1))
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# special: the Hankel oracle's self-check and generating-function series
+# ---------------------------------------------------------------------------
+def gaussian_hankel_selftransform(p_grid, N=3):
+    """Oracle sanity input: exp(-r^2/2) maps to itself under the l = 0
+    radial Fourier transform in N dimensions."""
+    return _hankel_transform(lambda r: np.exp(-r * r / 2), N, (N - 2) / 2.0, p_grid)
+
+
+def genfunc_residual(kind, r, t, alpha=1.0, order=80):
+    """|truncated series - closed form| for the classical generating
+    functions; r is the expansion variable (|r| < 1), t the argument."""
+    if abs(r) >= 1:
+        raise ValueError("need |r| < 1")
+    if kind == "legendre":
+        closed = 1.0 / math.sqrt(1 - 2 * r * t + r * r)
+        series = sum(r ** n * float(legendre(n, t)) for n in range(order + 1))
+    elif kind == "gegenbauer":
+        closed = (1 - 2 * r * t + r * r) ** (-alpha)
+        series = sum(r ** n * float(gegenbauer(n, alpha, t)) for n in range(order + 1))
+    elif kind == "character":
+        # sum_j r^{2j} chi_j(theta) = 1/(1 - 2 r cos(theta) + r^2) with
+        # chi_j = sin((2j+1)theta)/sin(theta) and r stepping by sqrt there;
+        # equivalently sum_k r^k U_k(cos theta)
+        closed = 1.0 / (1 - 2 * r * t + r * r)
+        series = 0.0
+        for k in range(order + 1):
+            series += r ** k * float(gegenbauer(k, 1.0, t))
+    else:
+        raise ValueError(f"unknown kind {kind}")
+    return abs(series - closed)
+
+
+# ---------------------------------------------------------------------------
+# oscillator: the Fock measure and the Mehler eigensum
+# ---------------------------------------------------------------------------
+def fock_measure_residual(alpha, beta, nodes=80):
+    """|e^{alpha beta} - int e^{alpha conj(z)} e^{beta z} dmu(z)| by tensor
+    Gauss-Hermite over Re z, Im z."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    X, Y = np.meshgrid(t, t)
+    W = np.outer(w, w) / math.pi
+    Z = X + 1j * Y
+    est = np.sum(W * np.exp(alpha * np.conj(Z) + beta * Z))
+    return abs(est - cmath.exp(alpha * beta))
+
+
+def mehler_eigensum(x, xp, beta, nmax=80):
+    """Truncated sum_n u_n(x) u_n(xp) e^{-beta(n+1/2)} (m = omega = hbar = 1)."""
+    tot = 0.0
+    for n in range(nmax + 1):
+        tot += (float(ho_wavefunction(n, x)) * float(ho_wavefunction(n, xp))
+                * math.exp(-beta * (n + 0.5)))
+    return tot

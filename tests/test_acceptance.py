@@ -16,6 +16,7 @@ from gfkit.polytools import poly_add, poly_const, poly_mul, poly_var
 from gfkit.wigner import (ThreeJLabel, regge_orbit, sixj_gf, sixj_oracle,
                           threej, threej_second_route)
 
+import oracles
 from test_cli import CORPUS
 
 
@@ -186,9 +187,9 @@ def test_07_su3_completeness_and_factorization():
                 continue
             # explicit product-state projection
             if C is None:
-                C, _ = su3.casimir_matrix(lam1, lam2)
-            vecs, _ = su3.coupled_vectors(lam1, lam2, mu3)
-            ev = su3.casimir_eigenvalue(lam3, mu3)
+                C, _ = oracles.casimir_matrix(lam1, lam2)
+            vecs, _ = oracles.coupled_vectors(lam1, lam2, mu3)
+            ev = oracles.casimir_eigenvalue(lam3, mu3)
             for v in vecs.values():
                 if np.linalg.norm(C @ v - ev * v) >= 1e-10:
                     ok = False
@@ -242,7 +243,7 @@ def test_09_laplacian_pullback():
             if not f:
                 f = {tuple([2] + [0] * (n - 1)): Fraction(1)}
             rng.normal(size=N)   # one point per polynomial stays in the seeded stream
-            nonzero += hurwitz.laplacian_pullback_difference((n, N), f) != {}
+            nonzero += oracles.laplacian_pullback_difference((n, N), f) != {}
     report(9, nonzero == 0,
            f"(50 random polynomials per pair, exact differences, {nonzero} nonzero)")
 
@@ -281,7 +282,7 @@ def test_11_propagators():
                      * oscillator.ho_propagator(P, y, -0.2, -1j * 0.7) for y in ys])
     semi = abs(np.sum(vals * wy) - oscillator.ho_propagator(P, 0.3, -0.2, -1j * 1.1))
     eig = abs(oscillator.ho_propagator(P, 0.5, -0.3, -1j * 1.0)
-              - oscillator.mehler_eigensum(0.5, -0.3, 1.0, nmax=80))
+              - oracles.mehler_eigensum(0.5, -0.3, 1.0, nmax=80))
     fact = abs(oscillator.magnetic_propagator(P, 0.0, (0.3, -0.4), (-0.2, 0.5), -1j * 0.7)
                - oscillator.ho_propagator(P, 0.3, -0.2, -1j * 0.7)
                * oscillator.ho_propagator(P, -0.4, 0.5, -1j * 0.7))
@@ -346,7 +347,7 @@ def test_13_lowdin_thouless():
         Vt = V - V.transpose(0, 1, 3, 2)
         Vt = Vt - Vt.transpose(1, 0, 2, 3)
         worst = max(worst, abs(manybody.lowdin_two_body(sysm, Vt)
-                               - manybody.lowdin_two_body_fock(sysm, Vt)))
+                               - oracles.lowdin_two_body_fock(sysm, Vt)))
         worst = max(worst, manybody.thouless_residual(sysm))
     report(13, worst < 1e-10, f"(100 random systems M <= 6, worst gap {worst:.1e})")
 

@@ -238,10 +238,12 @@ def test_wigner_9j_cap_refuses_before_work(monkeypatch):
 
 
 def test_runaway_caps_refuse_before_work(monkeypatch):
-    # manybody lipkin and gelfand enumerate exit 1 above their documented
-    # caps without calling their kernels; exactly at the caps they run.
-    from gfkit import manybody, unitary
-    from gfkit.cli import GELFAND_MAX_PATTERNS, LIPKIN_MAX_PARTICLES
+    # manybody lipkin, gelfand enumerate and poly and wigner gaunt exit 1
+    # above their documented caps without calling their kernels; exactly at
+    # the caps they run.
+    from gfkit import manybody, unitary, wigner
+    from gfkit.cli import (GELFAND_MAX_PATTERNS, GELFAND_POLY_MAX_TOP_SUM,
+                           LIPKIN_MAX_PARTICLES, WIGNER_MAX_TWO_J_SUM)
 
     def lipkin(n):
         return ["manybody", "lipkin", "--n-particles", str(n)]
@@ -249,23 +251,43 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
     def enumerate_u2(dim):
         return ["gelfand", "enumerate", "--h", str(dim - 1), "0"]
 
+    def poly_u4(top):
+        return ["gelfand", "poly", "--pattern", f"{top} 0 0 0 / {top} 0 0 / {top} 0 / {top}"]
+
+    def gaunt(l):
+        return ["wigner", "gaunt", "--l", str(l), str(l), str(l), "--m", "0", "0", "0"]
+
     def untouched(*args):
         raise AssertionError("kernel reached past the cap")
 
+    assert WIGNER_MAX_TWO_J_SUM % 6 == 0   # so that the gaunt cap is reachable
     with monkeypatch.context() as m:
         m.setattr(manybody, "lipkin_spectrum", untouched)
         m.setattr(unitary, "gelfand_enumerate", untouched)
+        m.setattr(unitary, "boson_polynomial", untouched)
+        m.setattr(wigner, "gaunt", untouched)
         for argv in (lipkin(LIPKIN_MAX_PARTICLES + 2), lipkin(10 ** 9),
                      enumerate_u2(GELFAND_MAX_PATTERNS + 1),
                      ["gelfand", "enumerate", "--h", "60", "30", "0"],
-                     ["gelfand", "enumerate", "--h", "40", "30", "20", "10", "0"]):
+                     ["gelfand", "enumerate", "--h", "40", "30", "20", "10", "0"],
+                     poly_u4(GELFAND_POLY_MAX_TOP_SUM + 1), poly_u4(10 ** 6),
+                     gaunt(WIGNER_MAX_TWO_J_SUM // 6 + 1), gaunt(100000)):
             env, code = run(argv)
             assert code == 1 and "cap" in env.message, (argv, env.message)
+        # a negative entry would make a kernel exponent negative
+        env, code = run(["gelfand", "poly", "--pattern", "1 0 -1 / 0 0 / 0"])
+        assert code == 1, env.message
     assert LIPKIN_MAX_PARTICLES % 2 == 0   # the Lipkin model needs even N
     env, code = run(lipkin(LIPKIN_MAX_PARTICLES))
     assert code == 0 and len(env.table["rows"]) == LIPKIN_MAX_PARTICLES + 1
     env, code = run(enumerate_u2(GELFAND_MAX_PATTERNS))
     assert code == 0 and len(env.table["rows"]) == GELFAND_MAX_PATTERNS
+    env, code = run(gaunt(WIGNER_MAX_TWO_J_SUM // 6))
+    assert code == 0 and env.value_float != 0
+    top = GELFAND_POLY_MAX_TOP_SUM
+    env, code = run(["gelfand", "poly", "--pattern",
+                     f"{top - top // 3} {top // 3} 0 / {top // 2} {top // 4} / {top // 3}"])
+    assert code == 0 and env.table["rows"], env.message
 
 
 def test_points_caps_refuse_before_work(monkeypatch):

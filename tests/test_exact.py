@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gfkit.exact import (SR_ZERO, FactorialCache, HalfInt, SqrtRational,
                          TriangleError, parse_sqrt_rational, square_free_split,
                          sqrt_factorial_ratio, triangle_delta, _place)
+from gfkit.wigner import gaunt, threej
 
 
 def sr(c, r=1):
@@ -83,6 +84,23 @@ def test_float_monotone_in_coeff():
     assert vals == sorted(vals)
 
 
+def test_float_from_the_square_when_a_part_is_no_normal_double():
+    # at 2j = 1200 and 1600 the radicand's denominator has over 1000 bits,
+    # so the float of the radicand underflows; the value comes from the
+    # exact square instead of reading 0
+    for tj in (1200, 1600):
+        v = threej(tj, tj, tj, 2, -2, 0)
+        assert v.radicand.denominator.bit_length() > 1024
+        ref = math.copysign(math.sqrt(float(v.square())), v.coeff)
+        assert float(v) == pytest.approx(ref, rel=1e-15) and float(v) != 0
+    # a radicand above the double range no longer overflows the Gaunt
+    a = threej(3200, 3200, 3200, 0, 0, 0)
+    b = threej(3200, 3200, 3200, 2, -2, 0)
+    ref = (math.sqrt(3201 ** 3 / (4 * math.pi)) * math.sqrt(float(a.square() * b.square()))
+           * (1 if (a.coeff > 0) == (b.coeff > 0) else -1))
+    assert gaunt(1600, 1, 1600, -1, 1600, 0) == pytest.approx(ref, rel=1e-14)
+
+
 def test_parse_roundtrip():
     random.seed(5)
     for _ in range(200):
@@ -137,6 +155,33 @@ def test_import_loads_no_dataclasses():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert res.stdout.splitlines() == ["[]"]
+
+
+# Verification helpers that live in tests/oracles.py, or were deleted for an
+# exact check, as (module they left, name)
+_TEST_ONLY = (
+    ("su3", "product_states"), ("su3", "_gell_mann_action"),
+    ("su3", "casimir_matrix"), ("su3", "casimir_eigenvalue"),
+    ("su3", "coupled_vectors"), ("hurwitz", "laplacian_pullback_difference"),
+    ("hurwitz", "gegenbauer_gaussian_identity"), ("hurwitz", "_a_matrix"),
+    ("manybody", "lowdin_two_body_fock"), ("manybody", "thouless_term_count"),
+    ("manybody", "boson_recurrence_residual"), ("unitary", "pn1_oracle"),
+    ("unitary", "u3_hypergeometric_terms"), ("special", "genfunc_residual"),
+    ("special", "gaussian_hankel_selftransform"),
+    ("oscillator", "mehler_eigensum"), ("oscillator", "fock_measure_residual"),
+)
+
+
+def test_package_defines_no_test_only_helper():
+    import importlib
+    import pkgutil
+
+    import gfkit
+    modules = [importlib.import_module(f"gfkit.{m.name}")
+               for m in pkgutil.iter_modules(gfkit.__path__)]
+    assert {f"gfkit.{mod}" for mod, _ in _TEST_ONLY} <= {m.__name__ for m in modules}
+    assert [(m.__name__, name) for _, name in _TEST_ONLY
+            for m in (gfkit, *modules) if name in vars(m)] == []
 
 
 def test_factorial_cache_growth_and_threads():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,15 +7,14 @@ import pytest
 
 from gfkit.hurwitz import (cayley_dickson_matrix, cayley_rotation,
                            cayley_rotation_closed3, cross_product,
-                           gegenbauer_gaussian_closed,
-                           gegenbauer_gaussian_identity, hurwitz_matrix,
-                           hurwitz_symbolic, ks_transform,
-                           laplacian_pullback_difference, levi_civita,
+                           gegenbauer_gaussian_closed, hurwitz_matrix,
+                           hurwitz_symbolic, ks_transform, levi_civita,
                            quad_map_polynomials, r8_to_r5, v_matrix,
                            v_matrix_properties)
 from gfkit.hurwitz import QUAD_MAPS
 from gfkit.polytools import (poly_add, poly_const, poly_eval, poly_mul,
-                             poly_var)
+                             poly_pow, poly_scale, poly_var)
+from oracles import laplacian_pullback_difference
 
 
 def test_hurwitz_symbolic_identity():
@@ -174,21 +174,81 @@ def test_laplacian_pullback_random_polys():
             assert laplacian_pullback_difference((n, N), f) == {}
 
 
+# A(x) of the three Gegenbauer-Gaussian cases: each entry a sum of
+# (Gaussian integer, k) terms meaning that integer times x_k, k = 1..n
+_GG_CASES = {
+    1: (3, [[((1, 3), (1j, 2)), ((1j, 1),)],
+            [((1j, 1),), ((1, 3), (-1j, 2))]]),
+    2: (4, [[((1, 4), (1j, 3)), ((1, 2), (1j, 1))],
+            [((-1, 2), (1j, 1)), ((1, 4), (-1j, 3))]]),
+    3: (6, [[((1, 6), (1j, 5)), (), ((-1, 1), (1j, 2)), ((-1, 4), (1j, 3))],
+            [(), ((1, 6), (1j, 5)), ((-1, 4), (-1j, 3)), ((1, 1), (1j, 2))],
+            [((1, 1), (1j, 2)), ((1, 4), (-1j, 3)), ((1, 6), (-1j, 5)), ()],
+            [((1, 4), (1j, 3)), ((-1, 1), (1j, 2)), (), ((1, 6), (-1j, 5))]]),
+}
+
+
+def _gg_determinant(n_case):
+    """det(I - alpha A(x)) as (real part, imaginary part), two exact
+    polynomials in x_1..x_n and alpha (variable n)."""
+    n, A = _GG_CASES[n_case]
+    nv = n + 1
+    one = poly_const(1, nv)
+
+    def alpha_x(c, k):
+        """-c alpha x_k"""
+        e = [0] * nv
+        e[k - 1] = e[n] = 1
+        return {tuple(e): -c}
+
+    M = []
+    for i, row in enumerate(A):
+        M.append([])
+        for j, entry in enumerate(row):
+            mr, mi = (one if i == j else {}), {}
+            for c, k in entry:
+                mr = poly_add(mr, alpha_x(int(c.real), k))
+                mi = poly_add(mi, alpha_x(int(c.imag), k))
+            M[-1].append((mr, mi))
+    re, im = {}, {}
+    for perm in itertools.permutations(range(len(A))):
+        inv = sum(perm[a] > perm[b] for a in range(len(perm))
+                  for b in range(a + 1, len(perm)))
+        pr, pi = one, {}
+        for i, j in enumerate(perm):
+            mr, mi = M[i][j]
+            pr, pi = (poly_add(poly_mul(pr, mr), poly_scale(poly_mul(pi, mi), -1)),
+                      poly_add(poly_mul(pr, mi), poly_mul(pi, mr)))
+        sg = (-1) ** inv
+        re, im = poly_add(re, poly_scale(pr, sg)), poly_add(im, poly_scale(pi, sg))
+    return re, im
+
+
 def test_gegenbauer_gaussian_identities():
-    # A1: both sides 1 at alpha = 0
-    assert gegenbauer_gaussian_identity(1, 0.0, (0.2, -0.1, 0.5)) < 1e-14
+    # The Gaussian integral of exp(alpha z^dag A z) is det(I - alpha A)^(-1/2)
+    # over the real 2-vector of case 1 and det(I - alpha A)^(-1) over the
+    # complex vectors of cases 2 and 3.  The identities are therefore the
+    # polynomial identity det(I - alpha A(x)) = (1 - 2 alpha x_last +
+    # alpha^2 |x|^2)^k, k = 1, 1, 2, which holds exactly for all x and alpha.
+    for n_case, k, power in ((1, 1, 0.5), (2, 1, 1.0), (3, 2, 1.0)):
+        n = _GG_CASES[n_case][0]
+        nv = n + 1
+        alpha = poly_var(n, nv)
+        base = poly_add(poly_const(1, nv),
+                        poly_scale(poly_mul(alpha, poly_var(n - 1, nv)), -2))
+        for i in range(n):
+            ax = poly_mul(alpha, poly_var(i, nv))
+            base = poly_add(base, poly_mul(ax, ax))
+        re, im = _gg_determinant(n_case)
+        assert im == {}
+        assert re == poly_pow(base, k, nv)
+        # the closed form is that determinant to the measure's power
+        x = [Fraction(j + 1, 7 * n) for j in range(n)]
+        a = Fraction(1, 5)
+        det = float(poly_eval(re, x + [a]))
+        assert gegenbauer_gaussian_closed(n_case, float(a), [float(v) for v in x]) \
+            == pytest.approx(det ** -power, rel=1e-12)
     # A1 at x3 = 0.5, r = 1: closed form 1/sqrt(1 - 2*0.5*0.3 + 0.09)
     x = (math.sqrt(0.75), 0.0, 0.5)
     closed = gegenbauer_gaussian_closed(1, 0.3, x)
     assert closed == pytest.approx(1 / math.sqrt(1 - 2 * 0.5 * 0.3 + 0.09), rel=1e-12)
-    assert gegenbauer_gaussian_identity(1, 0.3, x, nodes=80) < 1e-8
-    # A2, A3 stochastic
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=4)
-    x /= np.linalg.norm(x)
-    assert gegenbauer_gaussian_identity(2, 0.2, tuple(x), samples=10 ** 6, seed=1) < 1e-3
-    x6 = rng.normal(size=6)
-    x6 /= np.linalg.norm(x6)
-    assert gegenbauer_gaussian_identity(3, 0.15, tuple(x6), samples=10 ** 6, seed=2) < 1e-3
-    with pytest.raises(ValueError):
-        gegenbauer_gaussian_identity(1, 2.0, (0.0, 0.0, 1.0))

@@ -6,10 +6,11 @@ import pytest
 
 from gfkit.oscillator import (CausticError, OscillatorParams,
                               cylindrical_cartesian_overlap,
-                              cylindrical_wavefunction, fock_measure_residual,
+                              cylindrical_wavefunction,
                               ho_generating_function, ho_propagator,
                               ho_wavefunction, magnetic_energy,
-                              magnetic_propagator, mehler_eigensum)
+                              magnetic_propagator)
+from oracles import fock_measure_residual, mehler_eigensum
 
 PARAMS = OscillatorParams()
 

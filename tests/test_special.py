@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from gfkit.special import (HydrogenState, fourier_momentum_oracle,
-                           gaussian_hankel_selftransform, gegenbauer,
-                           genfunc_residual, hermite, hydrogen_momentum_radial,
+                           gegenbauer, hermite, hydrogen_momentum_radial,
                            hydrogen_momentum_wf, hydrogen_position_wf,
                            hydrogen_radial, hyperspherical_harmonic,
                            laguerre, laguerre_coeffs, legendre,
                            spherical_harmonic, tanhsinh_halfline)
+from oracles import gaussian_hankel_selftransform, genfunc_residual
 
 
 def test_poly_eval_examples():

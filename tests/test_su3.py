@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from gfkit.exact import SR_ZERO, SqrtRational
-from gfkit.su3 import (Su3Label, casimir_eigenvalue, casimir_matrix,
-                       coupled_vectors, coupling_table, dim_su3,
+from gfkit.su3 import (Su3Label, coupling_table, dim_su3,
                        su3_decompose_multfree, su3_euler_matrix,
                        su3_isoscalar, su3_state_keys, su3_wigner_multfree)
 from gfkit.wigner import threej
+from oracles import casimir_eigenvalue, casimir_matrix, coupled_vectors
 
 
 def test_decompose_examples():

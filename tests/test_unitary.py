@@ -7,8 +7,8 @@ from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
 from gfkit.unitary import (BfrTable, GelfandPattern, IrrepLabel, bfr_phi,
                            bfr_generating_terms, boson_polynomial,
                            gelfand_enumerate, highest_pattern, pattern_weight,
-                           pn1, pn1_oracle, u3_hypergeometric_terms,
-                           weyl_dimension)
+                           pn1, weyl_dimension)
+from oracles import pn1_oracle, u3_hypergeometric_terms
 
 
 def test_enumeration_counts():
@@ -169,6 +169,12 @@ def test_u3_boson_polynomial_examples():
     assert all(c == 1 for c, _ in terms)
     assert sorted(tuple(sorted(e.items())) for _, e in terms) == [
         (((1,), 1), ((2, 3), 1)), (((1, 3), 1), ((2,), 1))]
+
+
+def test_boson_polynomial_refuses_a_negative_entry():
+    # the kernel would raise a bracket to the power h33 = -1
+    with pytest.raises(ValueError):
+        boson_polynomial(GelfandPattern(((1, 0, -1), (0, 0), (0,))))
 
 
 def test_u3_unit_substitution_is_p3():
