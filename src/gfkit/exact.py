@@ -166,21 +166,23 @@ class SqrtRational:
                             _canonical=True)
 
     @staticmethod
-    def from_factorial_ratio(c, num_args, den_args) -> "SqrtRational":
-        """c * sqrt(prod n! over num_args / prod n! over den_args), c rational.
+    def from_factorial_ratio(p, q, num_args, den_args) -> "SqrtRational":
+        """(p/q) * sqrt(prod n! over num_args / prod n! over den_args), for
+        ints p and q > 0, not necessarily coprime.
 
         No factoring: the ratio is (r/s)^2 k with k the square-free part
         from the factorial table's odd-prime masks (sqrt_factorial_ratio).
-        In integers, with c = p/q, one gcd reduces p r / (q s) and a second
-        moves the primes of k that divide its denominator under the root's
-        denominator; two Fractions are built at the end."""
-        if not c:
+        In integers, one gcd reduces p r / (q s), so the rational in front
+        needs no reducing of its own, and a second moves the primes of k
+        that divide its denominator under the root's denominator; two
+        Fractions are built at the end."""
+        if not p:
             return SR_ZERO
         r, s, k = sqrt_factorial_ratio(num_args, den_args)
-        num, den = c.numerator * r, c.denominator * s
+        num, den = p * r, q * s
         g = math.gcd(num, den)
         num, den = num // g, den // g
-        up = math.gcd(k, den)    # c sqrt(k) = c up sqrt((k/up)/up)
+        up = math.gcd(k, den)    # sqrt(k) = up sqrt((k/up)/up)
         return SqrtRational(Fraction(num, den // up), Fraction(k // up, up),
                             _canonical=True)
 
@@ -377,6 +379,11 @@ class FactorialCache:
                 odd.append(mask)
                 t.append(t[-1] * m)
 
+    def upto(self, n: int) -> list:
+        """The table itself, grown to hold n!: index it for k! with k <= n."""
+        self.grow(n)
+        return self._table
+
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("factorial of negative argument")
@@ -398,8 +405,8 @@ def sqrt_factorial_ratio(num_args, den_args) -> tuple[int, int, int]:
     args = (*num_args, *den_args)
     if min(args, default=0) < 0:
         raise ValueError("factorial of negative argument")
-    factorials.grow(max(args, default=0))
-    t, odd, primes = factorials._table, factorials._odd, factorials.primes
+    t = factorials.upto(max(args, default=0))
+    odd, primes = factorials._odd, factorials.primes
     num = den = 1
     mask = 0
     for n in num_args:
@@ -448,7 +455,7 @@ def triangle_delta(a, b, c) -> SqrtRational:
     if not triangle_ok(ta, tb, tc):
         raise TriangleError(f"triangle violated: ({a},{b},{c})")
     return SqrtRational.from_factorial_ratio(
-        1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
+        1, 1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
 
 
 def sqrt_ratio_of_squares(q_num: Fraction, q_den: Fraction) -> Fraction:

@@ -13,14 +13,17 @@ check the closed form against the truncated series of g^-2
 The 3j, CG and 6j never factor an integer.  Each is a rational sum times the
 square root of a factorial ratio, and SqrtRational.from_factorial_ratio
 keeps the sum outside the root and canonicalizes from the factorial table's
-prime masks by gcds.  The 3j's single sum is summed in integers over one
-common denominator, its terms following each other by the exact term ratio,
-so a 3j builds one Fraction, not one per term.  The 9j is Racah's form of
+prime masks by gcds, taking the sum as an unreduced integer numerator and
+denominator.  The 3j's single sum is summed in integers over one common
+denominator, its terms following each other by the exact term ratio, so a
+3j builds no Fraction until its canonical value.  The 9j is Racah's form of
 the x-sum of three GF-route 6j: each x-triad's delta appears in two of the
 three 6j and leaves the root, so the 9j is one rational x-sum, summed in
 integers, under the root of its six row and column deltas, and it never
 factors either.  The 3j core is an lru_cache bounded at 2**14 labels
-holding each label's canonical value; threej and clebsch_gordan read it.
+holding each label's canonical value; threej reads it.  clebsch_gordan
+does not: it appends sqrt(2 j3 + 1) to the 3j's factorial ratio and
+canonicalizes once, which costs less than a cache hit and a product.
 The only magnetic sum left, the 6j oracle, keeps the sign and exact square
 of the 3j it reads in a table of its own call, so it leaves the shared cache
 alone.  That oracle and the second 3j route still end in from_square.
@@ -57,18 +60,21 @@ class ThreeJLabel(namedtuple("ThreeJLabel", "two_j two_m")):
 # 3j: Van der Waerden single sum
 # ---------------------------------------------------------------------------
 def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
-    """The 3j symbol, doubled arguments, as (s, num_args, den_args) with
-    3j = s * sqrt(prod n! over num_args / prod n! over den_args); None where
-    it vanishes.  s is the phase times Van der Waerden's single sum
+    """The 3j symbol, doubled arguments, as integers and factorial arguments
+    (p, q, num_args, den_args) with
+    3j = (p/q) * sqrt(prod n! over num_args / prod n! over den_args), q > 0
+    and p/q not reduced; None where it vanishes.  p/q is the phase times
+    Van der Waerden's single sum
 
         S = sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!),
 
     summed in integers over the common denominator
-    D = kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, which every
-    term's denominator divides: the first numerator D / den_kmin is a
-    quotient of three rising factorials, each next one follows from the
-    previous by the term ratio with an exact division, and one Fraction
-    reduces the total."""
+    q = kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, which every
+    term's denominator divides: the first numerator q / den_kmin is a
+    quotient of three rising factorials, and each next one follows from the
+    previous by the term ratio with an exact division.  Every factorial
+    argument is at most J + 1, J = j1 + j2 + j3, so the table is grown once
+    and indexed."""
     if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
         return None
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
@@ -76,22 +82,22 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
             return None
     a, b, c = (tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
     d, e = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
+    top = (tj1 + tj2 + tj3) // 2 + 1
+    f = factorials.upto(top)
     kmin, kmax = max(0, -d, -e), min(a, b, c)
-    t = neg_one_pow(kmin) * (factorials(kmax) // factorials(kmin)
-                             * (factorials(d + kmax) // factorials(d + kmin))
-                             * (factorials(e + kmax) // factorials(e + kmin)))
+    t = neg_one_pow(kmin) * (f[kmax] // f[kmin] * (f[d + kmax] // f[d + kmin])
+                             * (f[e + kmax] // f[e + kmin]))
     total = 0
     for k in range(kmin, kmax + 1):
         total += t
         t = -t * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
     if total == 0:
         return None
-    den = (factorials(kmax) * factorials(a - kmin) * factorials(b - kmin)
-           * factorials(c - kmin) * factorials(d + kmax) * factorials(e + kmax))
-    return (Fraction(neg_one_pow((tj1 - tj2 - tm3) // 2) * total, den),
+    return (neg_one_pow((tj1 - tj2 - tm3) // 2) * total,
+            f[kmax] * f[a - kmin] * f[b - kmin] * f[c - kmin] * f[d + kmax] * f[e + kmax],
             (a, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
              (tj1 + tm1) // 2, b, c, (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
-            ((tj1 + tj2 + tj3) // 2 + 1,))
+            (top,))
 
 
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
@@ -103,9 +109,9 @@ def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
     """The 3j symbol's canonical value, doubled arguments; SR_ZERO where it
     vanishes.
 
-    The value is s * sqrt(factorial ratio) from _threej_sum, whose single
-    sum is taken in integers over one common denominator; s stays outside
-    the root, so the canonical form needs no factoring."""
+    The value is (p/q) * sqrt(factorial ratio) from _threej_sum, whose
+    single sum is taken in integers over one common denominator; p/q stays
+    outside the root, so the canonical form needs no factoring."""
     parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3)
     if parts is None:
         return SR_ZERO
@@ -161,14 +167,20 @@ def threej_second_route(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
 
 
 def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> SqrtRational:
-    """<j1 m1, j2 m2 | j3 m3> in the Condon-Shortley convention."""
+    """<j1 m1, j2 m2 | j3 m3> in the Condon-Shortley convention,
+    (-1)^{j1-j2+m3} sqrt(2 j3 + 1) times the 3j with -m3, canonicalized
+    once from that 3j's integers; the 3j cache is neither read nor filled."""
     tj1, tm1, tj2, tm2, tj3, tm3 = (
         x.two_j if isinstance(x, HalfInt) else 2 * x
         for x in (j1, m1, j2, m2, j3, m3))
-    phase = neg_one_pow((tj1 - tj2 + tm3) // 2)
-    val = threej(tj1, tj2, tj3, tm1, tm2, -tm3)
+    parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, -tm3)
+    if parts is None:
+        return SR_ZERO
+    p, q, num_args, den_args = parts
     # sqrt(2 j3 + 1) = sqrt((2 j3 + 1)! / (2 j3)!)
-    return val * SqrtRational.from_factorial_ratio(phase, (tj3 + 1,), (tj3,))
+    return SqrtRational.from_factorial_ratio(
+        neg_one_pow((tj1 - tj2 + tm3) // 2) * p, q,
+        (*num_args, tj3 + 1), (*den_args, tj3))
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +213,26 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     two_j = (tj1, tj2, tj3, tl1, tl2, tl3)
     if any((a + b + c) % 2 or not triangle_ok(a, b, c) for a, b, c in _sixj_triads(two_j)):
         return SR_ZERO
-    # (sign, exact square) of each 3j it reads, straight from _threej_sum, in
-    # a table of this call: the shared cache is left alone (at all six
-    # 2j = 40 they are 68,921 distinct labels, which would only evict each
-    # other there), and no square passes through the production canonical form.
+    # each 3j it reads as its sign and the integer numerator and denominator
+    # of its exact square, straight from _threej_sum, in a table of this
+    # call: the shared cache is left alone (at all six 2j = 40 they are
+    # 68,921 distinct labels, which would only evict each other there), no
+    # square passes through the production canonical form, and each term of
+    # the sum builds one Fraction.
     table = {}
+    f = factorials.upto(max(sum(t) for t in _sixj_triads(two_j)) // 2 + 1)
 
     def sign_square(*label):
         entry = table.get(label)
         if entry is None:
             parts = _threej_sum(*label)
             if parts is None:
-                entry = (0, 0)
+                entry = (0, 0, 1)
             else:
-                s, num_args, den_args = parts
-                entry = ((1 if s > 0 else -1),
-                         Fraction(s.numerator ** 2 * math.prod(map(factorials, num_args)),
-                                  s.denominator ** 2 * math.prod(map(factorials, den_args))))
+                p, q, num_args, den_args = parts
+                entry = ((1 if p > 0 else -1),
+                         p * p * math.prod(map(f.__getitem__, num_args)),
+                         q * q * math.prod(map(f.__getitem__, den_args)))
             table[label] = entry
         return entry
 
@@ -227,7 +242,7 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            s0, q0 = sign_square(tj1, tj2, tj3, tm1, tm2, tm3)
+            s0, n0, d0 = sign_square(tj1, tj2, tj3, tm1, tm2, tm3)
             if s0 == 0:
                 continue
             # the m sums of the second and third 3j fix mu2 and mu3; every
@@ -236,17 +251,18 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
                 tmu2, tmu3 = tmu1 + tm3, tmu1 + tm3 + tm1
                 if abs(tmu2) > tl2 or abs(tmu3) > tl3:
                     continue
-                s1, q1 = sign_square(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+                s1, n1, d1 = sign_square(tl1, tl2, tj3, tmu1, -tmu2, tm3)
                 if s1 == 0:
                     continue
-                s2, q2 = sign_square(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+                s2, n2, d2 = sign_square(tl2, tl3, tj1, tmu2, -tmu3, tm1)
                 if s2 == 0:
                     continue
-                s3, q3 = sign_square(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+                s3, n3, d3 = sign_square(tl3, tl1, tj2, tmu3, -tmu1, tm2)
                 if s3 == 0:
                     continue
                 ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
-                terms.append((ph * s0 * s1 * s2 * s3, q0 * q1 * q2 * q3))
+                terms.append((ph * s0 * s1 * s2 * s3,
+                              Fraction(n0 * n1 * n2 * n3, d0 * d1 * d2 * d3)))
     return _sum_signed_sqrts(terms)
 
 
@@ -311,7 +327,7 @@ def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
             return SR_ZERO
     # the coefficient times the four triangle deltas under one square root
     return SqrtRational.from_factorial_ratio(
-        _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3),
+        _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3), 1,
         [n for t in triads for n in _triad_args(*t)],
         [sum(t) // 2 + 1 for t in triads])
 
@@ -357,7 +373,7 @@ def ninej(two_j_rows) -> SqrtRational:
     if not total:
         return SR_ZERO
     return SqrtRational.from_factorial_ratio(
-        Fraction(total, math.prod(map(factorials, tops))),
+        total, math.prod(map(factorials, tops)),
         [n for t in triads for n in _triad_args(*t)],
         [sum(t) // 2 + 1 for t in triads])
 

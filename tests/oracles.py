@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gfkit.exact import SqrtRational, neg_one_pow
 from gfkit.hurwitz import quad_map_polynomials
 from gfkit.manybody import SlaterSystem, _fermion_op, transform_slater
 from gfkit.oscillator import ho_wavefunction
@@ -26,6 +27,19 @@ from gfkit.special import _hankel_transform, gegenbauer, legendre
 from gfkit.su3 import (_monomial_exponents, coupling_table, dim_su3,
                        su3_state_keys)
 from gfkit.unitary import GelfandPattern, _kernel_terms
+from gfkit.wigner import threej
+
+
+# ---------------------------------------------------------------------------
+# wigner: the Clebsch-Gordan coefficient as a product of canonical values
+# ---------------------------------------------------------------------------
+def clebsch_gordan_product(tj1, tm1, tj2, tm2, tj3, tm3) -> SqrtRational:
+    """<j1 m1, j2 m2 | j3 m3>, doubled arguments, as the cached canonical 3j
+    with -m3 times the canonical (-1)^{j1-j2+m3} sqrt(2 j3 + 1), multiplied
+    as SqrtRational values."""
+    phase = neg_one_pow((tj1 - tj2 + tm3) // 2)
+    return (threej(tj1, tj2, tj3, tm1, tm2, -tm3)
+            * SqrtRational.from_factorial_ratio(phase, 1, (tj3 + 1,), (tj3,)))
 
 
 # ---------------------------------------------------------------------------

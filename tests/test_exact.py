@@ -147,14 +147,19 @@ def test_halfint():
 
 
 def test_import_loads_no_dataclasses():
-    # HalfInt and ThreeJLabel are named tuples, so a fresh `import gfkit`
-    # loads neither dataclasses nor the inspect module it would pull in
+    # HalfInt, ThreeJLabel and Su3Label are named tuples and ResultEnvelope a
+    # plain class, so a fresh `import gfkit` or `import gfkit.cli` loads
+    # neither dataclasses nor the inspect module it would pull in, and
+    # `import gfkit.su3` no dataclasses (numpy loads inspect itself)
     src = Path(__file__).resolve().parents[1] / "src"
-    script = ("import sys, gfkit\n"
-              "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert res.stdout.splitlines() == ["[]"]
+    for module, banned in (("gfkit", ("dataclasses", "inspect")),
+                           ("gfkit.cli", ("dataclasses", "inspect")),
+                           ("gfkit.su3", ("dataclasses",))):
+        script = (f"import sys, {module}\n"
+                  f"print([m for m in {banned!r} if m in sys.modules])")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert res.stdout.splitlines() == ["[]"], module
 
 
 # Verification helpers that live in tests/oracles.py, or were deleted for an
@@ -251,21 +256,22 @@ def test_factorial_masks_grown_from_threads():
 
 
 fractions = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
-nonzero_fractions = fractions.filter(bool)
 factorial_args = st.lists(st.integers(0, 80), max_size=6)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(nonzero_fractions, factorial_args, factorial_args)
-def test_factorial_ratio_placement_matches_from_square(s, num, den):
+@given(st.integers(-10 ** 12, 10 ** 12).filter(bool), st.integers(1, 10 ** 12),
+       factorial_args, factorial_args)
+def test_factorial_ratio_placement_matches_from_square(p, q, num, den):
+    # p and q are drawn independently, so unreduced pairs are covered
     ratio = Fraction(math.prod(map(math.factorial, num)),
                      math.prod(map(math.factorial, den)))
     rn, rd, free = sqrt_factorial_ratio(num, den)
     assert rn > 0 and rd > 0 and math.gcd(rn, rd) == 1
     assert Fraction(rn, rd) ** 2 * free == ratio
     assert square_free_split(free) == (1, free)
-    got = SqrtRational.from_factorial_ratio(s, num, den)
-    want = SqrtRational.from_square(s * s * ratio, 1 if s > 0 else -1)
+    got = SqrtRational.from_factorial_ratio(p, q, num, den)
+    want = SqrtRational.from_square(Fraction(p, q) ** 2 * ratio, 1 if p > 0 else -1)
     assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
 
 

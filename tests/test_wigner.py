@@ -18,6 +18,7 @@ from gfkit.wigner import (ThreeJLabel, clebsch_gordan, gaunt, gf_coefficient,
                           ninej, regge_orbit, sixj_gf, sixj_oracle, threej,
                           threej_second_route, threej_second_route_square,
                           _PARITY, _PERM3, _sum_signed_sqrts, _threej_core)
+from oracles import clebsch_gordan_product
 
 
 def sr(c, r=1):
@@ -232,6 +233,23 @@ def test_clebsch_gordan_examples():
         SqrtRational(1, Fraction(1, 2))
     assert clebsch_gordan(h(2), h(2), h(2), h(-2), h(0), h(0)) == \
         SqrtRational(1, Fraction(1, 3))
+
+
+def test_clebsch_gordan_equals_product_route():
+    # one canonicalization from the 3j's integers gives the parts of the
+    # canonical 3j times the canonical sqrt(2 j3 + 1), and leaves the 3j
+    # cache alone
+    rng = random.Random(14)
+    labels = (list(valid_threej_labels(8))
+              + [random_threej_label(rng, 40, 60) for _ in range(3000)]
+              + [random_threej_label(rng, 300, 400) for _ in range(20)])
+    for tj1, tj2, tj3, tm1, tm2, tm3 in labels:
+        args = (tj1, tm1, tj2, tm2, tj3, -tm3)
+        before = _threej_core.cache_info()
+        got = clebsch_gordan(*map(HalfInt, args))
+        assert _threej_core.cache_info() == before
+        want = clebsch_gordan_product(*args)
+        assert (got.coeff, got.radicand) == (want.coeff, want.radicand), args
 
 
 def test_threej_orthogonality_small():
