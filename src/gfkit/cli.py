@@ -177,9 +177,8 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # 2j sum of 2400 the slowest 3j tried takes 34 ms and the table holds 0.9 MB;
 # at 4800, 0.3 s and 3.7 MB; at 9600, 2.4 s and 16 MB.  The 6j with all six
 # 2j equal takes 6 ms, 49 ms and 0.4 s at those sums.  The 6j oracle is a
-# magnetic sum of O(j^5) terms: 0.19 s with all six 2j = 24 (a sum of 144),
-# 6.2 s with all 2j = 40 (240), where its 3j working set also outgrows the
-# 3j cache.  The 9j is one rational sum over x of three 6j coefficients:
+# magnetic sum of O(j^5) terms: 0.03 s with all six 2j = 24 (a sum of 144),
+# 0.3 s with all 2j = 40 (240).  The 9j is one rational sum over x of three 6j coefficients:
 # with all nine 2j equal it takes 0.5 ms at 12 (a sum of 108), 31 ms at 100
 # and 0.26 s at 200; the slowest of 200 random labels with every 2j up to 12
 # takes 0.4 ms, so its cap is conservative.  Larger labels are refused before

@@ -457,12 +457,3 @@ def triangle_delta(a, b, c) -> SqrtRational:
     return SqrtRational.from_factorial_ratio(
         1, 1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
 
-
-def sqrt_ratio_of_squares(q_num: Fraction, q_den: Fraction) -> Fraction:
-    """Exact sqrt(q_num/q_den) when the ratio is a perfect rational square."""
-    r = q_num / q_den
-    n, d = r.numerator, r.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        raise ValueError("ratio is not a perfect square")
-    return Fraction(rn, rd)

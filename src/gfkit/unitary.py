@@ -9,7 +9,7 @@ expansion with every minor set to 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,27 +19,27 @@ from .polytools import poly_mul, poly_pow
 # ---------------------------------------------------------------------------
 # patterns
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class IrrepLabel:
-    h: tuple
+# The labels below are validated named tuples, as ThreeJLabel: frozen
+# dataclasses would load dataclasses and inspect, about 10 ms of import.
+class IrrepLabel(namedtuple("IrrepLabel", "h")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        hs = self.h
-        if any(hs[i] < hs[i + 1] for i in range(len(hs) - 1)) or hs[-1] < 0:
-            raise ValueError(f"irrep label must be non-increasing, >= 0: {hs}")
+    def __new__(cls, h):
+        if any(h[i] < h[i + 1] for i in range(len(h) - 1)) or h[-1] < 0:
+            raise ValueError(f"irrep label must be non-increasing, >= 0: {h}")
+        return super().__new__(cls, h)
 
     @property
     def n(self):
         return len(self.h)
 
 
-@dataclass(frozen=True)
-class GelfandPattern:
+class GelfandPattern(namedtuple("GelfandPattern", "rows")):
     """rows top-to-bottom: rows[0] has n entries, rows[-1] has one."""
-    rows: tuple
 
-    def __post_init__(self):
-        rows = self.rows
+    __slots__ = ()
+
+    def __new__(cls, rows):
         n = len(rows[0])
         if tuple(len(r) for r in rows) != tuple(range(n, 0, -1)):
             raise ValueError("pattern must be triangular")
@@ -48,6 +48,7 @@ class GelfandPattern:
             for i, v in enumerate(lo):
                 if not (up[i] >= v >= up[i + 1]):
                     raise ValueError(f"betweenness violated at row {k + 1}")
+        return super().__new__(cls, rows)
 
     @property
     def n(self):
@@ -111,13 +112,13 @@ def highest_pattern(label: IrrepLabel) -> GelfandPattern:
 # ---------------------------------------------------------------------------
 # binary fundamental representation coding
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class BfrTable:
-    bits: tuple
+class BfrTable(namedtuple("BfrTable", "bits")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(b in (0, 1) for b in self.bits) or sum(self.bits) < 1:
+    def __new__(cls, bits):
+        if not all(b in (0, 1) for b in bits) or sum(bits) < 1:
             raise ValueError("bits must be 0/1 with at least one 1")
+        return super().__new__(cls, bits)
 
     @property
     def k(self):
@@ -128,10 +129,11 @@ class BfrTable:
         return tuple(i + 1 for i, b in enumerate(self.bits) if b)
 
 
-@dataclass(frozen=True)
-class ParamMonomial:
-    """product of x(lam,mu) / y(lam,mu) tags, lam strictly increasing."""
-    factors: tuple  # of ("x"|"y", lam, mu)
+class ParamMonomial(namedtuple("ParamMonomial", "factors")):
+    """product of x(lam,mu) / y(lam,mu) tags, lam strictly increasing;
+    factors is a tuple of ("x"|"y", lam, mu)."""
+
+    __slots__ = ()
 
     def __str__(self):
         if not self.factors:

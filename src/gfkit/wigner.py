@@ -24,9 +24,10 @@ factors either.  The 3j core is an lru_cache bounded at 2**14 labels
 holding each label's canonical value; threej reads it.  clebsch_gordan
 does not: it appends sqrt(2 j3 + 1) to the 3j's factorial ratio and
 canonicalizes once, which costs less than a cache hit and a product.
-The only magnetic sum left, the 6j oracle, keeps the sign and exact square
-of the 3j it reads in a table of its own call, so it leaves the shared cache
-alone.  That oracle and the second 3j route still end in from_square.
+The only magnetic sum left, the 6j oracle, is one rational sum under the
+root of its triangle deltas too (see sixj_oracle); it reads each 3j into a
+table of its own call, leaving the shared cache alone, and ends in
+from_square, as the second 3j route does.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (SR_ZERO, SqrtRational, _triad_args, factorials,
-                    neg_one_pow, sqrt_ratio_of_squares, triangle_ok, HalfInt)
+                    neg_one_pow, triangle_ok, HalfInt)
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +185,6 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> SqrtRational:
 
 
 # ---------------------------------------------------------------------------
-# exact sums of same-radicand square roots (ratio trick, no factorization)
-# ---------------------------------------------------------------------------
-def _sum_signed_sqrts(terms) -> SqrtRational:
-    """Sum of s_i*sqrt(q_i) where all q_i share one squarefree part."""
-    ref = None
-    acc = Fraction(0)
-    for sign, sq in terms:
-        if sign == 0 or sq == 0:
-            continue
-        if ref is None:
-            ref = sq
-        acc += sign * sqrt_ratio_of_squares(sq, ref)
-    if ref is None or acc == 0:
-        return SR_ZERO
-    return SqrtRational.from_square(ref) * acc
-
-
-# ---------------------------------------------------------------------------
 # 6j definitional oracle: full magnetic contraction of four 3j symbols
 # ---------------------------------------------------------------------------
 def _sixj_triads(two_j):
@@ -210,60 +193,75 @@ def _sixj_triads(two_j):
 
 
 def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
-    two_j = (tj1, tj2, tj3, tl1, tl2, tl3)
-    if any((a + b + c) % 2 or not triangle_ok(a, b, c) for a, b, c in _sixj_triads(two_j)):
-        return SR_ZERO
-    # each 3j it reads as its sign and the integer numerator and denominator
-    # of its exact square, straight from _threej_sum, in a table of this
-    # call: the shared cache is left alone (at all six 2j = 40 they are
-    # 68,921 distinct labels, which would only evict each other there), no
-    # square passes through the production canonical form, and each term of
-    # the sum builds one Fraction.
-    table = {}
-    f = factorials.upto(max(sum(t) for t in _sixj_triads(two_j)) // 2 + 1)
+    """6j as the definitional magnetic sum of four 3j, the check on sixj_gf.
 
-    def sign_square(*label):
-        entry = table.get(label)
-        if entry is None:
+    A 3j is (p/q) sqrt(Delta^2(j1 j2 j3) prod_i (j_i + m_i)! (j_i - m_i)!)
+    with p/q from _threej_sum.  j1, j2 and j3 come back in two of the four
+    3j with the same m, and l1, l2 and l3 with +-mu, so the (j +- m)! under
+    the four roots form a perfect square and
+
+        6j = S sqrt(prod of the four triads' Delta^2),
+        S = sum_{m, mu} (-1)^(l1+l2+l3+mu1+mu2+mu3) prod_k p_k / q_k
+            prod over the six j of (j + m)! (j - m)!,
+
+    summed in integers over the running lcm of the denominators.  The value
+    ends in from_square, never in from_factorial_ratio, so its canonical
+    form is not sixj_gf's.  Each 3j is read once into a table of this call,
+    which leaves the shared cache alone (all six 2j = 40 read 68,921
+    distinct labels, which would only evict each other there)."""
+    triads = _sixj_triads((tj1, tj2, tj3, tl1, tl2, tl3))
+    if any(sum(t) % 2 or not triangle_ok(*t) for t in triads):
+        return SR_ZERO
+    table = {}
+    f = factorials.upto(max(sum(t) for t in triads) // 2 + 1)
+
+    def ratio(*label):
+        # p (j + m)! (j - m)! of the first column, and q, reduced: the first
+        # columns of the three inner 3j are l1, l2 and l3
+        if label not in table:
             parts = _threej_sum(*label)
             if parts is None:
-                entry = (0, 0, 1)
+                table[label] = None
             else:
-                p, q, num_args, den_args = parts
-                entry = ((1 if p > 0 else -1),
-                         p * p * math.prod(map(f.__getitem__, num_args)),
-                         q * q * math.prod(map(f.__getitem__, den_args)))
-            table[label] = entry
-        return entry
+                tj, tm = label[0], label[3]
+                p = parts[0] * f[(tj + tm) // 2] * f[(tj - tm) // 2]
+                g = math.gcd(p, parts[1])
+                table[label] = (p // g, parts[1] // g)
+        return table[label]
 
-    terms = []
+    num, den = 0, 1
     for tm1 in range(-tj1, tj1 + 1, 2):
         for tm2 in range(-tj2, tj2 + 1, 2):
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            s0, n0, d0 = sign_square(tj1, tj2, tj3, tm1, tm2, tm3)
-            if s0 == 0:
+            r0 = ratio(tj1, tj2, tj3, tm1, tm2, tm3)
+            if r0 is None:
                 continue
+            p0 = r0[0] * (f[(tj2 + tm2) // 2] * f[(tj2 - tm2) // 2]
+                          * f[(tj3 + tm3) // 2] * f[(tj3 - tm3) // 2])
             # the m sums of the second and third 3j fix mu2 and mu3; every
             # other (mu1, mu2) term is zero
             for tmu1 in range(-tl1, tl1 + 1, 2):
                 tmu2, tmu3 = tmu1 + tm3, tmu1 + tm3 + tm1
                 if abs(tmu2) > tl2 or abs(tmu3) > tl3:
                     continue
-                s1, n1, d1 = sign_square(tl1, tl2, tj3, tmu1, -tmu2, tm3)
-                if s1 == 0:
+                r1 = ratio(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+                r2 = r1 and ratio(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+                r3 = r2 and ratio(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+                if r3 is None:
                     continue
-                s2, n2, d2 = sign_square(tl2, tl3, tj1, tmu2, -tmu3, tm1)
-                if s2 == 0:
-                    continue
-                s3, n3, d3 = sign_square(tl3, tl1, tj2, tmu3, -tmu1, tm2)
-                if s3 == 0:
-                    continue
-                ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
-                terms.append((ph * s0 * s1 * s2 * s3,
-                              Fraction(n0 * n1 * n2 * n3, d0 * d1 * d2 * d3)))
-    return _sum_signed_sqrts(terms)
+                n = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2) \
+                    * p0 * r1[0] * r2[0] * r3[0]
+                d = r0[1] * r1[1] * r2[1] * r3[1]
+                g = math.gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den * (d // g)
+    if not num:
+        return SR_ZERO
+    s = Fraction(num, den)
+    deltas = Fraction(math.prod(f[n] for t in triads for n in _triad_args(*t)),
+                      math.prod(f[sum(t) // 2 + 1] for t in triads))
+    return SqrtRational.from_square(s * s * deltas, 1 if s > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +293,14 @@ def gf_coefficient(expo) -> int:
             or a1 + b2 != e31 or a2 + b3 != e12 or a1 + b3 != e21):
         return 0
     n0 = a0 + a1 + a2 + a3 + b2 + b3  # N at z = 0; each step of z lowers N by 1
+    zmin = max(0, -b2, -b3)
+    # N + 1 bounds every argument, and N is largest at zmin
+    f = factorials.upto(n0 - zmin + 1)
     total = 0
-    for z in range(max(0, -b2, -b3), min(a0, a1, a2, a3) + 1):
+    for z in range(zmin, min(a0, a1, a2, a3) + 1):
         n = n0 - z
-        term = factorials(n + 1) // (
-            factorials(a0 - z) * factorials(a1 - z) * factorials(a2 - z)
-            * factorials(a3 - z) * factorials(z) * factorials(b2 + z)
-            * factorials(b3 + z))
+        term = f[n + 1] // (f[a0 - z] * f[a1 - z] * f[a2 - z] * f[a3 - z]
+                            * f[z] * f[b2 + z] * f[b3 + z])
         total += -term if n & 1 else term
     return total
 
@@ -357,6 +356,7 @@ def ninej(two_j_rows) -> SqrtRational:
     # the row and column parities give a + i, b + f and d + h one parity,
     # so every x in lo..hi passes the three x-triads
     tops = [(p + q + hi) // 2 + 1 for p, q in pairs]
+    fact = factorials.upto(max(tops))
     total = 0
     for x in range(lo, hi + 1, 2):
         term = (_sixj_coefficient(a, b, c, f, i, x) * _sixj_coefficient(d, e, f, b, x, h)
@@ -367,13 +367,12 @@ def ninej(two_j_rows) -> SqrtRational:
         for (p, q), top in zip(pairs, tops):
             u, v, w = _triad_args(p, q, x)
             # Delta^2(p q x) times the common denominator (top)!
-            term *= (factorials(u) * factorials(v) * factorials(w)
-                     * (factorials(top) // factorials((p + q + x) // 2 + 1)))
+            term *= fact[u] * fact[v] * fact[w] * (fact[top] // fact[(p + q + x) // 2 + 1])
         total += -term if x & 1 else term
     if not total:
         return SR_ZERO
     return SqrtRational.from_factorial_ratio(
-        total, math.prod(map(factorials, tops)),
+        total, math.prod(fact[t] for t in tops),
         [n for t in triads for n in _triad_args(*t)],
         [sum(t) // 2 + 1 for t in triads])
 

@@ -147,14 +147,16 @@ def test_halfint():
 
 
 def test_import_loads_no_dataclasses():
-    # HalfInt, ThreeJLabel and Su3Label are named tuples and ResultEnvelope a
-    # plain class, so a fresh `import gfkit` or `import gfkit.cli` loads
-    # neither dataclasses nor the inspect module it would pull in, and
-    # `import gfkit.su3` no dataclasses (numpy loads inspect itself)
+    # HalfInt, ThreeJLabel, Su3Label and the gfkit.unitary labels are named
+    # tuples and ResultEnvelope a plain class, so a fresh `import gfkit`,
+    # `import gfkit.cli` or `import gfkit.unitary` loads neither dataclasses
+    # nor the inspect module it would pull in, and `import gfkit.su3` no
+    # dataclasses (numpy loads inspect itself)
     src = Path(__file__).resolve().parents[1] / "src"
     for module, banned in (("gfkit", ("dataclasses", "inspect")),
                            ("gfkit.cli", ("dataclasses", "inspect")),
-                           ("gfkit.su3", ("dataclasses",))):
+                           ("gfkit.su3", ("dataclasses",)),
+                           ("gfkit.unitary", ("dataclasses", "inspect"))):
         script = (f"import sys, {module}\n"
                   f"print([m for m in {banned!r} if m in sys.modules])")
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

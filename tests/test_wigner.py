@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
-from gfkit import exact
+from gfkit import exact, wigner
 from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, neg_one_pow, triangle_ok
 from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_var,
                              poly_add)
 from gfkit.wigner import (ThreeJLabel, clebsch_gordan, gaunt, gf_coefficient,
                           ninej, regge_orbit, sixj_gf, sixj_oracle, threej,
                           threej_second_route, threej_second_route_square,
-                          _PARITY, _PERM3, _sum_signed_sqrts, _threej_core)
+                          _PARITY, _PERM3, _threej_core, _threej_sum)
 from oracles import clebsch_gordan_product
 
 
@@ -84,6 +84,53 @@ def threej_sign_squares():
             entry = table[label] = (sign_of(v), v.square())
         return entry
     return sign_square
+
+
+def threej_ratios():
+    """A reader of each 3j's rational part p/q, reduced, label by label, with
+    a table of its own; None where the 3j vanishes.  A 3j is
+    (p/q) sqrt(Delta^2(j1 j2 j3) prod_i (j_i + m_i)! (j_i - m_i)!), with p
+    and q from _threej_sum."""
+    table = {}
+
+    def ratio(*label):
+        if label not in table:
+            parts = _threej_sum(*label)
+            if parts is None:
+                table[label] = None
+            else:
+                g = math.gcd(parts[0], parts[1])
+                table[label] = (parts[0] // g, parts[1] // g)
+        return table[label]
+    return ratio
+
+
+def pm_factorials(tj, tm):
+    """(j + m)! (j - m)!, doubled arguments."""
+    return math.factorial((tj + tm) // 2) * math.factorial((tj - tm) // 2)
+
+
+def rational_sum(terms):
+    """The sum of n/d over (n, d) pairs, d > 0, in integers over the running
+    lcm of the denominators."""
+    num, den = 0, 1
+    for n, d in terms:
+        g = math.gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den * (d // g)
+    return Fraction(num, den)
+
+
+def delta_square(a, b, c):
+    """Delta^2(a b c) of a doubled triad, from math.factorial."""
+    return Fraction(math.factorial((a + b - c) // 2) * math.factorial((a - b + c) // 2)
+                    * math.factorial((-a + b + c) // 2),
+                    math.factorial((a + b + c) // 2 + 1))
+
+
+def times_root_of_deltas(s, triads):
+    """s sqrt(prod of the triads' Delta^2), canonicalized from its square."""
+    deltas = math.prod(delta_square(*t) for t in triads)
+    return SqrtRational.from_square(s * s * deltas, 1 if s > 0 else -1)
 
 
 def test_threej_examples():
@@ -297,29 +344,39 @@ def test_sixj_examples_both_routes():
 
 def sixj_fixed_m(tj1, tj2, tj3, tl1, tl2, tl3, tm1, tm2, tm3) -> SqrtRational:
     """6j from the mu-sum at one fixed magnetic configuration, divided by the
-    accompanying 3j; used to assert the m-independence of the contraction."""
-    v0 = threej(tj1, tj2, tj3, tm1, tm2, tm3)
-    if not v0:
+    accompanying 3j; used to assert the m-independence of the contraction.
+
+    The (j +- m)! of j1, j2 and j3 under the three roots cancel against the
+    3j divided by, and those of l1, l2 and l3 come out squared, so the
+    quotient is one rational sum, times q0 / (p0 Delta^2(j1 j2 j3)), under
+    the root of the four triads' Delta^2."""
+    parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3)
+    if parts is None:
         raise ValueError("chosen (m1,m2,m3) has vanishing 3j")
-    sign_square = threej_sign_squares()
+    ratio = threej_ratios()
     terms = []
     for tmu1 in range(-tl1, tl1 + 1, 2):
         for tmu2 in range(-tl2, tl2 + 1, 2):
-            s1, q1 = sign_square(tl1, tl2, tj3, tmu1, -tmu2, tm3)
-            if s1 == 0:
+            r1 = ratio(tl1, tl2, tj3, tmu1, -tmu2, tm3)
+            if r1 is None:
                 continue
             tmu3 = tmu2 + tm1
             if abs(tmu3) > tl3:
                 continue
-            s2, q2 = sign_square(tl2, tl3, tj1, tmu2, -tmu3, tm1)
-            if s2 == 0:
+            r2 = ratio(tl2, tl3, tj1, tmu2, -tmu3, tm1)
+            if r2 is None:
                 continue
-            s3, q3 = sign_square(tl3, tl1, tj2, tmu3, -tmu1, tm2)
-            if s3 == 0:
+            r3 = ratio(tl3, tl1, tj2, tmu3, -tmu1, tm2)
+            if r3 is None:
                 continue
             ph = neg_one_pow((tl1 + tl2 + tl3 + tmu1 + tmu2 + tmu3) // 2)
-            terms.append((ph * s1 * s2 * s3, q1 * q2 * q3))
-    return _sum_signed_sqrts(terms) / v0
+            terms.append((ph * r1[0] * r2[0] * r3[0] * pm_factorials(tl1, tmu1)
+                          * pm_factorials(tl2, tmu2) * pm_factorials(tl3, tmu3),
+                          r1[1] * r2[1] * r3[1]))
+    s = (rational_sum(terms) * Fraction(parts[1], parts[0])
+         / delta_square(tj1, tj2, tj3))
+    return times_root_of_deltas(
+        s, ((tj1, tj2, tj3), (tj1, tl2, tl3), (tl1, tj2, tl3), (tl1, tl2, tj3)))
 
 
 def test_sixj_fixed_m_self_consistency():
@@ -461,6 +518,29 @@ def test_sixj_oracle_leaves_shared_cache_alone():
     assert _threej_core.cache_info() == before
 
 
+def test_sixj_oracle_shares_no_step_with_sixj_gf(monkeypatch):
+    # sixj_gf is gf_coefficient canonicalized by from_factorial_ratio; with
+    # both made to raise, the oracle still gives sixj_gf's values, computed
+    # first, on seeded labels with 2j <= 8 and on all six 2j = 20
+    rng = random.Random(15)
+    labels = [(20,) * 6]
+    while len(labels) <= 300:
+        lab = tuple(rng.randint(0, 8) for _ in range(6))
+        if sixj_triads_ok(lab):
+            labels.append(lab)
+    expected = [sixj_gf(*lab) for lab in labels]
+    assert sum(map(bool, expected)) > len(labels) // 2
+
+    def refuse(*args):
+        raise AssertionError("the 6j oracle took a step of sixj_gf")
+
+    monkeypatch.setattr(SqrtRational, "from_factorial_ratio", staticmethod(refuse))
+    monkeypatch.setattr(wigner, "gf_coefficient", refuse)
+    with pytest.raises(AssertionError):
+        sixj_gf(*labels[0])
+    assert [sixj_oracle(*lab) for lab in labels] == expected
+
+
 @st.composite
 def sixj_labels(draw, tjmax=12):
     def third(a, b):
@@ -495,49 +575,59 @@ def test_ninej_examples():
 
 
 def ninej_magnetic(two_j_rows) -> SqrtRational:
-    """The 9j oracle: the definitional magnetic sum over six 3j symbols."""
+    """The 9j oracle: the definitional magnetic sum over six 3j symbols.
+
+    Every j sits in one row and one column 3j with the same m, so the
+    (j +- m)! under the six roots form a perfect square: the 9j is the
+    rational sum over m of prod_k p_k/q_k times each j's (j + m)! (j - m)!,
+    under the root of the six row and column Delta^2."""
     (a, b, c), (d, e, f), (g, h, i) = two_j_rows
-    for tri in ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i)):
+    triads = ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))
+    for tri in triads:
         if sum(tri) % 2 or not triangle_ok(*tri):
             return SR_ZERO
-    sign_square = threej_sign_squares()
+    ratio = threej_ratios()
     terms = []
     for ma in range(-a, a + 1, 2):
         for mb in range(-b, b + 1, 2):
             mc = -ma - mb
             if abs(mc) > c:
                 continue
-            s1, q1 = sign_square(a, b, c, ma, mb, mc)
-            if s1 == 0:
+            r1 = ratio(a, b, c, ma, mb, mc)
+            if r1 is None:
                 continue
+            n1 = r1[0] * pm_factorials(a, ma) * pm_factorials(b, mb) * pm_factorials(c, mc)
             for md in range(-d, d + 1, 2):
                 for me in range(-e, e + 1, 2):
                     mf = -md - me
                     if abs(mf) > f:
                         continue
-                    s2, q2 = sign_square(d, e, f, md, me, mf)
-                    if s2 == 0:
+                    r2 = ratio(d, e, f, md, me, mf)
+                    if r2 is None:
                         continue
                     mg = -ma - md
                     mh = -mb - me
                     mi = -mc - mf
                     if abs(mg) > g or abs(mh) > h or abs(mi) > i:
                         continue
-                    s3, q3 = sign_square(g, h, i, mg, mh, mi)
-                    if s3 == 0:
+                    r3 = ratio(g, h, i, mg, mh, mi)
+                    if r3 is None:
                         continue
-                    s4, q4 = sign_square(a, d, g, ma, md, mg)
-                    if s4 == 0:
+                    r4 = ratio(a, d, g, ma, md, mg)
+                    if r4 is None:
                         continue
-                    s5, q5 = sign_square(b, e, h, mb, me, mh)
-                    if s5 == 0:
+                    r5 = ratio(b, e, h, mb, me, mh)
+                    if r5 is None:
                         continue
-                    s6, q6 = sign_square(c, f, i, mc, mf, mi)
-                    if s6 == 0:
+                    r6 = ratio(c, f, i, mc, mf, mi)
+                    if r6 is None:
                         continue
-                    terms.append((s1 * s2 * s3 * s4 * s5 * s6,
-                                  q1 * q2 * q3 * q4 * q5 * q6))
-    return _sum_signed_sqrts(terms)
+                    terms.append((
+                        n1 * r2[0] * r3[0] * r4[0] * r5[0] * r6[0]
+                        * pm_factorials(d, md) * pm_factorials(e, me) * pm_factorials(f, mf)
+                        * pm_factorials(g, mg) * pm_factorials(h, mh) * pm_factorials(i, mi),
+                        r1[1] * r2[1] * r3[1] * r4[1] * r5[1] * r6[1]))
+    return times_root_of_deltas(rational_sum(terms), triads)
 
 
 def test_ninej_independent_summation_order():
