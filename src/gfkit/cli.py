@@ -4,7 +4,7 @@ machine-readable output (json, csv, text).
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 2 usage error.  su3 wigner and su3 isoscalar refuse lam1 + lam2 above
-SU3_MAX_LAM_SUM (16), wigner 3j, cg and 6j refuse a sum of their |2j|
+SU3_MAX_LAM_SUM (18), wigner 3j, cg and 6j refuse a sum of their |2j|
 above WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
 WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
 (108), wigner gaunt a sum of its |2l| above WIGNER_MAX_TWO_J_SUM, gelfand
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 class ResultEnvelope:
     """One command's result.  A plain class with slots, not a dataclass:
     importing dataclasses loads inspect, about 10 ms and 0.7 MB in every
-    invocation.  It stays mutable (su3 isoscalar fills in its table)."""
+    invocation.  It stays mutable (su3 wigner fills in its table)."""
 
     __slots__ = ("status", "value_exact", "value_float", "table", "meta", "message")
 
@@ -244,10 +244,10 @@ def _wigner_gaunt(args):
 # --- su3 -------------------------------------------------------------------
 # su3 wigner and isoscalar build the whole (lam1,0) x (lam2,0) -> (lam3,mu3)
 # coupling table, whose build time grows steeply with lam1 + lam2: the
-# slowest table at lam1 + lam2 = 16 takes about 0.3 s, at 18 about 0.8 s, at
-# 20 about 1.2 s (one 2-vCPU VM).  Larger couplings are refused before any
-# table is built.
-SU3_MAX_LAM_SUM = 16
+# slowest table at lam1 + lam2 = 16 takes about 0.12 s, at 18 about 0.2-0.3 s,
+# at 20 about 0.3-0.45 s (one 2-vCPU VM).  Larger couplings are refused
+# before any table is built.
+SU3_MAX_LAM_SUM = 18
 
 
 @_command("su3", "decompose", _arg("--lam1"), _arg("--lam2"))
@@ -269,7 +269,7 @@ def _su3_wigner(args):
               ((args.lam1, 0, args.a1), (args.lam2, 0, args.a2),
                (args.lam3, args.mu3, args.a3))]
     w, iso = su3_wigner_multfree(args.lam1, args.lam2, args.lam3, args.mu3, *labels)
-    env = _exact(w, "SU(3) invariant-contraction Wigner")
+    env = _exact(w, "SU(3) closed-form Wigner (isoscalar CG x 3j)")
     env.table = {"columns": ["isoscalar_exact", "isoscalar_float"],
                  "rows": [[str(iso), _fmt_float(iso)]]}
     return env

@@ -2,10 +2,11 @@
 
 A polynomial is a dict mapping exponent tuples to Fraction (or int)
 coefficients.  All operations are exact, and poly_mul, poly_pow and
-bargmann_dot keep integer coefficients integer.  The SU(3) contraction, the
-U(n) boson polynomials and the symbolic Hurwitz matrices are built from
-them, and the tests' exact identity checks (the Hurwitz products, the
-Laplacian pullback, the Gegenbauer-Gaussian determinants) use them too.
+bargmann_dot keep integer coefficients integer.  The U(n) boson polynomials
+and the symbolic Hurwitz matrices are built from them, and the tests' exact
+identity checks (the Hurwitz products, the Laplacian pullback, the
+Gegenbauer-Gaussian determinants, the SU(3) invariant contraction) use them
+too.
 TruncatedSeries expands g(tau)^-2 term by term; it is the test oracle for
 the closed-form 6j coefficient in wigner, not a production route.
 """

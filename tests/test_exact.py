@@ -176,6 +176,9 @@ _TEST_ONLY = (
     ("unitary", "u3_hypergeometric_terms"), ("special", "genfunc_residual"),
     ("special", "gaussian_hankel_selftransform"),
     ("oscillator", "mehler_eigensum"), ("oscillator", "fock_measure_residual"),
+    ("su3", "coupling_table_contraction"), ("su3", "_invariant_slices"),
+    ("su3", "_CrossBasis"), ("su3", "_v_poly"), ("su3", "_compositions"),
+    ("su3", "_multinomial"), ("su3", "_monomial_exponents"),
 )
 
 

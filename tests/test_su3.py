@@ -13,7 +13,8 @@ from gfkit.su3 import (Su3Label, coupling_table, dim_su3,
                        su3_decompose_multfree, su3_euler_matrix,
                        su3_isoscalar, su3_state_keys, su3_wigner_multfree)
 from gfkit.wigner import threej
-from oracles import casimir_eigenvalue, casimir_matrix, coupled_vectors
+from oracles import (casimir_eigenvalue, casimir_matrix, coupled_vectors,
+                     coupling_table_contraction)
 
 
 def test_decompose_examples():
@@ -174,6 +175,24 @@ def test_casimir_projection():
             for v in vecs.values():
                 assert np.linalg.norm(C @ v - ev * v) < 1e-10
                 assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_coupling_tables_match_contraction():
+    # the closed form against the invariant-polynomial contraction: every
+    # table with lam1 + lam2 <= 10 is equal, key set included, and the
+    # isoscalar factors it holds are the contraction's stretched entries,
+    # t01 = t1 and t02 = -t2, over their 3j
+    for lam1 in range(11):
+        for lam2 in range(11 - lam1):
+            for mu3 in range(min(lam1, lam2) + 1):
+                oracle = coupling_table_contraction(lam1, lam2, mu3)
+                table = coupling_table(lam1, lam2, mu3)
+                assert table.keys() == oracle.keys() and table == oracle
+                iso = {(k1[0], k1[1], k2[0], k2[1], k3[0], k3[1]):
+                       w / threej(k1[1], k2[1], k3[1], k1[1], -k2[1], k2[1] - k1[1])
+                       for (k1, k2, k3), w in oracle.items()
+                       if k1[2] == k1[1] and k2[2] == -k2[1]}
+                assert table.iso == iso
 
 
 def test_euler_matrix():
