@@ -244,9 +244,9 @@ def _wigner_gaunt(args):
 # --- su3 -------------------------------------------------------------------
 # su3 wigner and isoscalar build the whole (lam1,0) x (lam2,0) -> (lam3,mu3)
 # coupling table, whose build time grows steeply with lam1 + lam2: the
-# slowest table at lam1 + lam2 = 16 takes about 0.12 s, at 18 about 0.2-0.3 s,
-# at 20 about 0.3-0.45 s (one 2-vCPU VM).  Larger couplings are refused
-# before any table is built.
+# slowest table at lam1 + lam2 = 16 takes about 0.05 s, at 18 about 0.1 s,
+# at 20 about 0.15-0.18 s (Python 3.11, one 2-vCPU VM).  Larger couplings
+# are refused before any table is built.
 SU3_MAX_LAM_SUM = 18
 
 

@@ -21,7 +21,11 @@ the normalization sqrt((2t3+1)/dim) and the phase.
 So a coupling table builds no polynomial and factors no integer: each
 entry is one SqrtRational.from_factorial_ratio over the integers that
 wigner._threej_sum gives for the CG and the 3j, and the table's isoscalar
-factors are filled in the same pass.  The invariant-polynomial contraction
+factors are filled in the same pass.  Only half the entries are computed:
+the 3j mirror 3j(j1 j2 j3; -m) = (-1)^(j1+j2+j3) 3j(j1 j2 j3; m) carries over
+to w, since iso does not depend on the t0, so the entry with every 2t0
+negated is (-1)^((p1+p2+2t3)/2) w, and negating a canonical value keeps it
+canonical.  The invariant-polynomial contraction
 in Fock-Bargmann space that the paper's generating function gives is the
 tests' oracle (tests/oracles.py), beside a projection onto the quadratic
 Casimir of the product space.
@@ -31,8 +35,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-
-import numpy as np
 
 from .exact import SR_ZERO, SqrtRational, neg_one_pow, triangle_ok
 from .wigner import _threej_sum
@@ -97,6 +99,11 @@ def su3_decompose_multfree(lam1: int, lam2: int):
     return [(lam1 + lam2 - 2 * mu3, mu3) for mu3 in range(min(lam1, lam2) + 1)]
 
 
+def _in_decomposition(lam1, lam2, lam3, mu3) -> bool:
+    """(lam3, mu3) in su3_decompose_multfree(lam1, lam2), without the list."""
+    return lam3 == lam1 + lam2 - 2 * mu3 and 0 <= mu3 <= min(lam1, lam2)
+
+
 class _CouplingTable(dict):
     """A coupling table, {(key1, key2, key3): SqrtRational}, holding in `iso`
     its nonzero isoscalar factors, keyed by the three (y, 2t) chains and
@@ -118,7 +125,10 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
     Normalized so sum over (key1,key2) of w^2 = 1/dim(lam3,mu3) per key3;
     the phase makes the highest-weight coefficient positive.  Each entry
     is iso * 3j from the closed form of the module docstring, canonicalized
-    once from the _threej_sum integers of the CG and the 3j.
+    once from the _threej_sum integers of the CG and the 3j.  Only the
+    entries with 2t03 > 0, or 2t03 = 0 and 2t01 >= 0, are computed; each
+    gives its mirror, the key with all three 2t0 negated, as
+    (-1)^((p1+p2+2t3)/2) times its value, with nothing canonicalized again.
     """
     if lam1 < 0 or lam2 < 0 or not 0 <= mu3 <= min(lam1, lam2):
         raise ValueError("bad multiplicity-free coupling labels")
@@ -147,15 +157,21 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
                 num_c, den_c = (*num_c, tt3 + 1, *dim_num), (*den_c, tt3, *dim_den)
                 table.iso[y1, p1, y2, p2, y3, tt3] = SqrtRational.from_factorial_ratio(
                     pc, qc, num_c, den_c)
+                mirror = neg_one_pow((p1 + p2 + tt3) // 2)
                 for tt01 in range(-p1, p1 + 1, 2):
                     for tt02 in range(-p2, p2 + 1, 2):
                         tt03 = tt01 + tt02
+                        if tt03 < 0 or tt03 == 0 and tt01 < 0:
+                            continue    # the mirror of an entry computed here
                         tj = _threej_sum(p1, p2, tt3, tt01, tt02, -tt03)
                         if tj is not None:
                             p, q, num, den = tj
-                            table[(y1, p1, tt01), (y2, p2, tt02), (y3, tt3, tt03)] = (
-                                SqrtRational.from_factorial_ratio(
-                                    pc * p, qc * q, (*num_c, *num), (*den_c, *den)))
+                            w = SqrtRational.from_factorial_ratio(
+                                pc * p, qc * q, (*num_c, *num), (*den_c, *den))
+                            table[(y1, p1, tt01), (y2, p2, tt02), (y3, tt3, tt03)] = w
+                            if tt01 or tt02:
+                                table[(y1, p1, -tt01), (y2, p2, -tt02), (y3, tt3, -tt03)] = (
+                                    w if mirror > 0 else -w)
     return table
 
 
@@ -165,11 +181,13 @@ def su3_wigner_multfree(lam1, lam2, lam3, mu3, a1: Su3Label, a2: Su3Label,
     3j-normalized coefficients; exact zeros on selection-rule failure."""
     if a1.mu != 0 or a2.mu != 0:
         raise ValueError("multiplicity-free route needs mu1 = mu2 = 0")
-    if (lam3, mu3) not in su3_decompose_multfree(lam1, lam2):
+    if not _in_decomposition(lam1, lam2, lam3, mu3):
         return SR_ZERO, SR_ZERO
     table = coupling_table(lam1, lam2, mu3)
-    return (table.get((a1.key, a2.key, a3.key), SR_ZERO),
-            table.iso.get((a1.y, a1.two_t, a2.y, a2.two_t, a3.y, a3.two_t), SR_ZERO))
+    y1, tt1, y2, tt2, y3, tt3 = a1.y, a1.two_t, a2.y, a2.two_t, a3.y, a3.two_t
+    return (table.get(((y1, tt1, a1.two_t0), (y2, tt2, a2.two_t0), (y3, tt3, a3.two_t0)),
+                      SR_ZERO),
+            table.iso.get((y1, tt1, y2, tt2, y3, tt3), SR_ZERO))
 
 
 def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
@@ -177,7 +195,7 @@ def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
 
     Read from the coupling table, which holds every nonzero factor; a
     failed t triangle gives 0 before any table is built."""
-    if (lam3, mu3) not in su3_decompose_multfree(lam1, lam2):
+    if not _in_decomposition(lam1, lam2, lam3, mu3):
         return SR_ZERO
     (y1, tt1), (y2, tt2), (y3, tt3) = chain1, chain2, chain3
     if not triangle_ok(tt1, tt2, tt3):
@@ -190,6 +208,7 @@ def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
 # ---------------------------------------------------------------------------
 def su2_cayley_klein(psi, theta, phi):
     """Embedded SU(2) Cayley-Klein pair (a1, a2)."""
+    import numpy as np
     a1 = math.cos(theta / 2) * np.exp(-1j * (psi + phi) / 2)
     a2 = math.sin(theta / 2) * np.exp(-1j * (psi - phi) / 2)
     return a1, a2
@@ -200,6 +219,8 @@ def su3_euler_matrix(a_params, nu3, beta3, b_params):
 
     a_params, b_params: SU(2) Euler triples (psi, theta, phi).
     """
+    import numpy as np
+
     def embedded_su2(params):
         a1, a2 = su2_cayley_klein(*params)
         return np.array([[a1, a2, 0], [-np.conj(a2), np.conj(a1), 0],

@@ -149,13 +149,14 @@ def test_halfint():
 def test_import_loads_no_dataclasses():
     # HalfInt, ThreeJLabel, Su3Label and the gfkit.unitary labels are named
     # tuples and ResultEnvelope a plain class, so a fresh `import gfkit`,
-    # `import gfkit.cli` or `import gfkit.unitary` loads neither dataclasses
-    # nor the inspect module it would pull in, and `import gfkit.su3` no
-    # dataclasses (numpy loads inspect itself)
+    # `import gfkit.cli`, `import gfkit.su3` or `import gfkit.unitary` loads
+    # neither dataclasses nor the inspect module it would pull in; gfkit.su3
+    # imports numpy only inside its Euler-matrix functions, so it loads no
+    # numpy either (numpy would load inspect itself)
     src = Path(__file__).resolve().parents[1] / "src"
     for module, banned in (("gfkit", ("dataclasses", "inspect")),
                            ("gfkit.cli", ("dataclasses", "inspect")),
-                           ("gfkit.su3", ("dataclasses",)),
+                           ("gfkit.su3", ("dataclasses", "inspect", "numpy")),
                            ("gfkit.unitary", ("dataclasses", "inspect"))):
         script = (f"import sys, {module}\n"
                   f"print([m for m in {banned!r} if m in sys.modules])")

@@ -2,7 +2,11 @@ import hashlib
 import itertools
 import json
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +197,108 @@ def test_coupling_tables_match_contraction():
                        for (k1, k2, k3), w in oracle.items()
                        if k1[2] == k1[1] and k2[2] == -k2[1]}
                 assert table.iso == iso
+
+
+@lru_cache(maxsize=None)
+def _lowering(tt, tt0):
+    """<t, t0 - 1| T- |t, t0> = sqrt((t + t0)(t - t0 + 1)), doubled labels."""
+    return SqrtRational(1, Fraction((tt + tt0) * (tt - tt0 + 2), 4))
+
+
+def test_coupled_states_beyond_the_oracle():
+    # Every (lam1,0) x (lam2,0) with lam1 + lam2 in {11, 12}, beyond the
+    # contraction oracle's range, where only half of each table is computed
+    # and the rest is its 3j mirror.
+    for total in (11, 12):
+        for lam1 in range(total + 1):
+            lam2 = total - lam1
+            for lam3, mu3 in su3_decompose_multfree(lam1, lam2):
+                vecs = {}        # key3 -> {(key1, key2): w}
+                for (k1, k2, k3), w in coupling_table(lam1, lam2, mu3).items():
+                    vecs.setdefault(k3, {})[k1, k2] = w
+                # Exact orthonormality: the sum over (key1, key2) of w w' is
+                # 1/dim for a state with itself and 0 for two states with
+                # the same (y3, 2t03); other pairs share no support.  A sum
+                # of square roots is zero only if it is zero on every ray,
+                # so products are summed per ray, keyed by the square-free
+                # n d of their canonical radicand n/d (1/390 and 2/195 lie
+                # on one ray).
+                norm = Fraction(1, dim_su3(lam3, mu3))
+                by_weight = {}
+                for (y3, tt3, tt03), v in vecs.items():
+                    by_weight.setdefault((y3, tt03), []).append(v)
+                for group in by_weight.values():
+                    for i, va in enumerate(group):
+                        assert sum(w.square() for w in va.values()) == norm
+                        for vb in group[i + 1:]:
+                            rays = {}
+                            for k, w in va.items():
+                                if k in vb:
+                                    prod = w * vb[k]
+                                    ray = prod.radicand.numerator * prod.radicand.denominator
+                                    rays[ray] = rays.get(ray, SR_ZERO) + prod
+                            assert not any(rays.values()), (lam1, lam2, mu3)
+                # Orthonormality cannot see a sign shared by a whole state,
+                # nor one that depends on (key1, key2) alone, so it misses
+                # most mirror-phase errors.  The isospin lowering operator
+                # T- = T-(1) + T-(2) links the computed half to the mirrored
+                # one: from 2t03 = 0 or 1 it must give -<T-> times the state
+                # at 2t03 - 2 (the minus is the 3j's (-1)^(t1-t2+t03)).
+                for (y3, tt3, tt03), v in vecs.items():
+                    if tt03 not in (0, 1):
+                        continue
+                    lowered = {}
+                    for ((y1, p1, a), (y2, p2, b)), w in v.items():
+                        if a > -p1:
+                            k = (y1, p1, a - 2), (y2, p2, b)
+                            lowered[k] = lowered.get(k, SR_ZERO) + w * _lowering(p1, a)
+                        if b > -p2:
+                            k = (y1, p1, a), (y2, p2, b - 2)
+                            lowered[k] = lowered.get(k, SR_ZERO) + w * _lowering(p2, b)
+                    c = _lowering(tt3, tt03)
+                    below = vecs.get((y3, tt3, tt03 - 2), {})
+                    assert ({k: w for k, w in lowered.items() if w}
+                            == {k: -(c * w) for k, w in below.items()}), (lam1, lam2, mu3)
+
+
+def test_coupling_table_under_threads():
+    # four threads clear the cache and build the same tables, more than the
+    # cache holds, in their own seeded orders: every table equals the one
+    # built in a single thread, isoscalar factors included, and the cache
+    # stays bounded
+    labels = [(a, b, mu3) for a in range(6) for b in range(6) for mu3 in range(min(a, b) + 1)]
+    coupling_table.cache_clear()
+    expected = {lab: coupling_table(*lab) for lab in labels}
+    n_threads = 4
+    got = [{} for _ in range(n_threads)]
+    sizes = []
+
+    def work(i):
+        order = labels[:]
+        random.Random(i).shuffle(order)
+        coupling_table.cache_clear()
+        for lab in order:
+            got[i][lab] = coupling_table(*lab)
+        sizes.append(coupling_table.cache_info().currsize)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(labels) > coupling_table.cache_info().maxsize
+    for tables in got:
+        assert tables.keys() == expected.keys()
+        for lab, table in tables.items():
+            assert table == expected[lab] and table.iso == expected[lab].iso, lab
+    assert len(sizes) == n_threads and max(sizes) <= 64
+    assert coupling_table.cache_info().currsize <= 64
 
 
 def test_euler_matrix():
