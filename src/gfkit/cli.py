@@ -172,17 +172,18 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 
 
 # --- wigner ----------------------------------------------------------------
-# A 3j, CG or 6j grows the factorial table to about half the sum of its 2j,
-# and its time grows steeply with that sum.  Measured (one 2-vCPU VM): at a
-# 2j sum of 2400 the slowest 3j tried takes 34 ms and the table holds 0.9 MB;
-# at 4800, 0.3 s and 3.7 MB; at 9600, 2.4 s and 16 MB.  The 6j with all six
-# 2j equal takes 6 ms, 49 ms and 0.4 s at those sums.  The 6j oracle is a
-# magnetic sum of O(j^5) terms: 0.03 s with all six 2j = 24 (a sum of 144),
-# 0.3 s with all 2j = 40 (240).  The 9j is one rational sum over x of three 6j coefficients:
-# with all nine 2j equal it takes 0.5 ms at 12 (a sum of 108), 31 ms at 100
-# and 0.26 s at 200; the slowest of 200 random labels with every 2j up to 12
-# takes 0.4 ms, so its cap is conservative.  Larger labels are refused before
-# any work.
+# A 3j or CG grows the factorial table to about half the sum of its 2j, a 6j
+# to its largest triad's j sum, which is at most that; the time grows
+# steeply with the sum.  Measured (one 2-vCPU VM): at a 2j sum of 2400 the
+# slowest 3j tried takes 34 ms and the table holds 0.9 MB; at 4800, 0.3 s and
+# 3.7 MB; at 9600, 2.4 s and 16 MB.  The 6j with all six 2j equal, Racah's
+# sum by its term ratio, takes 0.7-1.0 ms, 3-4 ms and 12 ms at those sums.
+# The 6j oracle is a magnetic sum of O(j^5) terms: 0.03 s with all six
+# 2j = 24 (a sum of 144), 0.3 s with all 2j = 40 (240).  The 9j is one
+# rational sum over x of three 6j coefficients: with all nine 2j equal it
+# takes 0.15 ms at 12 (a sum of 108), 6 ms at 100 and 38-45 ms at 200; the
+# slowest of 200 random labels with every 2j up to 12 takes 0.14 ms, so its
+# cap is conservative.  Larger labels are refused before any work.
 WIGNER_MAX_TWO_J_SUM = 4800
 WIGNER_ORACLE_MAX_TWO_J_SUM = 144
 WIGNER_9J_MAX_TWO_J_SUM = 108
@@ -436,8 +437,8 @@ def _hydrogen_position(args):
 def _hydrogen_momentum(args):
     _cap("points", args.points, SAMPLES_MAX_POINTS)
     import numpy as np
-    from .special import hydrogen_momentum_radial
-    d = 1.0 / (args.n + (args.dim - 3) / 2.0)
+    from .special import hydrogen_delta, hydrogen_momentum_radial
+    d = hydrogen_delta(args.dim, args.n)
     p = np.linspace(1e-4, args.rmax or 6.0 * d * 5, args.points)
     return _samples("p", p, hydrogen_momentum_radial(args.dim, args.n, args.l, p),
                     "momentum wavefunction samples (Gegenbauer form)")
@@ -447,9 +448,9 @@ def _hydrogen_momentum(args):
 def _hydrogen_verify(args):
     _cap("points", args.points, HYDROGEN_VERIFY_MAX_POINTS)
     import numpy as np
-    from .special import fourier_momentum_oracle, hydrogen_momentum_radial
+    from .special import fourier_momentum_oracle, hydrogen_delta, hydrogen_momentum_radial
     N, n, l = args.dim, args.n, args.l
-    d = 1.0 / (n + (N - 3) / 2.0)
+    d = hydrogen_delta(N, n)
     p = np.linspace(0.05 * d, 5.0 * d, args.points)
     closed = np.abs(hydrogen_momentum_radial(N, n, l, p))
     oracle = fourier_momentum_oracle(N, n, l, p)

@@ -253,10 +253,6 @@ class LipkinModel:
         if self.n_particles < 2 or self.n_particles % 2:
             raise ValueError("N must be even, >= 2")
 
-    @property
-    def two_j(self):
-        return self.n_particles
-
 
 def lipkin_hamiltonian(model: LipkinModel) -> np.ndarray:
     """H = e J0 + (V/2)(J+^2 + J-^2) on |n>, n = 0..N; standard SU(2)

@@ -136,7 +136,8 @@ def bargmann_dot(a, b):
 class TruncatedSeries:
     """Multivariate power series over exact integers/rationals, truncated by
     total degree.  Supports the inversion that expands g(tau)^-2 for the
-    tests of wigner.gf_coefficient."""
+    tests of the 6j coefficient (wigner._sixj_coefficient, and the oracle
+    that reads it from the twelve tau exponents)."""
 
     def __init__(self, terms, nvars, max_degree):
         self.nvars = nvars

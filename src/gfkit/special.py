@@ -171,8 +171,7 @@ class HydrogenState:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N >= 2")
-        if not 0 <= self.l < self.n:
-            raise ValueError("hydrogen states need 0 <= l < n")
+        _check_hydrogen_nl(self.n, self.l)
         chain = (self.l,) + tuple(self.mus)
         if self.mus:
             for a, b in zip(chain, chain[1:-1]):
@@ -183,7 +182,7 @@ class HydrogenState:
 
     @property
     def delta(self) -> float:
-        return 1.0 / (self.n + (self.N - 3) / 2.0)
+        return hydrogen_delta(self.N, self.n)
 
 
 def radial_norm_constant(N, n, l) -> float:
@@ -196,6 +195,12 @@ def radial_norm_constant(N, n, l) -> float:
     return math.exp(lognum) * omega ** (N / 2.0)
 
 
+def hydrogen_delta(N, n) -> float:
+    """delta_n = 1 / (n + (N - 3)/2), the momentum scale of level n in N
+    dimensions (the bound-state energy is -delta_n^2 / 2)."""
+    return 1.0 / (n + (N - 3) / 2.0)
+
+
 def _check_hydrogen_nl(n, l):
     if not 0 <= l < n:
         raise ValueError("hydrogen states need 0 <= l < n")
@@ -205,8 +210,7 @@ def hydrogen_radial(N, n, l, r):
     """R_{n,l}(r) in N dimensions; integral of R^2 r^{N-1} dr = 1."""
     _check_hydrogen_nl(n, l)
     r = np.asarray(r, dtype=float)
-    delta = 1.0 / (n + (N - 3) / 2.0)
-    x = 2 * delta * r
+    x = 2 * hydrogen_delta(N, n) * r
     return (radial_norm_constant(N, n, l) * x ** l * np.exp(-x / 2)
             * laguerre(n - l - 1, 2 * l + N - 2, x))
 
@@ -217,7 +221,7 @@ def hydrogen_momentum_radial(N, n, l, p):
     _check_hydrogen_nl(n, l)
     from scipy.special import gamma
     p = np.asarray(p, dtype=float)
-    d = 1.0 / (n + (N - 3) / 2.0)
+    d = hydrogen_delta(N, n)
     x = (p * p - d * d) / (p * p + d * d)
     pref = math.sqrt(math.factorial(n - l - 1) * (n + (N - 3) / 2.0)
                      / (2 * math.pi * gamma(n + l + N - 2)))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gfkit.exact import SqrtRational, neg_one_pow
+from gfkit.exact import SqrtRational, factorials, neg_one_pow
 from gfkit.hurwitz import quad_map_polynomials
 from gfkit.manybody import SlaterSystem, _fermion_op, transform_slater
 from gfkit.oscillator import ho_wavefunction
@@ -40,6 +40,47 @@ def clebsch_gordan_product(tj1, tm1, tj2, tm2, tj3, tm3) -> SqrtRational:
     phase = neg_one_pow((tj1 - tj2 + tm3) // 2)
     return (threej(tj1, tj2, tj3, tm1, tm2, -tm3)
             * SqrtRational.from_factorial_ratio(phase, 1, (tj3 + 1,), (tj3,)))
+
+
+# ---------------------------------------------------------------------------
+# wigner: the coefficient of g(tau)^-2 read from its twelve tau exponents
+# ---------------------------------------------------------------------------
+def gf_coefficient(expo) -> int:
+    """Exact coefficient of tau^expo in g(tau)^-2.
+
+    expo holds the exponents of the twelve tau_{i nu} in the order tau_01,
+    tau_02, tau_03, tau_10, tau_20, tau_30, tau_12, tau_21, tau_13, tau_31,
+    tau_23, tau_32.  g = 1 + a0 + a1 + a2 + a3 + b1 + b2 + b3 with
+    a0 = tau_10 tau_20 tau_30, a1 = tau_01 tau_31 tau_21,
+    a2 = tau_32 tau_02 tau_12, a3 = tau_23 tau_13 tau_03, and
+    b_i = tau_0i tau_i0 tau_jk tau_kj for {i, j, k} = {1, 2, 3}; only this
+    completion of the b_i reproduces the magnetic-sum 6j.
+
+    Writing t_k for those seven terms, the coefficient is
+    sum_n (-1)^N (N+1)!/prod n_k! over n in N^7 with
+    sum_k n_k t_k = tau^expo, N = sum n_k.  Every tau lies in exactly one
+    a_i and one b_i, so z = n_b1 fixes the other six:
+    a0..a3 = (e10, e01, e32, e23) - z and b2, b3 = (e20 - e10, e30 - e10) + z.
+    The six remaining tau equations do not depend on z; when they hold, the
+    sum is Racah's single sum over z.
+    """
+    e01, e02, e03, e10, e20, e30, e12, e21, e13, e31, e23, e32 = expo
+    a0, a1, a2, a3 = e10, e01, e32, e23
+    b2, b3 = e20 - e10, e30 - e10
+    if (a2 + b2 != e02 or a3 + b3 != e03 or a3 + b2 != e13
+            or a1 + b2 != e31 or a2 + b3 != e12 or a1 + b3 != e21):
+        return 0
+    n0 = a0 + a1 + a2 + a3 + b2 + b3  # N at z = 0; each step of z lowers N by 1
+    zmin = max(0, -b2, -b3)
+    # N + 1 bounds every argument, and N is largest at zmin
+    f = factorials.upto(n0 - zmin + 1)
+    total = 0
+    for z in range(zmin, min(a0, a1, a2, a3) + 1):
+        n = n0 - z
+        term = f[n + 1] // (f[a0 - z] * f[a1 - z] * f[a2 - z] * f[a3 - z]
+                            * f[z] * f[b2 + z] * f[b3 + z])
+        total += -term if n & 1 else term
+    return total
 
 
 # ---------------------------------------------------------------------------

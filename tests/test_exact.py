@@ -180,6 +180,7 @@ _TEST_ONLY = (
     ("su3", "coupling_table_contraction"), ("su3", "_invariant_slices"),
     ("su3", "_CrossBasis"), ("su3", "_v_poly"), ("su3", "_compositions"),
     ("su3", "_multinomial"), ("su3", "_monomial_exponents"),
+    ("wigner", "gf_coefficient"),
 )
 
 

@@ -14,11 +14,11 @@ from gfkit import exact, wigner
 from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, neg_one_pow, triangle_ok
 from gfkit.polytools import (TruncatedSeries, poly_mul, poly_pow, poly_var,
                              poly_add)
-from gfkit.wigner import (ThreeJLabel, clebsch_gordan, gaunt, gf_coefficient,
-                          ninej, regge_orbit, sixj_gf, sixj_oracle, threej,
-                          threej_second_route, threej_second_route_square,
-                          _PARITY, _PERM3, _threej_core, _threej_sum)
-from oracles import clebsch_gordan_product
+from gfkit.wigner import (ThreeJLabel, clebsch_gordan, gaunt, ninej, regge_orbit,
+                          sixj_gf, sixj_oracle, threej, threej_second_route,
+                          threej_second_route_square, _PARITY, _PERM3,
+                          _sixj_coefficient, _threej_core, _threej_sum)
+from oracles import clebsch_gordan_product, gf_coefficient
 
 
 def sr(c, r=1):
@@ -431,6 +431,17 @@ TAU_VARS = ("01", "02", "03", "10", "20", "30", "12", "21", "13", "31", "23", "3
 TAU_IDX = {v: i for i, v in enumerate(TAU_VARS)}
 
 
+# tau_{i nu} carries J_i - 2 j_{i nu} for triad i and the pair (i, nu)
+PAIR_OF = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 5, (1, 3): 4, (2, 3): 3}
+
+
+def sixj_tau_exponents(lab):
+    """The twelve tau exponents of the doubled 6j label lab, in TAU_VARS order."""
+    triads = wigner._sixj_triads(lab)
+    return tuple(sum(triads[i]) // 2 - lab[PAIR_OF[min(i, nu), max(i, nu)]]
+                 for i, nu in (map(int, v) for v in TAU_VARS))
+
+
 def tau_monomial(*names):
     e = [0] * 12
     for nm in names:
@@ -463,19 +474,27 @@ def test_gf_coefficient_matches_series():
     for expo in series.terms:
         assert gf_coefficient(expo) == series.coefficient(expo)
 
-    # tau_{i nu} carries J_i - 2 j_{i nu} for triad i and the pair (i, nu)
-    pair_of = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 5, (1, 3): 4, (2, 3): 3}
+    # every label with integer triad sums; Racah's sum, which needs its four
+    # triads to pass, on those that do
     for lab in itertools.product(range(4), repeat=6):
-        j1, j2, j3, l1, l2, l3 = lab
-        triads = ((j1, j2, j3), (j1, l2, l3), (l1, j2, l3), (l1, l2, j3))
-        if any(sum(t) % 2 for t in triads):
+        if any(sum(t) % 2 for t in wigner._sixj_triads(lab)):
             continue
-        expo = []
-        for v in TAU_VARS:
-            i, nu = int(v[0]), int(v[1])
-            expo.append(sum(triads[i]) // 2 - lab[pair_of[min(i, nu), max(i, nu)]])
+        expo = sixj_tau_exponents(lab)
         assert sum(expo) <= 18
         assert gf_coefficient(expo) == series.coefficient(expo)
+        if sixj_triads_ok(lab):
+            assert _sixj_coefficient(*lab) == series.coefficient(expo), lab
+
+
+def test_sixj_coefficient_is_gf_coefficient():
+    # Racah's sum by its term ratio against the g^-2 coefficient read from
+    # the twelve tau exponents, on every 6j with 2j <= 8 and at large j
+    labels = [lab for lab in itertools.product(range(9), repeat=6)
+              if sixj_triads_ok(lab)]
+    assert len(labels) == 13691
+    labels += [(tj,) * 6 for tj in (100, 200, 400, 800)]
+    for lab in labels:
+        assert _sixj_coefficient(*lab) == gf_coefficient(sixj_tau_exponents(lab)), lab
 
 
 def test_sixj_gf_under_threads():
@@ -519,7 +538,7 @@ def test_sixj_oracle_leaves_shared_cache_alone():
 
 
 def test_sixj_oracle_shares_no_step_with_sixj_gf(monkeypatch):
-    # sixj_gf is gf_coefficient canonicalized by from_factorial_ratio; with
+    # sixj_gf is _sixj_coefficient canonicalized by from_factorial_ratio; with
     # both made to raise, the oracle still gives sixj_gf's values, computed
     # first, on seeded labels with 2j <= 8 and on all six 2j = 20
     rng = random.Random(15)
@@ -535,7 +554,7 @@ def test_sixj_oracle_shares_no_step_with_sixj_gf(monkeypatch):
         raise AssertionError("the 6j oracle took a step of sixj_gf")
 
     monkeypatch.setattr(SqrtRational, "from_factorial_ratio", staticmethod(refuse))
-    monkeypatch.setattr(wigner, "gf_coefficient", refuse)
+    monkeypatch.setattr(wigner, "_sixj_coefficient", refuse)
     with pytest.raises(AssertionError):
         sixj_gf(*labels[0])
     assert [sixj_oracle(*lab) for lab in labels] == expected
