@@ -1,5 +1,6 @@
 """gfkit command line: every module exposed as subcommands with
-machine-readable output (json, csv, text).
+machine-readable output, chosen by --format json|csv|text anywhere on the
+line (json by default).
 
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
@@ -12,9 +13,11 @@ enumerate above GELFAND_MAX_PATTERNS (20000) patterns, gelfand poly a
 top-row sum above GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above
 LIPKIN_MAX_PARTICLES (1000), hydrogen position and momentum and
 oscillator wf above SAMPLES_MAX_POINTS (100000) points,
-hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points and
-oscillator propagator above PROPAGATOR_MAX_KERNELS (90000) = points^2
-kernels, with exit 1, before any work starts.
+hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points, these four
+an n above SAMPLES_MAX_DEGREE (100000) or an n x points above
+SAMPLES_MAX_WORK (5e7), and oscillator propagator above
+PROPAGATOR_MAX_KERNELS (90000) = points^2 kernels, with exit 1, before any
+work starts.  A result that is not finite (NaN or infinite) also exits 1.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -42,13 +45,16 @@ class _Parser(argparse.ArgumentParser):
 class ResultEnvelope:
     """One command's result.  A plain class with slots, not a dataclass:
     importing dataclasses loads inspect, about 10 ms and 0.7 MB in every
-    invocation.  It stays mutable (su3 wigner fills in its table)."""
+    invocation.  It stays mutable (su3 wigner fills in its table).  A
+    value_float that is not finite is refused with ValueError."""
 
     __slots__ = ("status", "value_exact", "value_float", "table", "meta", "message")
 
     def __init__(self, status: str = "ok", value_exact: str | None = None,
                  value_float: float | None = None, table: dict | None = None,
                  meta: str = "", message: str | None = None):
+        if value_float is not None:
+            _finite(value_float)
         self.status, self.value_exact, self.value_float = status, value_exact, value_float
         self.table, self.meta, self.message = table, meta, message
 
@@ -102,8 +108,16 @@ def render(env: ResultEnvelope, fmt: str) -> bytes:
 # ---------------------------------------------------------------------------
 # result shapes
 # ---------------------------------------------------------------------------
+def _finite(x):
+    """x, refused as a domain error when it is NaN or infinite: json has no
+    spelling for those, and no command means them as an answer."""
+    if not math.isfinite(x):
+        raise ValueError(f"the result is not finite ({float(x)!r})")
+    return x
+
+
 def _fmt_float(x) -> str:
-    return repr(float(x))
+    return repr(_finite(float(x)))
 
 
 def _exact(value, meta) -> ResultEnvelope:
@@ -414,18 +428,33 @@ def _hurwitz_check(args):
 # rendering included): hydrogen position and momentum at 100,000 points take
 # about 0.8-1.3 s and 105 MB peak, oscillator wf 0.5-0.9 s and 81 MB;
 # hydrogen verify builds a (points x quadrature nodes) Hankel array and takes
-# 1.8-2.4 s and 118 MB at 1000 points, 7.2 s and 337 MB at 4000; oscillator
-# propagator evaluates points^2 kernels, 1.1 s and 81 MB at 300 points
-# (90,000 kernels).  Larger requests are refused before any work.
+# 1.8-2.4 s and 118 MB at 1000 points for n = 2, 3.9-4.3 s and 305 MB for
+# n = 9..18, whose quadrature needs two more levels (from n = 19 the oracle is
+# not finite and stops after one level); oscillator propagator evaluates
+# points^2 kernels, 1.1 s and 81 MB at 300 points (90,000 kernels).
+# The polynomial recurrence of the four sampled commands takes n steps over
+# the grid, each about 4-5 us of numpy dispatch plus 9-15 ns a point, so both
+# n and n x points are bounded: n = 100,000 at one point takes 0.6-1.1 s,
+# at 500 points (n x points = 5e7) 0.7-1.3 s, and n = 500 at 100,000 points
+# 0.9-1.3 s.  Larger requests are refused before any work.
 SAMPLES_MAX_POINTS = 100000
 HYDROGEN_VERIFY_MAX_POINTS = 1000
+SAMPLES_MAX_DEGREE = 100000
+SAMPLES_MAX_WORK = 50_000_000
 PROPAGATOR_MAX_KERNELS = 90000
+
+
+def _cap_samples(args, max_points):
+    """The point cap, then the recurrence's n and n x points caps."""
+    _cap("points", args.points, max_points)
+    _cap("n", args.n, SAMPLES_MAX_DEGREE)
+    _cap("n x points", args.n * args.points, SAMPLES_MAX_WORK)
 
 
 # --- hydrogen --------------------------------------------------------------
 @_command("hydrogen", "position", *_HYDROGEN)
 def _hydrogen_position(args):
-    _cap("points", args.points, SAMPLES_MAX_POINTS)
+    _cap_samples(args, SAMPLES_MAX_POINTS)
     import numpy as np
     from .special import hydrogen_radial
     r = np.linspace(1e-6, args.rmax or 8.0 * args.n * args.n, args.points)
@@ -435,7 +464,7 @@ def _hydrogen_position(args):
 
 @_command("hydrogen", "momentum", *_HYDROGEN)
 def _hydrogen_momentum(args):
-    _cap("points", args.points, SAMPLES_MAX_POINTS)
+    _cap_samples(args, SAMPLES_MAX_POINTS)
     import numpy as np
     from .special import hydrogen_delta, hydrogen_momentum_radial
     d = hydrogen_delta(args.dim, args.n)
@@ -446,7 +475,7 @@ def _hydrogen_momentum(args):
 
 @_command("hydrogen", "verify", *_HYDROGEN, _SEED)
 def _hydrogen_verify(args):
-    _cap("points", args.points, HYDROGEN_VERIFY_MAX_POINTS)
+    _cap_samples(args, HYDROGEN_VERIFY_MAX_POINTS)
     import numpy as np
     from .special import fourier_momentum_oracle, hydrogen_delta, hydrogen_momentum_radial
     N, n, l = args.dim, args.n, args.l
@@ -464,7 +493,7 @@ def _hydrogen_verify(args):
 @_command("oscillator", "wf", _arg("--n"), _arg("--qmax", float, default=5.0),
           _arg("--points", default=41))
 def _oscillator_wf(args):
-    _cap("points", args.points, SAMPLES_MAX_POINTS)
+    _cap_samples(args, SAMPLES_MAX_POINTS)
     import numpy as np
     from .oscillator import ho_wavefunction
     q = np.linspace(-args.qmax, args.qmax, args.points)
@@ -599,7 +628,6 @@ def _manybody_boson_coeffs(args):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="gfkit", description=__doc__)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     groups = p.add_subparsers(dest="group", required=True)
     for group, ops in _COMMANDS.items():
         sub = groups.add_parser(group).add_subparsers(dest="op", required=True)

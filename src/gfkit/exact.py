@@ -230,13 +230,17 @@ class SqrtRational:
         return SqrtRational(-self.coeff, self.radicand, _canonical=True)
 
     def __eq__(self, other):
+        # canonical forms are unique, and a rational has radicand 1
         if isinstance(other, (int, Fraction)):
-            other = SqrtRational(other)
+            return self.radicand == 1 and self.coeff == other
         if not isinstance(other, SqrtRational):
             return NotImplemented
         return self.coeff == other.coeff and self.radicand == other.radicand
 
     def __hash__(self):
+        # a rational value hashes as the int or Fraction it equals
+        if self.radicand == 1:
+            return hash(self.coeff)
         return hash((self.coeff, self.radicand))
 
     def __bool__(self):

@@ -219,12 +219,11 @@ def thouless_residual(sys: SlaterSystem) -> float:
         out = {}
         for state, amp in comp.items():
             for i in [x for x in state if x < n]:
-                si, hole = _fermion_op(state, i, False)
                 for k in range(n, M):
-                    ck = _fermion_op(hole, k, True)
-                    if ck is None:
+                    r = _apply_cdag_c(state, k, i)
+                    if r is None:
                         continue
-                    sign, ns = si * ck[0], ck[1]
+                    sign, ns = r
                     out[ns] = out.get(ns, 0) + amp * X[k - n, i] * sign
         return out
 

@@ -26,52 +26,43 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # polynomial families by three-term recurrence
 # ---------------------------------------------------------------------------
-def _check_degree(n):
+def _three_term(n, x, first, step):
+    """p_n(x) by the upward recurrence from p_0 = 1 and p_1 = first(x), where
+    step(k, x, p_{k-1}, p_k) gives p_{k+1}; vectorized in x."""
     if n < 0:
         raise ValueError("polynomial degree n >= 0")
+    x = np.asarray(x, dtype=float)
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = first(x)
+    for k in range(1, n):
+        p0, p1 = p1, step(k, x, p0, p1)
+    return p1
 
 
 def laguerre(n, alpha, x):
     """L_n^{(alpha)}(x), stable upward recurrence; vectorized in x."""
-    _check_degree(n)
     if alpha <= -1:
         raise ValueError("laguerre needs alpha > -1")
-    x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0
-    p1 = 1 + alpha - x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1 + alpha - x) * p1 - (k + alpha) * p0) / (k + 1)
-    return p1
+    return _three_term(
+        n, x, lambda x: 1 + alpha - x,
+        lambda k, x, p0, p1: ((2 * k + 1 + alpha - x) * p1 - (k + alpha) * p0) / (k + 1))
 
 
 def gegenbauer(n, alpha, x):
     """C_n^{(alpha)}(x); alpha > -1/2."""
-    _check_degree(n)
     if alpha <= -0.5:
         raise ValueError("gegenbauer needs alpha > -1/2")
-    x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0
-    p1 = 2 * alpha * x
-    for k in range(1, n):
-        p0, p1 = p1, (2 * (k + alpha) * x * p1 - (k + 2 * alpha - 1) * p0) / (k + 1)
-    return p1
+    return _three_term(
+        n, x, lambda x: 2 * alpha * x,
+        lambda k, x, p0, p1: (2 * (k + alpha) * x * p1 - (k + 2 * alpha - 1) * p0) / (k + 1))
 
 
 def hermite(n, x):
     """Physicists' H_n(x)."""
-    _check_degree(n)
-    x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0
-    p1 = 2 * x
-    for k in range(1, n):
-        p0, p1 = p1, 2 * x * p1 - 2 * k * p0
-    return p1
+    return _three_term(n, x, lambda x: 2 * x,
+                       lambda k, x, p0, p1: 2 * x * p1 - 2 * k * p0)
 
 
 def legendre(n, x):
@@ -251,23 +242,33 @@ def hydrogen_momentum_wf(state: HydrogenState, p, angles):
     return -((1j) ** state.l) * F * Y
 
 
-def tanhsinh_halfline(f, level_max=12, tol=1e-12):
+_TANHSINH_LEVELS = 12
+_TANHSINH_TOL = 1e-12
+
+
+def tanhsinh_halfline(f):
     """integral_0^inf f(r) dr by tanh-sinh with the exp(pi/2 sinh t) map.
 
     f may return an array with the node axis last broadcast: f(r[None,:]) of
-    shape (..., len(r)).  Doubles the node density until the result settles.
+    shape (..., len(r)).  Halves the step, over at most _TANHSINH_LEVELS
+    levels, until two successive estimates agree to _TANHSINH_TOL relative
+    to 1 + max|estimate|; a NaN or infinite estimate never settles and is
+    returned at once.
     """
     h = 0.5
     tmax = 4.0
     prev = None
-    for _ in range(level_max):
+    for _ in range(_TANHSINH_LEVELS):
         t = np.arange(-tmax, tmax + 1e-12, h)
         u = np.pi / 2 * np.sinh(t)
         r = np.exp(u)
         w = h * r * np.pi / 2 * np.cosh(t)
         vals = f(r)
         est = np.sum(vals * w, axis=-1)
-        if prev is not None and np.all(np.abs(est - prev) <= tol * (1 + np.max(np.abs(est)))):
+        if not np.all(np.isfinite(est)):
+            return est
+        if prev is not None and np.all(np.abs(est - prev)
+                                      <= _TANHSINH_TOL * (1 + np.max(np.abs(est)))):
             return est
         prev = est
         h /= 2

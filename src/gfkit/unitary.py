@@ -213,16 +213,6 @@ def pn1(n: int, pat: GelfandPattern) -> Fraction:
 # ---------------------------------------------------------------------------
 # boson polynomials from the branching kernel
 # ---------------------------------------------------------------------------
-# parameter variables for the U(n-1) monomial: pairs (l, m) -> x(l,m), y(l,m)
-def _param_vars(n):
-    out = []
-    for lam in range(2, n):
-        for mu in range(1, lam):
-            out.append(("x", lam, mu))
-            out.append(("y", lam, mu))
-    return out
-
-
 def _phi_exponents(pat: GelfandPattern):
     """exponents of the parameter monomial phi^{n}(h,(x,y)) for a pattern."""
     n = pat.n
@@ -268,7 +258,10 @@ def _kernel_terms(pat: GelfandPattern):
     if n < 2:
         raise ValueError("need n >= 2")
     nm = len(_minor_names(n))
-    pidx = {v: nm + i for i, v in enumerate(_param_vars(n))}
+    # the U(n-1) parameters x(lam,mu), y(lam,mu) for lam < n, in the order of
+    # the lower pattern's monomial, whose exponents are the target
+    lower = _phi_exponents(GelfandPattern(pat.rows[1:]))
+    pidx = {(t, lam, mu): nm + i for i, (t, lam, mu, _e) in enumerate(lower)}
     nvars = nm + len(pidx)
 
     # bucket the generating-function terms of U(n) by their level-n tag;
@@ -293,10 +286,7 @@ def _kernel_terms(pat: GelfandPattern):
     poly = poly_mul(poly, poly_pow(brackets["y", n], pat.rows[0][n - 1], nvars))
 
     # collect the coefficient of the U(n-1) parameter monomial
-    target = [0] * nvars
-    for t, lam, mu, e in _phi_exponents(GelfandPattern(pat.rows[1:])):
-        target[pidx[(t, lam, mu)]] = e
-    target = tuple(target[nm:])
+    target = tuple(e for *_tag, e in lower)
     return {e[:nm]: c for e, c in poly.items() if e[nm:] == target}
 
 

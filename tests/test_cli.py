@@ -46,6 +46,24 @@ def test_domain_error_exit_one():
                  ["manybody", "boson-coeffs", "--k-max", "-3"]):
         env, code = run(argv)
         assert code == 1 and env.status == "error", argv
+    # a NaN or infinite result is refused: json cannot spell it.  On the
+    # default grids the samples stop being finite at these n.
+    for argv in (["oscillator", "wf", "--n", "400", "--points", "3"],
+                 ["hurwitz", "matrix", "--n", "2", "--u", "1e200", "1e200"],
+                 # NaN kernels in the rows, a finite value (the row count)
+                 ["oscillator", "propagator", "--beta", "1", "--xmax", "1e200", "--points", "2"],
+                 ["oscillator", "wf", "--n", "265"],
+                 ["hydrogen", "position", "--n", "192", "--l", "0"],
+                 ["hydrogen", "momentum", "--n", "171", "--l", "0"],
+                 ["hydrogen", "verify", "--n", "30", "--l", "0", "--points", "5"]):
+        env, code = run(argv)
+        assert code == 1 and "not finite" in env.message, (argv, env.message)
+    for argv in (["oscillator", "wf", "--n", "264"],
+                 ["hydrogen", "position", "--n", "191", "--l", "0"],
+                 ["hydrogen", "momentum", "--n", "170", "--l", "0"]):
+        assert run(argv)[1] == 0, argv
+    with pytest.raises(ValueError):
+        ResultEnvelope(value_float=math.inf)
 
 
 def test_json_rendering_sorted():
@@ -69,6 +87,28 @@ def test_text_rendering():
     env, code = run(["hurwitz", "ks", "--u", "1", "0", "0", "0"])
     out = render(env, "text").decode()
     assert "status: ok" in out
+
+
+def test_main_prints_render_of_run_command(capsysbinary):
+    # main takes --format anywhere on the line, writes render(run_command)
+    # to stdout and returns its exit code; an unknown format is a usage
+    # error, reported in json
+    from gfkit.cli import main
+    sixj = ["wigner", "6j", "--two-j", "2", "2", "2", "2", "2", "2"]
+    usage = ["wigner", "3j", "--two-j", "2", "2"]
+    for fmt, argv in (("csv", sixj), ("text", sixj), ("csv", usage), ("text", ["frobnicate"])):
+        env, code = run_command(argv)
+        expected = (render(env, fmt), code)
+        for line in (["--format", fmt, *argv], [*argv, "--format", fmt]):
+            exit_code = main(line)
+            assert (capsysbinary.readouterr().out, exit_code) == expected, line
+    assert main(list(sixj)) == 0
+    assert capsysbinary.readouterr().out == render(run_command(sixj)[0], "json")
+    assert main(["--format", "xml", *sixj]) == 2
+    assert json.loads(capsysbinary.readouterr().out) == {
+        "status": "error", "message": "unknown format xml"}
+    # the parser itself takes no --format: main has removed it
+    assert run_command(["--format", "csv", *sixj])[1] == 2
 
 
 def test_error_envelope_render():
@@ -292,17 +332,27 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
 
 def test_points_caps_refuse_before_work(monkeypatch):
     # hydrogen position, momentum and verify and oscillator wf and
-    # propagator exit 1 above their documented point caps without calling
-    # their kernels; exactly at the caps they run.
+    # propagator exit 1 above their documented point caps, and the first
+    # four above their caps on the recurrence's n and n x points, without
+    # calling their kernels; exactly at the caps they run.
     from gfkit import oscillator, special
     from gfkit.cli import (HYDROGEN_VERIFY_MAX_POINTS, PROPAGATOR_MAX_KERNELS,
-                           SAMPLES_MAX_POINTS)
+                           SAMPLES_MAX_DEGREE, SAMPLES_MAX_POINTS, SAMPLES_MAX_WORK)
 
-    def hydrogen(op, points):
-        return ["hydrogen", op, "--n", "2", "--l", "1", "--points", str(points)]
+    def hydrogen(op, points, n=2, l=1):
+        return ["hydrogen", op, "--n", str(n), "--l", str(l), "--points", str(points)]
 
-    def wf(points):
-        return ["oscillator", "wf", "--n", "3", "--points", str(points)]
+    def wf(points, n=3):
+        return ["oscillator", "wf", "--n", str(n), "--points", str(points)]
+
+    # n x points just past its cap at a point count every command accepts
+    points = HYDROGEN_VERIFY_MAX_POINTS
+    past_work = SAMPLES_MAX_WORK // points + 1
+    assert past_work <= SAMPLES_MAX_DEGREE
+    recurrence = [argv for n, pts in ((SAMPLES_MAX_DEGREE + 1, 1), (10 ** 9, 1),
+                                      (past_work, points))
+                  for argv in (wf(pts, n), *(hydrogen(op, pts, n, 0) for op in
+                                             ("position", "momentum", "verify")))]
 
     def propagator(points):
         return ["oscillator", "propagator", "--beta", "1", "--points", str(points)]
@@ -324,7 +374,7 @@ def test_points_caps_refuse_before_work(monkeypatch):
                      hydrogen("verify", HYDROGEN_VERIFY_MAX_POINTS + 1),
                      hydrogen("verify", 10 ** 9),
                      wf(SAMPLES_MAX_POINTS + 1), wf(10 ** 12),
-                     propagator(side + 1), propagator(10 ** 6)):
+                     propagator(side + 1), propagator(10 ** 6), *recurrence):
             env, code = run(argv)
             assert code == 1 and "cap" in env.message, (argv, env.message)
     for argv in (hydrogen("position", SAMPLES_MAX_POINTS),
@@ -335,6 +385,11 @@ def test_points_caps_refuse_before_work(monkeypatch):
         assert code == 0, (argv, env.message)
     env, code = run(propagator(side))
     assert code == 0 and len(env.table["rows"]) == PROPAGATOR_MAX_KERNELS
+    # one run at both recurrence caps; near r = 0 the samples are finite
+    assert SAMPLES_MAX_WORK % SAMPLES_MAX_DEGREE == 0
+    env, code = run([*hydrogen("position", SAMPLES_MAX_WORK // SAMPLES_MAX_DEGREE,
+                               SAMPLES_MAX_DEGREE, 0), "--rmax", "1e-3"])
+    assert code == 0 and len(env.table["rows"]) == SAMPLES_MAX_WORK // SAMPLES_MAX_DEGREE
 
 
 def test_exact_commands_load_no_numpy():
@@ -361,6 +416,27 @@ def test_exact_commands_load_no_numpy():
     res = subprocess.run([sys.executable, "-c", driver], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert res.stdout.splitlines() == ["[]", "['numpy']"]
+
+
+def test_numeric_commands_load_no_exact_kernel():
+    # The package re-exports nothing, so in one fresh interpreter the
+    # gelfand, hurwitz, hydrogen, oscillator and manybody commands and a
+    # usage error load neither gfkit.exact nor gfkit.wigner.
+    groups = ("gelfand", "hurwitz", "hydrogen", "oscillator", "manybody")
+    argvs = [a for a in CORPUS if a[0] in groups]
+    assert {a[0] for a in argvs} == set(groups)
+    driver = (
+        "import sys\n"
+        "from gfkit.cli import run_command\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert run_command(argv)[1] == 0, argv\n"
+        "assert run_command(['frobnicate'])[1] == 2\n"
+        "print([m for m in ('gfkit.exact', 'gfkit.wigner') if m in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", driver], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.stdout.splitlines() == ["[]"]
 
 
 if __name__ == "__main__":

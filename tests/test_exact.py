@@ -47,6 +47,17 @@ def test_negative_radicand_rejected():
         SqrtRational(1, -2)
 
 
+def test_rational_equality_and_hash():
+    # a value with radicand 1 equals, and hashes as, the int or Fraction it
+    # is; an irrational value equals no rational
+    assert SqrtRational(2) == 2 and SqrtRational(1, 4) == 2
+    assert len({SqrtRational(2), 2, Fraction(2)}) == 1
+    assert len({SqrtRational(Fraction(-3, 2)), Fraction(-3, 2)}) == 1
+    assert hash(SR_ZERO) == hash(0) and SR_ZERO == 0 and SR_ZERO == Fraction(0)
+    assert SqrtRational(1, 2) != Fraction(1, 2) and SqrtRational(2, 2) != 2
+    assert 2 == SqrtRational(2) and SqrtRational(3) != 2
+
+
 def test_mul_examples():
     assert sr(1, 2) * sr(1, 2) == sr(2, 1)
     assert sr(Fraction(1, 2), 3) * sr(2, 3) == sr(3, 1)
