@@ -13,11 +13,14 @@ enumerate above GELFAND_MAX_PATTERNS (20000) patterns, gelfand poly a
 top-row sum above GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above
 LIPKIN_MAX_PARTICLES (1000), hydrogen position and momentum and
 oscillator wf above SAMPLES_MAX_POINTS (100000) points,
-hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points, these four
+hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points or an
+n^2 x points above HYDROGEN_VERIFY_MAX_WORK (324000), these four
 an n above SAMPLES_MAX_DEGREE (100000) or an n x points above
 SAMPLES_MAX_WORK (5e7), and oscillator propagator above
 PROPAGATOR_MAX_KERNELS (90000) = points^2 kernels, with exit 1, before any
-work starts.  A result that is not finite (NaN or infinite) also exits 1.
+work starts.  A result that is not finite (NaN or infinite), or whose
+computation overflows, also exits 1; numpy's RuntimeWarnings on the way to
+such a result are kept off stderr.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -31,6 +34,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 
 class UsageError(Exception):
@@ -428,10 +432,13 @@ def _hurwitz_check(args):
 # rendering included): hydrogen position and momentum at 100,000 points take
 # about 0.8-1.3 s and 105 MB peak, oscillator wf 0.5-0.9 s and 81 MB;
 # hydrogen verify builds a (points x quadrature nodes) Hankel array and takes
-# 1.8-2.4 s and 118 MB at 1000 points for n = 2, 3.9-4.3 s and 305 MB for
-# n = 9..18, whose quadrature needs two more levels (from n = 19 the oracle is
-# not finite and stops after one level); oscillator propagator evaluates
-# points^2 kernels, 1.1 s and 81 MB at 300 points (90,000 kernels).
+# 1.8-2.4 s and 118 MB at 1000 points for n = 2, 3.9-4.7 s and 305 MB for
+# n = 9..18, whose quadrature needs two more levels; from n = 19 it needs 10,
+# from n = 22 11 and from n = 46 12 levels, each doubling the nodes, so above
+# n = 18 the points are capped by n^2 x points <= 18^2 x 1000: 5.3 s and
+# 348 MB at n = 22 (669 points), 6.1 s and 282 MB at n = 25 (518), 3.4 s and
+# 226 MB at n = 46 (153); oscillator propagator evaluates points^2 kernels,
+# 1.1 s and 81 MB at 300 points (90,000 kernels).
 # The polynomial recurrence of the four sampled commands takes n steps over
 # the grid, each about 4-5 us of numpy dispatch plus 9-15 ns a point, so both
 # n and n x points are bounded: n = 100,000 at one point takes 0.6-1.1 s,
@@ -439,6 +446,7 @@ def _hurwitz_check(args):
 # 0.9-1.3 s.  Larger requests are refused before any work.
 SAMPLES_MAX_POINTS = 100000
 HYDROGEN_VERIFY_MAX_POINTS = 1000
+HYDROGEN_VERIFY_MAX_WORK = 18 * 18 * HYDROGEN_VERIFY_MAX_POINTS
 SAMPLES_MAX_DEGREE = 100000
 SAMPLES_MAX_WORK = 50_000_000
 PROPAGATOR_MAX_KERNELS = 90000
@@ -476,6 +484,7 @@ def _hydrogen_momentum(args):
 @_command("hydrogen", "verify", *_HYDROGEN, _SEED)
 def _hydrogen_verify(args):
     _cap_samples(args, HYDROGEN_VERIFY_MAX_POINTS)
+    _cap("n^2 x points", args.n * args.n * args.points, HYDROGEN_VERIFY_MAX_WORK)
     import numpy as np
     from .special import fourier_momentum_oracle, hydrogen_delta, hydrogen_momentum_radial
     N, n, l = args.dim, args.n, args.l
@@ -518,13 +527,12 @@ def _oscillator_genfunc(args):
 def _oscillator_propagator(args):
     _cap("points^2", args.points ** 2, PROPAGATOR_MAX_KERNELS)
     import numpy as np
-    from .oscillator import OscillatorParams, ho_propagator
-    params = OscillatorParams()
+    from .oscillator import ho_propagator
     xs = np.linspace(-args.xmax, args.xmax, args.points)
     rows = []
     for x in xs:
         for xp in xs:
-            k = ho_propagator(params, x, xp, -1j * args.beta)
+            k = ho_propagator(x, xp, -1j * args.beta)
             rows.append([_fmt_float(x), _fmt_float(xp),
                          _fmt_float(k.real), _fmt_float(k.imag)])
     return _table(["x", "xp", "re_k", "im_k"], rows, float(len(rows)),
@@ -535,9 +543,9 @@ def _oscillator_propagator(args):
           _arg("--omega-c", float, default=0.0), _arg("--r1", float, nargs=2),
           _arg("--r2", float, nargs=2))
 def _oscillator_magnetic(args):
-    from .oscillator import OscillatorParams, magnetic_propagator
-    k = magnetic_propagator(OscillatorParams(), args.omega_c, tuple(args.r1),
-                            tuple(args.r2), -1j * args.beta)
+    from .oscillator import magnetic_propagator
+    k = magnetic_propagator(args.omega_c, tuple(args.r1), tuple(args.r2),
+                            -1j * args.beta)
     return _complex(k, abs(k), "magnetic-oscillator kernel", ("re_k", "im_k"))
 
 
@@ -642,9 +650,15 @@ def _build_parser() -> _Parser:
 def run_command(argv) -> tuple[ResultEnvelope, int]:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args), 0
+        with warnings.catch_warnings():
+            # numpy warns on the way to a NaN or infinity, which is refused
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.handler(args), 0
     except UsageError as exc:
         return ResultEnvelope(status="error", message=f"usage: {exc}"), 2
+    except OverflowError as exc:
+        return ResultEnvelope(status="error",
+                              message=f"the result is not finite ({exc})"), 1
     except (ValueError, ArithmeticError, KeyError) as exc:
         return ResultEnvelope(status="error", message=str(exc)), 1
 

@@ -98,6 +98,8 @@ class SlaterSystem:
     def __post_init__(self):
         if not 0 < self.n_occ <= self.M <= 10:
             raise ValueError("need 0 < n_occ <= M <= 10")
+        if len(self.R) != self.M or any(len(row) != self.M for row in self.R):
+            raise ValueError("R must be M x M")
 
 
 def _occupations(M, n):

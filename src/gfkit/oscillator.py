@@ -2,6 +2,15 @@
 Feynman propagators (1-D and the charged 2-D oscillator in a magnetic
 field) and the cylindrical basis.
 
+Units are m = omega = hbar = 1 (omega0 = 1 in the magnetic field), as
+hydrogen uses atomic units.  Other units follow by scaling:
+  one dimension:  K(x, x'; t) = lam K_1(lam x, lam x'; omega t),
+                  lam = sqrt(m omega / hbar);
+  magnetic field: K(r1, r2; t) = lam^2 K_1(lam r1, lam r2; omega_c / omega0,
+                  omega0 t), lam^2 = m omega0 / hbar;
+with K_1 the kernel computed here (the tests check both rules against the
+Schroedinger equation).
+
 Real-time kernels are evaluated at complex time; imaginary time t = -i beta
 gives the Mehler kernel (real, positive).  The square-root branch of the
 prefactor is fixed by continuity from Euclidean time.  Both propagators
@@ -11,22 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .special import hermite, laguerre
-
-
-@dataclass(frozen=True)
-class OscillatorParams:
-    mass: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if min(self.mass, self.omega, self.hbar) <= 0:
-            raise ValueError("mass, omega, hbar must be positive")
 
 
 class CausticError(ArithmeticError):
@@ -67,42 +64,42 @@ def _tilted_time(t, omega, eps):
     return t, alpha, s
 
 
-def ho_propagator(params: OscillatorParams, x, xp, t, eps=None):
+def ho_propagator(x, xp, t, eps=None):
     """K(x, t; x', 0) of the oscillator; t complex (use t = -1j*beta for
     imaginary time).  Real time is tilted t -> t(1 - i eps) with
     eps = 1e-8 by default to dodge caustics; pass eps=0 to evaluate on the
-    real axis, where sin(omega t) = 0 raises CausticError."""
-    m, w, hb = params.mass, params.omega, params.hbar
-    _, alpha, s = _tilted_time(t, w, eps)
-    lam = math.sqrt(m * w / hb)
-    q, qp = lam * x, lam * xp
-    pref = cmath.sqrt(m * w / (2j * math.pi * hb * s))
-    return pref * cmath.exp(1j / (2 * s) * ((q * q + qp * qp) * cmath.cos(alpha)
-                                            - 2 * q * qp))
+    real axis, where sin(t) = 0 raises CausticError."""
+    # omega t formed with omega = 1.0, as in the magnetic kernel: the complex
+    # product decides what a non-finite t turns into
+    _, alpha, s = _tilted_time(t, 1.0, eps)
+    pref = cmath.sqrt(1 / (2j * math.pi * s))
+    return pref * cmath.exp(1j / (2 * s) * ((x * x + xp * xp) * cmath.cos(alpha)
+                                            - 2 * x * xp))
 
 
-def magnetic_propagator(params: OscillatorParams, omega_c, r1, r2, t, eps=None):
+def magnetic_propagator(omega_c, r1, r2, t, eps=None):
     """Kernel of the charged 2-D oscillator in a uniform magnetic field;
-    omega = sqrt(omega0^2 + omega_c^2).  Factorizes into two 1-D kernels at
+    omega = sqrt(1 + omega_c^2).  Factorizes into two 1-D kernels at
     omega_c = 0.  The (x1 y2 - y1 x2) term is odd under r1 <-> r2.
     Real time gets the same default 1e-8 tilt as the 1-D kernel."""
-    m, w0, hb = params.mass, params.omega, params.hbar
-    w = math.sqrt(w0 * w0 + omega_c * omega_c)
+    w = math.sqrt(1.0 + omega_c * omega_c)
     t, alpha, s = _tilted_time(t, w, eps)
     beta = omega_c * t
     x1, y1 = r1
     x2, y2 = r2
-    pref = m * w / (2j * math.pi * hb * s)
-    expo = (1j * m * w / hb) * (
+    pref = w / (2j * math.pi * s)
+    expo = (1j * w) * (
         cmath.cos(alpha) / (2 * s) * (x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2)
         - cmath.cos(beta) / s * (x1 * x2 + y1 * y2)
         - cmath.sin(beta) / s * (x1 * y2 - y1 * x2))
     return pref * cmath.exp(expo)
 
 
-def magnetic_energy(n1: int, n2: int, omega, omega_c, hbar=1.0):
-    """E = hbar omega (n1 + n2 + 1) - hbar omega_c (n1 - n2); circular basis."""
-    return hbar * omega * (n1 + n2 + 1) - hbar * omega_c * (n1 - n2)
+def magnetic_energy(n1: int, n2: int, omega_c):
+    """E = omega (n1 + n2 + 1) - omega_c (n1 - n2), omega = sqrt(1 + omega_c^2);
+    circular basis."""
+    omega = math.sqrt(1.0 + omega_c * omega_c)
+    return omega * (n1 + n2 + 1) - omega_c * (n1 - n2)
 
 
 def cylindrical_wavefunction(two_j: int, two_m: int, lam: float, rho, phi):
@@ -132,12 +129,10 @@ def cylindrical_cartesian_overlap(nx: int, ny: int, two_j: int, two_m: int):
     if nx + ny != p + q:
         return 0j
     amp = 0j
-    for k in range(p + 1):
-        for l in range(q + 1):
-            if k + l != nx:
-                continue
-            amp += (math.comb(p, k) * math.comb(q, l)
-                    * (-1j) ** (p - k) * (1j) ** (q - l))
+    for k in range(max(0, nx - q), min(p, nx) + 1):    # l = nx - k in 0..q
+        l = nx - k
+        amp += (math.comb(p, k) * math.comb(q, l)
+                * (-1j) ** (p - k) * (1j) ** (q - l))
     amp *= (0.5) ** ((p + q) / 2)
     amp *= math.sqrt(math.factorial(nx) * math.factorial(ny)
                      / (math.factorial(p) * math.factorial(q)))

@@ -125,14 +125,13 @@ def hyperspherical_harmonic(N, l, mus, angles):
     C_n^a(cos theta_j) sin^{mu_{j+1}} theta_j with n = mu_j - |mu_{j+1}| and
     a = (N-j-1)/2 + |mu_{j+1}|, normalized by the closed-form Gegenbauer norm
     int_0^pi (C_n^a)^2 sin^{2a} = pi 2^{1-2a} Gamma(n+2a) / (n! (n+a) Gamma(a)^2).
-    N = 2 returns e^{i m phi}/sqrt(2 pi).
+    N = 2 has no link: e^{i l phi}/sqrt(2 pi).
     """
     chain = (l,) + tuple(mus)
     if len(chain) != N - 1:
         raise ValueError("need mu_2..mu_{N-1}")
-    if N == 2:
-        (phi,) = angles
-        return np.exp(1j * l * np.asarray(phi)) / math.sqrt(2 * math.pi)
+    if len(angles) != N - 1:
+        raise ValueError("need theta_1..theta_{N-2}, phi")
     m = chain[-1]
     thetas = angles[:N - 2]
     phi = angles[N - 2]
@@ -163,12 +162,14 @@ class HydrogenState:
         if self.N < 2:
             raise ValueError("N >= 2")
         _check_hydrogen_nl(self.n, self.l)
+        if len(self.mus) not in (0, self.N - 2):
+            raise ValueError("mus is empty or mu_2..mu_{N-1}")
         chain = (self.l,) + tuple(self.mus)
         if self.mus:
             for a, b in zip(chain, chain[1:-1]):
                 if a < b:
                     raise ValueError("chain must decrease")
-            if abs(chain[-1]) > (chain[-2] if len(chain) > 1 else self.l):
+            if abs(chain[-1]) > chain[-2]:
                 raise ValueError("|m| <= previous chain entry")
 
     @property
@@ -292,6 +293,15 @@ def _hankel_transform(f, N, nu, p_grid):
 
 def fourier_momentum_oracle(N, n, l, p_grid):
     """|radial momentum amplitude| from the Hankel integral of R_{nl} with
-    nu = l + (N-2)/2."""
-    return np.abs(_hankel_transform(lambda r: hydrogen_radial(N, n, l, r),
-                                    N, l + (N - 2) / 2.0, p_grid))
+    nu = l + (N-2)/2.  R_{nl} is set to 0 at the far nodes where its
+    exp(-x/2) underflows to 0: there the Laguerre factor may overflow, and
+    0 x inf is NaN.  Elsewhere it is evaluated by hydrogen_radial."""
+    two_delta = 2 * hydrogen_delta(N, n)
+
+    def radial(r):
+        live = np.exp(-(two_delta * r) / 2) > 0     # x = 2 delta r, as there
+        out = np.zeros_like(r)
+        out[live] = hydrogen_radial(N, n, l, r[live])
+        return out
+
+    return np.abs(_hankel_transform(radial, N, l + (N - 2) / 2.0, p_grid))

@@ -179,8 +179,8 @@ def su3_wigner_multfree(lam1, lam2, lam3, mu3, a1: Su3Label, a2: Su3Label,
                         a3: Su3Label):
     """(wigner, isoscalar) for <(lam1,0) a1; (lam2,0) a2 | (lam3,mu3) a3>-type
     3j-normalized coefficients; exact zeros on selection-rule failure."""
-    if a1.mu != 0 or a2.mu != 0:
-        raise ValueError("multiplicity-free route needs mu1 = mu2 = 0")
+    if (a1.lam, a1.mu, a2.lam, a2.mu, a3.lam, a3.mu) != (lam1, 0, lam2, 0, lam3, mu3):
+        raise ValueError("labels must be states of (lam1,0), (lam2,0), (lam3,mu3)")
     if not _in_decomposition(lam1, lam2, lam3, mu3):
         return SR_ZERO, SR_ZERO
     table = coupling_table(lam1, lam2, mu3)

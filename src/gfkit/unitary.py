@@ -78,9 +78,7 @@ def gelfand_enumerate(label: IrrepLabel):
                 *[range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]):
             for tail in rec(lower):
                 yield (row,) + tail
-    pats = [GelfandPattern(rows) for rows in rec(tuple(label.h))]
-    pats.sort(key=lambda p: p.rows)
-    return pats
+    return [GelfandPattern(rows) for rows in rec(tuple(label.h))]
 
 
 def weyl_dimension(label: IrrepLabel) -> int:
@@ -189,14 +187,13 @@ def R_hook(pat: GelfandPattern, lam: int, mu: int) -> int:
     return _row(pat, lam - 1)[mu - 1] - _row(pat, lam)[mu]
 
 
-def pn1(n: int, pat: GelfandPattern) -> Fraction:
-    """The P_n(1) factor of the recurrence normalization, n in {2..5}.
+def pn1(pat: GelfandPattern) -> Fraction:
+    """The P_n(1) factor of the recurrence normalization, n = pat.n in {2..5}.
 
     Closed binomial products; each level lam contributes
     C(L(lam,k)+R(lam,k), split) with split = L for k = lam-1 and R otherwise.
     """
-    if pat.n != n:
-        raise ValueError("pattern size does not match n")
+    n = pat.n
     if n == 2:
         return Fraction(1)
     if n not in (3, 4, 5):

@@ -275,20 +275,18 @@ def test_10_hydrogen_momentum():
 
 
 def test_11_propagators():
-    P = oscillator.OscillatorParams()
     xs, ws = np.polynomial.legendre.leggauss(240)
     ys, wy = 9.0 * xs, 9.0 * ws
-    vals = np.array([oscillator.ho_propagator(P, 0.3, y, -1j * 0.4)
-                     * oscillator.ho_propagator(P, y, -0.2, -1j * 0.7) for y in ys])
-    semi = abs(np.sum(vals * wy) - oscillator.ho_propagator(P, 0.3, -0.2, -1j * 1.1))
-    eig = abs(oscillator.ho_propagator(P, 0.5, -0.3, -1j * 1.0)
+    vals = np.array([oscillator.ho_propagator(0.3, y, -1j * 0.4)
+                     * oscillator.ho_propagator(y, -0.2, -1j * 0.7) for y in ys])
+    semi = abs(np.sum(vals * wy) - oscillator.ho_propagator(0.3, -0.2, -1j * 1.1))
+    eig = abs(oscillator.ho_propagator(0.5, -0.3, -1j * 1.0)
               - oracles.mehler_eigensum(0.5, -0.3, 1.0, nmax=80))
-    fact = abs(oscillator.magnetic_propagator(P, 0.0, (0.3, -0.4), (-0.2, 0.5), -1j * 0.7)
-               - oscillator.ho_propagator(P, 0.3, -0.2, -1j * 0.7)
-               * oscillator.ho_propagator(P, -0.4, 0.5, -1j * 0.7))
+    fact = abs(oscillator.magnetic_propagator(0.0, (0.3, -0.4), (-0.2, 0.5), -1j * 0.7)
+               - oscillator.ho_propagator(0.3, -0.2, -1j * 0.7)
+               * oscillator.ho_propagator(-0.4, 0.5, -1j * 0.7))
     # spectral trace
     wc, beta = 0.4, 1.3
-    w = math.sqrt(1 + wc * wc)
     n, L = 160, 8.0
     grid = np.linspace(-L, L, n)
     X, Y = np.meshgrid(grid, grid)
@@ -296,11 +294,11 @@ def test_11_propagators():
     for i in range(n):
         for j in range(n):
             K[i, j] = oscillator.magnetic_propagator(
-                P, wc, (X[i, j], Y[i, j]), (X[i, j], Y[i, j]), -1j * beta)
+                wc, (X[i, j], Y[i, j]), (X[i, j], Y[i, j]), -1j * beta)
     tr = float(np.trapezoid(np.trapezoid(K, grid, axis=1), grid).real)
-    spec = sum(math.exp(-beta * oscillator.magnetic_energy(n1, n2, w, wc))
+    spec = sum(math.exp(-beta * oscillator.magnetic_energy(n1, n2, wc))
                for n1 in range(200) for n2 in range(200)
-               if beta * oscillator.magnetic_energy(n1, n2, w, wc) < 60)
+               if beta * oscillator.magnetic_energy(n1, n2, wc) < 60)
     trace_gap = abs(tr - spec)
     ok = semi < 1e-8 and eig < 1e-9 and fact < 1e-10 and trace_gap < 1e-4
     report(11, ok, f"(semigroup {semi:.1e}, eigen-sum {eig:.1e}, "

@@ -39,6 +39,12 @@ def test_usage_error():
     assert code == 2
 
 
+# overflow inside a kernel: math, int-to-float and complex power
+OVERFLOW_ARGVS = (["oscillator", "propagator", "--beta", "1000"],
+                  ["hydrogen", "momentum", "--n", "200", "--l", "0"],
+                  ["oscillator", "genfunc", "--z", "1e200", "0", "--q", "0"])
+
+
 def test_domain_error_exit_one():
     for argv in (["gelfand", "weight", "--pattern", "2 0 / 3"],
                  ["hydrogen", "position", "--dim", "3", "--n", "1", "--l", "1"],
@@ -55,15 +61,36 @@ def test_domain_error_exit_one():
                  ["oscillator", "wf", "--n", "265"],
                  ["hydrogen", "position", "--n", "192", "--l", "0"],
                  ["hydrogen", "momentum", "--n", "171", "--l", "0"],
-                 ["hydrogen", "verify", "--n", "30", "--l", "0", "--points", "5"]):
+                 ["hydrogen", "verify", "--n", "171", "--l", "0", "--points", "5"],
+                 *OVERFLOW_ARGVS):
         env, code = run(argv)
         assert code == 1 and "not finite" in env.message, (argv, env.message)
     for argv in (["oscillator", "wf", "--n", "264"],
                  ["hydrogen", "position", "--n", "191", "--l", "0"],
                  ["hydrogen", "momentum", "--n", "170", "--l", "0"]):
         assert run(argv)[1] == 0, argv
+    # past the exponential's underflow the Hankel oracle still converges
+    env, code = run(["hydrogen", "verify", "--n", "30", "--l", "0", "--points", "5"])
+    assert code == 0 and env.value_float < 1e-9, env
     with pytest.raises(ValueError):
         ResultEnvelope(value_float=math.inf)
+
+
+def test_refusal_leaves_stderr_empty():
+    # numpy's overflow and invalid-value warnings on the way to a refused
+    # result stay off stderr, also with RuntimeWarnings shown by default
+    argvs = [["oscillator", "wf", "--n", "400", "--points", "3"],
+             ["hydrogen", "momentum", "--n", "171", "--l", "0"], *OVERFLOW_ARGVS]
+    script = (
+        "from gfkit.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 1, argv\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-W", "default::RuntimeWarning", "-c", script],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.stderr == ""
 
 
 def test_json_rendering_sorted():
@@ -332,12 +359,14 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
 
 def test_points_caps_refuse_before_work(monkeypatch):
     # hydrogen position, momentum and verify and oscillator wf and
-    # propagator exit 1 above their documented point caps, and the first
-    # four above their caps on the recurrence's n and n x points, without
-    # calling their kernels; exactly at the caps they run.
+    # propagator exit 1 above their documented point caps, the first four
+    # above their caps on the recurrence's n and n x points, and verify
+    # above its n^2 x points cap, without calling their kernels; exactly at
+    # the caps they run.
     from gfkit import oscillator, special
-    from gfkit.cli import (HYDROGEN_VERIFY_MAX_POINTS, PROPAGATOR_MAX_KERNELS,
-                           SAMPLES_MAX_DEGREE, SAMPLES_MAX_POINTS, SAMPLES_MAX_WORK)
+    from gfkit.cli import (HYDROGEN_VERIFY_MAX_POINTS, HYDROGEN_VERIFY_MAX_WORK,
+                           PROPAGATOR_MAX_KERNELS, SAMPLES_MAX_DEGREE,
+                           SAMPLES_MAX_POINTS, SAMPLES_MAX_WORK)
 
     def hydrogen(op, points, n=2, l=1):
         return ["hydrogen", op, "--n", str(n), "--l", str(l), "--points", str(points)]
@@ -362,6 +391,9 @@ def test_points_caps_refuse_before_work(monkeypatch):
 
     side = math.isqrt(PROPAGATOR_MAX_KERNELS)
     assert side * side == PROPAGATOR_MAX_KERNELS   # so that the cap is reachable
+    # every n <= 18 keeps the whole point cap; n = 19 has fewer points
+    assert 18 * 18 * HYDROGEN_VERIFY_MAX_POINTS <= HYDROGEN_VERIFY_MAX_WORK
+    past_verify = hydrogen("verify", HYDROGEN_VERIFY_MAX_WORK // 19 ** 2 + 1, 19, 0)
     with monkeypatch.context() as m:
         for name in ("hydrogen_radial", "hydrogen_momentum_radial",
                      "fourier_momentum_oracle"):
@@ -374,7 +406,8 @@ def test_points_caps_refuse_before_work(monkeypatch):
                      hydrogen("verify", HYDROGEN_VERIFY_MAX_POINTS + 1),
                      hydrogen("verify", 10 ** 9),
                      wf(SAMPLES_MAX_POINTS + 1), wf(10 ** 12),
-                     propagator(side + 1), propagator(10 ** 6), *recurrence):
+                     propagator(side + 1), propagator(10 ** 6), past_verify,
+                     *recurrence):
             env, code = run(argv)
             assert code == 1 and "cap" in env.message, (argv, env.message)
     for argv in (hydrogen("position", SAMPLES_MAX_POINTS),

@@ -70,6 +70,10 @@ def test_slater_overlap():
     for _ in range(20):
         sysm = random_system(rng, 4, 2)
         assert abs(slater_overlap(sysm) - slater_overlap_fock(sysm)) < 1e-12
+    # R is M x M, or the overlap would read a block of another system
+    for M, R in ((3, ((1, 0), (0, 1))), (2, ((1, 0, 0), (0, 1, 0))), (2, ((1, 0), (0,)))):
+        with pytest.raises(ValueError):
+            SlaterSystem(M, 1, R)
 
 
 def test_lowdin_one_body():

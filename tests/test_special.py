@@ -80,6 +80,11 @@ def test_hydrogen_state_invariants():
         HydrogenState(3, 1, 1, (0,))
     with pytest.raises(ValueError):
         HydrogenState(1, 1, 0)
+    # mus is empty or the whole chain mu_2..mu_{N-1}
+    assert HydrogenState(4, 2, 1).mus == () and HydrogenState(4, 3, 1, (1, 0)).mus
+    for N, mus in ((4, (0,)), (3, (0, 0)), (2, (1,))):
+        with pytest.raises(ValueError):
+            HydrogenState(N, 2, 1, mus)
     for l in (-1, -3):   # l < 0 with and without a hyperspherical chain
         with pytest.raises(ValueError):
             HydrogenState(3, 2, l)
@@ -196,6 +201,11 @@ def test_hyperspherical_normalized():
     phi = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     v = hyperspherical_harmonic(2, 3, (), (phi,))
     assert np.sum(np.abs(v) ** 2) * 2 * math.pi / 64 == pytest.approx(1.0)
+    # exactly N - 1 angles, for every N
+    for N, mus, angles in ((2, (), (0.3, 0.4)), (3, (1,), (0.3, 0.4, 0.5)),
+                           (4, (1, 0), (0.3, 0.4))):
+        with pytest.raises(ValueError):
+            hyperspherical_harmonic(N, 2, mus, angles)
 
 
 def test_genfunc_residuals():

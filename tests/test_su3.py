@@ -154,6 +154,11 @@ def test_wigner_multfree_api_and_selection_rules():
     with pytest.raises(ValueError):
         bad = Su3Label.from_key(1, 1, su3_state_keys(1, 1)[0])
         su3_wigner_multfree(1, 1, 2, 0, bad, a2, a3)
+    # a state of another irrep is refused, not read as a missing key
+    other = Su3Label.from_key(2, 0, (2, 2, 2))
+    for labels in ((other, a2, a3), (a1, other, a3), (a1, a2, a1)):
+        with pytest.raises(ValueError):
+            su3_wigner_multfree(1, 1, 2, 0, *labels)
 
 
 def test_completeness_sum():

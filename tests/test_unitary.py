@@ -29,7 +29,10 @@ def test_count_equals_weyl_small():
             if sum(h) > 6 or list(h) != sorted(h, reverse=True):
                 continue
             lab = IrrepLabel(h)
-            assert len(gelfand_enumerate(lab)) == weyl_dimension(lab)
+            pats = gelfand_enumerate(lab)
+            assert len(pats) == weyl_dimension(lab)
+            # lexicographic by row tuples, as the recursion yields them
+            assert pats == sorted(pats, key=lambda p: p.rows)
 
 
 def test_pattern_weights():
@@ -134,30 +137,31 @@ def test_bfr_regenerates_u4_u5_term_for_term():
 
 def test_pn1_examples():
     pat = GelfandPattern(((2, 0, 0), (2, 0), (1,)))
-    assert pn1(3, pat) == 2              # C(2,1)
+    assert pn1(pat) == 2              # C(2,1)
     pat4 = GelfandPattern(((1, 1, 0, 0), (1, 0, 0), (0, 0), (0,)))
     # all L = R = 0 at the top levels gives small binomials; compare oracle
-    assert pn1(4, pat4) == pn1_oracle(4, pat4)
+    assert pn1(pat4) == pn1_oracle(4, pat4)
     with pytest.raises(ValueError):
-        pn1(6, GelfandPattern(((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0),
-                               (0, 0, 0), (0, 0), (0,))))
+        pn1(GelfandPattern(((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0),
+                            (0, 0, 0), (0, 0), (0,))))
 
 
 def test_pn1_trivial_all_zero_hooks():
     pat = GelfandPattern(((1, 1, 1, 1), (1, 1, 1), (1, 1), (1,)))
-    assert pn1(4, pat) == 1
+    assert pn1(pat) == 1
+    assert pn1(GelfandPattern(((2, 0), (1,)))) == 1
 
 
 def test_pn1_oracle_agreement():
     for top in ((2, 1, 0), (3, 1, 0), (2, 2, 1)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
-            assert pn1(3, pat) == pn1_oracle(3, pat)
+            assert pn1(pat) == pn1_oracle(3, pat)
     for top in ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
-            assert pn1(4, pat) == pn1_oracle(4, pat)
+            assert pn1(pat) == pn1_oracle(4, pat)
     for top in ((1, 1, 0, 0, 0), (2, 1, 0, 0, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
-            assert pn1(5, pat) == pn1_oracle(5, pat)
+            assert pn1(pat) == pn1_oracle(5, pat)
 
 
 def test_u3_boson_polynomial_examples():
@@ -181,7 +185,7 @@ def test_u3_unit_substitution_is_p3():
     for top in ((2, 1, 0), (3, 2, 1), (2, 2, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
             terms = boson_polynomial(pat)
-            assert sum(c for c, _ in terms) == pn1(3, pat)
+            assert sum(c for c, _ in terms) == pn1(pat)
 
 
 def test_u4_boson_polynomial_examples():
@@ -195,7 +199,7 @@ def test_u4_unit_substitution_is_p4():
     for top in ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
             terms = boson_polynomial(pat)
-            assert sum(c for c, _ in terms) == pn1(4, pat)
+            assert sum(c for c, _ in terms) == pn1(pat)
             # every exponent solution respects the minor degree constraints
             (h4, h3, h2, h1) = pat.rows
             for _, expo in terms:
