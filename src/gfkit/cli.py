@@ -431,14 +431,15 @@ def _hurwitz_check(args):
 # Measured (one 2-vCPU VM, a fresh process with its numpy and scipy imports,
 # rendering included): hydrogen position and momentum at 100,000 points take
 # about 0.8-1.3 s and 105 MB peak, oscillator wf 0.5-0.9 s and 81 MB;
-# hydrogen verify builds a (points x quadrature nodes) Hankel array and takes
-# 1.8-2.4 s and 118 MB at 1000 points for n = 2, 3.9-4.7 s and 305 MB for
-# n = 9..18, whose quadrature needs two more levels; from n = 19 it needs 10,
-# from n = 22 11 and from n = 46 12 levels, each doubling the nodes, so above
-# n = 18 the points are capped by n^2 x points <= 18^2 x 1000: 5.3 s and
-# 348 MB at n = 22 (669 points), 6.1 s and 282 MB at n = 25 (518), 3.4 s and
-# 226 MB at n = 46 (153); oscillator propagator evaluates points^2 kernels,
-# 1.1 s and 81 MB at 300 points (90,000 kernels).
+# hydrogen verify evaluates its Hankel integrand on 16 points x quadrature
+# nodes at a time and takes 1.3-1.4 s and 55 MB at 1000 points for n = 2,
+# 3.3-3.4 s and 58 MB for n = 9..18, whose quadrature needs two more levels;
+# from n = 19 it needs 10, from n = 22 11 and from n = 46 12 levels, each
+# doubling the nodes and so the time, so above n = 18 the points are capped
+# by n^2 x points <= 18^2 x 1000: 5.0 s and 62 MB at n = 22 (669 points),
+# 3.5 s and 62 MB at n = 25 (518), 2.5 s and 71 MB at n = 46 (153);
+# oscillator propagator evaluates points^2 kernels, 1.1 s and 81 MB at 300
+# points (90,000 kernels).
 # The polynomial recurrence of the four sampled commands takes n steps over
 # the grid, each about 4-5 us of numpy dispatch plus 9-15 ns a point, so both
 # n and n x points are bounded: n = 100,000 at one point takes 0.6-1.1 s,

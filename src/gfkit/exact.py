@@ -6,21 +6,25 @@ same-radicand sums that recoupling coefficients require, so every 3j/6j/9j
 and isoscalar factor in this package is held exactly.
 
 The canonical form puts the square-free part of the squared value under the
-root.  Arbitrary input (from_square, and through it the general constructor
-and parse) finds it by factoring: trial division, then Pollard rho.  The recoupling kernels
-never factor.  Their square roots are of factorial ratios, whose primes are
-known: the factorial table keeps, for each n, a bitmask of the primes with
-odd exponent in n!, so the ratio's square-free part is an XOR of masks
-(sqrt_factorial_ratio), and the rational sum in front stays outside the
-root.  In integers, one gcd reduces the coefficient and a second moves each
-prime of the square-free part that divides its denominator under the root's
-denominator.  Products, quotients and sums on one ray of canonical values
-place their primes by the same kind of gcd step (_place).
+root.  Arbitrary input (from_square, and through it the general
+constructor) finds it by factoring: trial division, then Pollard rho.  The
+recoupling kernels never factor.  Their square roots are of factorial
+ratios, whose primes are known: the factorial table keeps, for each n, a
+bitmask of the primes with odd exponent in n!, so the ratio's square-free
+part is an XOR of masks (sqrt_factorial_ratio), and the rational sum in
+front stays outside the root.  In integers, one gcd reduces the coefficient
+and a second moves each prime of the square-free part that divides its
+denominator under the root's denominator.  Products, quotients and sums on
+one ray of canonical values place their primes by the same kind of gcd step
+(_place).
+
+The parser of str() and the bare triangle delta check this module from
+tests/oracles.py; the kernels read the triangle delta's factorial
+arguments from _triad_args.
 """
 from __future__ import annotations
 
 import math
-import re
 import sys
 import threading
 from collections import namedtuple
@@ -322,20 +326,6 @@ def _product(c: Fraction, n1: int, d1: int, n2: int, d2: int) -> SqrtRational:
     e = math.gcd(n, d)
     return _place(c * g / h, n // e, d // e)
 
-_SR_RE = re.compile(
-    r"^\s*(-?\d+)/(\d+)\s*(?:\*\s*sqrt\(\s*(-?\d+)/(\d+)\s*\))?\s*$")
-
-
-def parse_sqrt_rational(text: str) -> SqrtRational:
-    """Inverse of str(); accepts 'p/q' and 'p/q*sqrt(r/s)'."""
-    m = _SR_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse SqrtRational: {text!r}")
-    coeff = Fraction(int(m.group(1)), int(m.group(2)))
-    if m.group(3) is None:
-        return SqrtRational(coeff)
-    return SqrtRational(coeff, Fraction(int(m.group(3)), int(m.group(4))))
-
 
 class HalfInt(namedtuple("HalfInt", "two_j")):
     """Angular momentum stored as a doubled integer, value = two_j/2."""
@@ -438,26 +428,7 @@ def triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
-class TriangleError(ValueError):
-    pass
-
-
 def _triad_args(a, b, c):
     """The factorial arguments of the triangle delta of doubled (a, b, c):
     Delta^2 = prod n! over these three / (s + 1)!, s = (a + b + c)/2."""
     return (a + b - c) // 2, (a - b + c) // 2, (-a + b + c) // 2
-
-
-def triangle_delta(a, b, c) -> SqrtRational:
-    """sqrt[(J-2a)!(J-2b)!(J-2c)!/(J+1)!] with J = a+b+c.
-
-    Arguments are HalfInt instances, or plain ints meaning integer j.
-    """
-    ta, tb, tc = (x.two_j if isinstance(x, HalfInt) else 2 * x for x in (a, b, c))
-    if (ta + tb + tc) % 2:
-        raise ValueError("a+b+c must be integral")
-    if not triangle_ok(ta, tb, tc):
-        raise TriangleError(f"triangle violated: ({a},{b},{c})")
-    return SqrtRational.from_factorial_ratio(
-        1, 1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
-

@@ -1,20 +1,19 @@
 """Hurwitz matrices, octonionic quadratic transformations, Cayley rotations,
 3-D and 7-D cross products and the Gegenbauer-Gaussian closed forms.
 
-Each quadratic map is written once, as a function of u; its component
-polynomials are read off the map by polarization on unit vectors.  The
-tests compose them to check the Laplacian pullback identity exactly, and
-check the Gegenbauer-Gaussian identities as the exact polynomial identity
-det(I - alpha A(x)) = (1 - 2 alpha x_last + alpha^2 |x|^2)^k.
+Each quadratic map is written once, as a function of u, and QUAD_MAPS
+keys the maps by (n, N).  Their checks live in tests/oracles.py: the
+symbolic H_n and the Cayley-Dickson generator of the Hurwitz family, the
+maps' component polynomials read off by polarization (composed there to
+check the Laplacian pullback identity exactly), the closed n = 3 Cayley
+form and the V-matrix exponential.  The tests check the
+Gegenbauer-Gaussian identities as the exact polynomial identity
+det(I - alpha A(x)) = (1 - 2 alpha x_last + alpha^2 |x|^2)^k.  The module
+imports numpy and nothing else.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
-
-from .polytools import poly_var
 
 _H2 = ((("+", 1), ("-", 2)),
        (("+", 2), ("+", 1)))
@@ -56,40 +55,6 @@ def hurwitz_matrix(n: int, u) -> np.ndarray:
     return out
 
 
-def hurwitz_symbolic(n: int):
-    """H_n with entries as exact linear polynomials in u_1..u_n."""
-    lay = hurwitz_layout(n)
-    return [[poly_var(k - 1, n, 1 if sg == "+" else -1) for sg, k in row]
-            for row in lay]
-
-
-def cayley_dickson_matrix(n: int, u) -> np.ndarray:
-    """Left-multiplication matrix of the Cayley-Dickson doubling chain;
-    recursive alternative generator of a Hurwitz matrix family."""
-    if n not in (1, 2, 4, 8):
-        raise ValueError("n must be in {1, 2, 4, 8}")
-    u = np.asarray(u, dtype=float)
-    return np.column_stack([_cd_mul(n, u, e) for e in np.eye(n)])
-
-
-def _conj(v):
-    w = -np.asarray(v, dtype=float)
-    w[0] = -w[0]
-    return w
-
-
-def _cd_mul(m, x, y):
-    """Cayley-Dickson product (a,b)(c,d) = (a c - conj(d) b, d a + b conj(c))."""
-    if m == 1:
-        return np.array([x[0] * y[0]])
-    h = m // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
-    top = _cd_mul(h, a, c) - _cd_mul(h, _conj(d), b)
-    bot = _cd_mul(h, d, a) + _cd_mul(h, b, _conj(c))
-    return np.concatenate([top, bot])
-
-
 # ---------------------------------------------------------------------------
 # quadratic transformations
 # ---------------------------------------------------------------------------
@@ -126,37 +91,6 @@ def r8_to_r5(u):
 QUAD_MAPS = {(2, 2): levi_civita, (3, 4): ks_transform, (5, 8): r8_to_r5}
 
 
-def quad_map_polynomials(pair):
-    """Component polynomials of the (n,N) quadratic map, exact.
-
-    Each component x is a quadratic form in u, so polarizing QUAD_MAPS[pair]
-    on unit vectors gives its coefficients: u_i^2 has x(e_i), and u_i u_j
-    (i < j) has x(e_i + e_j) - x(e_i) - x(e_j)."""
-    if pair not in QUAD_MAPS:
-        raise ValueError(f"unsupported pair {pair}")
-    n, N = pair
-    x = QUAD_MAPS[pair]
-
-    def unit(*idx):
-        """e_i + e_j + ..., also the exponent tuple of u_i u_j ..."""
-        u = [0] * N
-        for i in idx:
-            u[i] += 1
-        return u
-
-    diag = [x(unit(i)) for i in range(N)]
-    comps = [{} for _ in range(n)]
-    for i in range(N):
-        for j in range(i, N):
-            e = unit(i, j)
-            vals = diag[i] if i == j else [
-                c - a - b for c, a, b in zip(x(e), diag[i], diag[j])]
-            for comp, v in zip(comps, vals):
-                if v:
-                    comp[tuple(e)] = Fraction(v)
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # cross products and V matrices
 # ---------------------------------------------------------------------------
@@ -182,28 +116,6 @@ def v_matrix(n: int, x) -> np.ndarray:
 
 def cross_product(n: int, a, b) -> np.ndarray:
     return v_matrix(n, a) @ np.asarray(b, dtype=float)
-
-
-def v_matrix_properties(n: int, x, theta: float = math.pi / 2) -> dict:
-    """Residuals of the V-matrix identities: V^3 = -r^2 V and the rotation
-    exponential exp(-i theta (iV)) = 1 - i sin(theta) (iV) - (1-cos)(iV)^2
-    (checked at unit |x| in its literal complex form)."""
-    import scipy.linalg
-
-    x = np.asarray(x, dtype=float)
-    V = v_matrix(n, x)
-    r2 = float(x @ x)
-    res_cube = float(np.linalg.norm(V @ V @ V + r2 * V))
-    if r2 == 0.0:
-        return {"cube_residual": res_cube, "exp_residual": 0.0}
-    xu = x / math.sqrt(r2)
-    Vu = v_matrix(n, xu)
-    J = 1j * Vu
-    lhs = scipy.linalg.expm(-1j * theta * J)
-    rhs = (np.eye(n) - 1j * math.sin(theta) * J
-           - (1 - math.cos(theta)) * (J @ J))
-    res_exp = float(np.linalg.norm(lhs - rhs))
-    return {"cube_residual": res_cube, "exp_residual": res_exp}
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +146,6 @@ def cayley_rotation(n: int, u) -> np.ndarray:
         return r2 * np.linalg.solve(B.T, A.T).T
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("singular Cayley denominator") from exc
-
-
-def cayley_rotation_closed3(u) -> np.ndarray:
-    """Closed form for n=3: r I - 2 u1 S + 2 S^2."""
-    u = np.asarray(u, dtype=float)
-    S = _skew_s(3, u)
-    r2 = float(u @ u)
-    return r2 * np.eye(3) - 2 * u[0] * S + 2 * S @ S
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,20 @@
 """Sparse exact multivariate polynomials and truncated power series.
 
-A polynomial is a dict mapping exponent tuples to Fraction (or int)
-coefficients.  All operations are exact, and poly_mul, poly_pow and
-bargmann_dot keep integer coefficients integer.  The U(n) boson polynomials
-and the symbolic Hurwitz matrices are built from them, and the tests' exact
-identity checks (the Hurwitz products, the Laplacian pullback, the
-Gegenbauer-Gaussian determinants, the SU(3) invariant contraction) use them
-too.
+A polynomial is a dict mapping exponent tuples to int (or Fraction)
+coefficients.  poly_add, poly_mul, poly_pow and bargmann_dot are exact, and
+the last three keep integer coefficients integer; the U(n) boson
+polynomials are built from poly_mul and poly_pow.  The rest of the
+polynomial calculus (constants, variables, scaling, derivatives, the
+Laplacian, evaluation, composition) serves only the tests' exact identity
+checks and lives in tests/oracles.py.
 TruncatedSeries expands g(tau)^-2 term by term; it is the test oracle for
-the closed-form 6j coefficient in wigner, not a production route.
+the closed-form 6j coefficient in wigner, not a production route, and it
+stays here while the benchmark's trace hooks name it.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def poly_const(c, nvars):
-    if c == 0:
-        return {}
-    return {tuple([0] * nvars): Fraction(c)}
-
-
-def poly_var(i, nvars, c=1):
-    e = [0] * nvars
-    e[i] = 1
-    return {tuple(e): Fraction(c)}
 
 
 def poly_add(a, b):
@@ -37,12 +26,6 @@ def poly_add(a, b):
         else:
             out.pop(e, None)
     return out
-
-
-def poly_scale(a, c):
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in a.items()}
 
 
 def poly_mul(a, b):
@@ -70,54 +53,6 @@ def poly_pow(a, n, nvars):
         n >>= 1
         if n:
             base = poly_mul(base, base)
-    return out
-
-
-def poly_diff(a, i):
-    out = {}
-    for e, c in a.items():
-        if e[i]:
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-    return out
-
-
-def poly_laplacian(a, nvars):
-    out = {}
-    for i in range(nvars):
-        out = poly_add(out, poly_diff(poly_diff(a, i), i))
-    return out
-
-
-def poly_eval(a, xs):
-    tot = Fraction(0)
-    for e, c in a.items():
-        v = Fraction(c)
-        for x, p in zip(xs, e):
-            if p:
-                v *= Fraction(x) ** p
-        tot += v
-    return tot
-
-
-def poly_compose(a, subs, nvars_out):
-    """Substitute variable i -> subs[i] (polynomials in the output space)."""
-    out = {}
-    cache = {}
-
-    def spow(i, p):
-        key = (i, p)
-        if key not in cache:
-            cache[key] = poly_pow(subs[i], p, nvars_out)
-        return cache[key]
-
-    for e, c in a.items():
-        term = poly_const(c, nvars_out)
-        for i, p in enumerate(e):
-            if p:
-                term = poly_mul(term, spow(i, p))
-        out = poly_add(out, term)
     return out
 
 

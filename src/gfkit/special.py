@@ -1,24 +1,28 @@
-"""Classical orthogonal polynomials, spherical and hyperspherical harmonics,
-hydrogen wavefunctions in position and momentum space (3-D and N-D) and the
-numeric Hankel/Fourier oracle (with its tanh-sinh rule on (0, inf)).
+"""Classical orthogonal polynomials (Laguerre, Gegenbauer, Hermite),
+spherical and hyperspherical harmonics, hydrogen wavefunctions in position
+and momentum space (3-D and N-D) and the numeric Hankel/Fourier oracle
+(with its tanh-sinh rule on (0, inf)).
 
 Atomic units, Z = 1.  N-dimensional states use delta_n = 1/(n + (N-3)/2);
 the momentum-space closed form is the Gegenbauer expression
   ~ (delta p)^l C_{n-l-1}^{l+(N-1)/2}((p^2-d^2)/(p^2+d^2)) / (p^2+d^2)^{l+(N+1)/2}
 validated pointwise against the Hankel-transform oracle, which hydrogen
 verify reports against; the tests check the oracle's transform on a Gaussian,
-which maps to itself.  Hyperspherical harmonics
-are normalized link by link with the closed-form Gegenbauer norm.
+which maps to itself.  The oracle evaluates its integrand a block of p rows
+at a time, so its memory is bounded by the block, not by the grid.
+Hyperspherical harmonics are normalized link by link with the closed-form
+Gegenbauer norm.  The Legendre polynomials and the exact Laguerre
+coefficients serve only the tests and live in tests/oracles.py.
 
 scipy.special is imported only inside the functions that call it (the
 hydrogen normalizations and the Hankel oracle), so a caller of the
 polynomials alone, such as gfkit.oscillator, loads numpy but not scipy.
+This is the only module of gfkit that imports scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,23 +67,6 @@ def hermite(n, x):
     """Physicists' H_n(x)."""
     return _three_term(n, x, lambda x: 2 * x,
                        lambda k, x, p0, p1: 2 * x * p1 - 2 * k * p0)
-
-
-def legendre(n, x):
-    """P_n(x) = C_n^{(1/2)}(x); alpha = 1/2 makes every recurrence factor an
-    exact float, so the values equal the Legendre recurrence's bit for bit."""
-    return gegenbauer(n, 0.5, x)
-
-
-def laguerre_coeffs(n, alpha_num: Fraction):
-    """Exact coefficients of L_n^{(alpha)}: a_k = (-1)^k binom(n+alpha, n-k)/k!."""
-    out = []
-    for k in range(n + 1):
-        b = Fraction(1)
-        for j in range(1, n - k + 1):
-            b *= (alpha_num + k + j) / j
-        out.append(Fraction((-1) ** k) * b / math.factorial(k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +209,19 @@ def hydrogen_momentum_radial(N, n, l, p):
             * gegenbauer(n - l - 1, l + (N - 1) / 2.0, x))
 
 
+def _check_angular_chain(state: HydrogenState):
+    """Refuse a radial-only state (empty mus, N >= 3) before any radial work:
+    the angular factor needs the whole chain."""
+    if len(state.mus) != state.N - 2:
+        raise ValueError(f"HydrogenState.mus is empty; the angular factor in "
+                         f"N = {state.N} needs mu_2..mu_{{N-1}}")
+
+
 def hydrogen_position_wf(state: HydrogenState, r, angles):
     """psi(r, angles) = R_{nl}(r) Y_{l,{mu}}(angles)."""
+    _check_angular_chain(state)
     R = hydrogen_radial(state.N, state.n, state.l, r)
-    if state.N == 3 and len(state.mus) == 1:
+    if state.N == 3:
         Y = spherical_harmonic(state.l, state.mus[0], *angles)
     else:
         Y = hyperspherical_harmonic(state.N, state.l, state.mus, angles)
@@ -235,8 +231,9 @@ def hydrogen_position_wf(state: HydrogenState, r, angles):
 def hydrogen_momentum_wf(state: HydrogenState, p, angles):
     """Momentum-space wavefunction including the i^l phase convention (overall
     minus in N dimensions); magnitudes match the Fourier oracle."""
+    _check_angular_chain(state)
     F = hydrogen_momentum_radial(state.N, state.n, state.l, p)
-    if state.N == 3 and len(state.mus) == 1:
+    if state.N == 3:
         Y = spherical_harmonic(state.l, state.mus[0], *angles)
         return (1j) ** state.l * F * Y
     Y = hyperspherical_harmonic(state.N, state.l, state.mus, angles)
@@ -247,13 +244,14 @@ _TANHSINH_LEVELS = 12
 _TANHSINH_TOL = 1e-12
 
 
-def tanhsinh_halfline(f):
-    """integral_0^inf f(r) dr by tanh-sinh with the exp(pi/2 sinh t) map.
+def _tanhsinh(level_sum):
+    """integral_0^inf by tanh-sinh with the exp(pi/2 sinh t) map.
 
-    f may return an array with the node axis last broadcast: f(r[None,:]) of
-    shape (..., len(r)).  Halves the step, over at most _TANHSINH_LEVELS
-    levels, until two successive estimates agree to _TANHSINH_TOL relative
-    to 1 + max|estimate|; a NaN or infinite estimate never settles and is
+    level_sum(r, w) returns one level's estimate, the integrand at the nodes
+    r summed against the weights w (an array for a vector of integrals).
+    Halves the step, over at most _TANHSINH_LEVELS levels, until two
+    successive estimates agree to _TANHSINH_TOL relative to
+    1 + max|estimate|; a NaN or infinite estimate never settles and is
     returned at once.
     """
     h = 0.5
@@ -264,8 +262,7 @@ def tanhsinh_halfline(f):
         u = np.pi / 2 * np.sinh(t)
         r = np.exp(u)
         w = h * r * np.pi / 2 * np.cosh(t)
-        vals = f(r)
-        est = np.sum(vals * w, axis=-1)
+        est = level_sum(r, w)
         if not np.all(np.isfinite(est)):
             return est
         if prev is not None and np.all(np.abs(est - prev)
@@ -276,19 +273,29 @@ def tanhsinh_halfline(f):
     return prev
 
 
+# p rows per evaluation of the Hankel integrand: each temporary holds at
+# most this many rows of quadrature nodes, however long the p grid
+_HANKEL_ROWS = 16
+
+
 def _hankel_transform(f, N, nu, p_grid):
     """int f(r) J_nu(pr) (pr)^{-(N-2)/2} r^{N-1} dr over r > 0 by adaptive
-    tanh-sinh quadrature, vectorized over the p grid."""
+    tanh-sinh quadrature over the p grid, _HANKEL_ROWS points at a time.
+    Each row's sum is the one the whole (points x nodes) array would give,
+    and one convergence test covers the whole grid."""
     from scipy.special import jv
-    p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    p_grid = np.asarray(p_grid, dtype=float).ravel()
 
-    def integrand(r):
-        r = np.asarray(r)
-        pr = np.outer(p_grid, r)
-        return (f(r)[None, :] * jv(nu, pr)
-                * pr ** (-(N - 2) / 2.0) * r[None, :] ** (N - 1))
+    def level_sum(r, w):
+        fr, rn = f(r)[None, :], r[None, :] ** (N - 1)
+        est = np.empty(len(p_grid))
+        for i in range(0, len(p_grid), _HANKEL_ROWS):
+            pr = np.outer(p_grid[i:i + _HANKEL_ROWS], r)
+            est[i:i + _HANKEL_ROWS] = np.sum(
+                fr * jv(nu, pr) * pr ** (-(N - 2) / 2.0) * rn * w, axis=-1)
+        return est
 
-    return tanhsinh_halfline(integrand)
+    return _tanhsinh(level_sum)
 
 
 def fourier_momentum_oracle(N, n, l, p_grid):

@@ -102,11 +102,6 @@ def pattern_weight(pat: GelfandPattern):
     return tuple(sums[i] - (sums[i - 1] if i else 0) for i in range(n))
 
 
-def highest_pattern(label: IrrepLabel) -> GelfandPattern:
-    rows = [tuple(label.h[:k]) for k in range(label.n, 0, -1)]
-    return GelfandPattern(tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # binary fundamental representation coding
 # ---------------------------------------------------------------------------

@@ -3,31 +3,140 @@
 Each function here recomputes a quantity of gfkit by a second, deliberately
 naive route (a brute-force Fock-space sum, a numeric quadrature, an explicit
 product-state projection, an expansion with every minor set to 1), so that a
-test can hold the production route against it.  They live beside the tests,
-not in the package: gfkit keeps one production route per quantity, plus the
+test can hold the production route against it.  The helpers that only these
+checks use live here too: the exact polynomial calculus, the symbolic
+Hurwitz matrices, the SqrtRational parser.  They live beside the tests, not
+in the package: gfkit keeps one production route per quantity, plus the
 oracles its command line itself reports against (sixj_oracle,
 fourier_momentum_oracle, slater_overlap_fock, lowdin_matrix_element_fock,
-substituted_determinant_direct, threej_second_route).
+substituted_determinant_direct) and, while the benchmark imports or patches
+them, threej_second_route, su3_state_keys and polytools.TruncatedSeries.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 
-from gfkit.exact import SqrtRational, factorials, neg_one_pow
-from gfkit.hurwitz import quad_map_polynomials
+from gfkit.exact import (HalfInt, SqrtRational, _triad_args, factorials, neg_one_pow,
+                         triangle_ok)
+from gfkit.hurwitz import QUAD_MAPS, _skew_s, hurwitz_layout, v_matrix
 from gfkit.manybody import SlaterSystem, _fermion_op, transform_slater
 from gfkit.oscillator import ho_wavefunction
-from gfkit.polytools import (bargmann_dot, poly_add, poly_compose, poly_const,
-                             poly_laplacian, poly_mul, poly_pow, poly_scale, poly_var)
-from gfkit.special import _hankel_transform, gegenbauer, legendre
+from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
+from gfkit.special import _hankel_transform, _tanhsinh, gegenbauer
 from gfkit.su3 import coupling_table, dim_su3, su3_state_keys
-from gfkit.unitary import GelfandPattern, _kernel_terms
+from gfkit.unitary import GelfandPattern, IrrepLabel, _kernel_terms
 from gfkit.wigner import threej
+
+
+# ---------------------------------------------------------------------------
+# exact: the parser of str() and the bare triangle delta
+# ---------------------------------------------------------------------------
+_SR_RE = re.compile(
+    r"^\s*(-?\d+)/(\d+)\s*(?:\*\s*sqrt\(\s*(-?\d+)/(\d+)\s*\))?\s*$")
+
+
+def parse_sqrt_rational(text: str) -> SqrtRational:
+    """Inverse of str(); accepts 'p/q' and 'p/q*sqrt(r/s)'."""
+    m = _SR_RE.match(text)
+    if not m:
+        raise ValueError(f"cannot parse SqrtRational: {text!r}")
+    coeff = Fraction(int(m.group(1)), int(m.group(2)))
+    if m.group(3) is None:
+        return SqrtRational(coeff)
+    return SqrtRational(coeff, Fraction(int(m.group(3)), int(m.group(4))))
+
+
+class TriangleError(ValueError):
+    pass
+
+
+def triangle_delta(a, b, c) -> SqrtRational:
+    """sqrt[(J-2a)!(J-2b)!(J-2c)!/(J+1)!] with J = a+b+c.
+
+    Arguments are HalfInt instances, or plain ints meaning integer j.
+    """
+    ta, tb, tc = (x.two_j if isinstance(x, HalfInt) else 2 * x for x in (a, b, c))
+    if (ta + tb + tc) % 2:
+        raise ValueError("a+b+c must be integral")
+    if not triangle_ok(ta, tb, tc):
+        raise TriangleError(f"triangle violated: ({a},{b},{c})")
+    return SqrtRational.from_factorial_ratio(
+        1, 1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
+
+
+# ---------------------------------------------------------------------------
+# polytools: the polynomial calculus of the exact identity checks
+# ---------------------------------------------------------------------------
+def poly_const(c, nvars):
+    if c == 0:
+        return {}
+    return {tuple([0] * nvars): Fraction(c)}
+
+
+def poly_var(i, nvars, c=1):
+    e = [0] * nvars
+    e[i] = 1
+    return {tuple(e): Fraction(c)}
+
+
+def poly_scale(a, c):
+    if c == 0:
+        return {}
+    return {e: v * c for e, v in a.items()}
+
+
+def poly_diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = c * e[i]
+    return out
+
+
+def poly_laplacian(a, nvars):
+    out = {}
+    for i in range(nvars):
+        out = poly_add(out, poly_diff(poly_diff(a, i), i))
+    return out
+
+
+def poly_eval(a, xs):
+    tot = Fraction(0)
+    for e, c in a.items():
+        v = Fraction(c)
+        for x, p in zip(xs, e):
+            if p:
+                v *= Fraction(x) ** p
+        tot += v
+    return tot
+
+
+def poly_compose(a, subs, nvars_out):
+    """Substitute variable i -> subs[i] (polynomials in the output space)."""
+    out = {}
+    cache = {}
+
+    def spow(i, p):
+        key = (i, p)
+        if key not in cache:
+            cache[key] = poly_pow(subs[i], p, nvars_out)
+        return cache[key]
+
+    for e, c in a.items():
+        term = poly_const(c, nvars_out)
+        for i, p in enumerate(e):
+            if p:
+                term = poly_mul(term, spow(i, p))
+        out = poly_add(out, term)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +466,104 @@ def coupled_vectors(lam1, lam2, mu3):
 
 
 # ---------------------------------------------------------------------------
-# hurwitz: the Laplacian pullback
+# hurwitz: symbolic and Cayley-Dickson H_n, the maps' polynomials, the
+# V-matrix exponential, the closed n = 3 Cayley form, the Laplacian pullback
 # ---------------------------------------------------------------------------
+def hurwitz_symbolic(n: int):
+    """H_n with entries as exact linear polynomials in u_1..u_n."""
+    lay = hurwitz_layout(n)
+    return [[poly_var(k - 1, n, 1 if sg == "+" else -1) for sg, k in row]
+            for row in lay]
+
+
+def cayley_dickson_matrix(n: int, u) -> np.ndarray:
+    """Left-multiplication matrix of the Cayley-Dickson doubling chain;
+    recursive alternative generator of a Hurwitz matrix family."""
+    if n not in (1, 2, 4, 8):
+        raise ValueError("n must be in {1, 2, 4, 8}")
+    u = np.asarray(u, dtype=float)
+    return np.column_stack([_cd_mul(n, u, e) for e in np.eye(n)])
+
+
+def _conj(v):
+    w = -np.asarray(v, dtype=float)
+    w[0] = -w[0]
+    return w
+
+
+def _cd_mul(m, x, y):
+    """Cayley-Dickson product (a,b)(c,d) = (a c - conj(d) b, d a + b conj(c))."""
+    if m == 1:
+        return np.array([x[0] * y[0]])
+    h = m // 2
+    a, b = x[:h], x[h:]
+    c, d = y[:h], y[h:]
+    top = _cd_mul(h, a, c) - _cd_mul(h, _conj(d), b)
+    bot = _cd_mul(h, d, a) + _cd_mul(h, b, _conj(c))
+    return np.concatenate([top, bot])
+
+
+def quad_map_polynomials(pair):
+    """Component polynomials of the (n,N) quadratic map, exact.
+
+    Each component x is a quadratic form in u, so polarizing QUAD_MAPS[pair]
+    on unit vectors gives its coefficients: u_i^2 has x(e_i), and u_i u_j
+    (i < j) has x(e_i + e_j) - x(e_i) - x(e_j)."""
+    if pair not in QUAD_MAPS:
+        raise ValueError(f"unsupported pair {pair}")
+    n, N = pair
+    x = QUAD_MAPS[pair]
+
+    def unit(*idx):
+        """e_i + e_j + ..., also the exponent tuple of u_i u_j ..."""
+        u = [0] * N
+        for i in idx:
+            u[i] += 1
+        return u
+
+    diag = [x(unit(i)) for i in range(N)]
+    comps = [{} for _ in range(n)]
+    for i in range(N):
+        for j in range(i, N):
+            e = unit(i, j)
+            vals = diag[i] if i == j else [
+                c - a - b for c, a, b in zip(x(e), diag[i], diag[j])]
+            for comp, v in zip(comps, vals):
+                if v:
+                    comp[tuple(e)] = Fraction(v)
+    return comps
+
+
+def v_matrix_properties(n: int, x, theta: float = math.pi / 2) -> dict:
+    """Residuals of the V-matrix identities: V^3 = -r^2 V and the rotation
+    exponential exp(-i theta (iV)) = 1 - i sin(theta) (iV) - (1-cos)(iV)^2
+    (checked at unit |x| in its literal complex form)."""
+    import scipy.linalg
+
+    x = np.asarray(x, dtype=float)
+    V = v_matrix(n, x)
+    r2 = float(x @ x)
+    res_cube = float(np.linalg.norm(V @ V @ V + r2 * V))
+    if r2 == 0.0:
+        return {"cube_residual": res_cube, "exp_residual": 0.0}
+    xu = x / math.sqrt(r2)
+    Vu = v_matrix(n, xu)
+    J = 1j * Vu
+    lhs = scipy.linalg.expm(-1j * theta * J)
+    rhs = (np.eye(n) - 1j * math.sin(theta) * J
+           - (1 - math.cos(theta)) * (J @ J))
+    res_exp = float(np.linalg.norm(lhs - rhs))
+    return {"cube_residual": res_cube, "exp_residual": res_exp}
+
+
+def cayley_rotation_closed3(u) -> np.ndarray:
+    """Closed form for n=3: r I - 2 u1 S + 2 S^2."""
+    u = np.asarray(u, dtype=float)
+    S = _skew_s(3, u)
+    r2 = float(u @ u)
+    return r2 * np.eye(3) - 2 * u[0] * S + 2 * S @ S
+
+
 def laplacian_pullback_difference(pair, f_poly) -> dict:
     """Delta_u f(x(u)) - 4 |u|^2 (Delta_x f)(x(u)) as an exact polynomial in u.
 
@@ -416,8 +621,13 @@ def boson_recurrence_residual(alphas, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# unitary: P_n(1) and the U(3) hypergeometric form
+# unitary: the highest pattern, P_n(1) and the U(3) hypergeometric form
 # ---------------------------------------------------------------------------
+def highest_pattern(label: IrrepLabel) -> GelfandPattern:
+    rows = [tuple(label.h[:k]) for k in range(label.n, 0, -1)]
+    return GelfandPattern(tuple(rows))
+
+
 def pn1_oracle(n: int, pat: GelfandPattern) -> int:
     """Independent P_n(1): expand the branching-kernel product at unit minors
     and pick the coefficient of the parameter monomial (polynomial
@@ -454,8 +664,34 @@ def u3_hypergeometric_terms(pat: GelfandPattern):
 
 
 # ---------------------------------------------------------------------------
-# special: the Hankel oracle's self-check and generating-function series
+# special: Legendre, the exact Laguerre coefficients, the tanh-sinh rule on
+# one integrand, the Hankel oracle's self-check and generating-function series
 # ---------------------------------------------------------------------------
+def legendre(n, x):
+    """P_n(x) = C_n^{(1/2)}(x); alpha = 1/2 makes every recurrence factor an
+    exact float, so the values equal the Legendre recurrence's bit for bit."""
+    return gegenbauer(n, 0.5, x)
+
+
+def laguerre_coeffs(n, alpha_num: Fraction):
+    """Exact coefficients of L_n^{(alpha)}: a_k = (-1)^k binom(n+alpha, n-k)/k!."""
+    out = []
+    for k in range(n + 1):
+        b = Fraction(1)
+        for j in range(1, n - k + 1):
+            b *= (alpha_num + k + j) / j
+        out.append(Fraction((-1) ** k) * b / math.factorial(k))
+    return out
+
+
+def tanhsinh_halfline(f):
+    """integral_0^inf f(r) dr by gfkit's tanh-sinh rule (special._tanhsinh).
+
+    f may return an array with the node axis last broadcast: f(r[None,:]) of
+    shape (..., len(r))."""
+    return _tanhsinh(lambda r, w: np.sum(f(r) * w, axis=-1))
+
+
 def gaussian_hankel_selftransform(p_grid, N=3):
     """Oracle sanity input: exp(-r^2/2) maps to itself under the l = 0
     radial Fourier transform in N dimensions."""

@@ -12,11 +12,12 @@ import numpy as np
 from gfkit.exact import SR_ZERO, SqrtRational, triangle_ok
 from gfkit import hurwitz, manybody, oscillator, special, su3, unitary
 from gfkit.cli import render, run_command
-from gfkit.polytools import poly_add, poly_const, poly_mul, poly_var
+from gfkit.polytools import poly_add, poly_mul
 from gfkit.wigner import (ThreeJLabel, regge_orbit, sixj_gf, sixj_oracle,
                           threej, threej_second_route)
 
 import oracles
+from oracles import poly_const, poly_var
 from test_cli import CORPUS
 
 
@@ -201,7 +202,7 @@ def test_07_su3_completeness_and_factorization():
 def test_08_hurwitz_identities():
     ok = True
     for n in (2, 4, 8):
-        H = hurwitz.hurwitz_symbolic(n)
+        H = oracles.hurwitz_symbolic(n)
         u2 = poly_const(0, n)
         for i in range(n):
             u2 = poly_add(u2, poly_mul(poly_var(i, n), poly_var(i, n)))
@@ -252,7 +253,6 @@ def test_10_hydrogen_momentum():
     t0 = time.time()
     worst_rel = 0.0
     worst_norm = 0.0
-    from gfkit.special import tanhsinh_halfline
     for N in range(2, 7):
         for n in range(1, 5):
             for l in range(0, n):
@@ -264,7 +264,7 @@ def test_10_hydrogen_momentum():
                 rel = float(np.max(np.abs(closed - oracle)
                                    / np.maximum(oracle, 1e-3 * scale)))
                 worst_rel = max(worst_rel, rel)
-                nrm = float(tanhsinh_halfline(
+                nrm = float(oracles.tanhsinh_halfline(
                     lambda q: special.hydrogen_momentum_radial(N, n, l, q) ** 2
                     * q ** (N - 1)))
                 worst_norm = max(worst_norm, abs(nrm - 1.0))

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from gfkit.cli import ResultEnvelope, render, run_command
-from gfkit.exact import parse_sqrt_rational
 from gfkit.wigner import threej
+from oracles import parse_sqrt_rational
 
 
 def run(argv):

@@ -5,16 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gfkit.hurwitz import (cayley_dickson_matrix, cayley_rotation,
-                           cayley_rotation_closed3, cross_product,
+from gfkit.hurwitz import (QUAD_MAPS, cayley_rotation, cross_product,
                            gegenbauer_gaussian_closed, hurwitz_matrix,
-                           hurwitz_symbolic, ks_transform, levi_civita,
-                           quad_map_polynomials, r8_to_r5, v_matrix,
-                           v_matrix_properties)
-from gfkit.hurwitz import QUAD_MAPS
-from gfkit.polytools import (poly_add, poly_const, poly_eval, poly_mul,
-                             poly_pow, poly_scale, poly_var)
-from oracles import laplacian_pullback_difference
+                           ks_transform, levi_civita, r8_to_r5, v_matrix)
+from gfkit.polytools import poly_add, poly_mul, poly_pow
+from oracles import (cayley_dickson_matrix, cayley_rotation_closed3,
+                     hurwitz_symbolic, laplacian_pullback_difference,
+                     poly_const, poly_eval, poly_scale, poly_var,
+                     quad_map_polynomials, v_matrix_properties)
 
 
 def test_hurwitz_symbolic_identity():

@@ -8,9 +8,9 @@ from gfkit.special import (HydrogenState, fourier_momentum_oracle,
                            gegenbauer, hermite, hydrogen_momentum_radial,
                            hydrogen_momentum_wf, hydrogen_position_wf,
                            hydrogen_radial, hyperspherical_harmonic,
-                           laguerre, laguerre_coeffs, legendre,
-                           spherical_harmonic, tanhsinh_halfline)
-from oracles import gaussian_hankel_selftransform, genfunc_residual
+                           laguerre, spherical_harmonic)
+from oracles import (gaussian_hankel_selftransform, genfunc_residual,
+                     laguerre_coeffs, legendre, tanhsinh_halfline)
 
 
 def test_poly_eval_examples():
@@ -151,6 +151,26 @@ def test_tanhsinh_returns_a_non_finite_estimate_at_once():
         assert not np.isfinite(tanhsinh_halfline(f)) and len(levels) == 1
 
 
+def test_hankel_oracle_memory_does_not_grow_with_the_grid():
+    # the integrand is evaluated _HANKEL_ROWS points at a time, so the
+    # oracle's peak allocation on four blocks of points is that on one
+    import tracemalloc
+
+    from gfkit.special import _HANKEL_ROWS
+    d = 1 / 9
+    fourier_momentum_oracle(3, 9, 0, np.array([d]))    # scipy.special loaded
+    peaks = []
+    for points in (_HANKEL_ROWS, 4 * _HANKEL_ROWS):
+        p = np.linspace(0.05 * d, 5.0 * d, points)
+        tracemalloc.start()
+        try:
+            fourier_momentum_oracle(3, 9, 0, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 def test_oracle_gaussian_selftransform():
     p = np.linspace(0.05, 4.0, 9)
     g = gaussian_hankel_selftransform(p)
@@ -161,6 +181,24 @@ def test_oracle_p_to_zero_limit():
     closed0 = float(hydrogen_momentum_radial(3, 1, 0, 1e-6))
     oracle0 = float(fourier_momentum_oracle(3, 1, 0, np.array([1e-6]))[0])
     assert closed0 == pytest.approx(oracle0, rel=1e-6)
+
+
+def test_radial_only_state_refused_before_radial_work(monkeypatch):
+    # empty mus is a radial-only state; with N = 2 it is already whole
+    s = HydrogenState(2, 2, 1)
+    assert hydrogen_position_wf(s, 1.0, (0.3,)) == pytest.approx(
+        hydrogen_radial(2, 2, 1, 1.0) * hyperspherical_harmonic(2, 1, (), (0.3,)))
+    import gfkit.special as special
+
+    def radial_work(*args):
+        raise AssertionError("radial work started")
+
+    monkeypatch.setattr(special, "hydrogen_radial", radial_work)
+    monkeypatch.setattr(special, "hydrogen_momentum_radial", radial_work)
+    for N, angles in ((3, (0.5, 0.2)), (4, (0.5, 0.4, 0.2))):
+        for wf in (hydrogen_position_wf, hydrogen_momentum_wf):
+            with pytest.raises(ValueError, match=r"HydrogenState\.mus"):
+                wf(HydrogenState(N, 2, 1), 1.0, angles)
 
 
 def test_momentum_parity_and_phase():

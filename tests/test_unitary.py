@@ -6,9 +6,9 @@ import pytest
 from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
 from gfkit.unitary import (BfrTable, GelfandPattern, IrrepLabel, bfr_phi,
                            bfr_generating_terms, boson_polynomial,
-                           gelfand_enumerate, highest_pattern, pattern_weight,
-                           pn1, weyl_dimension)
-from oracles import pn1_oracle, u3_hypergeometric_terms
+                           gelfand_enumerate, pattern_weight, pn1,
+                           weyl_dimension)
+from oracles import highest_pattern, pn1_oracle, u3_hypergeometric_terms
 
 
 def test_enumeration_counts():
