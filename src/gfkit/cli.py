@@ -18,9 +18,13 @@ n^2 x points above HYDROGEN_VERIFY_MAX_WORK (324000), these four
 an n above SAMPLES_MAX_DEGREE (100000) or an n x points above
 SAMPLES_MAX_WORK (5e7), and oscillator propagator above
 PROPAGATOR_MAX_KERNELS (90000) = points^2 kernels, with exit 1, before any
-work starts.  A result that is not finite (NaN or infinite), or whose
-computation overflows, also exits 1; numpy's RuntimeWarnings on the way to
-such a result are kept off stderr.
+work starts, and so do those five sampled commands below one point.
+hydrogen verify compares the closed form with the Hankel oracle on its fixed
+grid 0.05 delta..5 delta and takes no --rmax or --seed; an oracle whose
+quadrature does not settle exits 1 and is named.  A result that is not
+finite (NaN or infinite), or whose computation overflows, also exits 1;
+numpy's RuntimeWarnings on the way to such a result are kept off stderr.
+An unknown --format is a usage error, refused before the command runs.
 
 Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
@@ -75,6 +79,9 @@ class ResultEnvelope:
         else:
             out["message"] = self.message or ""
         return out
+
+
+_FORMATS = ("json", "csv", "text")
 
 
 def render(env: ResultEnvelope, fmt: str) -> bytes:
@@ -185,7 +192,8 @@ _TWO_JM = (_arg("--two-j", nargs=3), _arg("--two-m", nargs=3))
 _SU3_LABELS = tuple(_arg(f"--{nm}") for nm in ("lam1", "lam2", "lam3", "mu3"))
 _SEED = _arg("--seed", default=0)
 _HYDROGEN = (_arg("--dim", default=3), _arg("--n"), _arg("--l"),
-             _arg("--points", default=50), _arg("--rmax", float, default=None))
+             _arg("--points", default=50))
+_RMAX = _arg("--rmax", float, default=None)
 _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 
 
@@ -453,15 +461,23 @@ SAMPLES_MAX_WORK = 50_000_000
 PROPAGATOR_MAX_KERNELS = 90000
 
 
+def _points_floor(points):
+    """Refuse fewer than one point: the table would be empty and its value
+    missing or zeroed."""
+    if points < 1:
+        raise ValueError(f"points = {points} is below 1")
+
+
 def _cap_samples(args, max_points):
-    """The point cap, then the recurrence's n and n x points caps."""
+    """The point floor and cap, then the recurrence's n and n x points caps."""
+    _points_floor(args.points)
     _cap("points", args.points, max_points)
     _cap("n", args.n, SAMPLES_MAX_DEGREE)
     _cap("n x points", args.n * args.points, SAMPLES_MAX_WORK)
 
 
 # --- hydrogen --------------------------------------------------------------
-@_command("hydrogen", "position", *_HYDROGEN)
+@_command("hydrogen", "position", *_HYDROGEN, _RMAX)
 def _hydrogen_position(args):
     _cap_samples(args, SAMPLES_MAX_POINTS)
     import numpy as np
@@ -471,7 +487,7 @@ def _hydrogen_position(args):
                     "radial wavefunction samples")
 
 
-@_command("hydrogen", "momentum", *_HYDROGEN)
+@_command("hydrogen", "momentum", *_HYDROGEN, _RMAX)
 def _hydrogen_momentum(args):
     _cap_samples(args, SAMPLES_MAX_POINTS)
     import numpy as np
@@ -482,7 +498,7 @@ def _hydrogen_momentum(args):
                     "momentum wavefunction samples (Gegenbauer form)")
 
 
-@_command("hydrogen", "verify", *_HYDROGEN, _SEED)
+@_command("hydrogen", "verify", *_HYDROGEN)
 def _hydrogen_verify(args):
     _cap_samples(args, HYDROGEN_VERIFY_MAX_POINTS)
     _cap("n^2 x points", args.n * args.n * args.points, HYDROGEN_VERIFY_MAX_WORK)
@@ -526,6 +542,7 @@ def _oscillator_genfunc(args):
 @_command("oscillator", "propagator", _arg("--beta", float),
           _arg("--xmax", float, default=2.0), _arg("--points", default=9))
 def _oscillator_propagator(args):
+    _points_floor(args.points)
     _cap("points^2", args.points ** 2, PROPAGATOR_MAX_KERNELS)
     import numpy as np
     from .oscillator import ho_propagator
@@ -581,7 +598,7 @@ def _slater_system(args):
     rng = np.random.default_rng(args.seed)
     R = np.eye(args.m) + 0.3 * (rng.normal(size=(args.m, args.m))
                                 + 1j * rng.normal(size=(args.m, args.m)))
-    return rng, SlaterSystem(args.m, args.n_occ, tuple(map(tuple, R.tolist())))
+    return rng, SlaterSystem(args.n_occ, tuple(map(tuple, R.tolist())))
 
 
 @_command("manybody", "overlap", *_SLATER)
@@ -672,13 +689,13 @@ def main(argv=None) -> int:
         if i + 1 < len(argv):
             fmt = argv[i + 1]
             argv = argv[:i] + argv[i + 2:]
-    env, code = run_command(argv)
-    try:
-        sys.stdout.buffer.write(render(env, fmt))
-    except UsageError as exc:
-        sys.stdout.buffer.write(render(ResultEnvelope(status="error",
-                                                      message=str(exc)), "json"))
+    if fmt not in _FORMATS:
+        # refused before the command runs, so a bad format costs no work
+        sys.stdout.buffer.write(render(ResultEnvelope(
+            status="error", message=f"unknown format {fmt}"), "json"))
         return 2
+    env, code = run_command(argv)
+    sys.stdout.buffer.write(render(env, fmt))
     return code
 
 

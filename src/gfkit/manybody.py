@@ -2,12 +2,16 @@
 matrix elements, Thouless theorem) against a small Fock-space oracle, the
 Lipkin model exact and quasi-boson treatments, and the boson-expansion
 coefficient recurrence.
+
+The records (SubstitutionQuery, SlaterSystem, LipkinModel) are validated
+named tuples, as everywhere in gfkit: a dataclass would load dataclasses and
+inspect on import.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -50,19 +54,20 @@ def det_fraction(A) -> Fraction:
     return _eliminate(A, [()] * len(A))[0]
 
 
-@dataclass(frozen=True)
-class SubstitutionQuery:
-    A: tuple          # n x n
-    B: tuple          # n x s replacement columns
-    positions: tuple  # s distinct column indices of A
+class SubstitutionQuery(namedtuple("SubstitutionQuery", "A B positions")):
+    """A (n x n), the replacement columns B (n x s) and the s distinct
+    column indices of A they replace; a validated named tuple, as HalfInt."""
 
-    def __post_init__(self):
-        n = len(self.A)
-        s = len(self.positions)
-        if len(set(self.positions)) != s or any(not 0 <= p < n for p in self.positions):
+    __slots__ = ()
+
+    def __new__(cls, A, B, positions):
+        n = len(A)
+        s = len(positions)
+        if len(set(positions)) != s or any(not 0 <= p < n for p in positions):
             raise ValueError("positions must be distinct, in range")
-        if any(len(row) != s for row in self.B) or len(self.B) != n:
+        if any(len(row) != s for row in B) or len(B) != n:
             raise ValueError("B must be n x s")
+        return super().__new__(cls, A, B, positions)
 
 
 def generalized_cramer(q: SubstitutionQuery) -> Fraction:
@@ -89,17 +94,23 @@ def substituted_determinant_direct(q: SubstitutionQuery) -> Fraction:
 # ---------------------------------------------------------------------------
 # Fock-space oracle (frozenset occupations, explicit fermion signs)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SlaterSystem:
-    M: int
-    n_occ: int
-    R: tuple   # M x M one-body transformation (rows of complex entries)
+class SlaterSystem(namedtuple("SlaterSystem", "n_occ R")):
+    """The reference determinant on orbitals 0..n_occ-1 of M = len(R) and the
+    M x M one-body transformation R (rows of complex entries); a validated
+    named tuple, as HalfInt."""
 
-    def __post_init__(self):
-        if not 0 < self.n_occ <= self.M <= 10:
+    __slots__ = ()
+
+    def __new__(cls, n_occ, R):
+        if not 0 < n_occ <= len(R) <= 10:
             raise ValueError("need 0 < n_occ <= M <= 10")
-        if len(self.R) != self.M or any(len(row) != self.M for row in self.R):
-            raise ValueError("R must be M x M")
+        if any(len(row) != len(R) for row in R):
+            raise ValueError("R must be square")
+        return super().__new__(cls, n_occ, R)
+
+    @property
+    def M(self):
+        return len(self.R)
 
 
 def _occupations(M, n):
@@ -244,15 +255,16 @@ def thouless_residual(sys: SlaterSystem) -> float:
 # ---------------------------------------------------------------------------
 # Lipkin model
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class LipkinModel:
-    n_particles: int
-    e: float = 1.0
-    v: float = 1.0
+class LipkinModel(namedtuple("LipkinModel", "n_particles e v")):
+    """N = n_particles (even) particles, single-particle splitting e and
+    pair coupling v; a validated named tuple, as HalfInt."""
 
-    def __post_init__(self):
-        if self.n_particles < 2 or self.n_particles % 2:
+    __slots__ = ()
+
+    def __new__(cls, n_particles, e=1.0, v=1.0):
+        if n_particles < 2 or n_particles % 2:
             raise ValueError("N must be even, >= 2")
+        return super().__new__(cls, n_particles, e, v)
 
 
 def lipkin_hamiltonian(model: LipkinModel) -> np.ndarray:

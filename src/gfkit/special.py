@@ -9,10 +9,14 @@ the momentum-space closed form is the Gegenbauer expression
 validated pointwise against the Hankel-transform oracle, which hydrogen
 verify reports against; the tests check the oracle's transform on a Gaussian,
 which maps to itself.  The oracle evaluates its integrand a block of p rows
-at a time, so its memory is bounded by the block, not by the grid.
+at a time, so its memory is bounded by the block, not by the grid, and its
+quadrature raises ArithmeticError when its last two levels disagree.
 Hyperspherical harmonics are normalized link by link with the closed-form
-Gegenbauer norm.  The Legendre polynomials and the exact Laguerre
-coefficients serve only the tests and live in tests/oracles.py.
+Gegenbauer norm, and the 3-D spherical harmonic is the N = 3 case with the
+Condon-Shortley phase: every polynomial comes from the one three-term
+recurrence.  HydrogenState is a validated named tuple that always holds its
+whole hyperspherical chain.  The Legendre polynomials and the exact
+Laguerre coefficients serve only the tests and live in tests/oracles.py.
 
 scipy.special is imported only inside the functions that call it (the
 hydrogen normalizations and the Hankel oracle), so a caller of the
@@ -22,7 +26,7 @@ This is the only module of gfkit that imports scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -72,39 +76,6 @@ def hermite(n, x):
 # ---------------------------------------------------------------------------
 # spherical harmonics (3-D) and hyperspherical chains
 # ---------------------------------------------------------------------------
-def _assoc_legendre_norm(l, m, x):
-    """Normalized P_l^m with Condon-Shortley phase:
-    sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m(x), for m >= 0."""
-    x = np.asarray(x, dtype=float)
-    somx2 = np.sqrt(np.maximum(0.0, 1 - x * x))
-    # P_m^m with normalization folded in
-    pmm = np.full_like(x, math.sqrt(1 / (4 * math.pi)))
-    for k in range(1, m + 1):
-        pmm = -pmm * somx2 * math.sqrt((2 * k + 1) / (2.0 * k))
-    if l == m:
-        return pmm
-    pmm1 = x * math.sqrt(2 * m + 3) * pmm
-    if l == m + 1:
-        return pmm1
-    for ll in range(m + 2, l + 1):
-        a = math.sqrt((4 * ll * ll - 1) / (ll * ll - m * m))
-        b = math.sqrt(((ll - 1) ** 2 - m * m) / (4 * (ll - 1) ** 2 - 1))
-        pmm, pmm1 = pmm1, a * (x * pmm1 - b * pmm)
-    return pmm1
-
-
-def spherical_harmonic(l, m, theta, phi):
-    """Y_{lm}(theta, phi), orthonormal on the sphere, Condon-Shortley."""
-    if abs(m) > l:
-        raise ValueError("|m| <= l")
-    am = abs(m)
-    base = _assoc_legendre_norm(l, am, np.cos(theta))
-    val = base * np.exp(1j * am * np.asarray(phi))
-    if m >= 0:
-        return val
-    return (-1) ** am * np.conj(val)
-
-
 def hyperspherical_harmonic(N, l, mus, angles):
     """Y_{l,{mu}} on S^{N-1}; chain l = mu_1 >= mu_2 >= ... >= |mu_{N-1}|.
 
@@ -135,33 +106,41 @@ def hyperspherical_harmonic(N, l, mus, angles):
     return val
 
 
+def spherical_harmonic(l, m, theta, phi):
+    """Y_{lm}(theta, phi), orthonormal on the sphere, Condon-Shortley: the
+    N = 3 hyperspherical harmonic, which has no Condon-Shortley phase, times
+    (-1)^m for m > 0."""
+    if abs(m) > l:
+        raise ValueError("|m| <= l")
+    return (-1) ** max(m, 0) * hyperspherical_harmonic(3, l, (m,), (theta, phi))
+
+
 # ---------------------------------------------------------------------------
 # hydrogen states
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class HydrogenState:
-    N: int
-    n: int
-    l: int
-    mus: tuple = ()     # mu_2..mu_{N-1} hyperspherical chain; (m,) for N=3
+class HydrogenState(namedtuple("HydrogenState", "N n l mus")):
+    """A hydrogen state in N dimensions with its whole hyperspherical chain
+    mus = (mu_2, ..., mu_{N-1}): (m,) for N = 3 and () for N = 2.  A
+    validated named tuple, as HalfInt."""
 
-    def __post_init__(self):
-        if self.N < 2:
+    __slots__ = ()
+
+    def __new__(cls, N, n, l, mus):
+        if N < 2:
             raise ValueError("N >= 2")
-        _check_hydrogen_nl(self.n, self.l)
-        if len(self.mus) not in (0, self.N - 2):
-            raise ValueError("mus is empty or mu_2..mu_{N-1}")
-        chain = (self.l,) + tuple(self.mus)
-        if self.mus:
+        _check_hydrogen_nl(n, l)
+        mus = tuple(mus)
+        if len(mus) != N - 2:
+            raise ValueError(f"HydrogenState.mus must be mu_2..mu_{{N-1}}, "
+                             f"{N - 2} entries for N = {N}")
+        if mus:
+            chain = (l,) + mus
             for a, b in zip(chain, chain[1:-1]):
                 if a < b:
                     raise ValueError("chain must decrease")
             if abs(chain[-1]) > chain[-2]:
                 raise ValueError("|m| <= previous chain entry")
-
-    @property
-    def delta(self) -> float:
-        return hydrogen_delta(self.N, self.n)
+        return super().__new__(cls, N, n, l, mus)
 
 
 def radial_norm_constant(N, n, l) -> float:
@@ -209,17 +188,8 @@ def hydrogen_momentum_radial(N, n, l, p):
             * gegenbauer(n - l - 1, l + (N - 1) / 2.0, x))
 
 
-def _check_angular_chain(state: HydrogenState):
-    """Refuse a radial-only state (empty mus, N >= 3) before any radial work:
-    the angular factor needs the whole chain."""
-    if len(state.mus) != state.N - 2:
-        raise ValueError(f"HydrogenState.mus is empty; the angular factor in "
-                         f"N = {state.N} needs mu_2..mu_{{N-1}}")
-
-
 def hydrogen_position_wf(state: HydrogenState, r, angles):
     """psi(r, angles) = R_{nl}(r) Y_{l,{mu}}(angles)."""
-    _check_angular_chain(state)
     R = hydrogen_radial(state.N, state.n, state.l, r)
     if state.N == 3:
         Y = spherical_harmonic(state.l, state.mus[0], *angles)
@@ -231,7 +201,6 @@ def hydrogen_position_wf(state: HydrogenState, r, angles):
 def hydrogen_momentum_wf(state: HydrogenState, p, angles):
     """Momentum-space wavefunction including the i^l phase convention (overall
     minus in N dimensions); magnitudes match the Fourier oracle."""
-    _check_angular_chain(state)
     F = hydrogen_momentum_radial(state.N, state.n, state.l, p)
     if state.N == 3:
         Y = spherical_harmonic(state.l, state.mus[0], *angles)
@@ -251,8 +220,8 @@ def _tanhsinh(level_sum):
     r summed against the weights w (an array for a vector of integrals).
     Halves the step, over at most _TANHSINH_LEVELS levels, until two
     successive estimates agree to _TANHSINH_TOL relative to
-    1 + max|estimate|; a NaN or infinite estimate never settles and is
-    returned at once.
+    1 + max|estimate|, and raises ArithmeticError when the last two do not.
+    A NaN or infinite estimate never settles and is returned at once.
     """
     h = 0.5
     tmax = 4.0
@@ -265,12 +234,15 @@ def _tanhsinh(level_sum):
         est = level_sum(r, w)
         if not np.all(np.isfinite(est)):
             return est
-        if prev is not None and np.all(np.abs(est - prev)
-                                      <= _TANHSINH_TOL * (1 + np.max(np.abs(est)))):
-            return est
+        if prev is not None:
+            step, scale = np.abs(est - prev), 1 + np.max(np.abs(est))
+            if np.all(step <= _TANHSINH_TOL * scale):
+                return est
         prev = est
         h /= 2
-    return prev
+    raise ArithmeticError(
+        f"tanh-sinh quadrature did not settle in {_TANHSINH_LEVELS} levels (the "
+        f"last two differ by {np.max(step) / scale:.1e} relative, above {_TANHSINH_TOL:g})")
 
 
 # p rows per evaluation of the Hankel integrand: each temporary holds at
@@ -311,4 +283,8 @@ def fourier_momentum_oracle(N, n, l, p_grid):
         out[live] = hydrogen_radial(N, n, l, r[live])
         return out
 
-    return np.abs(_hankel_transform(radial, N, l + (N - 2) / 2.0, p_grid))
+    try:
+        return np.abs(_hankel_transform(radial, N, l + (N - 2) / 2.0, p_grid))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the Hankel oracle at N = {N}, n = {n}, l = {l}: "
+                              f"{exc}") from None

@@ -335,7 +335,7 @@ def test_13_lowdin_thouless():
         M = int(rng.integers(3, 7))
         nocc = int(rng.integers(1, M))
         R = np.eye(M) + 0.3 * (rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)))
-        sysm = manybody.SlaterSystem(M, nocc, tuple(map(tuple, R.tolist())))
+        sysm = manybody.SlaterSystem(nocc, tuple(map(tuple, R.tolist())))
         worst = max(worst, abs(manybody.slater_overlap(sysm)
                                - manybody.slater_overlap_fock(sysm)))
         T = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))

@@ -37,6 +37,12 @@ def test_usage_error():
     assert code == 2 and env.status == "error"
     env, code = run(["wigner", "3j", "--two-j", "2", "2"])
     assert code == 2
+    # hydrogen verify samples a fixed grid: it takes no --rmax and no --seed
+    verify = ["hydrogen", "verify", "--n", "2", "--l", "0", "--points", "5"]
+    assert run(verify)[1] == 0
+    for extra in (["--rmax", "3"], ["--seed", "1"]):
+        env, code = run(verify + extra)
+        assert code == 2 and env.message.startswith("usage:"), extra
 
 
 # overflow inside a kernel: math, int-to-float and complex power
@@ -61,10 +67,17 @@ def test_domain_error_exit_one():
                  ["oscillator", "wf", "--n", "265"],
                  ["hydrogen", "position", "--n", "192", "--l", "0"],
                  ["hydrogen", "momentum", "--n", "171", "--l", "0"],
-                 ["hydrogen", "verify", "--n", "171", "--l", "0", "--points", "5"],
                  *OVERFLOW_ARGVS):
         env, code = run(argv)
         assert code == 1 and "not finite" in env.message, (argv, env.message)
+    # an oracle whose quadrature has not settled by its last level is
+    # refused and named, not reported as a gap: n = 93 is the first such n
+    # at l = 0 on 5 points, and at n = 171 the closed form overflows too
+    for n in (93, 171):
+        env, code = run(["hydrogen", "verify", "--n", str(n), "--l", "0", "--points", "5"])
+        assert code == 1 and "Hankel oracle" in env.message, (n, env.message)
+        assert "did not settle" in env.message, (n, env.message)
+    assert run(["hydrogen", "verify", "--n", "92", "--l", "0", "--points", "5"])[1] == 0
     for argv in (["oscillator", "wf", "--n", "264"],
                  ["hydrogen", "position", "--n", "191", "--l", "0"],
                  ["hydrogen", "momentum", "--n", "170", "--l", "0"]):
@@ -136,6 +149,23 @@ def test_main_prints_render_of_run_command(capsysbinary):
         "status": "error", "message": "unknown format xml"}
     # the parser itself takes no --format: main has removed it
     assert run_command(["--format", "csv", *sixj])[1] == 2
+
+
+def test_unknown_format_refused_before_the_command_runs(monkeypatch, capsysbinary):
+    # main checks --format before it runs the command, so the kernel is
+    # never reached; stdout and the exit code are those of the usage error
+    from gfkit import special
+    from gfkit.cli import main
+
+    def untouched(*args):
+        raise AssertionError("kernel reached with an unknown format")
+
+    monkeypatch.setattr(special, "fourier_momentum_oracle", untouched)
+    verify = ["hydrogen", "verify", "--n", "2", "--l", "0", "--points", "5"]
+    for line in (["--format", "xml", *verify], [*verify, "--format", "xml"]):
+        assert main(line) == 2
+        assert capsysbinary.readouterr().out == (
+            b'{"message": "unknown format xml", "status": "error"}\n')
 
 
 def test_error_envelope_render():
@@ -359,10 +389,10 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
 
 def test_points_caps_refuse_before_work(monkeypatch):
     # hydrogen position, momentum and verify and oscillator wf and
-    # propagator exit 1 above their documented point caps, the first four
-    # above their caps on the recurrence's n and n x points, and verify
-    # above its n^2 x points cap, without calling their kernels; exactly at
-    # the caps they run.
+    # propagator exit 1 below one point and above their documented point
+    # caps, the first four above their caps on the recurrence's n and
+    # n x points, and verify above its n^2 x points cap, without calling
+    # their kernels; exactly at the caps they run.
     from gfkit import oscillator, special
     from gfkit.cli import (HYDROGEN_VERIFY_MAX_POINTS, HYDROGEN_VERIFY_MAX_WORK,
                            PROPAGATOR_MAX_KERNELS, SAMPLES_MAX_DEGREE,
@@ -410,6 +440,12 @@ def test_points_caps_refuse_before_work(monkeypatch):
                      *recurrence):
             env, code = run(argv)
             assert code == 1 and "cap" in env.message, (argv, env.message)
+        # an empty or negative grid is refused too, not sampled
+        for points in (0, -1):
+            for argv in (*(hydrogen(op, points) for op in ("position", "momentum", "verify")),
+                         wf(points), propagator(points)):
+                env, code = run(argv)
+                assert code == 1 and "below 1" in env.message, (argv, env.message)
     for argv in (hydrogen("position", SAMPLES_MAX_POINTS),
                  hydrogen("momentum", SAMPLES_MAX_POINTS),
                  hydrogen("verify", HYDROGEN_VERIFY_MAX_POINTS),

@@ -164,13 +164,19 @@ def test_import_loads_no_dataclasses():
     # `import gfkit.cli`, `import gfkit.su3` or `import gfkit.unitary` loads
     # neither dataclasses nor the inspect module it would pull in; gfkit.su3
     # imports numpy only inside its Euler-matrix functions, so it loads no
-    # numpy either (numpy would load inspect itself); gfkit.hurwitz imports
-    # numpy alone, so it loads neither scipy nor the exact polynomials
+    # numpy either (numpy would load inspect itself); HydrogenState and the
+    # gfkit.manybody records are named tuples too, so gfkit.special,
+    # gfkit.oscillator and gfkit.manybody load no dataclasses, though numpy
+    # loads inspect; gfkit.hurwitz imports numpy alone, so it loads neither
+    # scipy nor the exact polynomials
     src = Path(__file__).resolve().parents[1] / "src"
     for module, banned in (("gfkit", ("dataclasses", "inspect")),
                            ("gfkit.cli", ("dataclasses", "inspect")),
                            ("gfkit.su3", ("dataclasses", "inspect", "numpy")),
                            ("gfkit.unitary", ("dataclasses", "inspect")),
+                           ("gfkit.special", ("dataclasses",)),
+                           ("gfkit.oscillator", ("dataclasses",)),
+                           ("gfkit.manybody", ("dataclasses",)),
                            ("gfkit.hurwitz", ("scipy", "gfkit.polytools", "fractions"))):
         script = (f"import sys, {module}\n"
                   f"print([m for m in {banned!r} if m in sys.modules])")
@@ -182,7 +188,8 @@ def test_import_loads_no_dataclasses():
 SRC = Path(__file__).resolve().parents[1] / "src" / "gfkit"
 
 
-def test_only_special_imports_scipy():
+def _importers(package):
+    """Stems of the modules under src/gfkit that import `package`."""
     importers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -192,9 +199,18 @@ def test_only_special_imports_scipy():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "scipy" for m in modules):
+            if any(m.split(".")[0] == package for m in modules):
                 importers.add(path.stem)
-    assert importers == {"special"}
+    return importers
+
+
+def test_only_special_imports_scipy():
+    assert _importers("scipy") == {"special"}
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a validated named tuple or a plain class
+    assert _importers("dataclasses") == set()
 
 
 # Verification helpers that live in tests/oracles.py, or were deleted for an

@@ -24,7 +24,7 @@ def frac_matrix(rng, n, m):
 
 def random_system(rng, M, n_occ, scale=0.3):
     R = np.eye(M) + scale * (rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)))
-    return SlaterSystem(M, n_occ, tuple(map(tuple, R.tolist())))
+    return SlaterSystem(n_occ, tuple(map(tuple, R.tolist())))
 
 
 def test_cramer_identity_example():
@@ -59,26 +59,29 @@ def test_cramer_singular_raises():
 
 def test_slater_overlap():
     M, n = 4, 2
-    ident = SlaterSystem(M, n, tuple(map(tuple, np.eye(M).tolist())))
+    ident = SlaterSystem(n, tuple(map(tuple, np.eye(M).tolist())))
     assert slater_overlap(ident) == pytest.approx(1.0)
     # orbital permutation gives the parity of the induced occupied permutation
     P = np.eye(M)[[1, 0, 2, 3]]
-    swap = SlaterSystem(M, n, tuple(map(tuple, P.tolist())))
+    swap = SlaterSystem(n, tuple(map(tuple, P.tolist())))
     assert slater_overlap(swap) == pytest.approx(slater_overlap_fock(swap))
     assert slater_overlap(swap) == pytest.approx(-1.0)
     rng = np.random.default_rng(1)
     for _ in range(20):
         sysm = random_system(rng, 4, 2)
         assert abs(slater_overlap(sysm) - slater_overlap_fock(sysm)) < 1e-12
-    # R is M x M, or the overlap would read a block of another system
-    for M, R in ((3, ((1, 0), (0, 1))), (2, ((1, 0, 0), (0, 1, 0))), (2, ((1, 0), (0,)))):
+    # M is len(R), and R is square, or the overlap would read a block of
+    # another system
+    assert swap.M == 4
+    for n_occ, R in ((1, ((1, 0, 0), (0, 1, 0))), (1, ((1, 0), (0,))), (1, ()),
+                     (3, ((1, 0), (0, 1))), (0, ((1,),)), (1, ((1,) * 11,) * 11)):
         with pytest.raises(ValueError):
-            SlaterSystem(M, 1, R)
+            SlaterSystem(n_occ, R)
 
 
 def test_lowdin_one_body():
     M, n = 4, 2
-    ident = SlaterSystem(M, n, tuple(map(tuple, np.eye(M).tolist())))
+    ident = SlaterSystem(n, tuple(map(tuple, np.eye(M).tolist())))
     assert lowdin_matrix_element(ident, np.eye(M)) == pytest.approx(n)
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -104,19 +107,19 @@ def test_lowdin_two_body():
 
 def test_thouless():
     M, n = 4, 2
-    ident = SlaterSystem(M, n, tuple(map(tuple, np.eye(M).tolist())))
+    ident = SlaterSystem(n, tuple(map(tuple, np.eye(M).tolist())))
     assert thouless_residual(ident) == pytest.approx(0.0, abs=1e-14)
     # block-diagonal (no particle-hole mixing) also gives zero x
     blk = np.eye(M, dtype=complex)
     blk[:2, :2] = [[1.1, 0.2], [-0.1, 0.9]]
     blk[2:, 2:] = [[0.8, 0.3], [0.0, 1.2]]
-    sysb = SlaterSystem(M, n, tuple(map(tuple, blk.tolist())))
+    sysb = SlaterSystem(n, tuple(map(tuple, blk.tolist())))
     assert thouless_residual(sysb) < 1e-12
     rng = np.random.default_rng(4)
     for _ in range(20):
         sysm = random_system(rng, 4, 2)
         assert thouless_residual(sysm) < 1e-10
-    assert thouless_term_count(SlaterSystem(4, 2, tuple(map(tuple, np.eye(4).tolist())))) == 3
+    assert thouless_term_count(SlaterSystem(2, tuple(map(tuple, np.eye(4).tolist())))) == 3
     # nilpotency: the particle-hole operator taken past min(n, M-n) powers
     # annihilates every component (series genuinely terminates there)
     sysm = random_system(rng, 5, 2)
@@ -145,7 +148,7 @@ def test_thouless():
     bad[0, 0] = 0.0
     bad[2, 0] = 1.0
     with pytest.raises(SingularMatrixError):
-        thouless_residual(SlaterSystem(M, n, tuple(map(tuple, bad.tolist()))))
+        thouless_residual(SlaterSystem(n, tuple(map(tuple, bad.tolist()))))
 
 
 def test_lipkin_exact():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gfkit.special import (HydrogenState, fourier_momentum_oracle,
-                           gegenbauer, hermite, hydrogen_momentum_radial,
+                           gegenbauer, hermite, hydrogen_delta,
+                           hydrogen_momentum_radial,
                            hydrogen_momentum_wf, hydrogen_position_wf,
                            hydrogen_radial, hyperspherical_harmonic,
                            laguerre, spherical_harmonic)
@@ -58,6 +59,15 @@ def test_spherical_harmonics():
     th = 0.8
     assert spherical_harmonic(1, 0, th, 0.0).real == pytest.approx(
         math.sqrt(3 / (4 * math.pi)) * math.cos(th))
+    # Condon-Shortley: Y_11 = -sqrt(3/8pi) sin e^{i phi}, Y_{l,-m} = (-1)^m Y_lm*
+    ph = 0.3
+    assert spherical_harmonic(1, 1, th, ph) == pytest.approx(
+        -math.sqrt(3 / (8 * math.pi)) * math.sin(th) * np.exp(1j * ph))
+    for l, m in ((1, 1), (2, 1), (3, 2), (4, 3)):
+        assert spherical_harmonic(l, -m, th, ph) == pytest.approx(
+            (-1) ** m * np.conj(spherical_harmonic(l, m, th, ph)), rel=1e-12)
+    with pytest.raises(ValueError):
+        spherical_harmonic(2, 3, th, ph)
     # quadrature normalization of Y_10
     ct, w = np.polynomial.legendre.leggauss(50)
     theta = np.arccos(ct)
@@ -74,20 +84,28 @@ def test_spherical_harmonics():
 
 
 def test_hydrogen_state_invariants():
-    s = HydrogenState(3, 2, 1, (0,))
-    assert s.delta == 0.5
+    assert HydrogenState(3, 2, 1, (0,)) == (3, 2, 1, (0,))
+    assert hydrogen_delta(3, 2) == 0.5
     with pytest.raises(ValueError):
         HydrogenState(3, 1, 1, (0,))
     with pytest.raises(ValueError):
-        HydrogenState(1, 1, 0)
-    # mus is empty or the whole chain mu_2..mu_{N-1}
-    assert HydrogenState(4, 2, 1).mus == () and HydrogenState(4, 3, 1, (1, 0)).mus
-    for N, mus in ((4, (0,)), (3, (0, 0)), (2, (1,))):
-        with pytest.raises(ValueError):
+        HydrogenState(1, 1, 0, ())
+    # mus is the whole chain mu_2..mu_{N-1}: a state without it is refused
+    # at construction, so no wavefunction starts radial work on one
+    assert HydrogenState(2, 2, 1, ()).mus == ()
+    assert HydrogenState(4, 3, 1, [1, 0]).mus == (1, 0)
+    for N, mus in ((3, ()), (4, ()), (4, (0,)), (3, (0, 0)), (2, (1,))):
+        with pytest.raises(ValueError, match=r"HydrogenState\.mus"):
             HydrogenState(N, 2, 1, mus)
+    with pytest.raises(TypeError):
+        HydrogenState(3, 2, 1)
+    # the chain decreases, and |m| is at most the entry before it
+    for N, mus in ((3, (2,)), (3, (-2,)), (4, (2, 0)), (4, (1, 2)), (5, (1, 0, 1))):
+        with pytest.raises(ValueError, match=r"chain must decrease|\|m\|"):
+            HydrogenState(N, 3, 1, mus)
     for l in (-1, -3):   # l < 0 with and without a hyperspherical chain
         with pytest.raises(ValueError):
-            HydrogenState(3, 2, l)
+            HydrogenState(2, 2, l, ())
         with pytest.raises(ValueError):
             HydrogenState(3, 2, l, (0,))
     # the radial functions keep the same rule, 0 <= l < n
@@ -116,11 +134,13 @@ def test_position_wavefunctions():
         nrm = tanhsinh_halfline(lambda r: hydrogen_radial(N, n, l, r) ** 2
                                 * r ** (N - 1))
         assert abs(nrm - 1) < tol
-    # full wavefunction including angular factor
+    # full wavefunction including angular factor; with N = 2, mus is empty
     s = HydrogenState(3, 2, 1, (0,))
     v = hydrogen_position_wf(s, 1.0, (0.5, 0.2))
     assert v == pytest.approx(hydrogen_radial(3, 2, 1, 1.0)
                               * spherical_harmonic(1, 0, 0.5, 0.2))
+    assert hydrogen_position_wf(HydrogenState(2, 2, 1, ()), 1.0, (0.3,)) == pytest.approx(
+        hydrogen_radial(2, 2, 1, 1.0) * hyperspherical_harmonic(2, 1, (), (0.3,)))
 
 
 def test_momentum_closed_form_vs_oracle():
@@ -181,24 +201,6 @@ def test_oracle_p_to_zero_limit():
     closed0 = float(hydrogen_momentum_radial(3, 1, 0, 1e-6))
     oracle0 = float(fourier_momentum_oracle(3, 1, 0, np.array([1e-6]))[0])
     assert closed0 == pytest.approx(oracle0, rel=1e-6)
-
-
-def test_radial_only_state_refused_before_radial_work(monkeypatch):
-    # empty mus is a radial-only state; with N = 2 it is already whole
-    s = HydrogenState(2, 2, 1)
-    assert hydrogen_position_wf(s, 1.0, (0.3,)) == pytest.approx(
-        hydrogen_radial(2, 2, 1, 1.0) * hyperspherical_harmonic(2, 1, (), (0.3,)))
-    import gfkit.special as special
-
-    def radial_work(*args):
-        raise AssertionError("radial work started")
-
-    monkeypatch.setattr(special, "hydrogen_radial", radial_work)
-    monkeypatch.setattr(special, "hydrogen_momentum_radial", radial_work)
-    for N, angles in ((3, (0.5, 0.2)), (4, (0.5, 0.4, 0.2))):
-        for wf in (hydrogen_position_wf, hydrogen_momentum_wf):
-            with pytest.raises(ValueError, match=r"HydrogenState\.mus"):
-                wf(HydrogenState(N, 2, 1), 1.0, angles)
 
 
 def test_momentum_parity_and_phase():
