@@ -143,6 +143,26 @@ def test_position_wavefunctions():
         hydrogen_radial(2, 2, 1, 1.0) * hyperspherical_harmonic(2, 1, (), (0.3,)))
 
 
+def test_radial_only_state_refused_before_radial_work(monkeypatch):
+    # with N = 2 the empty chain is already whole
+    s = HydrogenState(2, 2, 1, ())
+    assert hydrogen_position_wf(s, 1.0, (0.3,)) == pytest.approx(
+        hydrogen_radial(2, 2, 1, 1.0) * hyperspherical_harmonic(2, 1, (), (0.3,)))
+    import gfkit.special as special
+
+    def radial_work(*args):
+        raise AssertionError("radial work started")
+
+    monkeypatch.setattr(special, "hydrogen_radial", radial_work)
+    monkeypatch.setattr(special, "hydrogen_momentum_radial", radial_work)
+    # a state without its whole chain is refused at construction, so no
+    # wavefunction gets as far as the radial factor
+    for N, angles in ((3, (0.5, 0.2)), (4, (0.5, 0.4, 0.2))):
+        for wf in (hydrogen_position_wf, hydrogen_momentum_wf):
+            with pytest.raises(ValueError, match=r"HydrogenState\.mus"):
+                wf(HydrogenState(N, 2, 1, ()), 1.0, angles)
+
+
 def test_momentum_closed_form_vs_oracle():
     for (N, n, l, tol) in ((3, 1, 0, 1e-6), (3, 2, 1, 1e-6), (4, 2, 0, 1e-5),
                            (3, 3, 2, 1e-5)):
