@@ -11,7 +11,10 @@ WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
 (108), wigner gaunt a sum of its |2l| above WIGNER_MAX_TWO_J_SUM, gelfand
 enumerate above GELFAND_MAX_PATTERNS (20000) patterns, gelfand poly a
 top-row sum above GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above
-LIPKIN_MAX_PARTICLES (1000), hydrogen position and momentum and
+LIPKIN_MAX_PARTICLES (1000), manybody overlap, lowdin and thouless an
+--m above SLATER_MAX_ORBITALS (10) or outside 0 < --n-occ <= --m,
+hydrogen position and momentum a --rmax at or below their first grid
+point (R_FIRST, P_FIRST), hydrogen position and momentum and
 oscillator wf above SAMPLES_MAX_POINTS (100000) points,
 hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points or an
 n^2 x points above HYDROGEN_VERIFY_MAX_WORK (324000), these four
@@ -200,16 +203,20 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # --- wigner ----------------------------------------------------------------
 # A 3j or CG grows the factorial table to about half the sum of its 2j, a 6j
 # to its largest triad's j sum, which is at most that; the time grows
-# steeply with the sum.  Measured (one 2-vCPU VM): at a 2j sum of 2400 the
-# slowest 3j tried takes 34 ms and the table holds 0.9 MB; at 4800, 0.3 s and
-# 3.7 MB; at 9600, 2.4 s and 16 MB.  The 6j with all six 2j equal, Racah's
-# sum by its term ratio, takes 0.7-1.0 ms, 3-4 ms and 12 ms at those sums.
+# steeply with the sum.  Measured (one 2-vCPU VM, Python 3.11, in one
+# process): at a 2j sum of 2400 the slowest of 40 seeded 3j takes 2 ms and
+# the first, which grows the table, 4 ms; at 4800, 8 ms and 14 ms, with the
+# table holding 3.6 MB of factorials and 2.3 MB of packed prime exponents;
+# at 9600, 36 ms and 60 ms, and 24 MB.  The slowest of 30 seeded 3j through
+# run_command and render, all three 2j equal, takes 22 ms at 2400 and 42 ms
+# at 4800.  The 6j with all six 2j equal, Racah's sum by its term ratio,
+# takes 0.3 ms, 1.0 ms and 4-7 ms at those sums.
 # The 6j oracle is a magnetic sum of O(j^5) terms: 0.03 s with all six
 # 2j = 24 (a sum of 144), 0.3 s with all 2j = 40 (240).  The 9j is one
 # rational sum over x of three 6j coefficients: with all nine 2j equal it
-# takes 0.15 ms at 12 (a sum of 108), 6 ms at 100 and 38-45 ms at 200; the
-# slowest of 200 random labels with every 2j up to 12 takes 0.14 ms, so its
-# cap is conservative.  Larger labels are refused before any work.
+# takes 0.14 ms at 12 (a sum of 108), 5 ms at 100 and 33 ms at 200; the
+# slowest of 200 random labels with every 2j up to 12 takes 0.15-0.25 ms,
+# so its cap is conservative.  Larger labels are refused before any work.
 WIGNER_MAX_TWO_J_SUM = 4800
 WIGNER_ORACLE_MAX_TWO_J_SUM = 144
 WIGNER_9J_MAX_TWO_J_SUM = 108
@@ -477,12 +484,24 @@ def _cap_samples(args, max_points):
 
 
 # --- hydrogen --------------------------------------------------------------
+# the first points of the position and momentum grids, which start just off 0
+R_FIRST, P_FIRST = 1e-6, 1e-4
+
+
+def _rmax_above(first, rmax):
+    """Refuse an --rmax at or below the grid's first point (or NaN): the
+    grid would run backwards to negative radii or collapse onto one point."""
+    if rmax is not None and not rmax > first:
+        raise ValueError(f"rmax = {rmax} is not above the first grid point {first}")
+
+
 @_command("hydrogen", "position", *_HYDROGEN, _RMAX)
 def _hydrogen_position(args):
     _cap_samples(args, SAMPLES_MAX_POINTS)
+    _rmax_above(R_FIRST, args.rmax)
     import numpy as np
     from .special import hydrogen_radial
-    r = np.linspace(1e-6, args.rmax or 8.0 * args.n * args.n, args.points)
+    r = np.linspace(R_FIRST, args.rmax or 8.0 * args.n * args.n, args.points)
     return _samples("r", r, hydrogen_radial(args.dim, args.n, args.l, r),
                     "radial wavefunction samples")
 
@@ -490,10 +509,12 @@ def _hydrogen_position(args):
 @_command("hydrogen", "momentum", *_HYDROGEN, _RMAX)
 def _hydrogen_momentum(args):
     _cap_samples(args, SAMPLES_MAX_POINTS)
+    _rmax_above(P_FIRST, args.rmax)
     import numpy as np
-    from .special import hydrogen_delta, hydrogen_momentum_radial
+    from .special import check_hydrogen_labels, hydrogen_delta, hydrogen_momentum_radial
+    check_hydrogen_labels(args.dim, args.n, args.l)
     d = hydrogen_delta(args.dim, args.n)
-    p = np.linspace(1e-4, args.rmax or 6.0 * d * 5, args.points)
+    p = np.linspace(P_FIRST, args.rmax or 6.0 * d * 5, args.points)
     return _samples("p", p, hydrogen_momentum_radial(args.dim, args.n, args.l, p),
                     "momentum wavefunction samples (Gegenbauer form)")
 
@@ -503,8 +524,10 @@ def _hydrogen_verify(args):
     _cap_samples(args, HYDROGEN_VERIFY_MAX_POINTS)
     _cap("n^2 x points", args.n * args.n * args.points, HYDROGEN_VERIFY_MAX_WORK)
     import numpy as np
-    from .special import fourier_momentum_oracle, hydrogen_delta, hydrogen_momentum_radial
+    from .special import (check_hydrogen_labels, fourier_momentum_oracle, hydrogen_delta,
+                          hydrogen_momentum_radial)
     N, n, l = args.dim, args.n, args.l
+    check_hydrogen_labels(N, n, l)
     d = hydrogen_delta(N, n)
     p = np.linspace(0.05 * d, 5.0 * d, args.points)
     closed = np.abs(hydrogen_momentum_radial(N, n, l, p))
@@ -591,8 +614,16 @@ def _manybody_cramer(args):
                           meta="generalized Cramer; value_float is (cramer - direct)")
 
 
+# SlaterSystem's bound on M: its Fock-space oracles enumerate every
+# occupation of the M orbitals.  The command checks it before drawing the
+# M x M matrix, which at --m 1000 took 0.3 s and 96 MB only to be refused.
+SLATER_MAX_ORBITALS = 10
+
+
 def _slater_system(args):
     """The seeded generator and the random Slater system it drew first."""
+    if not 0 < args.n_occ <= args.m <= SLATER_MAX_ORBITALS:
+        raise ValueError(f"need 0 < n-occ <= m <= {SLATER_MAX_ORBITALS}")
     import numpy as np
     from .manybody import SlaterSystem
     rng = np.random.default_rng(args.seed)
@@ -603,8 +634,8 @@ def _slater_system(args):
 
 @_command("manybody", "overlap", *_SLATER)
 def _manybody_overlap(args):
-    from .manybody import slater_overlap, slater_overlap_fock
     _, sysm = _slater_system(args)
+    from .manybody import slater_overlap, slater_overlap_fock
     a = slater_overlap(sysm)
     return _complex(a, abs(a - slater_overlap_fock(sysm)),
                     "overlap determinant; value is |det - Fock oracle|")
@@ -612,8 +643,8 @@ def _manybody_overlap(args):
 
 @_command("manybody", "lowdin", *_SLATER)
 def _manybody_lowdin(args):
-    from .manybody import lowdin_matrix_element, lowdin_matrix_element_fock
     rng, sysm = _slater_system(args)
+    from .manybody import lowdin_matrix_element, lowdin_matrix_element_fock
     T = rng.normal(size=(args.m, args.m)) + 1j * rng.normal(size=(args.m, args.m))
     a = lowdin_matrix_element(sysm, T)
     return _complex(a, abs(a - lowdin_matrix_element_fock(sysm, T)),
@@ -622,8 +653,9 @@ def _manybody_lowdin(args):
 
 @_command("manybody", "thouless", *_SLATER)
 def _manybody_thouless(args):
+    sysm = _slater_system(args)[1]
     from .manybody import thouless_residual
-    return ResultEnvelope(value_float=thouless_residual(_slater_system(args)[1]),
+    return ResultEnvelope(value_float=thouless_residual(sysm),
                           meta="Thouless reconstruction residual")
 
 

@@ -126,9 +126,7 @@ class HydrogenState(namedtuple("HydrogenState", "N n l mus")):
     __slots__ = ()
 
     def __new__(cls, N, n, l, mus):
-        if N < 2:
-            raise ValueError("N >= 2")
-        _check_hydrogen_nl(n, l)
+        check_hydrogen_labels(N, n, l)
         mus = tuple(mus)
         if len(mus) != N - 2:
             raise ValueError(f"HydrogenState.mus must be mu_2..mu_{{N-1}}, "
@@ -159,14 +157,19 @@ def hydrogen_delta(N, n) -> float:
     return 1.0 / (n + (N - 3) / 2.0)
 
 
-def _check_hydrogen_nl(n, l):
+def check_hydrogen_labels(N, n, l):
+    """Refuse labels that name no N-dimensional hydrogen state: N >= 2 and
+    0 <= l < n.  Below N = 2 the level scale hydrogen_delta is infinite or
+    negative, and the Laguerre and Gegenbauer parameters leave their range."""
+    if N < 2:
+        raise ValueError("hydrogen states need N >= 2")
     if not 0 <= l < n:
         raise ValueError("hydrogen states need 0 <= l < n")
 
 
 def hydrogen_radial(N, n, l, r):
     """R_{n,l}(r) in N dimensions; integral of R^2 r^{N-1} dr = 1."""
-    _check_hydrogen_nl(n, l)
+    check_hydrogen_labels(N, n, l)
     r = np.asarray(r, dtype=float)
     x = 2 * hydrogen_delta(N, n) * r
     return (radial_norm_constant(N, n, l) * x ** l * np.exp(-x / 2)
@@ -176,7 +179,7 @@ def hydrogen_radial(N, n, l, r):
 def hydrogen_momentum_radial(N, n, l, p):
     """Closed-form radial momentum amplitude F_{n,l}(p), nonnegative-p grid;
     integral of F^2 p^{N-1} dp = 1."""
-    _check_hydrogen_nl(n, l)
+    check_hydrogen_labels(N, n, l)
     from scipy.special import gamma
     p = np.asarray(p, dtype=float)
     d = hydrogen_delta(N, n)
@@ -275,6 +278,7 @@ def fourier_momentum_oracle(N, n, l, p_grid):
     nu = l + (N-2)/2.  R_{nl} is set to 0 at the far nodes where its
     exp(-x/2) underflows to 0: there the Laguerre factor may overflow, and
     0 x inf is NaN.  Elsewhere it is evaluated by hydrogen_radial."""
+    check_hydrogen_labels(N, n, l)
     two_delta = 2 * hydrogen_delta(N, n)
 
     def radial(r):

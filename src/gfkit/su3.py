@@ -152,11 +152,11 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
                                  lam1 - p1 - lam2 + p2, lam2 - lam1)
                 if cg is None:
                     continue
-                pc, qc, num_c, den_c = cg
+                pc, num_c, den_c = cg
                 pc *= neg_one_pow(mu3 + p1 + (tt3 - big_q + lam1 - lam2) // 2)
                 num_c, den_c = (*num_c, tt3 + 1, *dim_num), (*den_c, tt3, *dim_den)
                 table.iso[y1, p1, y2, p2, y3, tt3] = SqrtRational.from_factorial_ratio(
-                    pc, qc, num_c, den_c)
+                    pc, num_c, den_c)
                 mirror = neg_one_pow((p1 + p2 + tt3) // 2)
                 for tt01 in range(-p1, p1 + 1, 2):
                     for tt02 in range(-p2, p2 + 1, 2):
@@ -165,9 +165,9 @@ def coupling_table(lam1: int, lam2: int, mu3: int):
                             continue    # the mirror of an entry computed here
                         tj = _threej_sum(p1, p2, tt3, tt01, tt02, -tt03)
                         if tj is not None:
-                            p, q, num, den = tj
+                            p, num, den = tj
                             w = SqrtRational.from_factorial_ratio(
-                                pc * p, qc * q, (*num_c, *num), (*den_c, *den))
+                                pc * p, (*num_c, *num), (*den_c, *den))
                             table[(y1, p1, tt01), (y2, p2, tt02), (y3, tt3, tt03)] = w
                             if tt01 or tt02:
                                 table[(y1, p1, -tt01), (y2, p2, -tt02), (y3, tt3, -tt03)] = (

@@ -6,31 +6,31 @@ magnetic sum over four 3j symbols, and the coefficient of the generating
 function g(tau)^-2 with the triangle-delta normalization.  That coefficient
 is Racah's single sum, read straight off the six 2j: it starts at the
 largest triad sum and takes each term from the previous one by the exact
-term ratio, so the route keeps no state (all six 2j = 800 take 3-4 ms, the
-9j with all nine 2j = 200 about 40 ms, on a 2-vCPU VM).  The two routes
-must agree exactly and the test suite enforces it; the tests also check
-Racah's sum against the g^-2 coefficient read from its twelve tau exponents
-and against the truncated series of g^-2 (polytools.TruncatedSeries), two
-oracles that only they use.
+term ratio, so the route keeps no state (all six 2j = 800 take about 1 ms,
+1600 about 4 ms, the 9j with all nine 2j = 200 about 33 ms, on a 2-vCPU
+VM).  The two routes must agree exactly and the test suite enforces it; the
+tests also check Racah's sum against the g^-2 coefficient read from its
+twelve tau exponents and against the truncated series of g^-2
+(polytools.TruncatedSeries), two oracles that only they use.
 
-The 3j, CG and 6j never factor an integer.  Each is a rational sum times the
-square root of a factorial ratio, and SqrtRational.from_factorial_ratio
+The 3j, CG and 6j never factor an integer.  Each is an integer sum times
+the square root of a factorial ratio, and SqrtRational.from_factorial_ratio
 keeps the sum outside the root and canonicalizes from the factorial table's
-prime masks by gcds, taking the sum as an unreduced integer numerator and
-denominator.  The 3j's single sum is summed in integers over one common
-denominator, its terms following each other by the exact term ratio, so a
-3j builds no Fraction until its canonical value.  The 9j is Racah's form of
-the x-sum of three GF-route 6j: each x-triad's delta appears in two of the
-three 6j and leaves the root, so the 9j is one rational x-sum, summed in
-integers, under the root of its six row and column deltas, and it never
-factors either.  The 3j core is an lru_cache bounded at 2**14 labels
-holding each label's canonical value; threej reads it.  clebsch_gordan
-does not: it appends sqrt(2 j3 + 1) to the 3j's factorial ratio and
-canonicalizes once, which costs less than a cache hit and a product.
-The only magnetic sum left, the 6j oracle, is one rational sum under the
-root of its triangle deltas too (see sixj_oracle); it reads each 3j into a
-table of its own call, leaving the shared cache alone, and ends in
-from_square, as the second 3j route does.
+packed prime exponents, with no factorial product.  The 3j's single sum is
+summed in integers over one common denominator, a product of factorials
+that enters the ratio's denominator twice, its terms following each other
+by the exact term ratio, so a 3j builds no Fraction until its canonical
+value.  The 9j is Racah's form of the x-sum of three GF-route 6j: each
+x-triad's delta appears in two of the three 6j and leaves the root, so the
+9j is one rational x-sum, summed in integers, under the root of its six
+row and column deltas, and it never factors either.  The 3j core is an
+lru_cache bounded at 2**14 labels holding each label's canonical value;
+threej reads it.  clebsch_gordan does not: it appends sqrt(2 j3 + 1) to the
+3j's factorial ratio and canonicalizes once, which costs less than a cache
+hit and a product.  The only magnetic sum left, the 6j oracle, is one
+rational sum under the root of its triangle deltas too (see sixj_oracle);
+it reads each 3j into a table of its own call, leaving the shared cache
+alone, and ends in from_square, as the second 3j route does.
 """
 from __future__ import annotations
 
@@ -64,11 +64,12 @@ class ThreeJLabel(namedtuple("ThreeJLabel", "two_j two_m")):
 # 3j: Van der Waerden single sum
 # ---------------------------------------------------------------------------
 def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
-    """The 3j symbol, doubled arguments, as integers and factorial arguments
-    (p, q, num_args, den_args) with
-    3j = (p/q) * sqrt(prod n! over num_args / prod n! over den_args), q > 0
-    and p/q not reduced; None where it vanishes.  p/q is the phase times
-    Van der Waerden's single sum
+    """The 3j symbol, doubled arguments, as an integer and factorial arguments
+    (p, num_args, den_args) with
+    3j = p * sqrt(prod n! over num_args / prod n! over den_args); None where
+    it vanishes.  den_args is (J + 1, *q_args, *q_args), and p/q with
+    q = prod n! over q_args, not reduced, is the phase times Van der
+    Waerden's single sum
 
         S = sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!),
 
@@ -97,11 +98,11 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
         t = -t * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
     if total == 0:
         return None
+    q_args = (kmax, a - kmin, b - kmin, c - kmin, d + kmax, e + kmax)
     return (neg_one_pow((tj1 - tj2 - tm3) // 2) * total,
-            f[kmax] * f[a - kmin] * f[b - kmin] * f[c - kmin] * f[d + kmax] * f[e + kmax],
             (a, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
              (tj1 + tm1) // 2, b, c, (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
-            (top,))
+            (top, *q_args, *q_args))
 
 
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
@@ -113,9 +114,9 @@ def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
     """The 3j symbol's canonical value, doubled arguments; SR_ZERO where it
     vanishes.
 
-    The value is (p/q) * sqrt(factorial ratio) from _threej_sum, whose
-    single sum is taken in integers over one common denominator; p/q stays
-    outside the root, so the canonical form needs no factoring."""
+    The value is p * sqrt(factorial ratio) from _threej_sum, whose single
+    sum is taken in integers over one common denominator; p stays outside
+    the root, so the canonical form needs no factoring."""
     parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3)
     if parts is None:
         return SR_ZERO
@@ -180,10 +181,10 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> SqrtRational:
     parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, -tm3)
     if parts is None:
         return SR_ZERO
-    p, q, num_args, den_args = parts
+    p, num_args, den_args = parts
     # sqrt(2 j3 + 1) = sqrt((2 j3 + 1)! / (2 j3)!)
     return SqrtRational.from_factorial_ratio(
-        neg_one_pow((tj1 - tj2 + tm3) // 2) * p, q,
+        neg_one_pow((tj1 - tj2 + tm3) // 2) * p,
         (*num_args, tj3 + 1), (*den_args, tj3))
 
 
@@ -199,9 +200,10 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     """6j as the definitional magnetic sum of four 3j, the check on sixj_gf.
 
     A 3j is (p/q) sqrt(Delta^2(j1 j2 j3) prod_i (j_i + m_i)! (j_i - m_i)!)
-    with p/q from _threej_sum.  j1, j2 and j3 come back in two of the four
-    3j with the same m, and l1, l2 and l3 with +-mu, so the (j +- m)! under
-    the four roots form a perfect square and
+    with p and the factorial arguments of q from _threej_sum.  j1, j2 and
+    j3 come back in two of the four 3j with the same m, and l1, l2 and l3
+    with +-mu, so the (j +- m)! under the four roots form a perfect square
+    and
 
         6j = S sqrt(prod of the four triads' Delta^2),
         S = sum_{m, mu} (-1)^(l1+l2+l3+mu1+mu2+mu3) prod_k p_k / q_k
@@ -228,8 +230,9 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
             else:
                 tj, tm = label[0], label[3]
                 p = parts[0] * f[(tj + tm) // 2] * f[(tj - tm) // 2]
-                g = math.gcd(p, parts[1])
-                table[label] = (p // g, parts[1] // g)
+                q = math.prod(f[n] for n in parts[2][1:7])   # the first q_args
+                g = math.gcd(p, q)
+                table[label] = (p // g, q // g)
         return table[label]
 
     num, den = 0, 1
@@ -306,7 +309,7 @@ def sixj_gf(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
             return SR_ZERO
     # the coefficient times the four triangle deltas under one square root
     return SqrtRational.from_factorial_ratio(
-        _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3), 1,
+        _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3),
         [n for t in triads for n in _triad_args(*t)],
         [sum(t) // 2 + 1 for t in triads])
 
@@ -351,10 +354,10 @@ def ninej(two_j_rows) -> SqrtRational:
         total += -term if x & 1 else term
     if not total:
         return SR_ZERO
+    # the common denominator, the product of the (top)!, enters twice
     return SqrtRational.from_factorial_ratio(
-        total, math.prod(fact[t] for t in tops),
-        [n for t in triads for n in _triad_args(*t)],
-        [sum(t) // 2 + 1 for t in triads])
+        total, [n for t in triads for n in _triad_args(*t)],
+        [*(sum(t) // 2 + 1 for t in triads), *tops, *tops])
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def triangle_delta(a, b, c) -> SqrtRational:
     if not triangle_ok(ta, tb, tc):
         raise TriangleError(f"triangle violated: ({a},{b},{c})")
     return SqrtRational.from_factorial_ratio(
-        1, 1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
+        1, _triad_args(ta, tb, tc), ((ta + tb + tc) // 2 + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def clebsch_gordan_product(tj1, tm1, tj2, tm2, tj3, tm3) -> SqrtRational:
     as SqrtRational values."""
     phase = neg_one_pow((tj1 - tj2 + tm3) // 2)
     return (threej(tj1, tj2, tj3, tm1, tm2, -tm3)
-            * SqrtRational.from_factorial_ratio(phase, 1, (tj3 + 1,), (tj3,)))
+            * SqrtRational.from_factorial_ratio(phase, (tj3 + 1,), (tj3,)))
 
 
 # ---------------------------------------------------------------------------

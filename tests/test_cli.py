@@ -58,6 +58,28 @@ def test_domain_error_exit_one():
                  ["manybody", "boson-coeffs", "--k-max", "-3"]):
         env, code = run(argv)
         assert code == 1 and env.status == "error", argv
+    # below N = 2 there is no hydrogen state: the level scale is infinite
+    # or negative, and the polynomial parameters leave their range
+    for argv in (["hydrogen", "verify", "--dim", "1", "--n", "2", "--l", "1"],
+                 ["hydrogen", "position", "--dim", "1", "--n", "1", "--l", "0"],
+                 ["hydrogen", "position", "--dim", "0", "--n", "1", "--l", "0"],
+                 ["hydrogen", "momentum", "--dim", "1", "--n", "1", "--l", "0"],
+                 ["hydrogen", "momentum", "--dim", "1", "--n", "2", "--l", "1"],
+                 ["hydrogen", "verify", "--dim", "-4", "--n", "3", "--l", "0"]):
+        env, code = run(argv)
+        assert code == 1 and "N >= 2" in env.message, (argv, env.message)
+    # an --rmax at or below the grid's first point would sample negative or
+    # repeated radii; just above it the grid is sampled
+    from gfkit.cli import P_FIRST, R_FIRST
+    for op, first in (("position", R_FIRST), ("momentum", P_FIRST)):
+        for rmax in ("-5", "0", str(first), "nan"):
+            argv = ["hydrogen", op, "--dim", "3", "--n", "2", "--l", "1", "--points", "3",
+                    "--rmax", rmax]
+            env, code = run(argv)
+            assert code == 1 and "first grid point" in env.message, (argv, env.message)
+        env, code = run(["hydrogen", op, "--dim", "3", "--n", "2", "--l", "1",
+                         "--points", "3", "--rmax", str(2 * first)])
+        assert code == 0 and float(env.table["rows"][-1][0]) == 2 * first, env
     # a NaN or infinite result is refused: json cannot spell it.  On the
     # default grids the samples stop being finite at these n.
     for argv in (["oscillator", "wf", "--n", "400", "--points", "3"],
@@ -374,6 +396,25 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
         # a negative entry would make a kernel exponent negative
         env, code = run(["gelfand", "poly", "--pattern", "1 0 -1 / 0 0 / 0"])
         assert code == 1, env.message
+    # manybody overlap, lowdin and thouless refuse their --m and --n-occ
+    # before numpy draws the M x M matrix; SLATER_MAX_ORBITALS is the bound
+    # SlaterSystem keeps for library callers
+    import numpy as np
+    from gfkit.cli import SLATER_MAX_ORBITALS
+    with pytest.raises(ValueError):
+        manybody.SlaterSystem(1, np.eye(SLATER_MAX_ORBITALS + 1).tolist())
+    assert manybody.SlaterSystem(1, np.eye(SLATER_MAX_ORBITALS).tolist())
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", untouched)
+        for op in ("overlap", "lowdin", "thouless"):
+            for m_occ in (["--m", str(SLATER_MAX_ORBITALS + 1)], ["--m", "1000"],
+                          ["--m", "-3"], ["--m", "4", "--n-occ", "0"],
+                          ["--m", "4", "--n-occ", "5"]):
+                env, code = run(["manybody", op, *m_occ])
+                assert code == 1 and "n-occ <= m <=" in env.message, (op, m_occ, env.message)
+    for op in ("overlap", "lowdin", "thouless"):
+        argv = ["manybody", op, "--m", str(SLATER_MAX_ORBITALS), "--n-occ", "5"]
+        assert run(argv)[1] == 0, argv
     assert LIPKIN_MAX_PARTICLES % 2 == 0   # the Lipkin model needs even N
     env, code = run(lipkin(LIPKIN_MAX_PARTICLES))
     assert code == 0 and len(env.table["rows"]) == LIPKIN_MAX_PARTICLES + 1

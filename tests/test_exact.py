@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfkit.exact import (SR_ZERO, FactorialCache, HalfInt, SqrtRational,
-                         square_free_split, sqrt_factorial_ratio, _place)
+                         square_free_split, _place)
 from gfkit.wigner import gaunt, threej
 from oracles import TriangleError, parse_sqrt_rational, triangle_delta
 
@@ -331,26 +331,35 @@ def test_factorial_cache_growth_and_threads():
     assert all(results)
 
 
-def odd_primes_of_factorial(n):
-    """Primes with odd exponent in n!, by Legendre's formula."""
-    out = set()
+def legendre_exponents(n):
+    """{p: exponent of p in n!} over the primes p <= n, by Legendre's formula."""
+    out = {}
     for p in range(2, n + 1):
         if all(p % q for q in range(2, math.isqrt(p) + 1)):
             e, q = 0, p
             while q <= n:
                 e += n // q
                 q *= p
-            if e % 2:
-                out.add(p)
+            out[p] = e
     return out
+
+
+def unpacked(fc, n):
+    """{p: exponent} read from the 32-bit fields of the packed table entry."""
+    packed = fc._packed[n]
+    assert packed >> 32 * len(fc.primes) == 0
+    return {p: packed >> 32 * i & 0xFFFFFFFF for i, p in enumerate(fc.primes)
+            if packed >> 32 * i & 0xFFFFFFFF}
 
 
 def test_factorial_masks_follow_legendre():
     fc = FactorialCache(150)
+    assert fc.primes == sorted(legendre_exponents(150))
     for n in range(151):
         assert fc._table[n] == math.factorial(n)
-        assert {p for i, p in enumerate(fc.primes) if fc._odd[n] >> i & 1} == \
-            odd_primes_of_factorial(n)
+        assert unpacked(fc, n) == legendre_exponents(n)
+    for k in range(len(fc.primes) + 1):
+        assert fc._bias[k] == sum(1 << 32 * i + 31 for i in range(k))
 
 
 def test_factorial_masks_grown_from_threads():
@@ -376,26 +385,66 @@ def test_factorial_masks_grown_from_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert fc._table == serial._table
-    assert fc._odd == serial._odd
+    assert fc._packed == serial._packed
+    assert fc._bias == serial._bias
     assert fc.primes == serial.primes
 
 
+def test_packed_fields_cannot_overflow_at_the_cap(monkeypatch):
+    # A field holds 2^31 plus the exponent of one prime in a factorial
+    # ratio, and each side of the ratio is summed into its fields before the
+    # two are subtracted.  The exponent of a prime in n! is below n, so a
+    # side whose arguments add up to less than 2^31 fits its field, and so
+    # does the difference of the two.  Record every argument list the
+    # kernels pass at the largest labels their caps admit.
+    from gfkit import su3, wigner
+    from gfkit.cli import (SU3_MAX_LAM_SUM, WIGNER_9J_MAX_TWO_J_SUM,
+                           WIGNER_MAX_TWO_J_SUM)
+    seen = []
+    canonical = SqrtRational.from_factorial_ratio
+
+    def record(p, num_args, den_args):
+        seen.append((tuple(num_args), tuple(den_args)))
+        return canonical(p, num_args, den_args)
+
+    monkeypatch.setattr(SqrtRational, "from_factorial_ratio", staticmethod(record))
+    wigner._threej_core.cache_clear()
+    try:
+        third = WIGNER_MAX_TWO_J_SUM // 3
+        assert wigner.threej(third, third, third, 0, 0, 0)
+        assert wigner.clebsch_gordan(*(HalfInt(x) for x in (third, 0, third, 0, third, 0)))
+        # a 3j whose J + 1, its largest argument, is as large as the cap allows
+        half = WIGNER_MAX_TWO_J_SUM // 2
+        assert wigner.threej(half, half // 2, half // 2, 0, 0, 0)
+        assert wigner.sixj_gf(*[WIGNER_MAX_TWO_J_SUM // 6] * 6)
+        assert wigner.ninej(((WIGNER_9J_MAX_TWO_J_SUM // 9,) * 3,) * 3)
+        su3.coupling_table.cache_clear()
+        su3.coupling_table(SU3_MAX_LAM_SUM // 2, SU3_MAX_LAM_SUM // 2, 0)
+    finally:
+        wigner._threej_core.cache_clear()
+        su3.coupling_table.cache_clear()
+    assert seen
+    assert max(max(map(max, pair)) for pair in seen) == WIGNER_MAX_TWO_J_SUM // 2 + 1
+    most_args = max(max(len(num), len(den)) for num, den in seen)
+    assert most_args * (WIGNER_MAX_TWO_J_SUM // 2 + 1) < 1 << 31
+    for num, den in seen:
+        assert sum(num) < 1 << 31 and sum(den) < 1 << 31
+
+
 fractions = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
-factorial_args = st.lists(st.integers(0, 80), max_size=6)
+factorial_args = st.lists(st.integers(0, 300), max_size=6)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.integers(-10 ** 12, 10 ** 12).filter(bool), st.integers(1, 10 ** 12),
-       factorial_args, factorial_args)
-def test_factorial_ratio_placement_matches_from_square(p, q, num, den):
-    # p and q are drawn independently, so unreduced pairs are covered
+@given(st.integers(-10 ** 12, 10 ** 12).filter(bool), factorial_args, factorial_args,
+       factorial_args)
+def test_factorial_ratio_placement_matches_from_square(p, num, den, twice):
+    # twice enters den_args two times, a rational factor of factorials in
+    # front of the root, so p and the coefficient's denominator share primes
     ratio = Fraction(math.prod(map(math.factorial, num)),
                      math.prod(map(math.factorial, den)))
-    rn, rd, free = sqrt_factorial_ratio(num, den)
-    assert rn > 0 and rd > 0 and math.gcd(rn, rd) == 1
-    assert Fraction(rn, rd) ** 2 * free == ratio
-    assert square_free_split(free) == (1, free)
-    got = SqrtRational.from_factorial_ratio(p, q, num, den)
+    q = math.prod(map(math.factorial, twice))
+    got = SqrtRational.from_factorial_ratio(p, num, (*den, *twice, *twice))
     want = SqrtRational.from_square(Fraction(p, q) ** 2 * ratio, 1 if p > 0 else -1)
     assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
 

@@ -108,13 +108,15 @@ def test_hydrogen_state_invariants():
             HydrogenState(2, 2, l, ())
         with pytest.raises(ValueError):
             HydrogenState(3, 2, l, (0,))
-    # the radial functions keep the same rule, 0 <= l < n
+    # the radial functions keep the same rules, N >= 2 and 0 <= l < n
     r = np.linspace(1e-6, 8.0, 5)
-    for n, l in ((1, 1), (1, 2), (2, -1)):
+    for N, n, l in ((3, 1, 1), (3, 1, 2), (3, 2, -1), (1, 2, 1), (1, 1, 0), (0, 1, 0)):
         with pytest.raises(ValueError):
-            hydrogen_radial(3, n, l, r)
+            hydrogen_radial(N, n, l, r)
         with pytest.raises(ValueError):
-            hydrogen_momentum_radial(3, n, l, r)
+            hydrogen_momentum_radial(N, n, l, r)
+        with pytest.raises(ValueError):
+            HydrogenState(N, n, l, [0] * max(N - 2, 0))
 
 
 def test_position_wavefunctions():

@@ -98,10 +98,16 @@ def threej_ratios():
             if parts is None:
                 table[label] = None
             else:
-                g = math.gcd(parts[0], parts[1])
-                table[label] = (parts[0] // g, parts[1] // g)
+                q = sum_denominator(parts)
+                g = math.gcd(parts[0], q)
+                table[label] = (parts[0] // g, q // g)
         return table[label]
     return ratio
+
+
+def sum_denominator(parts):
+    """q of _threej_sum's (p, num_args, (J + 1, *q_args, *q_args))."""
+    return math.prod(map(math.factorial, parts[2][1:7]))
 
 
 def pm_factorials(tj, tm):
@@ -372,7 +378,7 @@ def sixj_fixed_m(tj1, tj2, tj3, tl1, tl2, tl3, tm1, tm2, tm3) -> SqrtRational:
             terms.append((ph * r1[0] * r2[0] * r3[0] * pm_factorials(tl1, tmu1)
                           * pm_factorials(tl2, tmu2) * pm_factorials(tl3, tmu3),
                           r1[1] * r2[1] * r3[1]))
-    s = (rational_sum(terms) * Fraction(parts[1], parts[0])
+    s = (rational_sum(terms) * Fraction(sum_denominator(parts), parts[0])
          / delta_square(tj1, tj2, tj3))
     return times_root_of_deltas(
         s, ((tj1, tj2, tj3), (tj1, tl2, tl3), (tl1, tj2, tl3), (tl1, tl2, tj3)))
