@@ -8,10 +8,15 @@ verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 SU3_MAX_LAM_SUM (18), wigner 3j, cg and 6j refuse a sum of their |2j|
 above WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
 WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
-(108), wigner gaunt a sum of its |2l| above WIGNER_MAX_TWO_J_SUM, gelfand
-enumerate above GELFAND_MAX_PATTERNS (20000) patterns, gelfand poly a
-top-row sum above GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above
-LIPKIN_MAX_PARTICLES (1000), manybody overlap, lowdin and thouless an
+(108), wigner gaunt a sum of its |2l| above WIGNER_MAX_TWO_J_SUM, su3
+decompose a negative lam1 or lam2 or more than SU3_DECOMPOSE_MAX_ROWS
+(10000) rows, gelfand dim and enumerate an --h of more than
+GELFAND_MAX_ROW (100) entries, gelfand enumerate above
+GELFAND_MAX_PATTERNS (20000) patterns or GELFAND_MAX_ENTRIES (10^6)
+entries in all its patterns, gelfand poly a top-row sum above
+GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above LIPKIN_MAX_PARTICLES
+(1000), manybody cramer an --n above CRAMER_MAX_N (50) or outside
+0 <= --s <= --n, manybody overlap, lowdin and thouless an
 --m above SLATER_MAX_ORBITALS (10) or outside 0 < --n-occ <= --m,
 hydrogen position and momentum a --rmax at or below their first grid
 point (R_FIRST, P_FIRST), hydrogen position and momentum and
@@ -204,10 +209,10 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # A 3j or CG grows the factorial table to about half the sum of its 2j, a 6j
 # to its largest triad's j sum, which is at most that; the time grows
 # steeply with the sum.  Measured (one 2-vCPU VM, Python 3.11, in one
-# process): at a 2j sum of 2400 the slowest of 40 seeded 3j takes 2 ms and
-# the first, which grows the table, 4 ms; at 4800, 8 ms and 14 ms, with the
-# table holding 3.6 MB of factorials and 2.3 MB of packed prime exponents;
-# at 9600, 36 ms and 60 ms, and 24 MB.  The slowest of 30 seeded 3j through
+# process): at a 2j sum of 2400 the slowest of 40 seeded 3j takes 1.0-1.6 ms
+# and the first, which grows the table, 2.5-2.8 ms; at 4800, 5 ms both, with
+# the table holding 2.3 MB of packed prime exponents; at 9600, 18-19 ms and
+# 20 ms, and 8.2 MB.  The slowest of 30 seeded 3j through
 # run_command and render, all three 2j equal, takes 22 ms at 2400 and 42 ms
 # at 4800.  The 6j with all six 2j equal, Racah's sum by its term ratio,
 # takes 0.3 ms, 1.0 ms and 4-7 ms at those sums.
@@ -281,11 +286,18 @@ def _wigner_gaunt(args):
 # slowest table at lam1 + lam2 = 16 takes about 0.05 s, at 18 about 0.1 s,
 # at 20 about 0.15-0.18 s (Python 3.11, one 2-vCPU VM).  Larger couplings
 # are refused before any table is built.
+# su3 decompose lists min(lam1, lam2) + 1 rows: 10,000 take 0.05 s and
+# 0.3 MB of json, 100,000 0.14 s and 49 MB peak (same VM, one process).
 SU3_MAX_LAM_SUM = 18
+SU3_DECOMPOSE_MAX_ROWS = 10000
 
 
 @_command("su3", "decompose", _arg("--lam1"), _arg("--lam2"))
 def _su3_decompose(args):
+    low = min(args.lam1, args.lam2)
+    if low < 0:
+        raise ValueError("lam1 and lam2 must be >= 0")
+    _cap("rows, min(lam1, lam2) + 1", low + 1, SU3_DECOMPOSE_MAX_ROWS)
     from .su3 import dim_su3, su3_decompose_multfree
     rows = [[lam3, mu3, dim_su3(lam3, mu3)]
             for lam3, mu3 in su3_decompose_multfree(args.lam1, args.lam2)]
@@ -339,7 +351,14 @@ def _su3_euler(args):
 # gives their number before any is built.  Measured (one 2-vCPU VM), a
 # pattern costs 10-26 us with its rendering: 20,000 patterns take 0.2 s for
 # U(2) and 0.3-0.5 s for U(3)-U(5) (about 1 MB of json); 50,000 take 0.5 s
-# for U(2), 37,000 take 1.0 s for U(6).  Larger irreps are refused.
+# for U(2), 37,000 take 1.0 s for U(6).  Larger irreps are refused.  A
+# pattern of U(n) has n (n + 1) / 2 entries, and wide patterns cost more:
+# under 20,000 patterns, 13,020 of U(30) take 2.1 s.  So the entries of all
+# patterns are capped too: the largest labels found under a million take
+# 0.2-0.5 s for U(5) to U(20), and (1, 0, ..., 0) of U(100) 0.15 s.
+# The Weyl formula that counts them is O(n^2) big-int products: 0.02 s for
+# an --h of 100 entries, 0.05 s for 200, 0.7-1.0 s for 400, so --h is
+# capped first.
 # gelfand poly expands the branching kernel, whose brackets are raised to the
 # level-n hooks of the pattern, so its cost grows with the top-row sum, and
 # steeply for U(4).  Measured (one 2-vCPU VM, one process), the slowest U(4)
@@ -347,12 +366,15 @@ def _su3_euler(args):
 # and 77 MB, at 36 1.3 s and 137 MB, at 40 2.8 s and 225 MB; U(3) at 32 takes
 # a few ms, and reaches 1.5 s and 258 MB only at 3000.  Larger patterns are
 # refused.
+GELFAND_MAX_ROW = 100
 GELFAND_MAX_PATTERNS = 20000
+GELFAND_MAX_ENTRIES = 10 ** 6
 GELFAND_POLY_MAX_TOP_SUM = 32
 
 
 @_command("gelfand", "dim", _arg("--h", nargs="+"))
 def _gelfand_dim(args):
+    _cap("entries of --h", len(args.h), GELFAND_MAX_ROW)
     from .unitary import IrrepLabel, weyl_dimension
     return ResultEnvelope(value_float=float(weyl_dimension(IrrepLabel(tuple(args.h)))),
                           meta="Weyl dimension formula")
@@ -360,10 +382,13 @@ def _gelfand_dim(args):
 
 @_command("gelfand", "enumerate", _arg("--h", nargs="+"))
 def _gelfand_enumerate(args):
+    n = len(args.h)
+    _cap("entries of --h", n, GELFAND_MAX_ROW)
     from .unitary import IrrepLabel, gelfand_enumerate, pattern_weight, weyl_dimension
     label = IrrepLabel(tuple(args.h))
     dim = weyl_dimension(label)
     _cap("Weyl dimension", dim, GELFAND_MAX_PATTERNS)
+    _cap("entries in all patterns", dim * n * (n + 1) // 2, GELFAND_MAX_ENTRIES)
     pats = gelfand_enumerate(label)
     rows = [[p.to_text(), " ".join(map(str, pattern_weight(p)))] for p in pats]
     return _table(["pattern", "weight"], rows, float(len(pats)),
@@ -591,8 +616,17 @@ def _oscillator_magnetic(args):
 
 
 # --- manybody --------------------------------------------------------------
+# manybody cramer eliminates over Fractions, whose entries grow with n:
+# --n 40 takes 0.4 s, 50 0.8 s, 60 1.0 s, 100 4.9 s, 200 56 s (one 2-vCPU
+# VM, numpy's import included).  Larger n are refused before the draw.
+CRAMER_MAX_N = 50
+
+
 @_command("manybody", "cramer", _arg("--n", default=4), _arg("--s", default=2), _SEED)
 def _manybody_cramer(args):
+    if not 0 <= args.s <= args.n:
+        raise ValueError("need 0 <= s <= n")
+    _cap("n", args.n, CRAMER_MAX_N)
     from fractions import Fraction
     import numpy as np
     from .manybody import (SubstitutionQuery, generalized_cramer,

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: square roots of rationals, doubled-integer
-angular momenta, cached factorials.
+angular momenta, the cached prime exponents of factorials.
 
 Values of the form (p/q)*sqrt(r/s) are closed under the products and
 same-radicand sums that recoupling coefficients require, so every 3j/6j/9j
@@ -10,16 +10,19 @@ root.  Arbitrary input (from_square, and through it the general
 constructor) finds it by factoring: trial division, then Pollard rho.  The
 recoupling kernels never factor.  Their values are an integer sum times the
 square root of a factorial ratio, whose primes are known: the factorial
-table keeps, beside each n!, the exponents of the primes in n! packed into
-one int, 32 bits a prime, as WIGXJPF does (Johansson and Forssen, SIAM J.
-Sci. Comput. 38, A376 (2016)).  A ratio's exponents are then a few big-int
-additions, unpacked once, and from_factorial_ratio builds the coefficient
-and the square-free radicand prime by prime, with no factorial product, no
-integer square root and only two gcds against the integer sum in front.
-A 3j cache miss at 2j 300-400 takes about 0.09 ms and at 2j 40-60 about
-15 us (best of five passes over seeded labels, 2-vCPU VM, Python 3.11),
-where multiplying the ratio out took 0.25-0.32 ms and 19 us.  Products, quotients and sums on one ray of canonical
-values place their primes by the same kind of gcd step (_place).
+table keeps, for each n, the exponents of the primes in n! packed into one
+int, 32 bits a prime, and not n! itself, as WIGXJPF does (Johansson and
+Forssen, SIAM J. Sci. Comput. 38, A376 (2016)).  A ratio's exponents are
+then a few big-int additions, unpacked once, and from_factorial_ratio
+builds the coefficient and the square-free radicand prime by prime, with
+no factorial product, no integer square root and only two gcds against
+the integer sum in front.  It is the table's one reader; the kernels take
+the factorial quotients of their sums from math.perm, math.comb and
+math.factorial.  A 3j cache miss at 2j 300-400 takes about 0.09 ms and at
+2j 40-60 about 15 us (best of five passes over seeded labels, 2-vCPU VM,
+Python 3.11), where multiplying the ratio out took 0.25-0.32 ms and 19 us.
+Products, quotients and sums on one ray of canonical values place their
+primes by the same kind of gcd step (_place).
 
 The parser of str() and the bare triangle delta check this module from
 tests/oracles.py; the kernels read the triangle delta's factorial
@@ -370,16 +373,16 @@ class HalfInt(namedtuple("HalfInt", "two_j")):
 
 
 class FactorialCache:
-    """Monotonically growing table of factorials; thread-safe growth.
+    """Monotonically growing table of the prime exponents of n!; thread-safe
+    growth.
 
-    Alongside n! it keeps, for each n, the exponents of the primes in n!
-    (Legendre's formula) packed into one int: the exponent of primes[i]
-    fills the 32-bit field at bit 32 i.  Adding these ints adds the exponent
-    vectors, so a factorial ratio's exponents are a few big-int additions
-    (SqrtRational.from_factorial_ratio)."""
+    It holds no n! itself.  For each n it keeps the exponents of the primes
+    in n! (Legendre's formula) packed into one int: the exponent of
+    primes[i] fills the 32-bit field at bit 32 i.  Adding these ints adds the
+    exponent vectors, so a factorial ratio's exponents are a few big-int
+    additions (SqrtRational.from_factorial_ratio, the table's one reader)."""
 
     def __init__(self, n_max: int = 0):
-        self._table = [1]
         self._packed = [0]
         self.primes = []
         # _bias[k] holds _HALF in each of the k lowest fields
@@ -388,12 +391,12 @@ class FactorialCache:
         self.grow(n_max)
 
     def grow(self, n: int) -> None:
-        if n < len(self._table):
+        if n < len(self._packed):
             return
         with self._lock:
-            t, packed, primes, bias = self._table, self._packed, self.primes, self._bias
-            while len(t) <= n:
-                m = r = len(t)
+            packed, primes, bias = self._packed, self.primes, self._bias
+            while len(packed) <= n:
+                m = r = len(packed)
                 step = 0              # the packed exponents of m itself
                 for i, p in enumerate(primes):
                     if p * p > r:
@@ -409,19 +412,6 @@ class FactorialCache:
                 # readers take primes and _bias for the fields of _packed[n]:
                 # append _packed after them
                 packed.append(packed[-1] + step)
-                t.append(t[-1] * m)
-
-    def upto(self, n: int) -> list:
-        """The table itself, grown to hold n!: index it for k! with k <= n."""
-        self.grow(n)
-        return self._table
-
-    def __call__(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("factorial of negative argument")
-        if n >= len(self._table):
-            self.grow(n)
-        return self._table[n]
 
 
 factorials = FactorialCache()

@@ -15,8 +15,10 @@ twelve tau exponents and against the truncated series of g^-2
 
 The 3j, CG and 6j never factor an integer.  Each is an integer sum times
 the square root of a factorial ratio, and SqrtRational.from_factorial_ratio
-keeps the sum outside the root and canonicalizes from the factorial table's
-packed prime exponents, with no factorial product.  The 3j's single sum is
+keeps the sum outside the root and canonicalizes from the packed prime
+exponents of exact's factorial table, with no factorial product.  The sums
+take their first terms from math.perm and math.comb, so only exact knows
+how factorials are stored.  The 3j's single sum is
 summed in integers over one common denominator, a product of factorials
 that enters the ratio's denominator twice, its terms following each other
 by the exact term ratio, so a 3j builds no Fraction until its canonical
@@ -39,8 +41,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (SR_ZERO, SqrtRational, _triad_args, factorials,
-                    neg_one_pow, triangle_ok, HalfInt)
+from .exact import (SR_ZERO, SqrtRational, _triad_args, neg_one_pow,
+                    triangle_ok, HalfInt)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +78,11 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
     summed in integers over the common denominator
     q = kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, which every
     term's denominator divides: the first numerator q / den_kmin is a
-    quotient of three rising factorials, and each next one follows from the
-    previous by the term ratio with an exact division.  Every factorial
-    argument is at most J + 1, J = j1 + j2 + j3, so the table is grown once
-    and indexed."""
+    product of three falling factorials, kmax!/kmin!, (d+kmax)!/(d+kmin)!
+    and (e+kmax)!/(e+kmin)!, each one math.perm, and each next one follows
+    from the previous by the term ratio with an exact division.  kmin <=
+    kmax for every label that passes the checks, as each of a, b, c plus
+    each of d, e is a j + m, a j - m or a triangle sum."""
     if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
         return None
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
@@ -87,11 +90,10 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
             return None
     a, b, c = (tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
     d, e = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
-    top = (tj1 + tj2 + tj3) // 2 + 1
-    f = factorials.upto(top)
     kmin, kmax = max(0, -d, -e), min(a, b, c)
-    t = neg_one_pow(kmin) * (f[kmax] // f[kmin] * (f[d + kmax] // f[d + kmin])
-                             * (f[e + kmax] // f[e + kmin]))
+    n = kmax - kmin
+    t = neg_one_pow(kmin) * (math.perm(kmax, n) * math.perm(d + kmax, n)
+                             * math.perm(e + kmax, n))
     total = 0
     for k in range(kmin, kmax + 1):
         total += t
@@ -102,7 +104,7 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
     return (neg_one_pow((tj1 - tj2 - tm3) // 2) * total,
             (a, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
              (tj1 + tm1) // 2, b, c, (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
-            (top, *q_args, *q_args))
+            ((tj1 + tj2 + tj3) // 2 + 1, *q_args, *q_args))
 
 
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
@@ -134,7 +136,7 @@ def threej_second_route_square(tj1, tj2, tj3, tm1, tm2, tm3) -> tuple[int, Fract
     order with raw math.factorial, then converted through the 3j phase
     relation.
 
-    Deliberately avoids the cached-factorial path of _threej_core.
+    Deliberately avoids _threej_sum and from_factorial_ratio.
     """
     if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
         return 0, Fraction(0)
@@ -218,7 +220,7 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     if not all(triangle_ok(*t) for t in triads):
         return SR_ZERO
     table = {}
-    f = factorials.upto(max(sum(t) for t in triads) // 2 + 1)
+    f = math.factorial
 
     def ratio(*label):
         # p (j + m)! (j - m)! of the first column, and q, reduced: the first
@@ -229,8 +231,8 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
                 table[label] = None
             else:
                 tj, tm = label[0], label[3]
-                p = parts[0] * f[(tj + tm) // 2] * f[(tj - tm) // 2]
-                q = math.prod(f[n] for n in parts[2][1:7])   # the first q_args
+                p = parts[0] * f((tj + tm) // 2) * f((tj - tm) // 2)
+                q = math.prod(map(f, parts[2][1:7]))   # the first q_args
                 g = math.gcd(p, q)
                 table[label] = (p // g, q // g)
         return table[label]
@@ -244,8 +246,8 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
             r0 = ratio(tj1, tj2, tj3, tm1, tm2, tm3)
             if r0 is None:
                 continue
-            p0 = r0[0] * (f[(tj2 + tm2) // 2] * f[(tj2 - tm2) // 2]
-                          * f[(tj3 + tm3) // 2] * f[(tj3 - tm3) // 2])
+            p0 = r0[0] * (f((tj2 + tm2) // 2) * f((tj2 - tm2) // 2)
+                          * f((tj3 + tm3) // 2) * f((tj3 - tm3) // 2))
             # the m sums of the second and third 3j fix mu2 and mu3; every
             # other (mu1, mu2) term is zero
             for tmu1 in range(-tl1, tl1 + 1, 2):
@@ -265,8 +267,8 @@ def sixj_oracle(tj1, tj2, tj3, tl1, tl2, tl3) -> SqrtRational:
     if not num:
         return SR_ZERO
     s = Fraction(num, den)
-    deltas = Fraction(math.prod(f[n] for t in triads for n in _triad_args(*t)),
-                      math.prod(f[sum(t) // 2 + 1] for t in triads))
+    deltas = Fraction(math.prod(f(n) for t in triads for n in _triad_args(*t)),
+                      math.prod(f(sum(t) // 2 + 1) for t in triads))
     return SqrtRational.from_square(s * s * deltas, 1 if s > 0 else -1)
 
 
@@ -282,7 +284,7 @@ def _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3) -> int:
     runs from the largest triad sum a_i to the smallest quadrilateral sum
     b_k.  The seven factorial arguments of a term's denominator add up to z,
     so every term is (z+1) times a multinomial coefficient, an integer: the
-    first is read off the factorial table and each next one follows by the
+    first is a product of six math.comb and each next one follows by the
     exact term ratio.  This is the coefficient of g(tau)^-2 at the 6j's
     twelve tau exponents, which the tests check against the series."""
     a1, a2 = (tj1 + tj2 + tj3) // 2, (tj1 + tl2 + tl3) // 2
@@ -290,9 +292,10 @@ def _sixj_coefficient(tj1, tj2, tj3, tl1, tl2, tl3) -> int:
     b1, b2 = (tj1 + tj2 + tl1 + tl2) // 2, (tj2 + tj3 + tl2 + tl3) // 2
     b3 = (tj3 + tj1 + tl3 + tl1) // 2
     zmin, zmax = max(a1, a2, a3, a4), min(b1, b2, b3)
-    f = factorials.upto(zmin + 1)
-    t = f[zmin + 1] // (f[zmin - a1] * f[zmin - a2] * f[zmin - a3] * f[zmin - a4]
-                        * f[b1 - zmin] * f[b2 - zmin] * f[b3 - zmin])
+    t, n = zmin + 1, zmin - a1
+    for k in (zmin - a2, zmin - a3, zmin - a4, b1 - zmin, b2 - zmin, b3 - zmin):
+        n += k
+        t *= math.comb(n, k)
     total = t = -t if zmin & 1 else t
     for z in range(zmin, zmax):
         t = -t * (z + 2) * (b1 - z) * (b2 - z) * (b3 - z) // (
@@ -339,7 +342,7 @@ def ninej(two_j_rows) -> SqrtRational:
     # the row and column parities give a + i, b + f and d + h one parity,
     # so every x in lo..hi passes the three x-triads
     tops = [(p + q + hi) // 2 + 1 for p, q in pairs]
-    fact = factorials.upto(max(tops))
+    fact = math.factorial
     total = 0
     for x in range(lo, hi + 1, 2):
         term = (_sixj_coefficient(a, b, c, f, i, x) * _sixj_coefficient(d, e, f, b, x, h)
@@ -350,7 +353,7 @@ def ninej(two_j_rows) -> SqrtRational:
         for (p, q), top in zip(pairs, tops):
             u, v, w = _triad_args(p, q, x)
             # Delta^2(p q x) times the common denominator (top)!
-            term *= fact[u] * fact[v] * fact[w] * (fact[top] // fact[(p + q + x) // 2 + 1])
+            term *= fact(u) * fact(v) * fact(w) * math.perm(top, (hi - x) // 2)
         total += -term if x & 1 else term
     if not total:
         return SR_ZERO

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gfkit.exact import (HalfInt, SqrtRational, _triad_args, factorials, neg_one_pow,
-                         triangle_ok)
+from gfkit.exact import HalfInt, SqrtRational, _triad_args, neg_one_pow, triangle_ok
 from gfkit.hurwitz import QUAD_MAPS, _skew_s, hurwitz_layout, v_matrix
 from gfkit.manybody import SlaterSystem, _fermion_op, transform_slater
 from gfkit.oscillator import ho_wavefunction
@@ -181,13 +180,12 @@ def gf_coefficient(expo) -> int:
         return 0
     n0 = a0 + a1 + a2 + a3 + b2 + b3  # N at z = 0; each step of z lowers N by 1
     zmin = max(0, -b2, -b3)
-    # N + 1 bounds every argument, and N is largest at zmin
-    f = factorials.upto(n0 - zmin + 1)
+    f = math.factorial
     total = 0
     for z in range(zmin, min(a0, a1, a2, a3) + 1):
         n = n0 - z
-        term = f[n + 1] // (f[a0 - z] * f[a1 - z] * f[a2 - z] * f[a3 - z]
-                            * f[z] * f[b2 + z] * f[b3 + z])
+        term = f(n + 1) // (f(a0 - z) * f(a1 - z) * f(a2 - z) * f(a3 - z)
+                            * f(z) * f(b2 + z) * f(b3 + z))
         total += -term if n & 1 else term
     return total
 

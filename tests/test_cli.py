@@ -324,12 +324,12 @@ def test_wigner_size_cap_refuses_before_work():
 
     cases = [(WIGNER_MAX_TWO_J_SUM, op, "gf") for op in ("3j", "cg", "6j")]
     cases.append((WIGNER_ORACLE_MAX_TWO_J_SUM, "6j", "oracle"))
-    before = len(factorials._table), _threej_core.cache_info()
+    before = len(factorials._packed), _threej_core.cache_info()
     for cap, op, route in cases:
         assert cap % 6 == 0   # so that argv(cap, ...) sums to the cap exactly
         env, code = run(argv(cap + 6, op, route))
         assert code == 1 and "cap" in env.message, env.message
-    assert (len(factorials._table), _threej_core.cache_info()) == before
+    assert (len(factorials._packed), _threej_core.cache_info()) == before
     for cap, op, route in cases:
         assert run(argv(cap, op, route))[1] == 0
 
@@ -357,12 +357,13 @@ def test_wigner_9j_cap_refuses_before_work(monkeypatch):
 
 
 def test_runaway_caps_refuse_before_work(monkeypatch):
-    # manybody lipkin, gelfand enumerate and poly and wigner gaunt exit 1
-    # above their documented caps without calling their kernels; exactly at
-    # the caps they run.
-    from gfkit import manybody, unitary, wigner
-    from gfkit.cli import (GELFAND_MAX_PATTERNS, GELFAND_POLY_MAX_TOP_SUM,
-                           LIPKIN_MAX_PARTICLES, WIGNER_MAX_TWO_J_SUM)
+    # manybody lipkin and cramer, gelfand dim, enumerate and poly, su3
+    # decompose and wigner gaunt exit 1 above their documented caps without
+    # calling their kernels; exactly at the caps they run.
+    from gfkit import manybody, su3, unitary, wigner
+    from gfkit.cli import (CRAMER_MAX_N, GELFAND_MAX_PATTERNS, GELFAND_MAX_ROW,
+                           GELFAND_POLY_MAX_TOP_SUM, LIPKIN_MAX_PARTICLES,
+                           SU3_DECOMPOSE_MAX_ROWS, WIGNER_MAX_TWO_J_SUM)
 
     def lipkin(n):
         return ["manybody", "lipkin", "--n-particles", str(n)]
@@ -376,6 +377,12 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
     def gaunt(l):
         return ["wigner", "gaunt", "--l", str(l), str(l), str(l), "--m", "0", "0", "0"]
 
+    def decompose(rows):
+        return ["su3", "decompose", "--lam1", str(rows - 1), "--lam2", str(rows + 5)]
+
+    def wide(op, entries):
+        return ["gelfand", op, "--h", "1", *["0"] * (entries - 1)]
+
     def untouched(*args):
         raise AssertionError("kernel reached past the cap")
 
@@ -385,10 +392,14 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
         m.setattr(unitary, "gelfand_enumerate", untouched)
         m.setattr(unitary, "boson_polynomial", untouched)
         m.setattr(wigner, "gaunt", untouched)
+        m.setattr(su3, "su3_decompose_multfree", untouched)
         for argv in (lipkin(LIPKIN_MAX_PARTICLES + 2), lipkin(10 ** 9),
                      enumerate_u2(GELFAND_MAX_PATTERNS + 1),
                      ["gelfand", "enumerate", "--h", "60", "30", "0"],
                      ["gelfand", "enumerate", "--h", "40", "30", "20", "10", "0"],
+                     # 17,955 patterns of U(20), 210 entries each
+                     ["gelfand", "enumerate", "--h", "2", "1", "1", *["0"] * 17],
+                     decompose(SU3_DECOMPOSE_MAX_ROWS + 1), decompose(10 ** 6),
                      poly_u4(GELFAND_POLY_MAX_TOP_SUM + 1), poly_u4(10 ** 6),
                      gaunt(WIGNER_MAX_TWO_J_SUM // 6 + 1), gaunt(100000)):
             env, code = run(argv)
@@ -396,6 +407,18 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
         # a negative entry would make a kernel exponent negative
         env, code = run(["gelfand", "poly", "--pattern", "1 0 -1 / 0 0 / 0"])
         assert code == 1, env.message
+        # a negative lam has no irrep, and no empty table stands for it
+        for lams in (("-5", "3"), ("3", "-1")):
+            env, code = run(["su3", "decompose", "--lam1", lams[0], "--lam2", lams[1]])
+            assert code == 1 and ">= 0" in env.message, (lams, env.message)
+    # the Weyl formula itself is refused an --h longer than the cap
+    with monkeypatch.context() as m:
+        m.setattr(unitary, "weyl_dimension", untouched)
+        for op in ("dim", "enumerate"):
+            for argv in (wide(op, GELFAND_MAX_ROW + 1),
+                         ["gelfand", op, "--h", *map(str, range(999, -1, -1))]):
+                env, code = run(argv)
+                assert code == 1 and "cap" in env.message, (argv[:3], env.message)
     # manybody overlap, lowdin and thouless refuse their --m and --n-occ
     # before numpy draws the M x M matrix; SLATER_MAX_ORBITALS is the bound
     # SlaterSystem keeps for library callers
@@ -412,6 +435,13 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
                           ["--m", "4", "--n-occ", "5"]):
                 env, code = run(["manybody", op, *m_occ])
                 assert code == 1 and "n-occ <= m <=" in env.message, (op, m_occ, env.message)
+        for n in (CRAMER_MAX_N + 1, 200):
+            env, code = run(["manybody", "cramer", "--n", str(n)])
+            assert code == 1 and "cap" in env.message, (n, env.message)
+        for n_s in (["--n", "-3"], ["--n", "4", "--s", "5"], ["--n", "4", "--s", "-1"]):
+            env, code = run(["manybody", "cramer", *n_s])
+            assert code == 1 and "s <= n" in env.message, (n_s, env.message)
+    assert run(["manybody", "cramer", "--n", str(CRAMER_MAX_N)])[1] == 0
     for op in ("overlap", "lowdin", "thouless"):
         argv = ["manybody", op, "--m", str(SLATER_MAX_ORBITALS), "--n-occ", "5"]
         assert run(argv)[1] == 0, argv
@@ -420,6 +450,12 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
     assert code == 0 and len(env.table["rows"]) == LIPKIN_MAX_PARTICLES + 1
     env, code = run(enumerate_u2(GELFAND_MAX_PATTERNS))
     assert code == 0 and len(env.table["rows"]) == GELFAND_MAX_PATTERNS
+    env, code = run(wide("enumerate", GELFAND_MAX_ROW))
+    assert code == 0 and len(env.table["rows"]) == GELFAND_MAX_ROW
+    env, code = run(wide("dim", GELFAND_MAX_ROW))
+    assert code == 0 and env.value_float == GELFAND_MAX_ROW
+    env, code = run(decompose(SU3_DECOMPOSE_MAX_ROWS))
+    assert code == 0 and len(env.table["rows"]) == SU3_DECOMPOSE_MAX_ROWS
     env, code = run(gaunt(WIGNER_MAX_TWO_J_SUM // 6))
     assert code == 0 and env.value_float != 0
     top = GELFAND_POLY_MAX_TOP_SUM

@@ -208,6 +208,20 @@ def test_only_special_imports_scipy():
     assert _importers("scipy") == {"special"}
 
 
+def test_only_exact_names_the_factorial_table():
+    # the kernels take factorial quotients from math; how the table stores
+    # factorials is known to exact alone
+    names = {"factorials", "FactorialCache"}
+    namers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.alias) and node.name in names):
+                namers.add(path.stem)
+    assert namers == {"exact"}
+
+
 def test_no_module_imports_dataclasses():
     # every record is a validated named tuple or a plain class
     assert _importers("dataclasses") == set()
@@ -316,19 +330,15 @@ def test_every_package_name_is_reached():
 
 def test_factorial_cache_growth_and_threads():
     fc = FactorialCache(10)
-    assert fc(10) == math.factorial(10)
-    assert fc(600) == math.factorial(600)  # grows past the bound, no error
-    results = []
-
-    def worker(n):
-        results.append(fc(n) == math.factorial(n))
-
-    threads = [threading.Thread(target=worker, args=(200 + i,)) for i in range(8)]
+    assert len(fc._packed) == 11
+    fc.grow(600)  # grows past the bound, no error
+    assert len(fc._packed) == 601
+    threads = [threading.Thread(target=fc.grow, args=(700 + i,)) for i in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert all(results)
+    assert fc._packed == FactorialCache(707)._packed
 
 
 def legendre_exponents(n):
@@ -356,7 +366,6 @@ def test_factorial_masks_follow_legendre():
     fc = FactorialCache(150)
     assert fc.primes == sorted(legendre_exponents(150))
     for n in range(151):
-        assert fc._table[n] == math.factorial(n)
         assert unpacked(fc, n) == legendre_exponents(n)
     for k in range(len(fc.primes) + 1):
         assert fc._bias[k] == sum(1 << 32 * i + 31 for i in range(k))
@@ -371,7 +380,7 @@ def test_factorial_masks_grown_from_threads():
 
     def work(first):
         for n in targets[first::n_threads]:
-            fc(n)
+            fc.grow(n)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
     old = sys.getswitchinterval()
@@ -384,7 +393,6 @@ def test_factorial_masks_grown_from_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert fc._table == serial._table
     assert fc._packed == serial._packed
     assert fc._bias == serial._bias
     assert fc.primes == serial.primes
