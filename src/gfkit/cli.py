@@ -27,6 +27,8 @@ an n above SAMPLES_MAX_DEGREE (100000) or an n x points above
 SAMPLES_MAX_WORK (5e7), and oscillator propagator above
 PROPAGATOR_MAX_KERNELS (90000) = points^2 kernels, with exit 1, before any
 work starts, and so do those five sampled commands below one point.
+gelfand dim reports a Weyl dimension past the double range as its exact
+integer, value_exact, with exit 0.
 hydrogen verify compares the closed form with the Hankel oracle on its fixed
 grid 0.05 delta..5 delta and takes no --rmax or --seed; an oracle whose
 quadrature does not settle exits 1 and is named.  A result that is not
@@ -283,9 +285,9 @@ def _wigner_gaunt(args):
 # --- su3 -------------------------------------------------------------------
 # su3 wigner and isoscalar build the whole (lam1,0) x (lam2,0) -> (lam3,mu3)
 # coupling table, whose build time grows steeply with lam1 + lam2: the
-# slowest table at lam1 + lam2 = 16 takes about 0.05 s, at 18 about 0.1 s,
-# at 20 about 0.15-0.18 s (Python 3.11, one 2-vCPU VM).  Larger couplings
-# are refused before any table is built.
+# slowest table at lam1 + lam2 = 16 takes about 0.05 s, at 18 about
+# 0.06-0.08 s, at 20 about 0.10-0.13 s (Python 3.11, one 2-vCPU VM, two
+# passes).  Larger couplings are refused before any table is built.
 # su3 decompose lists min(lam1, lam2) + 1 rows: 10,000 take 0.05 s and
 # 0.3 MB of json, 100,000 0.14 s and 49 MB peak (same VM, one process).
 SU3_MAX_LAM_SUM = 18
@@ -376,8 +378,12 @@ GELFAND_POLY_MAX_TOP_SUM = 32
 def _gelfand_dim(args):
     _cap("entries of --h", len(args.h), GELFAND_MAX_ROW)
     from .unitary import IrrepLabel, weyl_dimension
-    return ResultEnvelope(value_float=float(weyl_dimension(IrrepLabel(tuple(args.h)))),
-                          meta="Weyl dimension formula")
+    dim = weyl_dimension(IrrepLabel(tuple(args.h)))
+    try:
+        return ResultEnvelope(value_float=float(dim), meta="Weyl dimension formula")
+    except OverflowError:
+        # past the double range the exact integer is the answer
+        return ResultEnvelope(value_exact=str(dim), meta="Weyl dimension formula")
 
 
 @_command("gelfand", "enumerate", _arg("--h", nargs="+"))

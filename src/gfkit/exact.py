@@ -12,17 +12,23 @@ recoupling kernels never factor.  Their values are an integer sum times the
 square root of a factorial ratio, whose primes are known: the factorial
 table keeps, for each n, the exponents of the primes in n! packed into one
 int, 32 bits a prime, and not n! itself, as WIGXJPF does (Johansson and
-Forssen, SIAM J. Sci. Comput. 38, A376 (2016)).  A ratio's exponents are
-then a few big-int additions, unpacked once, and from_factorial_ratio
-builds the coefficient and the square-free radicand prime by prime, with
-no factorial product, no integer square root and only two gcds against
-the integer sum in front.  It is the table's one reader; the kernels take
-the factorial quotients of their sums from math.perm, math.comb and
-math.factorial.  A 3j cache miss at 2j 300-400 takes about 0.09 ms and at
-2j 40-60 about 15 us (best of five passes over seeded labels, 2-vCPU VM,
-Python 3.11), where multiplying the ratio out took 0.25-0.32 ms and 19 us.
-Products, quotients and sums on one ray of canonical values place their
-primes by the same kind of gcd step (_place).
+Forssen, SIAM J. Sci. Comput. 38, A376 (2016)).  Canonicalizing takes two
+steps.  factorial_exponents(args), the table's one reader, sums the
+packed ints of prod n! over args into one opaque exponent vector, which
+callers may add, subtract and double; SqrtRational.from_exponents(p, e)
+unpacks a signed vector once and builds the coefficient and the
+square-free radicand prime by prime, with no factorial product, no
+integer square root and only two gcds against the integer p in front.
+from_factorial_ratio(p, num, den) is the two steps in one, and a kernel
+whose values share factorials, such as su3's coupling table, sums the
+shared vector once and reuses it.  The kernels take the factorial
+quotients of their sums from math.perm, math.comb and math.factorial, so
+only this module knows how the exponents are packed.  A 3j cache miss at
+2j 300-400 takes about 0.09 ms and at 2j 40-60 about 15 us (best of five
+passes over seeded labels, 2-vCPU VM, Python 3.11), where multiplying the
+ratio out took 0.25-0.32 ms and 19 us.  Products, quotients and sums on
+one ray of canonical values place their primes by the same kind of gcd
+step (_place).
 
 The parser of str() and the bare triangle delta check this module from
 tests/oracles.py; the kernels read the triangle delta's factorial
@@ -184,41 +190,47 @@ class SqrtRational:
     def from_factorial_ratio(p, num_args, den_args) -> "SqrtRational":
         """p * sqrt(prod n! over num_args / prod n! over den_args) for an int
         p and arguments n >= 0, which the kernels' label checks ensure; a
-        rational factor of factorials enters den_args twice.
+        rational factor of factorials enters den_args twice."""
+        return SqrtRational.from_exponents(
+            p, factorial_exponents(num_args) - factorial_exponents(den_args))
 
-        No factoring and no factorial products: the ratio's prime exponents
-        are one sum of the factorial table's packed exponent ints, with 2^31
-        added to each field so that no field borrows, unpacked once.  Prime
-        by prime, half of each exponent goes to the coefficient and its
-        parity under the root.  One gcd then reduces p against the
-        coefficient's denominator, and a second moves the primes under the
-        root's denominator that divide p to its numerator."""
+    @staticmethod
+    def from_exponents(p, e) -> "SqrtRational":
+        """p * sqrt(the ratio whose prime exponents are e) for an int p and a
+        signed exponent vector e, a sum and difference of
+        factorial_exponents vectors whose fields stay below 2^31 in
+        magnitude.
+
+        No factoring and no factorial products: 2^31 added to each of e's
+        fields makes every field non-negative, and the vector is unpacked
+        once.  With every field below 2^31 in magnitude, |e| has between
+        32 k - 32 and 32 k - 1 bits when its highest nonzero field is the
+        k-th, so |e| gives the number of fields.  Prime by prime, half of
+        each exponent goes to the coefficient and its parity under the
+        root.  One gcd then reduces p against the coefficient's
+        denominator, and a second moves the primes under the root's
+        denominator that divide p to its numerator."""
         if not p:
             return SR_ZERO
-        packed = factorials._packed
-        try:
-            up = sum(map(packed.__getitem__, num_args))
-            down = sum(map(packed.__getitem__, den_args))
-        except IndexError:
-            factorials.grow(max((*num_args, *den_args)))
-            return SqrtRational.from_factorial_ratio(p, num_args, den_args)
-        k = (max(up.bit_length(), down.bit_length()) + 31) >> 5
-        fields = memoryview((up - down + factorials._bias[k]).to_bytes(
+        if not e:       # the ratio 1; the table may hold no prime yet
+            return SqrtRational(Fraction(p), Fraction(1), _canonical=True)
+        k = (abs(e).bit_length() >> 5) + 1
+        fields = memoryview((e + factorials._bias[k]).to_bytes(
             4 * k, sys.byteorder)).cast("I")
         half = _HALF
         num = den = rn = rd = 1
         for prime, v in zip(factorials.primes, fields):
-            e = v - half
-            if e > 0:
-                if e & 1:
+            x = v - half
+            if x > 0:
+                if x & 1:
                     rn *= prime
-                if e > 1:
-                    num *= prime ** (e >> 1)
-            elif e:
-                if e & 1:
+                if x > 1:
+                    num *= prime ** (x >> 1)
+            elif x:
+                if x & 1:
                     rd *= prime
-                if e < -1:
-                    den *= prime ** (-e >> 1)
+                if x < -1:
+                    den *= prime ** (-x >> 1)
         g = math.gcd(p, den)
         if g != 1:
             p, den = p // g, den // g
@@ -380,7 +392,7 @@ class FactorialCache:
     in n! (Legendre's formula) packed into one int: the exponent of
     primes[i] fills the 32-bit field at bit 32 i.  Adding these ints adds the
     exponent vectors, so a factorial ratio's exponents are a few big-int
-    additions (SqrtRational.from_factorial_ratio, the table's one reader)."""
+    additions (factorial_exponents, the table's one reader)."""
 
     def __init__(self, n_max: int = 0):
         self._packed = [0]
@@ -415,6 +427,19 @@ class FactorialCache:
 
 
 factorials = FactorialCache()
+
+
+def factorial_exponents(args) -> int:
+    """The prime exponents of prod n! over args (each n >= 0) as one opaque
+    int, the vector SqrtRational.from_exponents reads.  Vectors may be
+    added, subtracted and doubled; the table grows to max(args) on first
+    use."""
+    packed = factorials._packed
+    try:
+        return sum(map(packed.__getitem__, args))
+    except IndexError:
+        factorials.grow(max(args))     # grows packed in place
+        return sum(map(packed.__getitem__, args))
 
 
 def neg_one_pow(k: int) -> int:

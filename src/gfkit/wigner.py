@@ -22,7 +22,11 @@ how factorials are stored.  The 3j's single sum is
 summed in integers over one common denominator, a product of factorials
 that enters the ratio's denominator twice, its terms following each other
 by the exact term ratio, so a 3j builds no Fraction until its canonical
-value.  The 9j is Racah's form of the x-sum of three GF-route 6j: each
+value.  That sum (_van_der_waerden) is kept apart from the 3j's label
+checks, and su3's coupling table calls it directly on labels its loops
+have already made valid.
+
+The 9j is Racah's form of the x-sum of three GF-route 6j: each
 x-triad's delta appears in two of the three 6j and leaves the root, so the
 9j is one rational x-sum, summed in integers, under the root of its six
 row and column deltas, and it never factors either.  The 3j core is an
@@ -70,26 +74,39 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
     (p, num_args, den_args) with
     3j = p * sqrt(prod n! over num_args / prod n! over den_args); None where
     it vanishes.  den_args is (J + 1, *q_args, *q_args), and p/q with
-    q = prod n! over q_args, not reduced, is the phase times Van der
-    Waerden's single sum
-
-        S = sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!),
-
-    summed in integers over the common denominator
-    q = kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, which every
-    term's denominator divides: the first numerator q / den_kmin is a
-    product of three falling factorials, kmax!/kmin!, (d+kmax)!/(d+kmin)!
-    and (e+kmax)!/(e+kmin)!, each one math.perm, and each next one follows
-    from the previous by the term ratio with an exact division.  kmin <=
-    kmax for every label that passes the checks, as each of a, b, c plus
-    each of d, e is a j + m, a j - m or a triangle sum."""
+    q = prod n! over q_args, not reduced, is the phase times the
+    _van_der_waerden sum of the label's a, b, c, d, e.  kmin <= kmax there
+    for every label that passes the checks, as each of a, b, c plus each of
+    d, e is a j + m, a j - m or a triangle sum."""
     if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
         return None
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if abs(tm) > tj or (tj - tm) % 2:
             return None
     a, b, c = (tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
-    d, e = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
+    total, q_args = _van_der_waerden(a, b, c, (tj3 - tj2 + tm1) // 2,
+                                     (tj3 - tj1 - tm2) // 2)
+    if total == 0:
+        return None
+    return (neg_one_pow((tj1 - tj2 - tm3) // 2) * total,
+            (a, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
+             (tj1 + tm1) // 2, b, c, (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
+            ((tj1 + tj2 + tj3) // 2 + 1, *q_args, *q_args))
+
+
+def _van_der_waerden(a, b, c, d, e):
+    """Van der Waerden's single sum
+
+        S = sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!),
+
+    k from kmin = max(0, -d, -e) to kmax = min(a, b, c), for kmin <= kmax,
+    as (total, q_args): S = total / q, q = prod n! over q_args =
+    kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, the common
+    denominator, which every term's denominator divides.  The first
+    numerator q / den_kmin is a product of three falling factorials,
+    kmax!/kmin!, (d+kmax)!/(d+kmin)! and (e+kmax)!/(e+kmin)!, each one
+    math.perm, and each next one follows from the previous by the term
+    ratio with an exact division."""
     kmin, kmax = max(0, -d, -e), min(a, b, c)
     n = kmax - kmin
     t = neg_one_pow(kmin) * (math.perm(kmax, n) * math.perm(d + kmax, n)
@@ -98,13 +115,7 @@ def _threej_sum(tj1, tj2, tj3, tm1, tm2, tm3):
     for k in range(kmin, kmax + 1):
         total += t
         t = -t * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
-    if total == 0:
-        return None
-    q_args = (kmax, a - kmin, b - kmin, c - kmin, d + kmax, e + kmax)
-    return (neg_one_pow((tj1 - tj2 - tm3) // 2) * total,
-            (a, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
-             (tj1 + tm1) // 2, b, c, (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2),
-            ((tj1 + tj2 + tj3) // 2 + 1, *q_args, *q_args))
+    return total, (kmax, a - kmin, b - kmin, c - kmin, d + kmax, e + kmax)
 
 
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
@@ -136,7 +147,7 @@ def threej_second_route_square(tj1, tj2, tj3, tm1, tm2, tm3) -> tuple[int, Fract
     order with raw math.factorial, then converted through the 3j phase
     relation.
 
-    Deliberately avoids _threej_sum and from_factorial_ratio.
+    Deliberately avoids the Van der Waerden sum and from_exponents.
     """
     if tm1 + tm2 + tm3 != 0 or not triangle_ok(tj1, tj2, tj3):
         return 0, Fraction(0)

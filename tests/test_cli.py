@@ -32,6 +32,17 @@ def test_gelfand_dim_example():
     assert code == 0 and env.value_float == 8.0
 
 
+def test_gelfand_dim_past_the_double_range_is_exact():
+    # the staircase of 46 entries has dimension 2^1035, past the double
+    # range: it is reported as the exact integer, and the one of 45 entries,
+    # 2^990, keeps its value_float alone
+    env, code = run(["gelfand", "dim", "--h", *map(str, range(45, -1, -1))])
+    assert code == 0 and env.value_exact == str(2 ** 1035) and env.value_float is None
+    assert json.loads(render(env, "json"))["value_exact"] == str(2 ** 1035)
+    env, code = run(["gelfand", "dim", "--h", *map(str, range(44, -1, -1))])
+    assert code == 0 and env.value_exact is None and env.value_float == 2.0 ** 990
+
+
 def test_usage_error():
     env, code = run(["frobnicate"])
     assert code == 2 and env.status == "error"

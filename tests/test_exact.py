@@ -9,10 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfkit.exact import (SR_ZERO, FactorialCache, HalfInt, SqrtRational,
-                         square_free_split, _place)
+                         factorial_exponents, square_free_split, _place)
 from gfkit.wigner import gaunt, threej
 from oracles import TriangleError, parse_sqrt_rational, triangle_delta
 
@@ -398,24 +398,60 @@ def test_factorial_masks_grown_from_threads():
     assert fc.primes == serial.primes
 
 
+class _Bounded:
+    """A packed exponent vector with a bound on the magnitude of its fields,
+    kept through the sums, differences and doublings the kernels make."""
+
+    def __init__(self, packed, bound):
+        self.packed, self.bound = packed, bound
+
+    def __add__(self, other):
+        return _Bounded(self.packed + other.packed, self.bound + other.bound)
+
+    def __sub__(self, other):
+        return _Bounded(self.packed - other.packed, self.bound + other.bound)
+
+    def __rmul__(self, k):
+        return _Bounded(k * self.packed, abs(k) * self.bound)
+
+
+def signed_fields(e):
+    """The fields of a packed signed exponent vector, each in -2^31..2^31-1."""
+    out = []
+    while e:
+        f = (e + (1 << 31)) % (1 << 32) - (1 << 31)
+        out.append(f)
+        e = (e - f) >> 32
+    return out
+
+
 def test_packed_fields_cannot_overflow_at_the_cap(monkeypatch):
-    # A field holds 2^31 plus the exponent of one prime in a factorial
-    # ratio, and each side of the ratio is summed into its fields before the
-    # two are subtracted.  The exponent of a prime in n! is below n, so a
-    # side whose arguments add up to less than 2^31 fits its field, and so
-    # does the difference of the two.  Record every argument list the
-    # kernels pass at the largest labels their caps admit.
-    from gfkit import su3, wigner
+    # A field holds the exponent of one prime, and from_exponents adds 2^31
+    # to every field of a signed vector, so each field must stay below 2^31
+    # in magnitude through every sum, difference and doubling of the
+    # vectors.  The exponent of a prime in n! is below n, so a vector of
+    # factorial_exponents(args) has fields below sum(args).  Each vector the
+    # kernels build carries that bound through their arithmetic here, and
+    # every vector from_exponents reads, su3's block, row and entry vectors
+    # included, is checked at the largest labels the caps admit.
+    from gfkit import exact, su3, wigner
     from gfkit.cli import (SU3_MAX_LAM_SUM, WIGNER_9J_MAX_TWO_J_SUM,
                            WIGNER_MAX_TWO_J_SUM)
-    seen = []
-    canonical = SqrtRational.from_factorial_ratio
+    args_seen, bounds = [], []
+    exponents, canonical = exact.factorial_exponents, SqrtRational.from_exponents
 
-    def record(p, num_args, den_args):
-        seen.append((tuple(num_args), tuple(den_args)))
-        return canonical(p, num_args, den_args)
+    def record_args(args):
+        args_seen.append(tuple(args))
+        return _Bounded(exponents(args), sum(args))
 
-    monkeypatch.setattr(SqrtRational, "from_factorial_ratio", staticmethod(record))
+    def record_vector(p, e):
+        bounds.append(e.bound)
+        assert max(map(abs, signed_fields(e.packed)), default=0) <= e.bound
+        return canonical(p, e.packed)
+
+    for module in (exact, su3):
+        monkeypatch.setattr(module, "factorial_exponents", record_args)
+    monkeypatch.setattr(SqrtRational, "from_exponents", staticmethod(record_vector))
     wigner._threej_core.cache_clear()
     try:
         third = WIGNER_MAX_TWO_J_SUM // 3
@@ -426,17 +462,15 @@ def test_packed_fields_cannot_overflow_at_the_cap(monkeypatch):
         assert wigner.threej(half, half // 2, half // 2, 0, 0, 0)
         assert wigner.sixj_gf(*[WIGNER_MAX_TWO_J_SUM // 6] * 6)
         assert wigner.ninej(((WIGNER_9J_MAX_TWO_J_SUM // 9,) * 3,) * 3)
+        before = len(bounds)
         su3.coupling_table.cache_clear()
         su3.coupling_table(SU3_MAX_LAM_SUM // 2, SU3_MAX_LAM_SUM // 2, 0)
+        assert len(bounds) > before
     finally:
         wigner._threej_core.cache_clear()
         su3.coupling_table.cache_clear()
-    assert seen
-    assert max(max(map(max, pair)) for pair in seen) == WIGNER_MAX_TWO_J_SUM // 2 + 1
-    most_args = max(max(len(num), len(den)) for num, den in seen)
-    assert most_args * (WIGNER_MAX_TWO_J_SUM // 2 + 1) < 1 << 31
-    for num, den in seen:
-        assert sum(num) < 1 << 31 and sum(den) < 1 << 31
+    assert max(map(max, args_seen)) == WIGNER_MAX_TWO_J_SUM // 2 + 1
+    assert max(bounds) < 1 << 31
 
 
 fractions = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
@@ -455,6 +489,27 @@ def test_factorial_ratio_placement_matches_from_square(p, num, den, twice):
     got = SqrtRational.from_factorial_ratio(p, num, (*den, *twice, *twice))
     want = SqrtRational.from_square(Fraction(p, q) ** 2 * ratio, 1 if p > 0 else -1)
     assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-10 ** 12, 10 ** 12).filter(bool), factorial_args, factorial_args,
+       factorial_args, factorial_args)
+# the highest prime's field negative above negative and above positive
+# fields, and the ratio 1
+@example(p=3, num=[5], den=[7], extra=[], twice=[])
+@example(p=-10, num=[6, 6], den=[7], extra=[], twice=[])
+@example(p=4, num=[], den=[], extra=[1], twice=[0])
+def test_signed_exponent_vectors(p, num, den, extra, twice):
+    # sums, differences and doublings of exponent vectors, as su3's blocks
+    # make them, give the factorial ratio's canonical value
+    fe = factorial_exponents
+    got = SqrtRational.from_exponents(p, fe(num) - fe(den) + fe(extra) - 2 * fe(twice))
+    want = SqrtRational.from_factorial_ratio(p, (*num, *extra), (*den, *twice, *twice))
+    assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
+    ratio = Fraction(math.prod(map(math.factorial, (*num, *extra))),
+                     math.prod(map(math.factorial, den)))
+    square = Fraction(p, math.prod(map(math.factorial, twice))) ** 2 * ratio
+    assert want == SqrtRational.from_square(square, 1 if p > 0 else -1)
 
 
 square_free = st.integers(1, 3000).map(lambda n: square_free_split(n)[1])

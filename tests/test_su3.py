@@ -16,7 +16,7 @@ from gfkit.exact import SR_ZERO, SqrtRational
 from gfkit.su3 import (Su3Label, coupling_table, dim_su3,
                        su3_decompose_multfree, su3_euler_matrix,
                        su3_isoscalar, su3_state_keys, su3_wigner_multfree)
-from gfkit.wigner import threej
+from gfkit.wigner import threej, threej_second_route_square
 from oracles import (casimir_eigenvalue, casimir_matrix, coupled_vectors,
                      coupling_table_contraction)
 
@@ -26,6 +26,16 @@ def test_decompose_examples():
     assert su3_decompose_multfree(3, 0) == [(3, 0)]
     assert su3_decompose_multfree(2, 1) == [(3, 0), (1, 1)]
     assert dim_su3(3, 0) + dim_su3(1, 1) == 10 + 8 == 6 * 3
+
+
+def test_decompose_refuses_a_negative_lambda():
+    # a negative lam labels no irrep: refused as coupling_table refuses it,
+    # not answered with an empty decomposition
+    for lam1, lam2 in ((-5, 3), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            su3_decompose_multfree(lam1, lam2)
+        with pytest.raises(ValueError):
+            coupling_table(lam1, lam2, 0)
 
 
 def test_dimension_sums():
@@ -202,6 +212,31 @@ def test_coupling_tables_match_contraction():
                        for (k1, k2, k3), w in oracle.items()
                        if k1[2] == k1[1] and k2[2] == -k2[1]}
                 assert table.iso == iso
+
+
+def test_entries_are_isoscalar_times_an_independent_threej():
+    # Every entry of every table with lam1, lam2 <= 6 is its isoscalar factor
+    # times 3j(t1 t2 t3; t01 t02 -t03), the 3j's sign and exact square taken
+    # from threej_second_route_square, the defining CG sum, which shares
+    # neither the Van der Waerden sum nor from_exponents with the table.
+    # The table holds an entry exactly where the 3j of a chain triple with
+    # an isoscalar factor is nonzero.
+    threej_square = lru_cache(maxsize=None)(threej_second_route_square)
+    for lam1 in range(7):
+        for lam2 in range(7):
+            for mu3 in range(min(lam1, lam2) + 1):
+                table = coupling_table(lam1, lam2, mu3)
+                want = {}
+                for (y1, tt1, y2, tt2, y3, tt3), iso in table.iso.items():
+                    for tt01 in range(-tt1, tt1 + 1, 2):
+                        for tt02 in range(-tt2, tt2 + 1, 2):
+                            tt03 = tt01 + tt02
+                            sign, sq = threej_square(tt1, tt2, tt3, tt01, tt02, -tt03)
+                            if sign:
+                                want[(y1, tt1, tt01), (y2, tt2, tt02), (y3, tt3, tt03)] = (
+                                    (iso.coeff > 0) == (sign > 0), iso.square() * sq)
+                assert {k: (w.coeff > 0, w.square()) for k, w in table.items()} == want, (
+                    lam1, lam2, mu3)
 
 
 @lru_cache(maxsize=None)

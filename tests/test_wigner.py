@@ -543,9 +543,10 @@ def test_sixj_oracle_leaves_shared_cache_alone():
 
 
 def test_sixj_oracle_shares_no_step_with_sixj_gf(monkeypatch):
-    # sixj_gf is _sixj_coefficient canonicalized by from_factorial_ratio; with
-    # both made to raise, the oracle still gives sixj_gf's values, computed
-    # first, on seeded labels with 2j <= 8 and on all six 2j = 20
+    # sixj_gf is _sixj_coefficient canonicalized by from_factorial_ratio, and
+    # so by from_exponents; with all three made to raise, the oracle still
+    # gives sixj_gf's values, computed first, on seeded labels with 2j <= 8
+    # and on all six 2j = 20
     rng = random.Random(15)
     labels = [(20,) * 6]
     while len(labels) <= 300:
@@ -559,6 +560,7 @@ def test_sixj_oracle_shares_no_step_with_sixj_gf(monkeypatch):
         raise AssertionError("the 6j oracle took a step of sixj_gf")
 
     monkeypatch.setattr(SqrtRational, "from_factorial_ratio", staticmethod(refuse))
+    monkeypatch.setattr(SqrtRational, "from_exponents", staticmethod(refuse))
     monkeypatch.setattr(wigner, "_sixj_coefficient", refuse)
     with pytest.raises(AssertionError):
         sixj_gf(*labels[0])
