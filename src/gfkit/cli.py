@@ -5,18 +5,20 @@ line (json by default).
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 2 usage error.  su3 wigner and su3 isoscalar refuse lam1 + lam2 above
-SU3_MAX_LAM_SUM (18), wigner 3j, cg and 6j refuse a sum of their |2j|
-above WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
-WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
-(108), wigner gaunt a sum of its |2l| above WIGNER_MAX_TWO_J_SUM, su3
-decompose a negative lam1 or lam2 or more than SU3_DECOMPOSE_MAX_ROWS
-(10000) rows, gelfand dim and enumerate an --h of more than
-GELFAND_MAX_ROW (100) entries, gelfand enumerate above
+SU3_MAX_LAM_SUM (18), and su3 isoscalar a negative lam1 or lam2; wigner 3j,
+cg, 6j and 9j refuse a negative 2j, and wigner gaunt a negative l; wigner
+3j, cg and 6j refuse a sum of their 2j above WIGNER_MAX_TWO_J_SUM (4800),
+wigner 6j --route oracle above WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner
+9j above WIGNER_9J_MAX_TWO_J_SUM (108), wigner gaunt a sum of its 2l above
+WIGNER_MAX_TWO_J_SUM, su3 decompose a negative lam1 or lam2 or more than
+SU3_DECOMPOSE_MAX_ROWS (10000) rows, gelfand dim and enumerate an --h of
+more than GELFAND_MAX_ROW (100) entries, gelfand enumerate above
 GELFAND_MAX_PATTERNS (20000) patterns or GELFAND_MAX_ENTRIES (10^6)
-entries in all its patterns, gelfand poly a top-row sum above
-GELFAND_POLY_MAX_TOP_SUM (32), manybody lipkin above LIPKIN_MAX_PARTICLES
-(1000), manybody cramer an --n above CRAMER_MAX_N (50) or outside
-0 <= --s <= --n, manybody overlap, lowdin and thouless an
+entries in all its patterns, gelfand poly a U(n) pattern with n above 8 or
+a top-row sum above GELFAND_POLY_MAX_TOP_SUM[n] (3000 for U(2) and U(3),
+96, 32, 16, 12 and 10 for U(4) to U(8)), manybody lipkin above
+LIPKIN_MAX_PARTICLES (1000), manybody cramer an --n above CRAMER_MAX_N
+(50) or outside 0 <= --s <= --n, manybody overlap, lowdin and thouless an
 --m above SLATER_MAX_ORBITALS (10) or outside 0 < --n-occ <= --m,
 hydrogen position and momentum a --rmax at or below their first grid
 point (R_FIRST, P_FIRST), hydrogen position and momentum and
@@ -178,6 +180,13 @@ def _cap(what, value, cap):
         raise ValueError(f"{what} = {value} exceeds the cap of {cap}")
 
 
+def _cap_sum(what, values, cap):
+    """Refuse a negative value, then a sum of values above its cap."""
+    if min(values) < 0:
+        raise ValueError(f"every {what} must be >= 0")
+    _cap(f"sum of {what}", sum(values), cap)
+
+
 # ---------------------------------------------------------------------------
 # the command table: group -> op -> (argument specs, handler), in the order
 # the parser lists them
@@ -231,14 +240,14 @@ WIGNER_9J_MAX_TWO_J_SUM = 108
 
 @_command("wigner", "3j", *_TWO_JM)
 def _wigner_3j(args):
-    _cap("sum of |2j|", sum(map(abs, args.two_j)), WIGNER_MAX_TWO_J_SUM)
+    _cap_sum("2j", args.two_j, WIGNER_MAX_TWO_J_SUM)
     from .wigner import threej
     return _exact(threej(*args.two_j, *args.two_m), "van der Waerden single-sum 3j")
 
 
 @_command("wigner", "cg", *_TWO_JM)
 def _wigner_cg(args):
-    _cap("sum of |2j|", sum(map(abs, args.two_j)), WIGNER_MAX_TWO_J_SUM)
+    _cap_sum("2j", args.two_j, WIGNER_MAX_TWO_J_SUM)
     from .exact import HalfInt
     from .wigner import clebsch_gordan
     val = clebsch_gordan(*(HalfInt(x) for pair in zip(args.two_j, args.two_m)
@@ -249,8 +258,8 @@ def _wigner_cg(args):
 @_command("wigner", "6j", _arg("--two-j", nargs=6),
           _arg("--route", str, choices=("gf", "oracle"), default="gf"))
 def _wigner_6j(args):
-    _cap("sum of |2j|", sum(map(abs, args.two_j)),
-         WIGNER_MAX_TWO_J_SUM if args.route == "gf" else WIGNER_ORACLE_MAX_TWO_J_SUM)
+    _cap_sum("2j", args.two_j,
+             WIGNER_MAX_TWO_J_SUM if args.route == "gf" else WIGNER_ORACLE_MAX_TWO_J_SUM)
     from .wigner import sixj_gf, sixj_oracle
     fn = sixj_gf if args.route == "gf" else sixj_oracle
     return _exact(fn(*args.two_j), f"6j via {args.route}")
@@ -258,7 +267,7 @@ def _wigner_6j(args):
 
 @_command("wigner", "9j", _arg("--two-j", nargs=9))
 def _wigner_9j(args):
-    _cap("sum of |2j|", sum(map(abs, args.two_j)), WIGNER_9J_MAX_TWO_J_SUM)
+    _cap_sum("2j", args.two_j, WIGNER_9J_MAX_TWO_J_SUM)
     from .wigner import ninej
     rows = tuple(tuple(args.two_j[3 * r:3 * r + 3]) for r in range(3))
     return _exact(ninej(rows), "9j as a sum of three 6j")
@@ -275,8 +284,8 @@ def _wigner_regge(args):
 
 @_command("wigner", "gaunt", _arg("--l", nargs=3), _arg("--m", nargs=3))
 def _wigner_gaunt(args):
-    # its two 3j have 2j = 2l, so the 3j's cap bounds the sum of |2l|
-    _cap("sum of |2l|", 2 * sum(map(abs, args.l)), WIGNER_MAX_TWO_J_SUM)
+    # its two 3j have 2j = 2l, so the 3j's cap bounds the sum of 2l
+    _cap_sum("2l", [2 * l for l in args.l], WIGNER_MAX_TWO_J_SUM)
     from .wigner import gaunt
     val = gaunt(args.l[0], args.m[0], args.l[1], args.m[1], args.l[2], args.m[2])
     return ResultEnvelope(value_float=val, meta="Gaunt triple-Y integral")
@@ -361,17 +370,22 @@ def _su3_euler(args):
 # The Weyl formula that counts them is O(n^2) big-int products: 0.02 s for
 # an --h of 100 entries, 0.05 s for 200, 0.7-1.0 s for 400, so --h is
 # capped first.
-# gelfand poly expands the branching kernel, whose brackets are raised to the
-# level-n hooks of the pattern, so its cost grows with the top-row sum, and
-# steeply for U(4).  Measured (one 2-vCPU VM, one process), the slowest U(4)
-# pattern at a top-row sum of 32 (20 10 2 0 / 20 6 0 / 6 0 / 0) takes 0.9 s
-# and 77 MB, at 36 1.3 s and 137 MB, at 40 2.8 s and 225 MB; U(3) at 32 takes
-# a few ms, and reaches 1.5 s and 258 MB only at 3000.  Larger patterns are
-# refused.
+# gelfand poly multiplies out the branching kernel of a U(n) pattern, one
+# minor of 2^n - 1 at a time, keeping only the partial terms that can still
+# reach the pattern.  Its cost follows the polynomial's size, which grows
+# with the top-row sum, and the faster the larger n, so the top-row sum is
+# capped by n and an n past the table is refused.  At each cap, the slowest
+# pattern that a seeded search found (shaped and random patterns, then hill
+# climbing, 60 s per n; one 2-vCPU VM, Python 3.11) takes, as a whole
+# command: U(3) 0.13 s (366 terms), U(4) 0.72 s and 33 MB (11,790 terms),
+# U(5) 0.73 s (7,050 terms), U(6) 0.27 s, U(7) 0.35 s, U(8) 0.15 s; U(2)
+# has one term.  Past the caps the kernel alone took, for the slowest
+# pattern found, 1.1 s for U(4) at 128, 1.7 s for U(5) at 40, 0.7 s for
+# U(6) at 24, 0.7 s for U(3) near 10,000, and 0.3 s for U(10) at 8.
 GELFAND_MAX_ROW = 100
 GELFAND_MAX_PATTERNS = 20000
 GELFAND_MAX_ENTRIES = 10 ** 6
-GELFAND_POLY_MAX_TOP_SUM = 32
+GELFAND_POLY_MAX_TOP_SUM = {2: 3000, 3: 3000, 4: 96, 5: 32, 6: 16, 7: 12, 8: 10}
 
 
 @_command("gelfand", "dim", _arg("--h", nargs="+"))
@@ -413,8 +427,10 @@ def _gelfand_weight(args):
 def _gelfand_poly(args):
     from .unitary import GelfandPattern, boson_polynomial
     pat = GelfandPattern.from_text(args.pattern)
-    # .top refuses a negative entry, which would make an exponent negative
-    _cap("top-row sum", sum(pat.top.h), GELFAND_POLY_MAX_TOP_SUM)
+    _cap("n", pat.n, max(GELFAND_POLY_MAX_TOP_SUM))
+    # .top refuses a negative entry, which would make an exponent negative;
+    # boson_polynomial refuses U(1), which has no kernel, before any work
+    _cap("top-row sum", sum(pat.top.h), GELFAND_POLY_MAX_TOP_SUM.get(pat.n, math.inf))
     terms = boson_polynomial(pat)
     rows = [[str(c), " ".join(f"D{''.join(map(str, m))}^{e}"
                               for m, e in sorted(expo.items()))]

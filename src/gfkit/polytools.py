@@ -1,15 +1,16 @@
 """Sparse exact multivariate polynomials and truncated power series.
 
 A polynomial is a dict mapping exponent tuples to int (or Fraction)
-coefficients.  poly_add, poly_mul, poly_pow and bargmann_dot are exact, and
-the last three keep integer coefficients integer; the U(n) boson
-polynomials are built from poly_mul and poly_pow.  The rest of the
-polynomial calculus (constants, variables, scaling, derivatives, the
-Laplacian, evaluation, composition) serves only the tests' exact identity
-checks and lives in tests/oracles.py.
+coefficients.  poly_add, poly_mul and bargmann_dot are exact, and the last
+two keep integer coefficients integer.  No production route calls this
+module: the U(n) boson polynomials have their own pruned product in
+unitary.  It stays while the benchmark's trace hooks name poly_mul,
+bargmann_dot and TruncatedSeries.inverse, and for the tests.  The rest of
+the polynomial calculus (constants, variables, scaling, powers,
+derivatives, the Laplacian, evaluation, composition) serves only the tests'
+exact identity checks and lives in tests/oracles.py.
 TruncatedSeries expands g(tau)^-2 term by term; it is the test oracle for
-the closed-form 6j coefficient in wigner, not a production route, and it
-stays here while the benchmark's trace hooks name it.
+the closed-form 6j coefficient in wigner, not a production route.
 """
 from __future__ import annotations
 
@@ -38,21 +39,6 @@ def poly_mul(a, b):
                 out[e] = s
             else:
                 out.pop(e, None)
-    return out
-
-
-def poly_pow(a, n, nvars):
-    if n < 0:
-        # the squaring loop below would never end
-        raise ValueError("poly_pow needs an exponent n >= 0")
-    out = {tuple([0] * nvars): 1}
-    base = a
-    while n:
-        if n & 1:
-            out = poly_mul(out, base)
-        n >>= 1
-        if n:
-            base = poly_mul(base, base)
     return out
 
 

@@ -230,7 +230,10 @@ def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
     """Isoscalar factor for the (y,t)-chains; wigner = isoscalar * 3j.
 
     Read from the coupling table, which holds every nonzero factor; a
-    failed t triangle gives 0 before any table is built."""
+    failed t triangle gives 0 before any table is built.  A negative lam1
+    or lam2 labels no irrep and raises ValueError, as in coupling_table."""
+    if lam1 < 0 or lam2 < 0:
+        raise ValueError("lam1 and lam2 must be >= 0")
     if not _in_decomposition(lam1, lam2, lam3, mu3):
         return SR_ZERO
     (y1, tt1), (y2, tt2), (y3, tt3) = chain1, chain2, chain3

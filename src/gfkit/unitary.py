@@ -1,10 +1,11 @@
 """U(n) representation machinery: Gel'fand patterns, Weyl dimensions,
 weights, the binary coding of fundamental-representation minors, the
-P_n(1) combinatorial factors and the U(3)/U(4) boson polynomials.
+P_n(1) combinatorial factors and the boson polynomials of every U(n).
 
-The boson polynomials come from one expansion of the branching kernel with
-the polytools polynomial product; the tests' P_n(1) oracle is that
-expansion with every minor set to 1.
+The boson polynomials come from one product of the branching kernel's
+brackets, pruned as it goes to the terms that can still reach the pattern's
+U(n-1) parameter monomial.  The tests hold it against the full expansion,
+and their P_n(1) oracle is that full expansion with every minor set to 1.
 """
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
-
-from .polytools import poly_mul, poly_pow
 
 
 # ---------------------------------------------------------------------------
@@ -237,62 +236,71 @@ def _kernel_terms(pat: GelfandPattern):
     """Expand the U(n)->U(n-1) branching kernel for the given pattern.
 
     Returns {minor exponents: integer coefficient}, the exponents indexing
-    _minor_names(n).  The kernel is a polynomial in the minors and the
-    U(n-1) parameters, one flat exponent tuple (minors, then parameters);
-    its coefficient of the U(n-1) parameter monomial of the pattern is the
-    boson polynomial.
+    _minor_names(n).  The kernel is a product of brackets, one per level-n
+    hook: the sub-sum of the generating function holding the minors that
+    carry that hook's parameter, raised to the hook.  Its coefficient of the
+    U(n-1) parameter monomial of the pattern is the boson polynomial.
 
-    The bracket for each level-n hook is the sub-sum of the full generating
-    function holding the minors that carry that hook's parameter.  Every
-    bracket coefficient is +1, so no term of the product cancels.
+    The product picks the exponent k of one minor at a time, with the
+    binomial coefficient C(power left to its bracket, k).  A partial term
+    keeps, beside its minor exponents, one budget per parameter: the power
+    left to each level-n bracket, and the slack left below each U(n-1)
+    parameter exponent of the target.  A minor draws k from the budget of
+    every parameter it carries.  Every bracket coefficient is +1 and
+    exponents only grow, so a term that would overdraw a budget can never
+    reach the target and is dropped at once.  The last minor to draw on a
+    budget must spend all of it, so every term left is one of the
+    polynomial.
     """
     n = pat.n
-    if n < 2:
-        raise ValueError("need n >= 2")
-    nm = len(_minor_names(n))
-    # the U(n-1) parameters x(lam,mu), y(lam,mu) for lam < n, in the order of
-    # the lower pattern's monomial, whose exponents are the target
-    lower = _phi_exponents(GelfandPattern(pat.rows[1:]))
-    pidx = {(t, lam, mu): nm + i for i, (t, lam, mu, _e) in enumerate(lower)}
-    nvars = nm + len(pidx)
+    # betweenness makes every hook >= 0, and every entry >= h_nn
+    if n < 2 or pat.rows[0][-1] < 0:
+        raise ValueError("need n >= 2 and every entry >= 0")
+    minors = bfr_generating_terms(n)
+    nm = len(minors)
+    # the budgets are the pattern's hooks: L(lam,mu) for x(lam,mu) and
+    # R(lam,mu) for y(lam,mu), level by level, then h_nn for y(n,n)
+    budgets = _phi_exponents(pat) + (("y", n, n, pat.rows[0][-1]),)
+    index = {(t, lam, mu): nm + b for b, (t, lam, mu, _e) in enumerate(budgets)}
+    # each minor as (the budgets it draws on, its index): its one level-n
+    # parameter has its last budget, so the reverse sort puts its bracket
+    # first, and the sort of the minors keeps each bracket's together
+    plan = sorted((sorted((index[f] for f in mono.factors), reverse=True), i)
+                  for i, (_rows, mono) in enumerate(minors))
+    last = {b: j for j, (draws, _i) in enumerate(plan) for b in draws}
 
-    # bucket the generating-function terms of U(n) by their level-n tag;
-    # every minor carries exactly one level-n parameter
-    brackets = {}
-    for i, (_rows, mono) in enumerate(bfr_generating_terms(n)):
-        e = [0] * nvars
-        e[i] = 1
-        for t, lam, mu in mono.factors:
-            if lam == n:
-                tag = (t, mu)
-            else:
-                e[pidx[(t, lam, mu)]] += 1
-        brackets.setdefault(tag, {})[tuple(e)] = 1
-
-    poly = {(0,) * nvars: 1}
-    # hooks at level n: x(n,mu) carries exponent L(n,mu), y(n,mu) -> R(n,mu);
-    # mu = n uses y(n,n) with exponent h_{n,n}
-    for mu in range(1, n):
-        poly = poly_mul(poly, poly_pow(brackets["y", mu], R_hook(pat, n, mu), nvars))
-        poly = poly_mul(poly, poly_pow(brackets["x", mu], L_hook(pat, n, mu), nvars))
-    poly = poly_mul(poly, poly_pow(brackets["y", n], pat.rows[0][n - 1], nvars))
-
-    # collect the coefficient of the U(n-1) parameter monomial
-    target = tuple(e for *_tag, e in lower)
-    return {e[:nm]: c for e, c in poly.items() if e[nm:] == target}
+    terms = [((0,) * nm + tuple(e for *_f, e in budgets), 1)]
+    for j, (draws, i) in enumerate(plan):
+        shut = [b for b in draws if last[b] == j]
+        out = []
+        for e, c in terms:
+            # a budget drawn on for the last time is spent whole, so a step
+            # that closes budgets has at most one choice of k
+            lo = max((e[b] for b in shut), default=0)
+            hi = min(e[b] for b in draws)
+            if lo > hi:
+                continue
+            power = e[draws[0]]
+            c *= comb(power, lo)
+            for k in range(lo, hi + 1):
+                f = list(e)
+                f[i] = k
+                for b in draws:
+                    f[b] -= k
+                out.append((tuple(f), c))
+                c = c * (power - k) // (k + 1)   # the binomial of the next k
+        terms = out
+    return {e[:nm]: c for e, c in terms}
 
 
 def boson_polynomial(pat: GelfandPattern):
     """Boson polynomial of a U(n) Gel'fand state as a list of terms
-    (coefficient, {minor rows tuple: exponent}); n = 3 or 4.
+    (coefficient, {minor rows tuple: exponent}); any n >= 2, entries >= 0.
 
     Unnormalized: the overall constant sqrt(A_{n-1}/A_n)-type factors are
     dropped; substituting 1 for every minor gives P_n(1).
     """
-    n = pat.n
-    if n not in (3, 4):
-        raise ValueError("boson polynomials implemented for U(3) and U(4)")
-    minors = _minor_names(n)
+    minors = _minor_names(pat.n)
     terms = []
     for me, c in _kernel_terms(pat).items():
         expo = {minors[i]: e for i, e in enumerate(me) if e}

@@ -2,12 +2,12 @@
 
 Each function here recomputes a quantity of gfkit by a second, deliberately
 naive route (a brute-force Fock-space sum, a numeric quadrature, an explicit
-product-state projection, an expansion with every minor set to 1), so that a
-test can hold the production route against it.  The helpers that only these
-checks use live here too: the exact polynomial calculus, the symbolic
-Hurwitz matrices, the SqrtRational parser.  They live beside the tests, not
-in the package: gfkit keeps one production route per quantity, plus the
-oracles its command line itself reports against (sixj_oracle,
+product-state projection, the full expansion of the U(n) branching kernel),
+so that a test can hold the production route against it.  The helpers that
+only these checks use live here too: the exact polynomial calculus, the
+symbolic Hurwitz matrices, the SqrtRational parser.  They live beside the
+tests, not in the package: gfkit keeps one production route per quantity,
+plus the oracles its command line itself reports against (sixj_oracle,
 fourier_momentum_oracle, slater_overlap_fock, lowdin_matrix_element_fock,
 substituted_determinant_direct) and, while the benchmark imports or patches
 them, threej_second_route, su3_state_keys and polytools.TruncatedSeries.
@@ -26,10 +26,11 @@ from gfkit.exact import HalfInt, SqrtRational, _triad_args, neg_one_pow, triangl
 from gfkit.hurwitz import QUAD_MAPS, _skew_s, hurwitz_layout, v_matrix
 from gfkit.manybody import SlaterSystem, _fermion_op, transform_slater
 from gfkit.oscillator import ho_wavefunction
-from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
+from gfkit.polytools import bargmann_dot, poly_add, poly_mul
 from gfkit.special import _hankel_transform, _tanhsinh, gegenbauer
 from gfkit.su3 import coupling_table, dim_su3, su3_state_keys
-from gfkit.unitary import GelfandPattern, IrrepLabel, _kernel_terms
+from gfkit.unitary import (GelfandPattern, IrrepLabel, L_hook, R_hook, _minor_names,
+                           _phi_exponents, bfr_generating_terms)
 from gfkit.wigner import threej
 
 
@@ -116,6 +117,21 @@ def poly_eval(a, xs):
                 v *= Fraction(x) ** p
         tot += v
     return tot
+
+
+def poly_pow(a, n, nvars):
+    if n < 0:
+        # the squaring loop below would never end
+        raise ValueError("poly_pow needs an exponent n >= 0")
+    out = {tuple([0] * nvars): 1}
+    base = a
+    while n:
+        if n & 1:
+            out = poly_mul(out, base)
+        n >>= 1
+        if n:
+            base = poly_mul(base, base)
+    return out
 
 
 def poly_compose(a, subs, nvars_out):
@@ -626,13 +642,42 @@ def highest_pattern(label: IrrepLabel) -> GelfandPattern:
     return GelfandPattern(tuple(rows))
 
 
+def kernel_terms_expanded(pat: GelfandPattern):
+    """The branching kernel of unitary._kernel_terms by the full expansion:
+    every bracket power is expanded by poly_pow and multiplied out, and only
+    then are the terms off the U(n-1) parameter monomial of the pattern
+    dropped.  Exponential in the pattern's size; the kernel's oracle."""
+    n = pat.n
+    nm = len(_minor_names(n))
+    lower = _phi_exponents(GelfandPattern(pat.rows[1:]))
+    pidx = {(t, lam, mu): nm + i for i, (t, lam, mu, _e) in enumerate(lower)}
+    nvars = nm + len(pidx)
+    brackets = {}
+    for i, (_rows, mono) in enumerate(bfr_generating_terms(n)):
+        e = [0] * nvars
+        e[i] = 1
+        for t, lam, mu in mono.factors:
+            if lam == n:
+                tag = (t, mu)
+            else:
+                e[pidx[(t, lam, mu)]] += 1
+        brackets.setdefault(tag, {})[tuple(e)] = 1
+    poly = {(0,) * nvars: 1}
+    for mu in range(1, n):
+        poly = poly_mul(poly, poly_pow(brackets["y", mu], R_hook(pat, n, mu), nvars))
+        poly = poly_mul(poly, poly_pow(brackets["x", mu], L_hook(pat, n, mu), nvars))
+    poly = poly_mul(poly, poly_pow(brackets["y", n], pat.rows[0][n - 1], nvars))
+    target = tuple(e for *_tag, e in lower)
+    return {e[:nm]: c for e, c in poly.items() if e[nm:] == target}
+
+
 def pn1_oracle(n: int, pat: GelfandPattern) -> int:
-    """Independent P_n(1): expand the branching-kernel product at unit minors
-    and pick the coefficient of the parameter monomial (polynomial
-    identification, no closed form)."""
+    """Independent P_n(1): expand the branching-kernel product in full at
+    unit minors and pick the coefficient of the parameter monomial
+    (polynomial identification, no closed form)."""
     if pat.n != n:
         raise ValueError("pattern size does not match n")
-    return sum(_kernel_terms(pat).values())
+    return sum(kernel_terms_expanded(pat).values())
 
 
 def u3_hypergeometric_terms(pat: GelfandPattern):

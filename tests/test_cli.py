@@ -322,7 +322,7 @@ def test_su3_size_cap_refuses_before_building():
 
 def test_wigner_size_cap_refuses_before_work():
     # wigner 3j, cg and 6j exit 1 above the documented caps on the sum of
-    # |2j|, before the factorial table or the 3j cache is touched; at the
+    # 2j, before the factorial table or the 3j cache is touched; at the
     # caps they run.
     from gfkit.cli import WIGNER_MAX_TWO_J_SUM, WIGNER_ORACLE_MAX_TWO_J_SUM
     from gfkit.exact import factorials
@@ -346,7 +346,7 @@ def test_wigner_size_cap_refuses_before_work():
 
 
 def test_wigner_9j_cap_refuses_before_work(monkeypatch):
-    # wigner 9j exits 1 above the documented cap on the sum of |2j| without
+    # wigner 9j exits 1 above the documented cap on the sum of 2j without
     # reaching a 6j; with all nine 2j equal at the cap it runs.
     from gfkit import wigner
     from gfkit.cli import WIGNER_9J_MAX_TWO_J_SUM as cap
@@ -382,8 +382,9 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
     def enumerate_u2(dim):
         return ["gelfand", "enumerate", "--h", str(dim - 1), "0"]
 
-    def poly_u4(top):
-        return ["gelfand", "poly", "--pattern", f"{top} 0 0 0 / {top} 0 0 / {top} 0 / {top}"]
+    def poly(n, top):
+        rows = (" ".join([str(top)] + ["0"] * (k - 1)) for k in range(n, 0, -1))
+        return ["gelfand", "poly", "--pattern", " / ".join(rows)]
 
     def gaunt(l):
         return ["wigner", "gaunt", "--l", str(l), str(l), str(l), "--m", "0", "0", "0"]
@@ -411,17 +412,35 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
                      # 17,955 patterns of U(20), 210 entries each
                      ["gelfand", "enumerate", "--h", "2", "1", "1", *["0"] * 17],
                      decompose(SU3_DECOMPOSE_MAX_ROWS + 1), decompose(10 ** 6),
-                     poly_u4(GELFAND_POLY_MAX_TOP_SUM + 1), poly_u4(10 ** 6),
+                     *(poly(n, cap + 1) for n, cap in GELFAND_POLY_MAX_TOP_SUM.items()),
+                     poly(4, 10 ** 6), poly(max(GELFAND_POLY_MAX_TOP_SUM) + 1, 1), poly(20, 0),
                      gaunt(WIGNER_MAX_TWO_J_SUM // 6 + 1), gaunt(100000)):
             env, code = run(argv)
             assert code == 1 and "cap" in env.message, (argv, env.message)
         # a negative entry would make a kernel exponent negative
         env, code = run(["gelfand", "poly", "--pattern", "1 0 -1 / 0 0 / 0"])
         assert code == 1, env.message
-        # a negative lam has no irrep, and no empty table stands for it
+        # a negative lam has no irrep, and no empty table or zero stands for it
         for lams in (("-5", "3"), ("3", "-1")):
             env, code = run(["su3", "decompose", "--lam1", lams[0], "--lam2", lams[1]])
             assert code == 1 and ">= 0" in env.message, (lams, env.message)
+        env, code = run(["su3", "isoscalar", "--lam1", "-1", "--lam2", "3", "--lam3", "2",
+                         "--mu3", "0", "--chain1", "0", "0", "--chain2", "0", "0",
+                         "--chain3", "0", "0"])
+        assert code == 1 and ">= 0" in env.message, env.message
+    # a negative 2j (or l) labels no state, and no zero stands for it
+    with monkeypatch.context() as m:
+        for name in ("threej", "clebsch_gordan", "sixj_gf", "sixj_oracle", "ninej", "gaunt"):
+            m.setattr(wigner, name, untouched)
+        for argv in (["wigner", "3j", "--two-j", "-2", "2", "4", "--two-m", "0", "0", "0"],
+                     ["wigner", "cg", "--two-j", "2", "-2", "4", "--two-m", "0", "0", "0"],
+                     ["wigner", "6j", "--two-j", "-2", "2", "2", "2", "2", "2"],
+                     ["wigner", "6j", "--two-j", "2", "2", "2", "2", "2", "-2",
+                      "--route", "oracle"],
+                     ["wigner", "9j", "--two-j", "1", "1", "2", "1", "1", "2", "2", "2", "-2"],
+                     ["wigner", "gaunt", "--l", "-1", "1", "2", "--m", "0", "0", "0"]):
+            env, code = run(argv)
+            assert code == 1 and ">= 0" in env.message, (argv, env.message)
     # the Weyl formula itself is refused an --h longer than the cap
     with monkeypatch.context() as m:
         m.setattr(unitary, "weyl_dimension", untouched)
@@ -469,10 +488,16 @@ def test_runaway_caps_refuse_before_work(monkeypatch):
     assert code == 0 and len(env.table["rows"]) == SU3_DECOMPOSE_MAX_ROWS
     env, code = run(gaunt(WIGNER_MAX_TWO_J_SUM // 6))
     assert code == 0 and env.value_float != 0
-    top = GELFAND_POLY_MAX_TOP_SUM
+    for n, top in GELFAND_POLY_MAX_TOP_SUM.items():
+        env, code = run(poly(n, top))
+        assert code == 0 and env.table["rows"] == [["1", f"D1^{top}"]], env.message
+    top = GELFAND_POLY_MAX_TOP_SUM[3]
     env, code = run(["gelfand", "poly", "--pattern",
                      f"{top - top // 3} {top // 3} 0 / {top // 2} {top // 4} / {top // 3}"])
     assert code == 0 and env.table["rows"], env.message
+    # U(1) has no kernel
+    env, code = run(["gelfand", "poly", "--pattern", "3"])
+    assert code == 1 and "n >= 2" in env.message, env.message
 
 
 def test_points_caps_refuse_before_work(monkeypatch):

@@ -252,7 +252,7 @@ _TEST_ONLY = (
     ("polytools", "poly_var"), ("polytools", "poly_const"),
     ("polytools", "poly_scale"), ("polytools", "poly_diff"),
     ("polytools", "poly_laplacian"), ("polytools", "poly_eval"),
-    ("polytools", "poly_compose"),
+    ("polytools", "poly_compose"), ("polytools", "poly_pow"),
     ("special", "legendre"), ("special", "laguerre_coeffs"),
     ("special", "tanhsinh_halfline"), ("unitary", "highest_pattern"),
 )

@@ -8,10 +8,10 @@ import pytest
 from gfkit.hurwitz import (QUAD_MAPS, cayley_rotation, cross_product,
                            gegenbauer_gaussian_closed, hurwitz_matrix,
                            ks_transform, levi_civita, r8_to_r5, v_matrix)
-from gfkit.polytools import poly_add, poly_mul, poly_pow
+from gfkit.polytools import poly_add, poly_mul
 from oracles import (cayley_dickson_matrix, cayley_rotation_closed3,
                      hurwitz_symbolic, laplacian_pullback_difference,
-                     poly_const, poly_eval, poly_scale, poly_var,
+                     poly_const, poly_eval, poly_pow, poly_scale, poly_var,
                      quad_map_polynomials, v_matrix_properties)
 
 

@@ -36,6 +36,8 @@ def test_decompose_refuses_a_negative_lambda():
             su3_decompose_multfree(lam1, lam2)
         with pytest.raises(ValueError):
             coupling_table(lam1, lam2, 0)
+        with pytest.raises(ValueError):
+            su3_isoscalar(lam1, lam2, lam1 + lam2, 0, (0, 0), (0, 0), (0, 0))
 
 
 def test_dimension_sums():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gfkit.polytools import bargmann_dot, poly_add, poly_mul, poly_pow
-from gfkit.unitary import (BfrTable, GelfandPattern, IrrepLabel, bfr_phi,
-                           bfr_generating_terms, boson_polynomial,
+from gfkit.polytools import bargmann_dot, poly_add, poly_mul
+from gfkit.unitary import (BfrTable, GelfandPattern, IrrepLabel, _kernel_terms,
+                           bfr_phi, bfr_generating_terms, boson_polynomial,
                            gelfand_enumerate, pattern_weight, pn1,
                            weyl_dimension)
-from oracles import highest_pattern, pn1_oracle, u3_hypergeometric_terms
+from oracles import (highest_pattern, kernel_terms_expanded, pn1_oracle, poly_pow,
+                     u3_hypergeometric_terms)
 
 
 def test_enumeration_counts():
@@ -196,17 +197,44 @@ def test_u4_boson_polynomial_examples():
 
 
 def test_u4_unit_substitution_is_p4():
-    for top in ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0)):
+    # and U(5), the last n that pn1's closed form covers
+    for top in ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0),
+                (2, 1, 0, 0, 0), (2, 1, 1, 0, 0), (2, 2, 1, 1, 0), (3, 2, 1, 0, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
             terms = boson_polynomial(pat)
             assert sum(c for c, _ in terms) == pn1(pat)
-            # every exponent solution respects the minor degree constraints
-            (h4, h3, h2, h1) = pat.rows
+            # every exponent solution respects the minor degree constraints:
+            # a minor of k rows has degree k
             for _, expo in terms:
-                deg = {1: 0, 2: 0, 3: 0, 4: 0}
-                for rows, e in expo.items():
-                    deg[len(rows)] += e
-                assert deg[1] + 2 * deg[2] + 3 * deg[3] + 4 * deg[4] == sum(h4)
+                assert sum(len(rows) * e for rows, e in expo.items()) == sum(top)
+
+
+def test_boson_polynomial_for_every_n():
+    with pytest.raises(ValueError):
+        boson_polynomial(GelfandPattern(((3,),)))
+    # U(2): D1^(h11-h22) D2^(h12-h11) D12^h22
+    assert boson_polynomial(GelfandPattern(((3, 1), (2,)))) == [
+        (1, {(1,): 1, (2,): 1, (1, 2): 1})]
+    # a highest pattern of U(7) is one product of the leading minors
+    pat = highest_pattern(IrrepLabel((3, 2, 2, 1, 0, 0, 0)))
+    assert boson_polynomial(pat) == [(1, {(1,): 1, (1, 2, 3): 1, (1, 2, 3, 4): 1})]
+
+
+def _kernel_corpus():
+    """Every pattern with n = 2 and top-row sum <= 12, n = 3 and <= 8,
+    n = 4 and <= 5, n = 5 and <= 3, and n = 6 and <= 2."""
+    for n, most in ((2, 12), (3, 8), (4, 5), (5, 3), (6, 2)):
+        for top in itertools.combinations_with_replacement(range(most, -1, -1), n):
+            if sum(top) <= most:
+                yield from gelfand_enumerate(IrrepLabel(top))
+
+
+def test_kernel_matches_the_full_expansion():
+    # the pruned product drops only terms that cannot reach the target
+    pats = list(_kernel_corpus())
+    assert len(pats) == 1594
+    for pat in pats:
+        assert _kernel_terms(pat) == kernel_terms_expanded(pat), pat.to_text()
 
 
 def test_u3_hypergeometric_crosscheck():
@@ -229,40 +257,60 @@ def test_u3_hypergeometric_terms_run_to_the_end():
     assert [e[(2, 3)] for _, e in terms] == list(range(10, 211))
 
 
-def _u3_minor_polys():
-    """Each minor of the 3x3 matrix z (the given rows, columns 1..k) as an
-    exact polynomial in the nine z_ij, variable 3(i-1) + (j-1)."""
+def _minor_polys(n):
+    """Each minor of the n x n matrix z (the given rows, columns 1..k) as an
+    exact polynomial in the n^2 z_ij, variable n(i-1) + (j-1)."""
     out = {}
-    for k in (1, 2, 3):
-        for rows in itertools.combinations((1, 2, 3), k):
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(1, n + 1), k):
             det = {}
             for perm in itertools.permutations(range(k)):
                 inv = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
-                e = [0] * 9
+                e = [0] * n * n
                 for col, r in enumerate(perm):
-                    e[3 * (rows[r] - 1) + col] += 1
+                    e[n * (rows[r] - 1) + col] += 1
                 det[tuple(e)] = (-1) ** inv
             out[rows] = det
     return out
 
 
+# The pairs of patterns whose kernel polynomials are not orthogonal, with
+# their Fock-Bargmann product.  For n >= 4 the kernel's polynomial is not
+# always a pure Gel'fand state: for 2 1 1 0 / 2 1 0 / 1 1 / 1 it is
+# D3 D124, which holds a part of the U(3) irrep (1,1,1) that
+# 2 1 1 0 / 1 1 1 / 1 1 / 1, D4 D123, spans.  A known defect of the
+# construction, pinned so that any change to it shows.
+_NOT_ORTHOGONAL = {
+    ("2 1 1 0 / 1 1 1 / 1 1 / 1", "2 1 1 0 / 2 1 0 / 1 1 / 1"): 2,
+    ("2 1 1 1 0 / 1 1 1 1 / 1 1 1 / 1 1 / 1", "2 1 1 1 0 / 2 1 1 0 / 1 1 1 / 1 1 / 1"): 6,
+    ("2 1 1 1 0 / 1 1 1 1 / 1 1 1 / 1 1 / 1", "2 1 1 1 0 / 2 1 1 0 / 2 1 0 / 1 1 / 1"): -6,
+    ("2 1 1 1 0 / 2 1 1 0 / 1 1 1 / 1 1 / 1", "2 1 1 1 0 / 2 1 1 0 / 2 1 0 / 1 1 / 1"): 6,
+}
+
+
 def test_u3_orthogonality_exact():
     # distinct patterns of one irrep are orthogonal under the Gaussian
     # measure with E|z_ij|^2 = 1, which is the Fock-Bargmann product: every
-    # off-diagonal product is exactly 0, and every norm is positive
-    minors = _u3_minor_polys()
-    for top in ((2, 1, 0), (3, 1, 0), (2, 2, 1), (3, 2, 0), (4, 2, 1),
-                (4, 2, 0), (5, 3, 0)):
-        polys = []
-        for pat in gelfand_enumerate(IrrepLabel(top)):
-            p = {}
-            for c, expo in boson_polynomial(pat):
-                term = {(0,) * 9: c}
-                for rows, e in expo.items():
-                    term = poly_mul(term, poly_pow(minors[rows], e, 9))
-                p = poly_add(p, term)
-            polys.append(p)
-        for i, a in enumerate(polys):
-            assert bargmann_dot(a, a) > 0
-            for b in polys[i + 1:]:
-                assert bargmann_dot(a, b) == 0
+    # off-diagonal product is exactly 0, but for the pinned pairs above, and
+    # every norm is positive; for U(3), U(4) and U(5)
+    seen = {}
+    for n, tops in ((3, ((2, 1, 0), (3, 1, 0), (2, 2, 1), (3, 2, 0), (4, 2, 1),
+                         (4, 2, 0), (5, 3, 0))),
+                    (4, ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0), (3, 1, 0, 0))),
+                    (5, ((1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (2, 1, 1, 1, 0)))):
+        minors = _minor_polys(n)
+        for top in tops:
+            polys = []
+            for pat in gelfand_enumerate(IrrepLabel(top)):
+                p = {}
+                for c, expo in boson_polynomial(pat):
+                    term = {(0,) * n * n: c}
+                    for rows, e in expo.items():
+                        term = poly_mul(term, poly_pow(minors[rows], e, n * n))
+                    p = poly_add(p, term)
+                polys.append((pat.to_text(), p))
+            for i, (name, a) in enumerate(polys):
+                assert bargmann_dot(a, a) > 0
+                for other, b in polys[i + 1:]:
+                    seen[name, other] = bargmann_dot(a, b)
+    assert {k: v for k, v in seen.items() if v} == _NOT_ORTHOGONAL

@@ -12,12 +12,12 @@ from hypothesis import given, settings, assume, strategies as st
 
 from gfkit import exact, wigner
 from gfkit.exact import SR_ZERO, SqrtRational, HalfInt, neg_one_pow, triangle_ok
-from gfkit.polytools import TruncatedSeries, poly_add, poly_mul, poly_pow
+from gfkit.polytools import TruncatedSeries, poly_add, poly_mul
 from gfkit.wigner import (ThreeJLabel, clebsch_gordan, gaunt, ninej, regge_orbit,
                           sixj_gf, sixj_oracle, threej, threej_second_route,
                           threej_second_route_square, _PARITY, _PERM3,
                           _sixj_coefficient, _threej_core, _threej_sum)
-from oracles import clebsch_gordan_product, gf_coefficient, poly_var
+from oracles import clebsch_gordan_product, gf_coefficient, poly_pow, poly_var
 
 
 def sr(c, r=1):
