@@ -461,7 +461,7 @@ def coupled_vectors(lam1, lam2, mu3):
     """Float vectors of the coupled states in the product basis, one per key3,
     built from the exact wigner table (columns are orthonormal)."""
     lam3 = lam1 + lam2 - 2 * mu3
-    table = coupling_table(lam1, lam2, mu3)
+    table = coupling_table(lam1, lam2, mu3).complete()
     states = product_states(lam1, lam2)
     idx = {s: i for i, s in enumerate(states)}
     keys3 = su3_state_keys(lam3, mu3)

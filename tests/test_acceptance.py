@@ -172,7 +172,7 @@ def test_07_su3_completeness_and_factorization():
     for lam1, lam2 in itertools.product(range(6), repeat=2):
         C = None
         for lam3, mu3 in su3.su3_decompose_multfree(lam1, lam2):
-            tab = su3.coupling_table(lam1, lam2, mu3)
+            tab = su3.coupling_table(lam1, lam2, mu3).complete()
             per3 = {}
             for (k1, k2, k3), w in tab.items():
                 per3[k3] = per3.get(k3, Fraction(0)) + w.square()

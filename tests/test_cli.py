@@ -320,6 +320,45 @@ def test_su3_size_cap_refuses_before_building():
     assert code == 0
 
 
+def test_su3_query_at_the_cap_fills_one_block():
+    # One su3 wigner answer at the cap, (9,0) x (9,0) -> (10,4), fills the
+    # one block of its chains, not the whole coupling table; a coupling
+    # whose t triangle (9, 1, 6) fails, or whose hypercharges do not add up,
+    # fills none, and su3 isoscalar with that failed triangle builds no
+    # table at all.
+    from gfkit import su3
+    from gfkit.cli import SU3_MAX_LAM_SUM
+    from gfkit.exact import SR_ZERO
+
+    lam, mu3 = SU3_MAX_LAM_SUM // 2, 4
+    lam3 = 2 * lam - 2 * mu3
+    labels = ["--lam1", str(lam), "--lam2", str(lam), "--lam3", str(lam3), "--mu3", str(mu3)]
+
+    def wigner(a1, a2, a3):
+        env, code = run(["su3", "wigner", *labels, *(
+            x for flag, a in (("--a1", a1), ("--a2", a2), ("--a3", a3))
+            for x in (flag, *map(str, a)))])
+        assert code == 0, env.message
+        return parse_sqrt_rational(env.value_exact)
+
+    su3.coupling_table.cache_clear()
+    try:
+        a1, a2, a3 = (9, 9, 9), (0, 6, 0), (9, 11, 9)   # p1 = 9, p2 = 6, q3 = 2
+        w = wigner(a1, a2, a3)
+        table = su3.coupling_table(lam, lam, mu3)
+        assert table.filled == {(9, 6, 2)} and w and w == table[a1, a2, a3]
+        assert wigner((9, 9, 5), (-15, 1, 1), (-6, 6, 6)) == SR_ZERO
+        assert wigner(a1, a2, (-6, 6, 6)) == SR_ZERO
+        assert table.filled == {(9, 6, 2)}
+        su3.coupling_table.cache_clear()
+        env, code = run(["su3", "isoscalar", *labels, "--chain1", "9", "9",
+                         "--chain2", "-15", "1", "--chain3", "-6", "6"])
+        assert code == 0 and parse_sqrt_rational(env.value_exact) == SR_ZERO
+        assert su3.coupling_table.cache_info().currsize == 0
+    finally:
+        su3.coupling_table.cache_clear()
+
+
 def test_wigner_size_cap_refuses_before_work():
     # wigner 3j, cg and 6j exit 1 above the documented caps on the sum of
     # 2j, before the factorial table or the 3j cache is touched; at the

@@ -464,7 +464,7 @@ def test_packed_fields_cannot_overflow_at_the_cap(monkeypatch):
         assert wigner.ninej(((WIGNER_9J_MAX_TWO_J_SUM // 9,) * 3,) * 3)
         before = len(bounds)
         su3.coupling_table.cache_clear()
-        su3.coupling_table(SU3_MAX_LAM_SUM // 2, SU3_MAX_LAM_SUM // 2, 0)
+        su3.coupling_table(SU3_MAX_LAM_SUM // 2, SU3_MAX_LAM_SUM // 2, 0).complete()
         assert len(bounds) > before
     finally:
         wigner._threej_core.cache_clear()

@@ -57,7 +57,7 @@ def test_state_enumeration():
 
 
 def test_orthonormality_1_over_dim():
-    tab = coupling_table(1, 1, 1)     # (1,0)x(1,0) -> (0,1)
+    tab = coupling_table(1, 1, 1).complete()     # (1,0)x(1,0) -> (0,1)
     per3 = {}
     for (k1, k2, k3), w in tab.items():
         per3[k3] = per3.get(k3, Fraction(0)) + w.square()
@@ -69,7 +69,7 @@ def test_factorization_exact():
     for lam1, lam2 in itertools.product(range(4), repeat=2):
         for mu3 in range(min(lam1, lam2) + 1):
             lam3 = lam1 + lam2 - 2 * mu3
-            tab = coupling_table(lam1, lam2, mu3)
+            tab = coupling_table(lam1, lam2, mu3).complete()
             for (k1, k2, k3), w in tab.items():
                 tj = threej(k1[1], k2[1], k3[1], k1[2], k2[2], -k3[2])
                 iso = su3_isoscalar(lam1, lam2, lam3, mu3, (k1[0], k1[1]),
@@ -103,7 +103,7 @@ def test_isoscalars_cleared_with_their_table():
     lam1, lam2, mu3 = 3, 2, 1
     lam3 = lam1 + lam2 - 2 * mu3
     coupling_table.cache_clear()
-    chains = sorted({(k1[:2], k2[:2], k3[:2]) for k1, k2, k3 in coupling_table(lam1, lam2, mu3)})
+    chains = sorted({(k1[:2], k2[:2], k3[:2]) for k1, k2, k3 in coupling_table(lam1, lam2, mu3).complete()})
     first = [su3_isoscalar(lam1, lam2, lam3, mu3, *c) for c in chains]
     table = coupling_table(lam1, lam2, mu3)
     assert len(table.iso) == len(chains) and any(first)
@@ -121,7 +121,7 @@ def test_isoscalars_cleared_with_their_table():
 
 def test_isoscalar_t0_independence():
     # wigner/3j is constant across all magnetic pairs of each chain
-    tab = coupling_table(3, 2, 1)
+    tab = coupling_table(3, 2, 1).complete()
     seen = {}
     for (k1, k2, k3), w in tab.items():
         tj = threej(k1[1], k2[1], k3[1], k1[2], k2[2], -k3[2])
@@ -136,7 +136,7 @@ def test_isoscalar_t0_independence():
 def test_trivial_coupling_structure():
     # coupling with (0,0): diagonal chains, |isoscalar| = sqrt((2t+1)/dim)
     lam = 2
-    tab = coupling_table(lam, 0, 0)
+    tab = coupling_table(lam, 0, 0).complete()
     dim = dim_su3(lam, 0)
     for (k1, k2, k3), w in tab.items():
         assert k2 == (0, 0, 0)
@@ -179,7 +179,7 @@ def test_completeness_sum():
     for lam1, lam2 in ((1, 1), (2, 1), (3, 3)):
         total = Fraction(0)
         for lam3, mu3 in su3_decompose_multfree(lam1, lam2):
-            tab = coupling_table(lam1, lam2, mu3)
+            tab = coupling_table(lam1, lam2, mu3).complete()
             s = sum(w.square() for w in tab.values())
             assert s == 1
             total += s
@@ -207,7 +207,7 @@ def test_coupling_tables_match_contraction():
         for lam2 in range(11 - lam1):
             for mu3 in range(min(lam1, lam2) + 1):
                 oracle = coupling_table_contraction(lam1, lam2, mu3)
-                table = coupling_table(lam1, lam2, mu3)
+                table = coupling_table(lam1, lam2, mu3).complete()
                 assert table.keys() == oracle.keys() and table == oracle
                 iso = {(k1[0], k1[1], k2[0], k2[1], k3[0], k3[1]):
                        w / threej(k1[1], k2[1], k3[1], k1[1], -k2[1], k2[1] - k1[1])
@@ -227,7 +227,7 @@ def test_entries_are_isoscalar_times_an_independent_threej():
     for lam1 in range(7):
         for lam2 in range(7):
             for mu3 in range(min(lam1, lam2) + 1):
-                table = coupling_table(lam1, lam2, mu3)
+                table = coupling_table(lam1, lam2, mu3).complete()
                 want = {}
                 for (y1, tt1, y2, tt2, y3, tt3), iso in table.iso.items():
                     for tt01 in range(-tt1, tt1 + 1, 2):
@@ -256,7 +256,7 @@ def test_coupled_states_beyond_the_oracle():
             lam2 = total - lam1
             for lam3, mu3 in su3_decompose_multfree(lam1, lam2):
                 vecs = {}        # key3 -> {(key1, key2): w}
-                for (k1, k2, k3), w in coupling_table(lam1, lam2, mu3).items():
+                for (k1, k2, k3), w in coupling_table(lam1, lam2, mu3).complete().items():
                     vecs.setdefault(k3, {})[k1, k2] = w
                 # Exact orthonormality: the sum over (key1, key2) of w w' is
                 # 1/dim for a state with itself and 0 for two states with
@@ -310,7 +310,7 @@ def test_coupling_table_under_threads():
     # stays bounded
     labels = [(a, b, mu3) for a in range(6) for b in range(6) for mu3 in range(min(a, b) + 1)]
     coupling_table.cache_clear()
-    expected = {lab: coupling_table(*lab) for lab in labels}
+    expected = {lab: coupling_table(*lab).complete() for lab in labels}
     n_threads = 4
     got = [{} for _ in range(n_threads)]
     sizes = []
@@ -320,7 +320,7 @@ def test_coupling_table_under_threads():
         random.Random(i).shuffle(order)
         coupling_table.cache_clear()
         for lab in order:
-            got[i][lab] = coupling_table(*lab)
+            got[i][lab] = coupling_table(*lab).complete()
         sizes.append(coupling_table.cache_info().currsize)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
@@ -341,6 +341,138 @@ def test_coupling_table_under_threads():
             assert table == expected[lab] and table.iso == expected[lab].iso, lab
     assert len(sizes) == n_threads and max(sizes) <= 64
     assert coupling_table.cache_info().currsize <= 64
+
+
+def _labelled_couplings(lam1, lam2, mu3):
+    """Su3Label triples of every coupling (lam1,0) x (lam2,0) -> (lam3, mu3)
+    with y3 = y1 + y2 and 2t03 = 2t01 + 2t02, failed t triangles included."""
+    lam3 = lam1 + lam2 - 2 * mu3
+    keys1, keys2 = su3_state_keys(lam1, 0), su3_state_keys(lam2, 0)
+    return [(Su3Label.from_key(lam1, 0, k1), Su3Label.from_key(lam2, 0, k2),
+             Su3Label.from_key(lam3, mu3, k3))
+            for k3 in su3_state_keys(lam3, mu3) for k1 in keys1 for k2 in keys2
+            if k1[0] + k2[0] == k3[0] and k1[2] + k2[2] == k3[2]]
+
+
+def _expected(full, a1, a2, a3):
+    return (full.get((a1.key, a2.key, a3.key), SR_ZERO),
+            full.iso.get((a1.y, a1.two_t, a2.y, a2.two_t, a3.y, a3.two_t), SR_ZERO))
+
+
+def test_single_queries_equal_the_completed_table():
+    # From a cleared cache, every coupling of every table with lam1, lam2 <= 6
+    # is queried through su3_wigner_multfree and every chain triple through
+    # su3_isoscalar, in seeded random order, each filling only its own
+    # block: every answer equals the completed table's, and the table left
+    # behind equals a completed one, isoscalar factors included.  Each
+    # Wigner answer is also its isoscalar factor times an SU(2) 3j, which
+    # does not go through the table, so a block that drops entries from
+    # both routes (its mirrors, say) fails here too.
+    rng = random.Random(27)
+    for lam1 in range(7):
+        for lam2 in range(7):
+            for mu3 in range(min(lam1, lam2) + 1):
+                lam3 = lam1 + lam2 - 2 * mu3
+                coupling_table.cache_clear()
+                full = coupling_table(lam1, lam2, mu3).complete()
+                coupling_table.cache_clear()
+                queries = [("w", labels) for labels in _labelled_couplings(lam1, lam2, mu3)]
+                queries += [("iso", chains) for chains in itertools.product(
+                    sorted({k[:2] for k in su3_state_keys(lam1, 0)}),
+                    sorted({k[:2] for k in su3_state_keys(lam2, 0)}),
+                    sorted({k[:2] for k in su3_state_keys(lam3, mu3)}))]
+                rng.shuffle(queries)
+                for kind, q in queries:
+                    if kind == "w":
+                        w, iso = su3_wigner_multfree(lam1, lam2, lam3, mu3, *q)
+                        assert (w, iso) == _expected(full, *q), (lam1, lam2, mu3, q)
+                        a1, a2, a3 = q
+                        assert w == iso * threej(a1.two_t, a2.two_t, a3.two_t, a1.two_t0,
+                                                 a2.two_t0, -a3.two_t0), (lam1, lam2, mu3, q)
+                    else:
+                        assert su3_isoscalar(lam1, lam2, lam3, mu3, *q) == full.iso.get(
+                            q[0] + q[1] + q[2], SR_ZERO), (lam1, lam2, mu3, q)
+                left = coupling_table(lam1, lam2, mu3)
+                assert left is not full and left == full and left.iso == full.iso
+                assert left.filled == full.filled, (lam1, lam2, mu3)
+
+
+def test_block_fills_under_threads():
+    # Four threads, started together, query one cleared table,
+    # lam1 + lam2 = 12, each over every coupling in its own seeded order,
+    # while the others fill its blocks: every answer equals the completed
+    # table's, so no query reads a block another thread is still filling
+    # as a zero.  The threads take the blocks in one shared seeded order,
+    # each block's couplings in the thread's own, so that they meet in the
+    # same block; in independent orders a block marked filled before it is
+    # written gave about one wrong answer a run, here dozens.
+    lam1, lam2, mu3 = 6, 6, 2
+    lam3 = lam1 + lam2 - 2 * mu3
+    coupling_table.cache_clear()
+    full = coupling_table(lam1, lam2, mu3).complete()
+    couplings = _labelled_couplings(lam1, lam2, mu3)
+    expected = [_expected(full, *labels) for labels in couplings]
+    by_block = {}
+    for k, (a1, a2, a3) in enumerate(couplings):
+        block = (a1.two_t, a2.two_t, (a1.two_t + a2.two_t - a3.two_t) // 2)
+        by_block.setdefault(block, []).append(k)
+    blocks = sorted(by_block)
+    random.Random(27).shuffle(blocks)
+    n_threads = 4
+    wrong = [[] for _ in range(n_threads)]
+
+    def work(i):
+        rng, order = random.Random(i), []
+        for block in blocks:
+            ks = by_block[block][:]
+            rng.shuffle(ks)
+            order += ks
+        start.wait()
+        for k in order:
+            if su3_wigner_multfree(lam1, lam2, lam3, mu3, *couplings[k]) != expected[k]:
+                wrong[i].append(k)
+
+    coupling_table.cache_clear()
+    table = coupling_table(lam1, lam2, mu3)
+    start = threading.Barrier(n_threads)
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [[]] * n_threads
+    assert coupling_table(lam1, lam2, mu3) is table
+    assert table == full and table.iso == full.iso and table.filled == full.filled
+
+
+def test_queries_fill_only_their_own_block():
+    # (2,0) x (1,0) -> (1,1): a query fills the one block of its chains,
+    # and one that fails the t triangle (2t = 2, 0, 0), or has
+    # y3 != y1 + y2, fills none.  2t0 that do not add up give a zero
+    # coefficient but the chains' isoscalar factor, so they fill the block
+    # too.  complete() then fills the rest.
+    coupling_table.cache_clear()
+    table = coupling_table(2, 1, 1)
+    assert not table and not table.filled
+    a1, a2 = Su3Label.from_key(2, 0, (2, 2, 0)), Su3Label.from_key(1, 0, (-2, 0, 0))
+    for a3 in (Su3Label.from_key(1, 1, (0, 0, 0)), Su3Label.from_key(1, 1, (3, 1, 1))):
+        assert su3_wigner_multfree(2, 1, 1, 1, a1, a2, a3) == (SR_ZERO, SR_ZERO)
+    assert su3_isoscalar(2, 1, 1, 1, (2, 2), (-2, 0), (3, 2)) == SR_ZERO
+    assert not table and not table.filled and not table.iso
+    half = SqrtRational(Fraction(-1, 2))
+    a3 = Su3Label.from_key(1, 1, (0, 2, 2))
+    assert su3_wigner_multfree(2, 1, 1, 1, a1, a2, a3) == (SR_ZERO, half)
+    assert table.filled == {(2, 0, 0)} and len(table.iso) == 1
+    w, iso = su3_wigner_multfree(2, 1, 1, 1, a1, a2, Su3Label.from_key(1, 1, (0, 2, 0)))
+    assert w and iso == half and table.filled == {(2, 0, 0)}
+    assert table.complete() is table and len(table.filled) > 1
+    coupling_table.cache_clear()
 
 
 def test_euler_matrix():
@@ -370,7 +502,7 @@ def digest_labels():
 
 def table_digest(lam1, lam2, mu3):
     entries = sorted([list(k1), list(k2), list(k3), str(w)]
-                     for (k1, k2, k3), w in coupling_table(lam1, lam2, mu3).items())
+                     for (k1, k2, k3), w in coupling_table(lam1, lam2, mu3).complete().items())
     return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
 
 
