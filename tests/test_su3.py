@@ -103,7 +103,8 @@ def test_isoscalars_cleared_with_their_table():
     lam1, lam2, mu3 = 3, 2, 1
     lam3 = lam1 + lam2 - 2 * mu3
     coupling_table.cache_clear()
-    chains = sorted({(k1[:2], k2[:2], k3[:2]) for k1, k2, k3 in coupling_table(lam1, lam2, mu3).complete()})
+    chains = sorted({(k1[:2], k2[:2], k3[:2])
+                     for k1, k2, k3 in coupling_table(lam1, lam2, mu3).complete()})
     first = [su3_isoscalar(lam1, lam2, lam3, mu3, *c) for c in chains]
     table = coupling_table(lam1, lam2, mu3)
     assert len(table.iso) == len(chains) and any(first)
