@@ -227,12 +227,14 @@ _SLATER = (_arg("--m", default=4), _arg("--n-occ", default=2), _SEED)
 # run_command and render, all three 2j equal, takes 22 ms at 2400 and 42 ms
 # at 4800.  The 6j with all six 2j equal, Racah's sum by its term ratio,
 # takes 0.3 ms, 1.0 ms and 4-7 ms at those sums.
-# The 6j oracle is a magnetic sum of O(j^5) terms: 0.03 s with all six
-# 2j = 24 (a sum of 144), 0.3 s with all 2j = 40 (240).  The 9j is one
-# rational sum over x of three 6j coefficients: with all nine 2j equal it
-# takes 0.14 ms at 12 (a sum of 108), 5 ms at 100 and 33 ms at 200; the
-# slowest of 200 random labels with every 2j up to 12 takes 0.15-0.25 ms,
-# so its cap is conservative.  Larger labels are refused before any work.
+# The 6j oracle is a magnetic sum of O(j^5) terms: 18 ms with all six
+# 2j = 24 (a sum of 144; 82 ms for the whole process), 84 ms with all
+# 2j = 40 (240), best of five (Python 3.11.7, 2-vCPU VM).  The 9j
+# is one rational sum over x of three 6j coefficients: with all nine 2j
+# equal it takes 0.14 ms at 12 (a sum of 108), 5 ms at 100 and 33 ms at
+# 200; the slowest of 200 random labels with every 2j up to 12 takes
+# 0.15-0.25 ms, so its cap is conservative.  Larger labels are refused
+# before any work.
 WIGNER_MAX_TWO_J_SUM = 4800
 WIGNER_ORACLE_MAX_TWO_J_SUM = 144
 WIGNER_9J_MAX_TWO_J_SUM = 108

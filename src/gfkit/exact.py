@@ -7,12 +7,15 @@ and isoscalar factor in this package is held exactly.
 
 The canonical form puts the square-free part of the squared value under the
 root.  Arbitrary input (from_square, and through it the general
-constructor) finds it by factoring: trial division, then Pollard rho.  The
-recoupling kernels never factor.  Their values are an integer sum times the
-square root of a factorial ratio, whose primes are known: the factorial
-table keeps, for each n, the exponents of the primes in n! packed into one
-int, 32 bits a prime, and not n! itself, as WIGXJPF does (Johansson and
-Forssen, SIAM J. Sci. Comput. 38, A376 (2016)).  Canonicalizing takes two
+constructor) finds it by factoring: trial division, then Pollard rho.  A
+perfect-square part is never factored: once what is left is r*r, r goes
+into the coefficient whole, so the square of a 3j's large integer sum
+costs one integer square root.  The recoupling kernels never factor.
+Their values are an integer sum times the square root of a factorial
+ratio, whose primes are known: the factorial table keeps, for each n, the
+exponents of the primes in n! packed into one int, 32 bits a prime, and
+not n! itself, as WIGXJPF does (Johansson and Forssen, SIAM J. Sci.
+Comput. 38, A376 (2016)).  Canonicalizing takes two
 steps.  factorial_exponents(args), the table's one reader, sums the
 packed ints of prod n! over args into one opaque exponent vector, which
 callers may add, subtract and double; SqrtRational.from_exponents(p, e)
@@ -40,7 +43,7 @@ import bisect
 import math
 import sys
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -96,56 +99,39 @@ def _pollard_rho(n: int) -> int:
 def square_free_split(n: int) -> tuple[int, int]:
     """n = square * free with free squarefree; returns (sqrt(square), free).
 
-    Trial division up to _TRIAL_BOUND, Pollard rho beyond; n >= 1.
+    A part that is a perfect square r*r, whole or once a prime is divided
+    out, puts r into the root unfactored: sqfree(r*r*m) = sqfree(m).  The
+    rest is factored by trial division up to _TRIAL_BOUND, which resumes at
+    the last divisor tried, and Pollard rho beyond; n >= 1.
     """
     if n < 1:
         raise ValueError("square_free_split needs n >= 1")
-    root, free = 1, 1
-    count = {}
-
-    def add(p, e):
-        count[p] = count.get(p, 0) + e
-
-    stack = [n]
+    root, free, count = 1, 1, Counter()
+    stack, p = [n], 2
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        # cheap perfect-square peel
         r = math.isqrt(m)
         if r * r == m:
-            stack.extend((r, r))
+            root *= r
             continue
-        p = 2
-        found = False
-        while p * p <= m and p <= _TRIAL_BOUND:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                add(p, e)
-                found = True
-                r = math.isqrt(m)
-                if r * r == m:
-                    stack.extend((r, r))
-                    m = 1
-                    break
+        # no prime below p divides m
+        while p * p <= m and p <= _TRIAL_BOUND and m % p:
             p += 1 if p == 2 else 2
-        if m == 1:
-            continue
-        if not found and p * p > m:
-            add(m, 1)
-            continue
-        if _is_probable_prime(m):
-            add(m, 1)
+        if p * p > m or (p > _TRIAL_BOUND and _is_probable_prime(m)):
+            count[m] += 1
+        elif p <= _TRIAL_BOUND:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            count[p] += e
+            stack.append(m)
         else:
             d = _pollard_rho(m)
             stack.extend((d, m // d))
-    for p, e in count.items():
-        root *= p ** (e // 2)
-        if e % 2:
-            free *= p
+    for q, e in count.items():
+        root *= q ** (e // 2)
+        free *= q ** (e % 2)
     return root, free
 
 

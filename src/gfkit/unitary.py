@@ -112,14 +112,6 @@ class BfrTable(namedtuple("BfrTable", "bits")):
             raise ValueError("bits must be 0/1 with at least one 1")
         return super().__new__(cls, bits)
 
-    @property
-    def k(self):
-        return sum(self.bits)
-
-    @property
-    def rows(self):
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
-
 
 class ParamMonomial(namedtuple("ParamMonomial", "factors")):
     """product of x(lam,mu) / y(lam,mu) tags, lam strictly increasing;

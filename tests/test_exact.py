@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gfkit import exact
 from gfkit.exact import (SR_ZERO, FactorialCache, HalfInt, SqrtRational,
                          factorial_exponents, square_free_split, _place)
 from gfkit.wigner import gaunt, threej
@@ -130,6 +131,19 @@ def test_square_free_split():
     p, q = 1000003, 1000033
     root, free = square_free_split(p * p * q)
     assert root == p and free == q
+
+
+def test_square_free_split_takes_a_square_root_whole(monkeypatch):
+    # (P Q)^2 is a square, and so is what is left of (P Q)^2 6 once 2 and 3
+    # are divided out: its root goes into the answer unfactored, so rho,
+    # which P Q would otherwise need past trial division, is never called
+    def refuse(n):
+        raise AssertionError(f"_pollard_rho({n}) called")
+
+    monkeypatch.setattr(exact, "_pollard_rho", refuse)
+    p, q = 1000003, 1000033
+    assert square_free_split(p * p * q * q * 6) == (p * q, 6)
+    assert square_free_split(p * p * q * q) == (p * q, 1)
 
 
 def test_triangle_delta():

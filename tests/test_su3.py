@@ -113,9 +113,11 @@ def test_isoscalars_cleared_with_their_table():
     assert [su3_isoscalar(lam1, lam2, lam3, mu3, *c) for c in chains] == first
     assert coupling_table.cache_info().misses == 1
     assert coupling_table(lam1, lam2, mu3) is not table
-    # a failed t triangle, (1, 0, 0), returns zero before any table is built
+    # a failed t triangle, (1, 0, 0), and a (lam3, mu3) = (2, 1) outside
+    # (2,0) x (1,0) return zero before any table is built
     coupling_table.cache_clear()
     assert su3_isoscalar(2, 1, 1, 1, (2, 2), (-2, 0), (0, 0)) is SR_ZERO
+    assert su3_isoscalar(2, 1, 2, 1, (2, 2), (-2, 0), (0, 2)) is SR_ZERO
     info = coupling_table.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 

@@ -159,9 +159,12 @@ def test_threej_second_route_spotcheck():
 
 
 def test_threej_equals_from_square_of_its_core():
-    # the factor-free canonical value is the from_square form, label by label
+    # the factor-free canonical value is the from_square form, label by
+    # label: every label with 2j <= 10 and a seeded sample at 2j 300..400
     sign_square = threej_sign_squares()
-    for lab in valid_threej_labels(10):
+    rng = random.Random(13)
+    large = [random_threej_label(rng, 300, 400) for _ in range(10)]
+    for lab in itertools.chain(valid_threej_labels(10), large):
         value = threej(*lab)
         sign, sq = sign_square(*lab)
         want = SqrtRational.from_square(sq, sign)
@@ -213,7 +216,9 @@ def test_kernels_never_factor(monkeypatch):
 
 def test_threej_large_j_against_second_route():
     # 2j in 300..400: each 3j well under a second; checked by exact square
-    # and sign against the second route, which takes no square root
+    # and sign, which fix the value, against the second route's factorial
+    # sum (test_threej_equals_from_square_of_its_core checks the canonical
+    # form at these j)
     rng = random.Random(9)
     _threej_core.cache_clear()
     for _ in range(30):
