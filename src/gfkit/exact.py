@@ -1,14 +1,17 @@
 """Exact arithmetic substrate: square roots of rationals, doubled-integer
 angular momenta, the cached prime exponents of factorials.
 
-Values of the form (p/q)*sqrt(r/s) are closed under the products and
-same-radicand sums that recoupling coefficients require, so every 3j/6j/9j
-and isoscalar factor in this package is held exactly.
+Values c*sqrt(r), c rational and r a square-free int >= 1, are closed
+under the products and same-radicand sums that recoupling coefficients
+require, so every 3j/6j/9j and isoscalar factor in this package is held
+exactly.  Every such pair (c, r) is canonical, and zero is 0*sqrt(1): two
+values are equal exactly when their pairs are, and nonzero values lie on
+one ray exactly when their radicands are.
 
-The canonical form puts the square-free part of the squared value under the
-root.  Arbitrary input (from_square, and through it the general
-constructor) finds it by factoring: trial division, then Pollard rho.  A
-perfect-square part is never factored: once what is left is r*r, r goes
+The radicand is the square-free part of the squared value's numerator
+times its denominator.  Arbitrary input (from_square, and through it the
+general constructor) finds it by factoring: trial division, then Pollard
+rho.  A perfect-square part is never factored: once what is left is r*r, r goes
 into the coefficient whole, so the square of a 3j's large integer sum
 costs one integer square root.  The recoupling kernels never factor.
 Their values are an integer sum times the square root of a factorial
@@ -20,8 +23,10 @@ steps.  factorial_exponents(args), the table's one reader, sums the
 packed ints of prod n! over args into one opaque exponent vector, which
 callers may add, subtract and double; SqrtRational.from_exponents(p, e)
 unpacks a signed vector once and builds the coefficient and the
-square-free radicand prime by prime, with no factorial product, no
-integer square root and only two gcds against the integer p in front.
+radicand prime by prime: a prime of odd exponent goes under the root, with
+one more power of it in the coefficient's denominator where the exponent
+is negative, as sqrt(1/P) = sqrt(P)/P.  There is no factorial product, no
+integer square root and no gcd step against the integer p in front.
 from_factorial_ratio(p, num, den) is the two steps in one, and a kernel
 whose values share factorials, such as su3's coupling table, sums the
 shared vector once and reuses it.  The kernels take the factorial
@@ -29,9 +34,11 @@ quotients of their sums from math.perm, math.comb and math.factorial, so
 only this module knows how the exponents are packed.  A 3j cache miss at
 2j 300-400 takes about 0.09 ms and at 2j 40-60 about 15 us (best of five
 passes over seeded labels, 2-vCPU VM, Python 3.11), where multiplying the
-ratio out took 0.25-0.32 ms and 19 us.  Products, quotients and sums on
-one ray of canonical values place their primes by the same kind of gcd
-step (_place).
+ratio out took 0.25-0.32 ms and 19 us.  A product takes one gcd of its
+two radicands, a quotient multiplies by 1/(c sqrt(r)) = sqrt(r)/(c r), and
+a sum only checks that the radicands are equal.  str() and float() read
+the value as (a/b)*sqrt(n/d), both fractions in lowest terms, from one
+gcd d = gcd(r, den c): c sqrt(r) = (c d) sqrt((r/d)/d).
 
 The parser of str() and the bare triangle delta check this module from
 tests/oracles.py; the kernels read the triangle delta's factorial
@@ -136,24 +143,24 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 class SqrtRational:
-    """Exact value coeff * sqrt(radicand), canonical squarefree radicand.
+    """Exact value coeff * sqrt(radicand): coeff a Fraction that carries the
+    sign, radicand a square-free int >= 1.
 
-    Zero is coeff=0, radicand=1.  The sign lives in coeff; radicand >= 0.
+    Every such pair is canonical, so equal values have equal components;
+    zero is coeff=0, radicand=1.
     """
 
     __slots__ = ("coeff", "radicand")
 
     def __init__(self, coeff, radicand=1, _canonical=False):
         if _canonical:
-            # callers pass the two Fractions of a form already canonical
+            # callers pass a Fraction and a square-free int
             self.coeff = coeff
-            self.radicand = radicand
+            self.radicand = radicand if coeff else 1
             return
         coeff, radicand = Fraction(coeff), Fraction(radicand)
         if radicand < 0:
             raise ValueError("negative radicand")
-        # unique form: radicand = squarefree part of the squared value, so
-        # equal values always canonicalize to identical components
         value = SqrtRational.from_square(coeff * coeff * radicand,
                                          1 if coeff > 0 else -1)
         self.coeff, self.radicand = value.coeff, value.radicand
@@ -169,7 +176,8 @@ class SqrtRational:
             return SR_ZERO
         rootn, freen = square_free_split(sq.numerator)
         rootd, freed = square_free_split(sq.denominator)
-        return SqrtRational(Fraction(sign * rootn, rootd), Fraction(freen, freed),
+        # sqrt(freen / freed) = sqrt(freen freed) / freed
+        return SqrtRational(Fraction(sign * rootn, rootd * freed), freen * freed,
                             _canonical=True)
 
     @staticmethod
@@ -193,57 +201,54 @@ class SqrtRational:
         32 k - 32 and 32 k - 1 bits when its highest nonzero field is the
         k-th, so |e| gives the number of fields.  Prime by prime, half of
         each exponent goes to the coefficient and its parity under the
-        root.  One gcd then reduces p against the coefficient's
-        denominator, and a second moves the primes under the root's
-        denominator that divide p to its numerator."""
+        root; a prime P of odd negative exponent -x goes under the root with
+        P^((x + 1)/2) in the coefficient's denominator, as
+        sqrt(P^-x) = sqrt(P) / P^((x + 1)/2)."""
         if not p:
             return SR_ZERO
         if not e:       # the ratio 1; the table may hold no prime yet
-            return SqrtRational(Fraction(p), Fraction(1), _canonical=True)
+            return SqrtRational(Fraction(p), 1, _canonical=True)
         k = (abs(e).bit_length() >> 5) + 1
         fields = memoryview((e + factorials._bias[k]).to_bytes(
             4 * k, sys.byteorder)).cast("I")
         half = _HALF
-        num = den = rn = rd = 1
+        num, den, r = p, 1, 1
         for prime, v in zip(factorials.primes, fields):
             x = v - half
-            if x > 0:
+            if x:
                 if x & 1:
-                    rn *= prime
+                    r *= prime
                 if x > 1:
                     num *= prime ** (x >> 1)
-            elif x:
-                if x & 1:
-                    rd *= prime
-                if x < -1:
-                    den *= prime ** (-x >> 1)
-        g = math.gcd(p, den)
-        if g != 1:
-            p, den = p // g, den // g
-        g = math.gcd(p, rd)      # sqrt(1/P) = sqrt(P) / P for a prime P of p
-        if g != 1:
-            p, rn, rd = p // g, rn * g, rd // g
-        return SqrtRational(Fraction(p * num, den), Fraction(rn, rd), _canonical=True)
+                elif x < 0:
+                    den *= prime ** ((1 - x) >> 1)
+        return SqrtRational(Fraction(num, den), r, _canonical=True)
 
     def __mul__(self, other):
+        if isinstance(other, SqrtRational):
+            # sqrt(r1 r2) = g sqrt((r1/g) (r2/g)) for g = gcd(r1, r2)
+            g = math.gcd(self.radicand, other.radicand)
+            return SqrtRational(self.coeff * other.coeff * g,
+                                (self.radicand // g) * (other.radicand // g),
+                                _canonical=True)
         if isinstance(other, (int, Fraction)):
-            return _place(self.coeff * other, *_parts(self.radicand))
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return _product(self.coeff * other.coeff, *_parts(self.radicand),
-                        *_parts(other.radicand))
+            return SqrtRational(self.coeff * other, self.radicand, _canonical=True)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _place(self.coeff / other, *_parts(self.radicand))
-        if not isinstance(other, SqrtRational):
+        if isinstance(other, SqrtRational):
+            if other.coeff == 0:
+                raise ZeroDivisionError("division by zero SqrtRational")
+            # 1 / (c sqrt(r)) = sqrt(r) / (c r)
+            other = SqrtRational(1 / (other.coeff * other.radicand), other.radicand,
+                                 _canonical=True)
+        elif isinstance(other, (int, Fraction)):
+            other = 1 / Fraction(other)
+        else:
             return NotImplemented
-        if other.coeff == 0:
-            raise ZeroDivisionError("division by zero SqrtRational")
-        n2, d2 = _parts(other.radicand)
-        return _product(self.coeff / other.coeff, *_parts(self.radicand), d2, n2)
+        return self * other
 
     def __add__(self, other):
         if not isinstance(other, SqrtRational):
@@ -252,15 +257,10 @@ class SqrtRational:
             return other
         if other.coeff == 0:
             return self
-        # canonical n/d has n, d square-free and coprime, so
-        # c sqrt(n/d) = (c/d) sqrt(n d): one ray exactly when n1 d1 = n2 d2,
-        # and then c2 sqrt(n2/d2) = c2 (d1/d2) sqrt(n1/d1)
-        n1, d1 = _parts(self.radicand)
-        n2, d2 = _parts(other.radicand)
-        if n1 * d1 != n2 * d2:
+        if self.radicand != other.radicand:
             raise ValueError(
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})")
-        return _place(self.coeff + other.coeff * Fraction(d1, d2), n1, d1)
+        return SqrtRational(self.coeff + other.coeff, self.radicand, _canonical=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -288,20 +288,29 @@ class SqrtRational:
     def square(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
 
+    def _split(self) -> tuple[int, int, int, int]:
+        """(a, b, n, d) with the value (a/b) * sqrt(n/d), both fractions in
+        lowest terms: d = gcd(r, den c), as c sqrt(r) = (c d) sqrt((r/d)/d)."""
+        c, r = self.coeff, self.radicand
+        d = math.gcd(r, c.denominator)
+        return c.numerator, c.denominator // d, r // d, d
+
     def __float__(self):
-        # documented rule: float numerator/denominator separately, one divide,
-        # one sqrt; falls back to correctly rounded Fraction division when the
-        # integers overflow a double.  Where a part is no normal double (a
-        # 1000-bit denominator underflows to 0, a radicand may overflow) the
-        # rule would lose the value, so the exact square is rooted instead.
-        def fdiv(fr: Fraction) -> float:
+        # documented rule: float numerator/denominator of (a/b) sqrt(n/d)
+        # separately, one divide, one sqrt; falls back to correctly rounded
+        # integer division when the integers overflow a double.  Where a part
+        # is no normal double (a 1000-bit denominator underflows to 0, a
+        # radicand may overflow) the rule would lose the value, so the exact
+        # square is rooted instead.
+        def fdiv(num: int, den: int) -> float:
             try:
-                return float(fr.numerator) / float(fr.denominator)
+                return float(num) / float(den)
             except OverflowError:
-                return float(fr)
+                return num / den
         lo, hi = sys.float_info.min, sys.float_info.max
+        a, b, n, d = self._split()
         try:
-            c, r = fdiv(self.coeff), fdiv(self.radicand)
+            c, r = fdiv(a, b), fdiv(n, d)
             if lo <= abs(c) <= hi and lo <= abs(r) <= hi:
                 return c * math.sqrt(r)
         except OverflowError:
@@ -313,13 +322,13 @@ class SqrtRational:
         return f"SqrtRational({self.coeff!s}, {self.radicand!s})"
 
     def __str__(self):
-        c = f"{self.coeff.numerator}/{self.coeff.denominator}"
+        a, b, n, d = self._split()
         if self.radicand == 1:
-            return c
-        return f"{c}*sqrt({self.radicand.numerator}/{self.radicand.denominator})"
+            return f"{a}/{b}"
+        return f"{a}/{b}*sqrt({n}/{d})"
 
 
-SR_ZERO = SqrtRational(Fraction(0), Fraction(1), _canonical=True)
+SR_ZERO = SqrtRational(Fraction(0), 1, _canonical=True)
 
 
 def _sqrt_fraction(q: Fraction) -> float:
@@ -330,36 +339,6 @@ def _sqrt_fraction(q: Fraction) -> float:
     s = (128 - n.bit_length() + d.bit_length()) // 2
     root = math.isqrt((n << 2 * s) // d if s >= 0 else n // (d << -2 * s))
     return math.ldexp(float(root), -s)
-
-
-def _parts(radicand: Fraction) -> tuple[int, int]:
-    return radicand.numerator, radicand.denominator
-
-
-def _place(c: Fraction, n: int, d: int) -> SqrtRational:
-    """Canonical c * sqrt(n/d) for square-free coprime n, d, by two gcds.
-
-    The canonical radicand is the square-free part of c^2 n/d, so a prime of
-    n that divides den(c) belongs under the root's denominator, and a prime
-    of d that divides num(c) under its numerator; every other prime of n or d
-    already sits where it belongs."""
-    if c == 0:
-        return SR_ZERO
-    up = math.gcd(n, c.denominator)      # sqrt(n/d) = up * sqrt((n/up)/(d up))
-    down = math.gcd(d, c.numerator)      # sqrt(n/d) = sqrt((n down)/(d/down)) / down
-    if up != 1 or down != 1:
-        c = c * up / down
-        n, d = n // up * down, d // down * up
-    return SqrtRational(c, Fraction(n, d), _canonical=True)
-
-
-def _product(c: Fraction, n1: int, d1: int, n2: int, d2: int) -> SqrtRational:
-    """Canonical c * sqrt(n1 n2 / (d1 d2)) for square-free coprime pairs
-    (n1, d1) and (n2, d2): shared primes leave the root by gcds."""
-    g, h = math.gcd(n1, n2), math.gcd(d1, d2)
-    n, d = (n1 // g) * (n2 // g), (d1 // h) * (d2 // h)
-    e = math.gcd(n, d)
-    return _place(c * g / h, n // e, d // e)
 
 
 class HalfInt(namedtuple("HalfInt", "two_j")):

@@ -174,18 +174,14 @@ def R_hook(pat: GelfandPattern, lam: int, mu: int) -> int:
 
 
 def pn1(pat: GelfandPattern) -> Fraction:
-    """The P_n(1) factor of the recurrence normalization, n = pat.n in {2..5}.
+    """The P_n(1) factor of the recurrence normalization, n = pat.n >= 2.
 
     Closed binomial products; each level lam contributes
     C(L(lam,k)+R(lam,k), split) with split = L for k = lam-1 and R otherwise.
+    The product is empty, so 1, at n = 2.
     """
-    n = pat.n
-    if n == 2:
-        return Fraction(1)
-    if n not in (3, 4, 5):
-        raise ValueError("P_n(1) closed forms are available only for n <= 5")
     val = 1
-    for lam in range(2, n):
+    for lam in range(2, pat.n):
         for k in range(1, lam):
             tot = L_hook(pat, lam, k) + R_hook(pat, lam, k)
             split = L_hook(pat, lam, k) if k == lam - 1 else R_hook(pat, lam, k)

@@ -29,14 +29,15 @@ have already made valid.
 The 9j is Racah's form of the x-sum of three GF-route 6j: each
 x-triad's delta appears in two of the three 6j and leaves the root, so the
 9j is one rational x-sum, summed in integers, under the root of its six
-row and column deltas, and it never factors either.  The 3j core is an
-lru_cache bounded at 2**14 labels holding each label's canonical value;
-threej reads it.  clebsch_gordan does not: it appends sqrt(2 j3 + 1) to the
-3j's factorial ratio and canonicalizes once, which costs less than a cache
-hit and a product.  The only magnetic sum left, the 6j oracle, is one
-rational sum under the root of its triangle deltas too (see sixj_oracle);
-it reads each 3j into a table of its own call, leaving the shared cache
-alone, and ends in from_square, as the second 3j route does.
+row and column deltas, and it never factors either.  threej is the 3j
+core, an lru_cache bounded at 2**14 labels holding each label's canonical
+value.  clebsch_gordan, which takes HalfInt arguments, reads no cache:
+it appends sqrt(2 j3 + 1) to the 3j's factorial ratio and canonicalizes
+once, which costs less than a cache hit and a product.  The only magnetic
+sum left, the 6j oracle, is one rational sum under the root of its
+triangle deltas too (see sixj_oracle); it reads each 3j into a table of
+its own call, leaving the shared cache alone, and ends in from_square, as
+the second 3j route does.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (SR_ZERO, SqrtRational, _triad_args, neg_one_pow,
-                    triangle_ok, HalfInt)
+                    triangle_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +121,12 @@ def _van_der_waerden(a, b, c, d, e):
 
 # Bounded.  The largest repeated working set measured is 1,384 labels, every
 # 3j with 2j <= 6; the 9j, a sum of 6j, no longer fills the cache.  An entry
-# with 2j in 40..60, key included, holds about 410 B (tracemalloc), so the
-# cap keeps the cache near 6.7 MB on a stream of distinct labels.
+# with 2j in 40..60, key included, holds about 285 B (tracemalloc), so the
+# cap keeps the cache near 4.7 MB on a stream of distinct labels.
 @lru_cache(maxsize=1 << 14)
 def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
-    """The 3j symbol's canonical value, doubled arguments; SR_ZERO where it
-    vanishes.
+    """3j symbol with doubled integer arguments: its canonical value, SR_ZERO
+    where it vanishes.
 
     The value is p * sqrt(factorial ratio) from _threej_sum, whose single
     sum is taken in integers over one common denominator; p stays outside
@@ -136,9 +137,7 @@ def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
     return SqrtRational.from_factorial_ratio(*parts)
 
 
-def threej(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
-    """3j symbol with doubled integer arguments."""
-    return _threej_core(tj1, tj2, tj3, tm1, tm2, tm3)
+threej = _threej_core
 
 
 def threej_second_route_square(tj1, tj2, tj3, tm1, tm2, tm3) -> tuple[int, Fraction]:
@@ -185,12 +184,11 @@ def threej_second_route(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
 
 
 def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> SqrtRational:
-    """<j1 m1, j2 m2 | j3 m3> in the Condon-Shortley convention,
-    (-1)^{j1-j2+m3} sqrt(2 j3 + 1) times the 3j with -m3, canonicalized
-    once from that 3j's integers; the 3j cache is neither read nor filled."""
-    tj1, tm1, tj2, tm2, tj3, tm3 = (
-        x.two_j if isinstance(x, HalfInt) else 2 * x
-        for x in (j1, m1, j2, m2, j3, m3))
+    """<j1 m1, j2 m2 | j3 m3> for HalfInt arguments, in the Condon-Shortley
+    convention, (-1)^{j1-j2+m3} sqrt(2 j3 + 1) times the 3j with -m3,
+    canonicalized once from that 3j's integers; the 3j cache is neither
+    read nor filled."""
+    tj1, tm1, tj2, tm2, tj3, tm3 = (x.two_j for x in (j1, m1, j2, m2, j3, m3))
     parts = _threej_sum(tj1, tj2, tj3, tm1, tm2, -tm3)
     if parts is None:
         return SR_ZERO

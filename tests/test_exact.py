@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gfkit import exact
 from gfkit.exact import (SR_ZERO, FactorialCache, HalfInt, SqrtRational,
-                         factorial_exponents, square_free_split, _place)
+                         factorial_exponents, square_free_split)
 from gfkit.wigner import gaunt, threej
 from oracles import TriangleError, parse_sqrt_rational, triangle_delta
 
@@ -86,7 +86,7 @@ def test_add_same_radicand():
     assert sr(0) + sr(1, 3) == sr(1, 3)
     v = sr(1, 3)
     assert SR_ZERO + v is v and v + SR_ZERO is v
-    # one ray, two canonical radicands: c sqrt(n/d) = (c/d) sqrt(n d)
+    # one ray written two ways: c sqrt(n/d) = (c/d) sqrt(n d)
     assert sr(1, Fraction(2, 5)) + sr(1, 10) == sr(6, Fraction(2, 5))
     assert sr(1, Fraction(1, 2)) + sr(1, 2) == sr(Fraction(3, 2), 2)
     assert sr(1, 10) + sr(1, Fraction(2, 5)) == sr(6, Fraction(2, 5))
@@ -98,12 +98,12 @@ def test_float_monotone_in_coeff():
 
 
 def test_float_from_the_square_when_a_part_is_no_normal_double():
-    # at 2j = 1200 and 1600 the radicand's denominator has over 1000 bits,
-    # so the float of the radicand underflows; the value comes from the
-    # exact square instead of reading 0
+    # at 2j = 1200 and 1600 the denominator d under the root that str()
+    # prints has over 1000 bits, so the float of the radicand n/d
+    # underflows; the value comes from the exact square instead of reading 0
     for tj in (1200, 1600):
         v = threej(tj, tj, tj, 2, -2, 0)
-        assert v.radicand.denominator.bit_length() > 1024
+        assert int(str(v).rpartition("/")[2].rstrip(")")).bit_length() > 1024
         ref = math.copysign(math.sqrt(float(v.square())), v.coeff)
         assert float(v) == pytest.approx(ref, rel=1e-15) and float(v) != 0
     # a radicand above the double range no longer overflows the Gaunt
@@ -224,16 +224,20 @@ def test_only_special_imports_scipy():
 
 def test_only_exact_names_the_factorial_table():
     # the kernels take factorial quotients from math; how the table stores
-    # factorials is known to exact alone
+    # factorials is known to exact alone, and so is how a SqrtRational
+    # holds its root: no other module reads .radicand
     names = {"factorials", "FactorialCache"}
-    namers = set()
+    namers, radicand_readers = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Name) and node.id in names
                     or isinstance(node, ast.Attribute) and node.attr in names
                     or isinstance(node, ast.alias) and node.name in names):
                 namers.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr == "radicand":
+                radicand_readers.add(path.stem)
     assert namers == {"exact"}
+    assert radicand_readers == {"exact"}
 
 
 def test_no_module_imports_dataclasses():
@@ -487,7 +491,6 @@ def test_packed_fields_cannot_overflow_at_the_cap(monkeypatch):
     assert max(bounds) < 1 << 31
 
 
-fractions = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
 factorial_args = st.lists(st.integers(0, 300), max_size=6)
 
 
@@ -526,19 +529,6 @@ def test_signed_exponent_vectors(p, num, den, extra, twice):
     assert want == SqrtRational.from_square(square, 1 if p > 0 else -1)
 
 
-square_free = st.integers(1, 3000).map(lambda n: square_free_split(n)[1])
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(fractions, square_free, square_free)
-def test_place_matches_general_constructor(c, n, d):
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    got = _place(c, n, d)
-    want = SqrtRational(c, Fraction(n, d))
-    assert (got.coeff, got.radicand) == (want.coeff, want.radicand)
-
-
 small_fractions = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 4))
 canonical = st.builds(SqrtRational, small_fractions,
                       st.builds(Fraction, st.integers(0, 10 ** 4), st.integers(1, 10 ** 4)))
@@ -556,9 +546,51 @@ def test_arithmetic_matches_general_constructor(a, b, q):
     assert parts(a / q) == parts(SqrtRational(a.coeff / q, a.radicand))
     if b:
         assert parts(a / b) == parts(SqrtRational(a.coeff / b.coeff,
-                                                  a.radicand / b.radicand))
+                                                  Fraction(a.radicand, b.radicand)))
     # sums on a's ray: the same radicand, or one rescaled by a rational square
     assert parts(a + a) == parts(SqrtRational(2 * a.coeff, a.radicand))
     assert not a - a
     assert parts(a + SqrtRational(q, a.radicand)) == \
         parts(SqrtRational(a.coeff + q, a.radicand))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def check_canonical(v, sgn, square):
+    """v has the given sign and square, a square-free int radicand >= 1 (1
+    at zero), and reads back from str()."""
+    r = v.radicand
+    assert type(r) is int and r >= 1 and square_free_split(r) == (1, r)
+    assert v or r == 1
+    assert sign(v.coeff) == sgn and v.square() == square
+    assert parse_sqrt_rational(str(v)) == v
+
+
+small_factorial_args = st.lists(st.integers(0, 60), max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), small_factorial_args, small_factorial_args,
+       small_fractions, small_fractions.filter(bool), small_fractions.filter(bool))
+@example(p=1, num=[], den=[3], c=Fraction(1), q=Fraction(1), s=Fraction(1))
+def test_every_value_has_one_square_free_radicand(p, num, den, c, q, s):
+    ratio = Fraction(math.prod(map(math.factorial, num)),
+                     math.prod(map(math.factorial, den)))
+    a = SqrtRational.from_exponents(p, factorial_exponents(num) - factorial_exponents(den))
+    b = SqrtRational.from_square(abs(s), sign(q))
+    g = SqrtRational(c, abs(s))
+    sa, sqa = sign(p), p * p * ratio
+    check_canonical(a, sa, sqa)
+    check_canonical(b, sign(q), abs(s))
+    check_canonical(g, sign(c), c * c * abs(s))
+    check_canonical(-a, -sa, sqa)
+    check_canonical(a * b, sa * sign(q), sqa * abs(s))
+    check_canonical(a * q, sa * sign(q), sqa * q * q)
+    check_canonical(a / q, sa * sign(q), sqa / (q * q))
+    check_canonical(a / b, sa * sign(q), sqa / abs(s))
+    # sums and differences on a's ray
+    check_canonical(a + a * q, sa * sign(1 + q), sqa * (1 + q) ** 2)
+    check_canonical(a - a * q, sa * sign(1 - q), sqa * (1 - q) ** 2)
+    check_canonical(a - a, 0, 0)

@@ -265,9 +265,9 @@ def test_coupled_states_beyond_the_oracle():
                 # 1/dim for a state with itself and 0 for two states with
                 # the same (y3, 2t03); other pairs share no support.  A sum
                 # of square roots is zero only if it is zero on every ray,
-                # so products are summed per ray, keyed by the square-free
-                # n d of their canonical radicand n/d (1/390 and 2/195 lie
-                # on one ray).
+                # so products are summed per ray, keyed by their canonical
+                # square-free radicand (sqrt(1/390) and sqrt(2/195) lie on
+                # the ray of sqrt(390)).
                 norm = Fraction(1, dim_su3(lam3, mu3))
                 by_weight = {}
                 for (y3, tt3, tt03), v in vecs.items():
@@ -280,8 +280,7 @@ def test_coupled_states_beyond_the_oracle():
                             for k, w in va.items():
                                 if k in vb:
                                     prod = w * vb[k]
-                                    ray = prod.radicand.numerator * prod.radicand.denominator
-                                    rays[ray] = rays.get(ray, SR_ZERO) + prod
+                                    rays[prod.radicand] = rays.get(prod.radicand, SR_ZERO) + prod
                             assert not any(rays.values()), (lam1, lam2, mu3)
                 # Orthonormality cannot see a sign shared by a whole state,
                 # nor one that depends on (key1, key2) alone, so it misses

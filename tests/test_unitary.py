@@ -142,9 +142,14 @@ def test_pn1_examples():
     pat4 = GelfandPattern(((1, 1, 0, 0), (1, 0, 0), (0, 0), (0,)))
     # all L = R = 0 at the top levels gives small binomials; compare oracle
     assert pn1(pat4) == pn1_oracle(4, pat4)
-    with pytest.raises(ValueError):
-        pn1(GelfandPattern(((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0),
-                            (0, 0, 0), (0, 0), (0,))))
+    # the closed form holds for every n: at U(6) and U(7) it is the sum of
+    # the kernel's coefficients
+    values = set()
+    for top in ((2, 1, 0, 0, 0, 0), (2, 1, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0)):
+        for pat in gelfand_enumerate(IrrepLabel(top)):
+            values.add(pn1(pat))
+            assert pn1(pat) == sum(_kernel_terms(pat).values()), pat.to_text()
+    assert max(values) > 1
 
 
 def test_pn1_trivial_all_zero_hooks():
@@ -197,7 +202,7 @@ def test_u4_boson_polynomial_examples():
 
 
 def test_u4_unit_substitution_is_p4():
-    # and U(5), the last n that pn1's closed form covers
+    # and U(5)
     for top in ((2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 1, 0),
                 (2, 1, 0, 0, 0), (2, 1, 1, 0, 0), (2, 2, 1, 1, 0), (3, 2, 1, 0, 0)):
         for pat in gelfand_enumerate(IrrepLabel(top)):
