@@ -1,12 +1,17 @@
 """Exact arithmetic substrate: square roots of rationals, doubled-integer
 angular momenta, the cached prime exponents of factorials.
 
-Values c*sqrt(r), c rational and r a square-free int >= 1, are closed
-under the products and same-radicand sums that recoupling coefficients
-require, so every 3j/6j/9j and isoscalar factor in this package is held
-exactly.  Every such pair (c, r) is canonical, and zero is 0*sqrt(1): two
-values are equal exactly when their pairs are, and nonzero values lie on
-one ray exactly when their radicands are.
+Values (num/den) sqrt(r), held as three ints (num carrying the sign, den
+>= 1 coprime to it, r square-free >= 1), are closed under the products and
+same-radicand sums that recoupling coefficients require, so every
+3j/6j/9j and isoscalar factor in this package is held exactly.  Every such
+triple is canonical, and zero is (0, 1, 1): two values are equal exactly
+when their triples are, and nonzero values lie on one ray exactly when
+their radicands are.  Arithmetic stays in ints: a product takes one gcd of
+its two radicands and one to reduce num/den, a quotient multiplies by
+1/(c sqrt(r)) = sqrt(r)/(c r), a sum checks that the radicands are equal
+and takes one gcd, and a negation takes none.  No Fraction is built on
+the way; the coeff property and square() return one for readers.
 
 The radicand is the square-free part of the squared value's numerator
 times its denominator.  Arbitrary input (from_square, and through it the
@@ -22,23 +27,25 @@ Comput. 38, A376 (2016)).  Canonicalizing takes two
 steps.  factorial_exponents(args), the table's one reader, sums the
 packed ints of prod n! over args into one opaque exponent vector, which
 callers may add, subtract and double; SqrtRational.from_exponents(p, e)
-unpacks a signed vector once and builds the coefficient and the
-radicand prime by prime: a prime of odd exponent goes under the root, with
-one more power of it in the coefficient's denominator where the exponent
-is negative, as sqrt(1/P) = sqrt(P)/P.  There is no factorial product, no
-integer square root and no gcd step against the integer p in front.
-from_factorial_ratio(p, num, den) is the two steps in one, and a kernel
-whose values share factorials, such as su3's coupling table, sums the
-shared vector once and reuses it.  The kernels take the factorial
-quotients of their sums from math.perm, math.comb and math.factorial, so
-only this module knows how the exponents are packed.  A 3j cache miss at
-2j 300-400 takes about 0.09 ms and at 2j 40-60 about 15 us (best of five
-passes over seeded labels, 2-vCPU VM, Python 3.11), where multiplying the
-ratio out took 0.25-0.32 ms and 19 us.  A product takes one gcd of its
-two radicands, a quotient multiplies by 1/(c sqrt(r)) = sqrt(r)/(c r), and
-a sum only checks that the radicands are equal.  str() and float() read
-the value as (a/b)*sqrt(n/d), both fractions in lowest terms, from one
-gcd d = gcd(r, den c): c sqrt(r) = (c d) sqrt((r/d)/d).
+reads a signed vector once as signed 32-bit fields and builds num, den
+and the radicand prime by prime: a prime of odd exponent goes under the
+root, with one more power of it in den where the exponent is negative, as
+sqrt(1/P) = sqrt(P)/P.  The primes of num and den are then disjoint but
+for those of the integer p in front, so one gcd of p and den puts the
+coefficient in lowest terms; there is no factorial product and no integer
+square root.  from_factorial_ratio(p, num, den) is the two steps in one,
+and a kernel whose values share factorials, such as su3's coupling table,
+sums the shared vector once and reuses it.  The kernels take the
+factorial quotients of their sums from math.perm, math.comb and
+math.factorial, or build them one factor at a time, so only this module
+knows how the exponents are packed.  A 3j cache miss at 2j 40-60 takes
+about 16 us, 6 us of it in from_exponents, and at 2j 300-400 about 67 us
+(best of five passes over seeded labels, 2-vCPU VM, Python 3.11.7), where
+building the coefficient as a Fraction (8 us in from_exponents) and
+dividing out each term ratio of the 3j sum took 19 us and 104 us.
+str() and float() read the value as (a/b)*sqrt(n/d), both
+fractions in lowest terms, from one gcd d = gcd(r, den):
+(num/den) sqrt(r) = (num/(den/d)) sqrt((r/d)/d).
 
 The parser of str() and the bare triangle delta check this module from
 tests/oracles.py; the kernels read the triangle delta's factorial
@@ -143,31 +150,34 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 class SqrtRational:
-    """Exact value coeff * sqrt(radicand): coeff a Fraction that carries the
-    sign, radicand a square-free int >= 1.
+    """Exact value (num/den) * sqrt(radicand) in three ints: num carries the
+    sign, den >= 1 is coprime to num, and radicand is square-free >= 1.
 
-    Every such pair is canonical, so equal values have equal components;
-    zero is coeff=0, radicand=1.
+    Every such triple is canonical, so equal values have equal components;
+    zero is (0, 1, 1).  Values built from parts that are already canonical
+    come from _sqrt_rational; this constructor takes any rational
+    coefficient and radicand and factors them.
     """
 
-    __slots__ = ("coeff", "radicand")
+    __slots__ = ("num", "den", "radicand")
 
-    def __init__(self, coeff, radicand=1, _canonical=False):
-        if _canonical:
-            # callers pass a Fraction and a square-free int
-            self.coeff = coeff
-            self.radicand = radicand if coeff else 1
-            return
+    def __init__(self, coeff, radicand=1):
         coeff, radicand = Fraction(coeff), Fraction(radicand)
         if radicand < 0:
             raise ValueError("negative radicand")
         value = SqrtRational.from_square(coeff * coeff * radicand,
                                          1 if coeff > 0 else -1)
-        self.coeff, self.radicand = value.coeff, value.radicand
+        self.num, self.den, self.radicand = value.num, value.den, value.radicand
+
+    @property
+    def coeff(self) -> Fraction:
+        """The rational num/den in front of the root."""
+        return Fraction(self.num, self.den)
 
     @staticmethod
     def from_square(sq, sign=1) -> "SqrtRational":
-        """sign * sqrt(sq) for a non-negative Fraction sq; factors sq."""
+        """sign * sqrt(sq) for a non-negative Fraction sq and sign +-1;
+        factors sq."""
         if not isinstance(sq, Fraction):
             sq = Fraction(sq)
         if sq < 0:
@@ -176,9 +186,9 @@ class SqrtRational:
             return SR_ZERO
         rootn, freen = square_free_split(sq.numerator)
         rootd, freed = square_free_split(sq.denominator)
-        # sqrt(freen / freed) = sqrt(freen freed) / freed
-        return SqrtRational(Fraction(sign * rootn, rootd * freed), freen * freed,
-                            _canonical=True)
+        # sqrt(freen / freed) = sqrt(freen freed) / freed; sq is in lowest
+        # terms, so rootn is coprime to rootd freed
+        return _sqrt_rational(sign * rootn, rootd * freed, freen * freed)
 
     @staticmethod
     def from_factorial_ratio(p, num_args, den_args) -> "SqrtRational":
@@ -195,26 +205,28 @@ class SqrtRational:
         factorial_exponents vectors whose fields stay below 2^31 in
         magnitude.
 
-        No factoring and no factorial products: 2^31 added to each of e's
-        fields makes every field non-negative, and the vector is unpacked
-        once.  With every field below 2^31 in magnitude, |e| has between
-        32 k - 32 and 32 k - 1 bits when its highest nonzero field is the
-        k-th, so |e| gives the number of fields.  Prime by prime, half of
-        each exponent goes to the coefficient and its parity under the
-        root; a prime P of odd negative exponent -x goes under the root with
-        P^((x + 1)/2) in the coefficient's denominator, as
-        sqrt(P^-x) = sqrt(P) / P^((x + 1)/2)."""
+        No factoring and no factorial products.  With every field below
+        2^31 in magnitude, |e| has between 32 k - 32 and 32 k - 1 bits when
+        its highest nonzero field is the k-th, so |e| gives the number of
+        fields.  2^31 added to each field makes every field non-negative, so
+        no field borrows, and the same bit flipped back by xor leaves each
+        field's two's complement: the vector is read once as signed 32-bit
+        ints.  Prime by prime, half of each exponent goes to num and its
+        parity under the root; a prime P of odd negative exponent -x goes
+        under the root with P^((x + 1)/2) in den, as
+        sqrt(P^-x) = sqrt(P) / P^((x + 1)/2).  The primes of num's product
+        and of den are disjoint, so one gcd of p and den reduces the
+        coefficient."""
         if not p:
             return SR_ZERO
         if not e:       # the ratio 1; the table may hold no prime yet
-            return SqrtRational(Fraction(p), 1, _canonical=True)
+            return _sqrt_rational(p, 1, 1)
         k = (abs(e).bit_length() >> 5) + 1
-        fields = memoryview((e + factorials._bias[k]).to_bytes(
-            4 * k, sys.byteorder)).cast("I")
-        half = _HALF
+        bias = factorials._bias[k]
+        fields = memoryview(((e + bias) ^ bias).to_bytes(
+            4 * k, sys.byteorder)).cast("i")
         num, den, r = p, 1, 1
-        for prime, v in zip(factorials.primes, fields):
-            x = v - half
+        for prime, x in zip(factorials.primes, fields):
             if x:
                 if x & 1:
                     r *= prime
@@ -222,28 +234,37 @@ class SqrtRational:
                     num *= prime ** (x >> 1)
                 elif x < 0:
                     den *= prime ** ((1 - x) >> 1)
-        return SqrtRational(Fraction(num, den), r, _canonical=True)
+        if den > 1:
+            g = math.gcd(p, den)
+            if g > 1:
+                num //= g
+                den //= g
+        return _sqrt_rational(num, den, r)
 
     def __mul__(self, other):
         if isinstance(other, SqrtRational):
             # sqrt(r1 r2) = g sqrt((r1/g) (r2/g)) for g = gcd(r1, r2)
-            g = math.gcd(self.radicand, other.radicand)
-            return SqrtRational(self.coeff * other.coeff * g,
-                                (self.radicand // g) * (other.radicand // g),
-                                _canonical=True)
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff * other, self.radicand, _canonical=True)
+            r1, r2 = self.radicand, other.radicand
+            g = math.gcd(r1, r2)
+            return _reduced(self.num * other.num * g, self.den * other.den,
+                            (r1 // g) * (r2 // g))
+        if isinstance(other, int):
+            return _reduced(self.num * other, self.den, self.radicand)
+        if isinstance(other, Fraction):
+            return _reduced(self.num * other.numerator,
+                            self.den * other.denominator, self.radicand)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, SqrtRational):
-            if other.coeff == 0:
+            n, r = other.num, other.radicand
+            if not n:
                 raise ZeroDivisionError("division by zero SqrtRational")
-            # 1 / (c sqrt(r)) = sqrt(r) / (c r)
-            other = SqrtRational(1 / (other.coeff * other.radicand), other.radicand,
-                                 _canonical=True)
+            # 1 / ((n/d) sqrt(r)) = (d / (n r)) sqrt(r), the sign moved to
+            # the numerator
+            other = _reduced(other.den if n > 0 else -other.den, abs(n) * r, r)
         elif isinstance(other, (int, Fraction)):
             other = 1 / Fraction(other)
         else:
@@ -253,47 +274,56 @@ class SqrtRational:
     def __add__(self, other):
         if not isinstance(other, SqrtRational):
             return NotImplemented
-        if self.coeff == 0:
+        if not self.num:
             return other
-        if other.coeff == 0:
+        if not other.num:
             return self
         if self.radicand != other.radicand:
             raise ValueError(
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand})")
-        return SqrtRational(self.coeff + other.coeff, self.radicand, _canonical=True)
+        d1, d2 = self.den, other.den
+        return _reduced(self.num * d2 + other.num * d1, d1 * d2, self.radicand)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SqrtRational(-self.coeff, self.radicand, _canonical=True)
+        return _sqrt_rational(-self.num, self.den, self.radicand)
 
     def __eq__(self, other):
         # canonical forms are unique, and a rational has radicand 1
-        if isinstance(other, (int, Fraction)):
-            return self.radicand == 1 and self.coeff == other
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return self.coeff == other.coeff and self.radicand == other.radicand
+        if isinstance(other, SqrtRational):
+            return (self.num == other.num and self.den == other.den
+                    and self.radicand == other.radicand)
+        if isinstance(other, int):
+            return self.radicand == 1 and self.den == 1 and self.num == other
+        if isinstance(other, Fraction):
+            return (self.radicand == 1 and self.num == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # a rational value hashes as the int or Fraction it equals
         if self.radicand == 1:
-            return hash(self.coeff)
-        return hash((self.coeff, self.radicand))
+            return hash(self.num) if self.den == 1 else hash(self.coeff)
+        return hash((self.num, self.den, self.radicand))
 
     def __bool__(self):
-        return self.coeff != 0
+        return self.num != 0
+
+    def __reduce__(self):
+        return _sqrt_rational, (self.num, self.den, self.radicand)
 
     def square(self) -> Fraction:
-        return self.coeff * self.coeff * self.radicand
+        return Fraction(self.num * self.num * self.radicand, self.den * self.den)
 
     def _split(self) -> tuple[int, int, int, int]:
         """(a, b, n, d) with the value (a/b) * sqrt(n/d), both fractions in
-        lowest terms: d = gcd(r, den c), as c sqrt(r) = (c d) sqrt((r/d)/d)."""
-        c, r = self.coeff, self.radicand
-        d = math.gcd(r, c.denominator)
-        return c.numerator, c.denominator // d, r // d, d
+        lowest terms: d = gcd(r, den), as (num/den) sqrt(r) =
+        (num/(den/d)) sqrt((r/d)/d)."""
+        r = self.radicand
+        d = math.gcd(r, self.den)
+        return self.num, self.den // d, r // d, d
 
     def __float__(self):
         # documented rule: float numerator/denominator of (a/b) sqrt(n/d)
@@ -316,7 +346,7 @@ class SqrtRational:
         except OverflowError:
             pass
         root = _sqrt_fraction(self.square())
-        return -root if self.coeff < 0 else root
+        return -root if self.num < 0 else root
 
     def __repr__(self):
         return f"SqrtRational({self.coeff!s}, {self.radicand!s})"
@@ -328,7 +358,24 @@ class SqrtRational:
         return f"{a}/{b}*sqrt({n}/{d})"
 
 
-SR_ZERO = SqrtRational(Fraction(0), 1, _canonical=True)
+def _sqrt_rational(num, den, radicand) -> SqrtRational:
+    """(num/den) * sqrt(radicand) from parts that are already canonical, as
+    SqrtRational holds them; pickle rebuilds values through it."""
+    v = object.__new__(SqrtRational)
+    v.num, v.den, v.radicand = num, den, radicand
+    return v
+
+
+def _reduced(num, den, radicand) -> SqrtRational:
+    """(num/den) * sqrt(radicand) for den >= 1 and a square-free radicand:
+    one gcd puts num/den in lowest terms."""
+    if not num:
+        return SR_ZERO
+    g = math.gcd(num, den)
+    return _sqrt_rational(num // g, den // g, radicand)
+
+
+SR_ZERO = _sqrt_rational(0, 1, 1)
 
 
 def _sqrt_fraction(q: Fraction) -> float:

@@ -17,20 +17,24 @@ The 3j, CG and 6j never factor an integer.  Each is an integer sum times
 the square root of a factorial ratio, and SqrtRational.from_factorial_ratio
 keeps the sum outside the root and canonicalizes from the packed prime
 exponents of exact's factorial table, with no factorial product.  The sums
-take their first terms from math.perm and math.comb, so only exact knows
-how factorials are stored.  The 3j's single sum is
-summed in integers over one common denominator, a product of factorials
-that enters the ratio's denominator twice, its terms following each other
-by the exact term ratio, so a 3j builds no Fraction until its canonical
-value.  That sum (_van_der_waerden) is kept apart from the 3j's label
-checks, and su3's coupling table calls it directly on labels its loops
-have already made valid.
+take their factorial quotients from math.comb and math.perm or build them
+one factor at a time, so only exact knows how factorials are stored.  The
+3j's single sum is summed in integers over one common denominator, a
+product of factorials that enters the ratio's denominator twice, by
+Horner's rule from its last term down: each step multiplies, none
+divides, and a 3j builds no Fraction at all (about 3 us a sum at 2j 40-60
+and 23 us at 300-400, where dividing out each term ratio took 4.6 and
+58 us; 2-vCPU VM, Python 3.11.7).  Racah's sum of the 6j keeps its exact
+term-ratio divisions, which measured faster there than Horner's rule.
+That 3j sum (_van_der_waerden) is kept apart from the 3j's label checks,
+and su3's coupling table calls it directly on labels its loops have
+already made valid.
 
 The 9j is Racah's form of the x-sum of three GF-route 6j: each
 x-triad's delta appears in two of the three 6j and leaves the root, so the
 9j is one rational x-sum, summed in integers, under the root of its six
 row and column deltas, and it never factors either.  threej is the 3j
-core, an lru_cache bounded at 2**14 labels holding each label's canonical
+core, an lru_cache bounded at 2**12 labels holding each label's canonical
 value.  clebsch_gordan, which takes HalfInt arguments, reads no cache:
 it appends sqrt(2 j3 + 1) to the 3j's factorial ratio and canonicalizes
 once, which costs less than a cache hit and a product.  The only magnetic
@@ -103,27 +107,28 @@ def _van_der_waerden(a, b, c, d, e):
     k from kmin = max(0, -d, -e) to kmax = min(a, b, c), for kmin <= kmax,
     as (total, q_args): S = total / q, q = prod n! over q_args =
     kmax! (a-kmin)! (b-kmin)! (c-kmin)! (d+kmax)! (e+kmax)!, the common
-    denominator, which every term's denominator divides.  The first
-    numerator q / den_kmin is a product of three falling factorials,
-    kmax!/kmin!, (d+kmax)!/(d+kmin)! and (e+kmax)!/(e+kmin)!, each one
-    math.perm, and each next one follows from the previous by the term
-    ratio with an exact division."""
+    denominator, which every term's denominator divides.  The term at k
+    times q is u_k v_k, u_k = kmax!/k! (d+kmax)!/(d+k)! (e+kmax)!/(e+k)! and
+    v_k = (a-kmin)!/(a-k)! (b-kmin)!/(b-k)! (c-kmin)!/(c-k)!, so by
+    Horner's rule T_k = u_k - (a-k)(b-k)(c-k) T_(k+1) from T_kmax = 1 gives
+    S q = (-1)^kmin T_kmin: one pass down from kmax, u_k grown by one
+    factor a step, with no division."""
     kmin, kmax = max(0, -d, -e), min(a, b, c)
-    n = kmax - kmin
-    t = neg_one_pow(kmin) * (math.perm(kmax, n) * math.perm(d + kmax, n)
-                             * math.perm(e + kmax, n))
-    total = 0
-    for k in range(kmin, kmax + 1):
-        total += t
-        t = -t * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
-    return total, (kmax, a - kmin, b - kmin, c - kmin, d + kmax, e + kmax)
+    u = total = 1
+    for k in range(kmax - 1, kmin - 1, -1):
+        u *= (k + 1) * (d + k + 1) * (e + k + 1)
+        total = u - (a - k) * (b - k) * (c - k) * total
+    return (-total if kmin & 1 else total), (kmax, a - kmin, b - kmin, c - kmin,
+                                             d + kmax, e + kmax)
 
 
-# Bounded.  The largest repeated working set measured is 1,384 labels, every
-# 3j with 2j <= 6; the 9j, a sum of 6j, no longer fills the cache.  An entry
-# with 2j in 40..60, key included, holds about 285 B (tracemalloc), so the
-# cap keeps the cache near 4.7 MB on a stream of distinct labels.
-@lru_cache(maxsize=1 << 14)
+# Bounded at 2**12 labels.  Its production callers are one threej per CLI
+# process and the two in gaunt, and the largest repeated working set
+# measured is 1,384 labels, every 3j with 2j <= 6, which the bound holds
+# whole.  An entry with 2j in 40..60, key included, holds about 244 B
+# (tracemalloc), so on a stream of distinct labels the cache stays near
+# 1 MB, where 2**14 entries held about 4 MB that were never hit.
+@lru_cache(maxsize=1 << 12)
 def _threej_core(tj1, tj2, tj3, tm1, tm2, tm3):
     """3j symbol with doubled integer arguments: its canonical value, SR_ZERO
     where it vanishes.

@@ -600,6 +600,24 @@ def laplacian_pullback_difference(pair, f_poly) -> dict:
 # ---------------------------------------------------------------------------
 # manybody: Fock-space sums
 # ---------------------------------------------------------------------------
+def fock_state(R, n_occ) -> dict:
+    """U|Phi> = c+(R phi_0) c+(R phi_1) ... c+(R phi_{n_occ-1}) |0> as
+    {occupation frozenset: amplitude}, c+(R phi_i) = sum_p R[p][i] c+_p,
+    applied to the vacuum one orbital at a time, the last first, with the
+    fermion sign of each creation; |Phi> is c+_0 ... c+_{n_occ-1} |0>."""
+    state = {frozenset(): 1}
+    for i in reversed(range(n_occ)):
+        out = {}
+        for occ, amp in state.items():
+            for p, row in enumerate(R):
+                made = _fermion_op(occ, p, True)
+                if made is not None:
+                    sign, new = made
+                    out[new] = out.get(new, 0) + sign * row[i] * amp
+        state = out
+    return state
+
+
 def lowdin_two_body_fock(sys: SlaterSystem, Vt) -> complex:
     Vt = np.asarray(Vt, dtype=complex)
     psi = transform_slater(sys)

@@ -1,6 +1,8 @@
 import ast
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -559,11 +561,14 @@ def sign(x):
 
 
 def check_canonical(v, sgn, square):
-    """v has the given sign and square, a square-free int radicand >= 1 (1
-    at zero), and reads back from str()."""
+    """v has the given sign and square, three ints with den >= 1 coprime to
+    num and a square-free radicand >= 1, zero being (0, 1, 1), and reads
+    back from str()."""
     r = v.radicand
+    assert type(v.num) is int and type(v.den) is int
+    assert v.den >= 1 and math.gcd(v.num, v.den) == 1
     assert type(r) is int and r >= 1 and square_free_split(r) == (1, r)
-    assert v or r == 1
+    assert v or (v.num, v.den, r) == (0, 1, 1)
     assert sign(v.coeff) == sgn and v.square() == square
     assert parse_sqrt_rational(str(v)) == v
 
@@ -594,3 +599,14 @@ def test_every_value_has_one_square_free_radicand(p, num, den, c, q, s):
     check_canonical(a + a * q, sa * sign(1 + q), sqa * (1 + q) ** 2)
     check_canonical(a - a * q, sa * sign(1 - q), sqa * (1 - q) ** 2)
     check_canonical(a - a, 0, 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(canonical)
+@example(SR_ZERO)
+def test_pickle_and_deepcopy_keep_the_three_ints(v):
+    # perfbench spools every output through pickle
+    for w in [pickle.loads(pickle.dumps(v, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(v)]:
+        assert type(w) is SqrtRational and w == v
+        assert (w.num, w.den, w.radicand) == (v.num, v.den, v.radicand)

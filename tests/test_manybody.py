@@ -12,8 +12,8 @@ from gfkit.manybody import (LipkinModel, SingularMatrixError, SlaterSystem,
                             lowdin_matrix_element, lowdin_matrix_element_fock,
                             lowdin_two_body, slater_overlap,
                             slater_overlap_fock, substituted_determinant_direct,
-                            thouless_residual)
-from oracles import (boson_recurrence_residual, lowdin_two_body_fock,
+                            thouless_residual, transform_slater)
+from oracles import (boson_recurrence_residual, fock_state, lowdin_two_body_fock,
                      thouless_term_count)
 
 
@@ -77,6 +77,24 @@ def test_slater_overlap():
                      (3, ((1, 0), (0, 1))), (0, ((1,),)), (1, ((1,) * 11,) * 11)):
         with pytest.raises(ValueError):
             SlaterSystem(n_occ, R)
+
+
+def test_transformed_slater_is_the_fock_state():
+    # slater_overlap_fock reads the same determinant as slater_overlap, so
+    # both, and every component of transform_slater, are held against the
+    # state built by applying c+(R phi_i) to the vacuum
+    rng = np.random.default_rng(30)
+    for M in range(1, 7):
+        for n_occ in range(1, M + 1):
+            for _ in range(3):
+                sysm = random_system(rng, M, n_occ, scale=0.6)
+                want = fock_state(sysm.R, n_occ)
+                got = transform_slater(sysm)
+                assert got.keys() == want.keys()
+                for occ, amp in got.items():
+                    assert abs(amp - want[occ]) < 1e-12, (M, n_occ, sorted(occ))
+                ref = frozenset(range(n_occ))
+                assert abs(slater_overlap(sysm) - want[ref]) < 1e-12
 
 
 def test_lowdin_one_body():

@@ -171,6 +171,30 @@ def test_threej_equals_from_square_of_its_core():
         assert (value.coeff, value.radicand) == (want.coeff, want.radicand)
 
 
+def van_der_waerden_definition(a, b, c, d, e):
+    """Van der Waerden's sum by its definition, term by term in Fractions."""
+    f = math.factorial
+    return sum(Fraction((-1) ** k, f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k))
+               for k in range(max(0, -d, -e), min(a, b, c) + 1))
+
+
+def test_van_der_waerden_is_its_definition():
+    # every (a, b, c, d, e) with entries in -6..6 whose sum has a term,
+    # then the sums of seeded 3j labels at 2j 40..400, as _threej_sum
+    # reads them off the label
+    args = [x for x in itertools.product(range(-6, 7), repeat=5)
+            if max(0, -x[3], -x[4]) <= min(x[:3])]
+    rng = random.Random(30)
+    for _ in range(40):
+        tj1, tj2, tj3, tm1, tm2, _tm3 = random_threej_label(rng, 40, 400)
+        args.append(((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
+                     (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2))
+    for x in args:
+        total, q_args = wigner._van_der_waerden(*x)
+        assert Fraction(total, math.prod(map(math.factorial, q_args))) \
+            == van_der_waerden_definition(*x), x
+
+
 def test_threej_cache_holds_the_value():
     # each entry of the bounded cache is the label's canonical value, and
     # threej returns that object
@@ -182,7 +206,7 @@ def test_threej_cache_holds_the_value():
     assert threej(2, 2, 8, 0, 0, 0) is SR_ZERO       # triangle fails
     assert threej(1, 1, 1, 1, -1, 0) is SR_ZERO      # odd doubled sum
     info = _threej_core.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (4, 3, 1 << 14)
+    assert (info.hits, info.misses, info.maxsize) == (4, 3, 1 << 12)
 
 
 def test_kernels_never_factor(monkeypatch):
