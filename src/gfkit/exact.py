@@ -8,10 +8,13 @@ same-radicand sums that recoupling coefficients require, so every
 triple is canonical, and zero is (0, 1, 1): two values are equal exactly
 when their triples are, and nonzero values lie on one ray exactly when
 their radicands are.  Arithmetic stays in ints: a product takes one gcd of
-its two radicands and one to reduce num/den, a quotient multiplies by
-1/(c sqrt(r)) = sqrt(r)/(c r), a sum checks that the radicands are equal
-and takes one gcd, and a negation takes none.  No Fraction is built on
-the way; the coeff property and square() return one for readers.
+its two radicands and one to reduce num/den, a quotient by a value
+multiplies by 1/(c sqrt(r)) = sqrt(r)/(c r), a sum checks that the
+radicands are equal and takes one gcd, and a negation takes none.  No
+Fraction is built by from_exponents, nor by a product, quotient, sum,
+negation or comparison of two values; the coeff property and square()
+return one for readers, and the general constructor, from_square and
+division by an int or Fraction go through Fraction.
 
 The radicand is the square-free part of the squared value's numerator
 times its denominator.  Arbitrary input (from_square, and through it the
@@ -305,7 +308,7 @@ class SqrtRational:
     def __hash__(self):
         # a rational value hashes as the int or Fraction it equals
         if self.radicand == 1:
-            return hash(self.num) if self.den == 1 else hash(self.coeff)
+            return hash(self.coeff)
         return hash((self.num, self.den, self.radicand))
 
     def __bool__(self):

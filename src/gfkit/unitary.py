@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 
@@ -221,28 +220,6 @@ def bfr_generating_terms(n: int):
     return out
 
 
-@lru_cache(maxsize=16)
-def _kernel_plan(n: int):
-    """The part of _kernel_terms that depends on n alone: (nm, plan), nm the
-    number of minors and plan one (draws, i, shut) per minor in product
-    order, i its index, draws the indices of the budgets it draws on in a
-    partial term and shut those it draws on for the last time."""
-    minors = bfr_generating_terms(n)
-    nm = len(minors)
-    # the budgets in _phi_exponents' order, then y(n,n)
-    names = [(t, lam, mu) for lam in range(2, n + 1) for mu in range(1, lam)
-             for t in "xy"] + [("y", n, n)]
-    index = {name: nm + b for b, name in enumerate(names)}
-    # each minor as (the budgets it draws on, its index): its one level-n
-    # parameter has its last budget, so the reverse sort puts its bracket
-    # first, and the sort of the minors keeps each bracket's together
-    plan = sorted((sorted((index[f] for f in mono.factors), reverse=True), i)
-                  for i, (_rows, mono) in enumerate(minors))
-    last = {b: j for j, (draws, _i) in enumerate(plan) for b in draws}
-    return nm, tuple((tuple(draws), i, tuple(b for b in draws if last[b] == j))
-                     for j, (draws, i) in enumerate(plan))
-
-
 def _kernel_terms(pat: GelfandPattern):
     """Expand the U(n)->U(n-1) branching kernel for the given pattern.
 
@@ -267,12 +244,22 @@ def _kernel_terms(pat: GelfandPattern):
     # betweenness makes every hook >= 0, and every entry >= h_nn
     if n < 2 or pat.rows[0][-1] < 0:
         raise ValueError("need n >= 2 and every entry >= 0")
-    nm, plan = _kernel_plan(n)
+    minors = bfr_generating_terms(n)
+    nm = len(minors)
     # the budgets are the pattern's hooks: L(lam,mu) for x(lam,mu) and
     # R(lam,mu) for y(lam,mu), level by level, then h_nn for y(n,n)
-    budgets = tuple(e for *_f, e in _phi_exponents(pat)) + (pat.rows[0][-1],)
-    terms = [((0,) * nm + budgets, 1)]
-    for draws, i, shut in plan:
+    budgets = _phi_exponents(pat) + (("y", n, n, pat.rows[0][-1]),)
+    index = {(t, lam, mu): nm + b for b, (t, lam, mu, _e) in enumerate(budgets)}
+    # each minor as (the budgets it draws on, its index): its one level-n
+    # parameter has its last budget, so the reverse sort puts its bracket
+    # first, and the sort of the minors keeps each bracket's together
+    plan = sorted((sorted((index[f] for f in mono.factors), reverse=True), i)
+                  for i, (_rows, mono) in enumerate(minors))
+    last = {b: j for j, (draws, _i) in enumerate(plan) for b in draws}
+
+    terms = [((0,) * nm + tuple(e for *_f, e in budgets), 1)]
+    for j, (draws, i) in enumerate(plan):
+        shut = [b for b in draws if last[b] == j]
         out = []
         for e, c in terms:
             # a budget drawn on for the last time is spent whole, so a step

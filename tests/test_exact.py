@@ -227,19 +227,20 @@ def test_only_special_imports_scipy():
 def test_only_exact_names_the_factorial_table():
     # the kernels take factorial quotients from math; how the table stores
     # factorials is known to exact alone, and so is how a SqrtRational
-    # holds its root: no other module reads .radicand
+    # holds its value: no other module reads .num, .den or .radicand
     names = {"factorials", "FactorialCache"}
-    namers, radicand_readers = set(), set()
+    fields = {"num", "den", "radicand"}
+    namers, field_readers = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Name) and node.id in names
                     or isinstance(node, ast.Attribute) and node.attr in names
                     or isinstance(node, ast.alias) and node.name in names):
                 namers.add(path.stem)
-            if isinstance(node, ast.Attribute) and node.attr == "radicand":
-                radicand_readers.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr in fields:
+                field_readers.add(path.stem)
     assert namers == {"exact"}
-    assert radicand_readers == {"exact"}
+    assert field_readers == {"exact"}
 
 
 def test_no_module_imports_dataclasses():
