@@ -494,11 +494,12 @@ def _hurwitz_check(args):
 
 
 # --- sampled kernels -------------------------------------------------------
-# Measured (one 2-vCPU VM, a fresh process with its numpy and scipy imports,
-# rendering included): hydrogen position and momentum at 100,000 points take
-# about 0.8-1.3 s and 105 MB peak, oscillator wf 0.5-0.9 s and 81 MB;
-# hydrogen verify evaluates its Hankel integrand on 16 points x quadrature
-# nodes at a time and takes 1.3-1.4 s and 55 MB at 1000 points for n = 2,
+# Measured (one 2-vCPU VM, a fresh process with its imports, rendering
+# included): hydrogen position and momentum at 100,000 points take about
+# 0.5-0.9 s and 80-82 MB peak, as oscillator wf does (0.5-0.8 s, 80 MB): none
+# of them loads scipy; hydrogen verify, which loads it for its Bessel
+# function, evaluates its Hankel integrand on 16 points x quadrature nodes at
+# a time and takes 1.3-1.4 s and 55 MB at 1000 points for n = 2,
 # 3.3-3.4 s and 58 MB for n = 9..18, whose quadrature needs two more levels;
 # from n = 19 it needs 10, from n = 22 11 and from n = 46 12 levels, each
 # doubling the nodes and so the time, so above n = 18 the points are capped

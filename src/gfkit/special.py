@@ -18,10 +18,13 @@ recurrence.  HydrogenState is a validated named tuple that always holds its
 whole hyperspherical chain.  The Legendre polynomials and the exact
 Laguerre coefficients serve only the tests and live in tests/oracles.py.
 
-scipy.special is imported only inside the functions that call it (the
-hydrogen normalizations and the Hankel oracle), so a caller of the
-polynomials alone, such as gfkit.oscillator, loads numpy but not scipy.
-This is the only module of gfkit that imports scipy.
+The hydrogen normalizations take lnGamma and Gamma from ports of the
+Cephes routines that scipy.special runs, repeated operation for operation,
+so they give scipy's floats without importing it.  scipy.special is imported
+only inside the Hankel oracle, for the Bessel function, so the sampled
+hydrogen commands and gfkit.oscillator load numpy but not scipy; only
+hydrogen verify loads scipy.  This is the only module of gfkit that imports
+scipy.
 """
 from __future__ import annotations
 
@@ -116,6 +119,88 @@ def spherical_harmonic(l, m, theta, phi):
 
 
 # ---------------------------------------------------------------------------
+# lnGamma and Gamma: the Cephes routines lgam and Gamma (S. L. Moshier,
+# Methods and Programs for Mathematical Functions, 1989) that scipy.special
+# runs, repeated operation for operation, so every float is scipy's
+# ---------------------------------------------------------------------------
+_LS2PI = 0.91893853320467274178          # log(sqrt(2 pi))
+_MAXGAM = 171.624376956302725            # Gamma overflows from here
+_MAXSTIR = 143.01608                     # x^(x - 1/2) overflows from here
+_SQTPI = 2.50662827463100050242E0        # sqrt(2 pi)
+# Stirling correction of lnGamma in 1/x^2, 13 <= x < 1000
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+# Gamma(x + 2) = P(x) / Q(x) on 0 <= x < 1
+_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3,
+            1.04213797561761569935E-2, 4.76367800457137231464E-2,
+            2.07448227648435975150E-1, 4.94214826801497100753E-1,
+            9.99999999999999996796E-1)
+_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4,
+            -4.45641913851797240494E-3, 1.18139785222060435552E-2,
+            3.58236398605498653373E-2, -2.34591795718243348568E-1,
+            7.14304917030273074085E-2, 1.00000000000000000320E0)
+# Stirling correction of Gamma in 1/x, x > 33
+_STIR = (7.87311395793093628397E-4, -2.29549961613378126380E-4,
+         -2.68132617805781232825E-3, 3.47222221605458667310E-3,
+         8.33333333333482257126E-2)
+
+
+def _polevl(x, coef):
+    """The polynomial with coefficients coef, highest degree first, at x by
+    Horner's rule."""
+    a = coef[0]
+    for c in coef[1:]:
+        a = a * x + c
+    return a
+
+
+def _lgamma_int(k) -> float:
+    """ln Gamma(k) at an integer k >= 1, as Cephes lgam.  Below 13 its
+    product loop forms (k - 1)! exactly; above it is Stirling's series."""
+    if k < 13:
+        return math.log(math.factorial(k - 1))
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def _gamma(x) -> float:
+    """Gamma(x) at x > 0 (here an integer or half-integer), as Cephes Gamma:
+    inf from _MAXGAM on."""
+    x = float(x)
+    if x > 33.0:
+        if x >= _MAXGAM:
+            return math.inf
+        w = 1.0 / x
+        w = 1.0 + w * _polevl(w, _STIR)
+        y = math.exp(x)
+        if x > _MAXSTIR:            # split the power so it does not overflow
+            v = math.pow(x, 0.5 * x - 0.25)
+            y = v * (v / y)
+        else:
+            y = math.pow(x, x - 0.5) / y
+        return _SQTPI * y * w
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        z = z / x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
+# ---------------------------------------------------------------------------
 # hydrogen states
 # ---------------------------------------------------------------------------
 class HydrogenState(namedtuple("HydrogenState", "N n l mus")):
@@ -143,11 +228,10 @@ class HydrogenState(namedtuple("HydrogenState", "N n l mus")):
 
 def radial_norm_constant(N, n, l) -> float:
     """Closed-form N_{n,l} * omega^{N/2} of the N-dim radial function."""
-    from scipy.special import gammaln
     halfshift = n + (N - 3) / 2.0
     omega = 2.0 / halfshift
-    lognum = 0.5 * (gammaln(n - l) - math.log(2 * halfshift)
-                    - gammaln(n + l + N - 2))
+    lognum = 0.5 * (_lgamma_int(n - l) - math.log(2 * halfshift)
+                    - _lgamma_int(n + l + N - 2))
     return math.exp(lognum) * omega ** (N / 2.0)
 
 
@@ -158,9 +242,12 @@ def hydrogen_delta(N, n) -> float:
 
 
 def check_hydrogen_labels(N, n, l):
-    """Refuse labels that name no N-dimensional hydrogen state: N >= 2 and
-    0 <= l < n.  Below N = 2 the level scale hydrogen_delta is infinite or
-    negative, and the Laguerre and Gegenbauer parameters leave their range."""
+    """Refuse labels that name no N-dimensional hydrogen state: ints (numpy's
+    too) with N >= 2 and 0 <= l < n.  Below N = 2 the level scale
+    hydrogen_delta is infinite or negative, and the Laguerre and Gegenbauer
+    parameters leave their range."""
+    if not all(isinstance(v, (int, np.integer)) for v in (N, n, l)):
+        raise ValueError(f"hydrogen labels N, n and l must be ints, not {N!r}, {n!r}, {l!r}")
     if N < 2:
         raise ValueError("hydrogen states need N >= 2")
     if not 0 <= l < n:
@@ -180,13 +267,12 @@ def hydrogen_momentum_radial(N, n, l, p):
     """Closed-form radial momentum amplitude F_{n,l}(p), nonnegative-p grid;
     integral of F^2 p^{N-1} dp = 1."""
     check_hydrogen_labels(N, n, l)
-    from scipy.special import gamma
     p = np.asarray(p, dtype=float)
     d = hydrogen_delta(N, n)
     x = (p * p - d * d) / (p * p + d * d)
     pref = math.sqrt(math.factorial(n - l - 1) * (n + (N - 3) / 2.0)
-                     / (2 * math.pi * gamma(n + l + N - 2)))
-    pref *= 2.0 ** (2 * l + N) * d ** (N / 2.0 + 1) * gamma(l + (N - 1) / 2.0)
+                     / (2 * math.pi * _gamma(n + l + N - 2)))
+    pref *= 2.0 ** (2 * l + N) * d ** (N / 2.0 + 1) * _gamma(l + (N - 1) / 2.0)
     return (pref * (d * p) ** l / (p * p + d * d) ** (l + (N + 1) / 2.0)
             * gegenbauer(n - l - 1, l + (N - 1) / 2.0, x))
 

@@ -617,14 +617,18 @@ def test_exact_commands_load_no_numpy():
     # Each command imports only its own kernel: in one fresh interpreter,
     # wigner, gelfand and the exact su3 commands (decompose, wigner,
     # isoscalar) load neither numpy nor scipy, and su3 euler, manybody,
-    # hurwitz and oscillator add numpy but not scipy.
+    # hurwitz, oscillator and hydrogen position and momentum add numpy but
+    # not scipy.
     exact_su3 = [a for a in CORPUS if a[:2] in (["su3", "decompose"], ["su3", "isoscalar"])]
     su3_wigner = ["su3", "wigner", "--lam1", "1", "--lam2", "1", "--lam3", "0", "--mu3", "1",
                   "--a1", "1", "1", "1", "--a2", "-2", "0", "0", "--a3", "-1", "1", "1"]
     stages = [[a for a in CORPUS if a[0] in ("wigner", "gelfand")] + exact_su3 + [su3_wigner],
               [a for a in CORPUS if a[:2] == ["su3", "euler"]
-               or a[0] in ("manybody", "hurwitz", "oscillator")]]
-    assert len(exact_su3) == 2 and ["su3", "euler"] in [a[:2] for a in stages[1]]
+               or a[0] in ("manybody", "hurwitz", "oscillator")
+               or a[:2] in (["hydrogen", "position"], ["hydrogen", "momentum"])]]
+    assert len(exact_su3) == 2
+    assert {"su3 euler", "hydrogen position", "hydrogen momentum"} <= {
+        " ".join(a[:2]) for a in stages[1]}
     driver = (
         "import sys\n"
         "from gfkit.cli import run_command\n"

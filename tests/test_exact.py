@@ -204,24 +204,35 @@ def test_import_loads_no_dataclasses():
 SRC = Path(__file__).resolve().parents[1] / "src" / "gfkit"
 
 
+def _imported(path):
+    """The top-level packages that the Python file at `path` imports."""
+    packages = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            packages.add((node.module or "").split(".")[0])
+    return packages
+
+
 def _importers(package):
     """Stems of the modules under src/gfkit that import `package`."""
-    importers = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == package for m in modules):
-                importers.add(path.stem)
-    return importers
+    return {path.stem for path in SRC.glob("*.py") if package in _imported(path)}
 
 
 def test_only_special_imports_scipy():
     assert _importers("scipy") == {"special"}
+
+
+def test_no_file_imports_an_undeclared_package():
+    # mpmath and sympy may be installed, but the package and its tests
+    # declare neither, so a reference taken from them would fail where
+    # only the declared dependencies are installed
+    root = SRC.parents[1]
+    paths = [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    assert len(paths) > 20
+    assert [path.relative_to(root).as_posix() for path in paths
+            if _imported(path) & {"mpmath", "sympy"}] == []
 
 
 def test_only_exact_names_the_factorial_table():

@@ -117,6 +117,38 @@ def test_hydrogen_state_invariants():
             hydrogen_momentum_radial(N, n, l, r)
         with pytest.raises(ValueError):
             HydrogenState(N, n, l, [0] * max(N - 2, 0))
+    # the labels are ints: a float, even a whole one, names no state;
+    # numpy's ints pass
+    for N, n, l in ((3.5, 2, 1), (3, 2.5, 1), (3, 2, 1.0), (3.0, 2, 1), (3, "2", 1)):
+        for radial in (hydrogen_radial, hydrogen_momentum_radial):
+            with pytest.raises(ValueError, match="must be ints"):
+                radial(N, n, l, r)
+        with pytest.raises(ValueError, match="must be ints"):
+            HydrogenState(N, n, l, (0,))
+    assert HydrogenState(np.int64(3), np.int32(2), np.int64(1), (0,)).N == 3
+    assert np.array_equal(hydrogen_radial(np.int64(3), np.int64(2), np.int64(1), r),
+                          hydrogen_radial(3, 2, 1, r))
+
+
+def test_gamma_ports_equal_scipy():
+    # the Cephes ports behind the hydrogen normalizations give scipy's
+    # floats, ==, at every argument valid labels reach: lnGamma at every
+    # integer up to 2 x SAMPLES_MAX_DEGREE (n + l at the cap on n), at its
+    # branch edges and at a seeded sample up to 1e12 (large N), and Gamma at
+    # every integer and half-integer from 0.5 to 180, past its overflow
+    import random
+
+    from scipy.special import gamma, gammaln
+
+    from gfkit.cli import SAMPLES_MAX_DEGREE
+    from gfkit.special import _gamma, _lgamma_int
+    rng = random.Random(31)
+    ks = [*range(1, 2 * SAMPLES_MAX_DEGREE + 1), 12, 13, 999, 1000, 10 ** 8, 10 ** 8 + 1,
+          *(rng.randrange(1, 10 ** 12) for _ in range(2000))]
+    assert [_lgamma_int(k) for k in ks] == gammaln(np.array(ks, dtype=float)).tolist()
+    xs = [k / 2 for k in range(1, 361)]
+    assert [_gamma(x) for x in xs] == gamma(np.array(xs)).tolist()
+    assert math.isfinite(_gamma(171)) and _gamma(172) == math.inf
 
 
 def test_position_wavefunctions():
