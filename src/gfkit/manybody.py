@@ -3,6 +3,13 @@ matrix elements, Thouless theorem) against a small Fock-space oracle, the
 Lipkin model exact and quasi-boson treatments, and the boson-expansion
 coefficient recurrence.
 
+The Slater kernels read one occupied block, A = R[:n_occ, :n_occ], and its
+determinant.  slater_overlap returns det A even when it vanishes; the Lowdin
+elements refuse |det A| < 1e-300 and the Thouless expansion |det A| < 1e-12
+with SingularMatrixError.  One routine applies sum O_pq c_p^+ c_q to an
+{occupation: amplitude} state: the Lowdin oracle with O = T, the Thouless
+expansion with O = X.  The Cramer rule needs a square A.
+
 The records (SubstitutionQuery, SlaterSystem, LipkinModel) are validated
 named tuples, as everywhere in gfkit: a dataclass would load dataclasses and
 inspect on import.
@@ -63,6 +70,8 @@ class SubstitutionQuery(namedtuple("SubstitutionQuery", "A B positions")):
     def __new__(cls, A, B, positions):
         n = len(A)
         s = len(positions)
+        if any(len(row) != n for row in A):
+            raise ValueError("A must be square")
         if len(set(positions)) != s or any(not 0 <= p < n for p in positions):
             raise ValueError("positions must be distinct, in range")
         if any(len(row) != s for row in B) or len(B) != n:
@@ -127,125 +136,105 @@ def _fermion_op(state, orb, create):
     return sign, (state | {orb}) if create else (state - {orb})
 
 
-def _apply_cdag_c(state, p, q):
-    """c_p^+ c_q |state>, returns (sign, new_state) or None."""
-    cq = _fermion_op(state, q, False)
-    if cq is None:
-        return None
-    cp = _fermion_op(cq[1], p, True)
-    if cp is None:
-        return None
-    return cq[0] * cp[0], cp[1]
+def _one_body(psi, O, ps, q_below):
+    """sum O[p, q] c_p^+ c_q |psi> over p in ps and q < q_below, |psi> an
+    {occupation: amplitude} dict."""
+    out = {}
+    for state, amp in psi.items():
+        for q in state:
+            if q >= q_below:
+                continue
+            sq, hole = _fermion_op(state, q, False)
+            for p in ps:
+                made = _fermion_op(hole, p, True)
+                if made is not None:
+                    sign, new = made
+                    out[new] = out.get(new, 0) + O[p, q] * (sq * sign) * amp
+    return out
+
+
+def _occupied(sys: SlaterSystem, floor=0.0):
+    """(R, A, det A): R as a complex array and its occupied block
+    A = R[:n_occ, :n_occ]; raises SingularMatrixError when |det A| < floor."""
+    R = np.asarray(sys.R, dtype=complex)
+    A = R[:sys.n_occ, :sys.n_occ]
+    dA = np.linalg.det(A)
+    if abs(dA) < floor:
+        raise SingularMatrixError(f"vanishing overlap, |det A| < {floor:g}")
+    return R, A, dA
 
 
 def transform_slater(sys: SlaterSystem):
     """Components of U_Fock |Phi> over n_occ-particle occupations, where the
-    reference |Phi> occupies orbitals 0..n_occ-1 and U acts orbital-wise."""
+    reference |Phi> occupies orbitals 0..n_occ-1 and U acts orbital-wise: the
+    component on occ is the minor of R on the rows occ and the occupied
+    columns."""
     R = np.asarray(sys.R, dtype=complex)
-    cols = [R[:, i] for i in range(sys.n_occ)]
-    comps = {}
-    for occ in _occupations(sys.M, sys.n_occ):
-        rows = sorted(occ)
-        mat = np.array([[cols[c][r] for c in range(sys.n_occ)] for r in rows])
-        comps[occ] = complex(np.linalg.det(mat))
-    return comps
+    n = sys.n_occ
+    return {occ: complex(np.linalg.det(R[np.ix_(sorted(occ), range(n))]))
+            for occ in _occupations(sys.M, n)}
 
 
 def slater_overlap(sys: SlaterSystem) -> complex:
     """<Phi| R |Phi> = det of the occupied block of R."""
-    R = np.asarray(sys.R, dtype=complex)
-    occ = range(sys.n_occ)
-    return complex(np.linalg.det(R[np.ix_(occ, occ)]))
+    return complex(_occupied(sys)[2])
 
 
 def slater_overlap_fock(sys: SlaterSystem) -> complex:
-    """Brute-force overlap via the full Fock expansion."""
-    ref = frozenset(range(sys.n_occ))
-    return transform_slater(sys)[ref]
+    """The reference component of transform_slater: the same determinant as
+    slater_overlap, taken through another array, so the two agree by
+    construction until transform_slater builds the Fock state itself."""
+    return transform_slater(sys)[frozenset(range(sys.n_occ))]
 
 
 def lowdin_matrix_element(sys: SlaterSystem, T) -> complex:
     """<Phi| T_hat R |Phi> = det(A) tr(A^{-1} (T R)_occ), A the occupied
-    block of R."""
-    R = np.asarray(sys.R, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    occ = np.ix_(range(sys.n_occ), range(sys.n_occ))
-    A = R[occ]
-    dA = np.linalg.det(A)
-    if abs(dA) < 1e-300:
-        raise SingularMatrixError("vanishing overlap")
-    return complex(dA * np.trace(np.linalg.solve(A, (T @ R)[occ])))
+    block of R; raises SingularMatrixError when |det A| < 1e-300."""
+    R, A, dA = _occupied(sys, 1e-300)
+    n = sys.n_occ
+    TR = np.asarray(T, dtype=complex) @ R
+    return complex(dA * np.trace(np.linalg.solve(A, TR[:n, :n])))
 
 
 def lowdin_matrix_element_fock(sys: SlaterSystem, T) -> complex:
     """Oracle: apply sum T_pq c_p^+ c_q to U|Phi> and project on <Phi|."""
-    T = np.asarray(T, dtype=complex)
-    psi = transform_slater(sys)
-    ref = frozenset(range(sys.n_occ))
-    acc = 0j
-    for state, amp in psi.items():
-        for q in state:
-            for p in range(sys.M):
-                r = _apply_cdag_c(state, p, q)
-                if r is None or r[1] != ref:
-                    continue
-                acc += T[p, q] * r[0] * amp
-    return acc
+    out = _one_body(transform_slater(sys), np.asarray(T, dtype=complex),
+                    range(sys.M), sys.M)
+    return complex(out.get(frozenset(range(sys.n_occ)), 0))
 
 
 def lowdin_two_body(sys: SlaterSystem, Vt) -> complex:
     """<Phi| V_hat R |Phi> with V_hat = (1/4) sum Vt_pqrs cp+ cq+ cs cr:
     det(A) * (1/4) sum_{ijkl occ} W_{ij,kl} det[[Ainv_ki, Ainv_kj],
-    [Ainv_li, Ainv_lj]], W = <ij|Vt (R x R)|kl>."""
-    R = np.asarray(sys.R, dtype=complex)
-    Vt = np.asarray(Vt, dtype=complex)
+    [Ainv_li, Ainv_lj]], W = <ij|Vt (R x R)|kl>; the 2 x 2 determinant
+    is contracted as (W_ijkl - W_ijlk) Ainv_ki Ainv_lj.  Raises
+    SingularMatrixError when |det A| < 1e-300, as lowdin_matrix_element."""
+    R, A, dA = _occupied(sys, 1e-300)
     n = sys.n_occ
-    occ = np.ix_(range(n), range(n))
-    A = R[occ]
-    dA = np.linalg.det(A)
     Ainv = np.linalg.inv(A)
-    W = np.einsum("ijpq,pk,ql->ijkl", Vt[:n, :n, :, :], R[:, :n], R[:, :n])
-    total = 0j
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    total += W[i, j, k, l] * (Ainv[k, i] * Ainv[l, j]
-                                              - Ainv[k, j] * Ainv[l, i])
+    W = np.einsum("ijpq,pk,ql->ijkl", np.asarray(Vt, dtype=complex)[:n, :n],
+                  R[:, :n], R[:, :n])
+    total = np.einsum("ijkl,ki,lj->", W - W.transpose(0, 1, 3, 2), Ainv, Ainv)
     return complex(dA * total / 4)
 
 
 def thouless_residual(sys: SlaterSystem) -> float:
     """Norm of U|Phi> - <Phi|U|Phi> exp(sum x(k,i) b_k^+ a_i)|Phi> in the
-    Fock expansion; the exponential terminates by nilpotency."""
-    R = np.asarray(sys.R, dtype=complex)
+    Fock expansion; the exponential terminates by nilpotency.  Raises
+    SingularMatrixError (Thouless breakdown) when |det A| < 1e-12."""
+    R, A, ov = _occupied(sys, 1e-12)
     n, M = sys.n_occ, sys.M
-    A = R[np.ix_(range(n), range(n))]
-    ov = np.linalg.det(A)
-    if abs(ov) < 1e-12:
-        raise SingularMatrixError("Thouless breakdown: vanishing overlap")
-    X = R[np.ix_(range(n, M), range(n))] @ np.linalg.inv(A)
+    X = np.zeros((M, M), dtype=complex)
+    X[n:, :n] = R[n:, :n] @ np.linalg.inv(A)
     psi = transform_slater(sys)
     ref = frozenset(range(n))
-
-    def apply_ph(comp):
-        out = {}
-        for state, amp in comp.items():
-            for i in [x for x in state if x < n]:
-                for k in range(n, M):
-                    r = _apply_cdag_c(state, k, i)
-                    if r is None:
-                        continue
-                    sign, ns = r
-                    out[ns] = out.get(ns, 0) + amp * X[k - n, i] * sign
-        return out
-
     expo = {ref: 1.0 + 0j}
     term = {ref: 1.0 + 0j}
     for order in range(1, min(n, M - n) + 1):
-        term = apply_ph(term)
-        for s, a in term.items():
-            expo[s] = expo.get(s, 0) + a / math.factorial(order)
+        term = _one_body(term, X, range(n, M), n)
+        # the order-k term holds k particle-hole pairs, so no two orders
+        # share an occupation
+        expo.update((s, a / math.factorial(order)) for s, a in term.items())
     err = 0.0
     for s in set(psi) | set(expo):
         err += abs(psi.get(s, 0) - ov * expo.get(s, 0)) ** 2

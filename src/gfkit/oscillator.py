@@ -14,7 +14,10 @@ Schroedinger equation).
 Real-time kernels are evaluated at complex time; imaginary time t = -i beta
 gives the Mehler kernel (real, positive).  The square-root branch of the
 prefactor is fixed by continuity from Euclidean time.  Both propagators
-share one real-time tilt and caustic check.
+share one real-time tilt and caustic check; the 1-D kernel takes the tilt
+eps as an argument (eps = 0 evaluates on the real axis), the magnetic kernel
+always uses the default 1e-8.  The cylindrical wavefunction and its
+Cartesian overlap refuse the same labels: j < |m| or j - m not integral.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ def ho_generating_function(z, q):
     return math.pi ** -0.25 * np.exp(math.sqrt(2) * q * z - q * q / 2 - z * z / 2)
 
 
-def _tilted_time(t, omega, eps):
+def _tilted_time(t, omega, eps=None):
     """(t, omega t, sin(omega t)) after the real-time tilt
     t -> t(1 - i eps), eps = 1e-8 by default on the real axis; raises
     CausticError where sin(omega t) = 0 on the real axis."""
@@ -77,13 +80,13 @@ def ho_propagator(x, xp, t, eps=None):
                                             - 2 * x * xp))
 
 
-def magnetic_propagator(omega_c, r1, r2, t, eps=None):
+def magnetic_propagator(omega_c, r1, r2, t):
     """Kernel of the charged 2-D oscillator in a uniform magnetic field;
     omega = sqrt(1 + omega_c^2).  Factorizes into two 1-D kernels at
     omega_c = 0.  The (x1 y2 - y1 x2) term is odd under r1 <-> r2.
-    Real time gets the same default 1e-8 tilt as the 1-D kernel."""
+    Real time is always tilted by eps = 1e-8, the 1-D kernel's default."""
     w = math.sqrt(1.0 + omega_c * omega_c)
-    t, alpha, s = _tilted_time(t, w, eps)
+    t, alpha, s = _tilted_time(t, w)
     beta = omega_c * t
     x1, y1 = r1
     x2, y2 = r2
@@ -102,12 +105,16 @@ def magnetic_energy(n1: int, n2: int, omega_c):
     return omega * (n1 + n2 + 1) - omega_c * (n1 - n2)
 
 
+def _check_jm(two_j, two_m):
+    if (two_j - two_m) % 2 or two_j < abs(two_m):
+        raise ValueError("need j >= |m| with j - m integral")
+
+
 def cylindrical_wavefunction(two_j: int, two_m: int, lam: float, rho, phi):
     """Phi_{jm}(lam rho, phi): Laguerre x (lam rho)^{2|m|} x e^{-2 i m phi},
     normalized on the plane.  j, m are half-integers passed doubled;
     j - |m| must be a non-negative integer."""
-    if (two_j - two_m) % 2 or two_j < abs(two_m):
-        raise ValueError("need j >= |m| with j - m integral")
+    _check_jm(two_j, two_m)
     rho = np.asarray(rho, dtype=float)
     nr = (two_j - abs(two_m)) // 2
     two_am = abs(two_m)
@@ -123,7 +130,9 @@ def cylindrical_cartesian_overlap(nx: int, ny: int, two_j: int, two_m: int):
     """<u_nx u_ny | Phi_{jm}>: the SU(2)-type coupling coefficient from the
     circular-ladder expansion A1+ = (ax+ - i ay+)/sqrt(2),
     A2+ = (ax+ + i ay+)/sqrt(2), times the (-1)^{j-m} of the cylindrical
-    generating function."""
+    generating function.  Refuses the labels cylindrical_wavefunction
+    refuses, which name no state."""
+    _check_jm(two_j, two_m)
     p = (two_j + two_m) // 2
     q = (two_j - two_m) // 2
     if nx + ny != p + q:

@@ -15,8 +15,9 @@ Hyperspherical harmonics are normalized link by link with the closed-form
 Gegenbauer norm, and the 3-D spherical harmonic is the N = 3 case with the
 Condon-Shortley phase: every polynomial comes from the one three-term
 recurrence.  HydrogenState is a validated named tuple that always holds its
-whole hyperspherical chain.  The Legendre polynomials and the exact
-Laguerre coefficients serve only the tests and live in tests/oracles.py.
+whole hyperspherical chain, ints like its other labels.  The Legendre
+polynomials and the exact Laguerre coefficients serve only the tests and
+live in tests/oracles.py.
 
 The hydrogen normalizations take lnGamma and Gamma from ports of the
 Cephes routines that scipy.special runs, repeated operation for operation,
@@ -205,14 +206,16 @@ def _gamma(x) -> float:
 # ---------------------------------------------------------------------------
 class HydrogenState(namedtuple("HydrogenState", "N n l mus")):
     """A hydrogen state in N dimensions with its whole hyperspherical chain
-    mus = (mu_2, ..., mu_{N-1}): (m,) for N = 3 and () for N = 2.  A
-    validated named tuple, as HalfInt."""
+    mus = (mu_2, ..., mu_{N-1}): (m,) for N = 3 and () for N = 2, ints (numpy's
+    too) as N, n and l.  A validated named tuple, as HalfInt."""
 
     __slots__ = ()
 
     def __new__(cls, N, n, l, mus):
         check_hydrogen_labels(N, n, l)
         mus = tuple(mus)
+        if not all(isinstance(v, (int, np.integer)) for v in mus):
+            raise ValueError(f"HydrogenState.mus entries must be ints, not {mus!r}")
         if len(mus) != N - 2:
             raise ValueError(f"HydrogenState.mus must be mu_2..mu_{{N-1}}, "
                              f"{N - 2} entries for N = {N}")

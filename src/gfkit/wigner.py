@@ -45,6 +45,7 @@ the second 3j route does.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -380,9 +381,11 @@ def ninej(two_j_rows) -> SqrtRational:
 # ---------------------------------------------------------------------------
 # Regge symmetries: 72-element group on the magic square
 # ---------------------------------------------------------------------------
-_PERM3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_PARITY = {(0, 1, 2): 0, (1, 2, 0): 0, (2, 0, 1): 0,
-           (0, 2, 1): 1, (1, 0, 2): 1, (2, 1, 0): 1}
+# the six permutations of three rows or columns, each with its parity, that
+# of its number of inversions
+_PARITY = {p: sum(a > b for a, b in itertools.combinations(p, 2)) & 1
+           for p in itertools.permutations(range(3))}
+_PERM3 = tuple(_PARITY)
 
 
 def _magic_square(two_j, two_m):
@@ -415,18 +418,11 @@ def regge_orbit(label: ThreeJLabel):
     seen = {}
     for rp in _PERM3:
         for cp in _PERM3:
-            for transpose in (False, True):
-                sq = sq0
-                if transpose:
-                    sq = tuple(tuple(sq[r][c] for r in range(3)) for c in range(3))
-                sq = tuple(sq[r] for r in rp)
-                sq = tuple(tuple(row[c] for c in cp) for row in sq)
-                phase = neg_one_pow(J * (_PARITY[rp] + _PARITY[cp]))
-                lab = _label_from_square(sq)
-                key = (lab.two_j, lab.two_m)
-                if key not in seen:
-                    seen[key] = phase
-    return {(ThreeJLabel(*k), v) for k, v in seen.items()}
+            phase = neg_one_pow(J * (_PARITY[rp] + _PARITY[cp]))
+            for sq in (sq0, tuple(zip(*sq0))):
+                sq = tuple(tuple(sq[r][c] for c in cp) for r in rp)
+                seen.setdefault(_label_from_square(sq), phase)
+    return set(seen.items())
 
 
 # ---------------------------------------------------------------------------

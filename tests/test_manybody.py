@@ -57,6 +57,18 @@ def test_cramer_singular_raises():
         generalized_cramer(SubstitutionQuery(A, B, (0,)))
 
 
+def test_substitution_query_needs_square_a():
+    # a non-square A would give generalized_cramer and the direct determinant
+    # two different answers, or a misleading det(A) = 0
+    B = tuple((Fraction(1),) for _ in range(2))
+    wide = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(4), Fraction(5), Fraction(6)))
+    with pytest.raises(ValueError, match="square"):
+        SubstitutionQuery(wide, B, (0,))
+    tall = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)), (Fraction(5), Fraction(6)))
+    with pytest.raises(ValueError, match="square"):
+        SubstitutionQuery(tall, tuple((Fraction(1),) for _ in range(3)), (0,))
+
+
 def test_slater_overlap():
     M, n = 4, 2
     ident = SlaterSystem(n, tuple(map(tuple, np.eye(M).tolist())))
@@ -121,6 +133,19 @@ def test_lowdin_two_body():
         a = lowdin_two_body(sysm, Vt)
         b = lowdin_two_body_fock(sysm, Vt)
         assert abs(a - b) < 1e-10
+
+
+def test_lowdin_refuses_a_vanishing_overlap():
+    # R maps the occupied orbitals 0, 1 onto 2, 3: det A = 0, and both Lowdin
+    # elements refuse it with one rule, while the overlap reads 0
+    P = np.eye(4)[[2, 3, 0, 1]]
+    sysm = SlaterSystem(2, tuple(map(tuple, P.tolist())))
+    assert slater_overlap(sysm) == 0
+    with pytest.raises(SingularMatrixError):
+        lowdin_matrix_element(sysm, np.eye(4))
+    Vt = np.zeros((4, 4, 4, 4))
+    with pytest.raises(SingularMatrixError):
+        lowdin_two_body(sysm, Vt)
 
 
 def test_thouless():

@@ -267,6 +267,16 @@ def test_cylindrical_cartesian_overlap():
             assert abs(quad - cylindrical_cartesian_overlap(nx, ny, tj, tm)) < 1e-9
 
 
+def test_cylindrical_cartesian_overlap_refuses_invalid_labels():
+    # the labels cylindrical_wavefunction refuses name no state: j - m not
+    # integral (j = 1, m = 1/2) or j < |m|
+    for nx, ny, tj, tm in ((1, 0, 2, 1), (0, 1, 1, 0), (1, 0, 1, 3), (0, 0, 0, -2)):
+        with pytest.raises(ValueError):
+            cylindrical_wavefunction(tj, tm, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            cylindrical_cartesian_overlap(nx, ny, tj, tm)
+
+
 def test_fock_measure_identity():
     for (a, b) in ((0.7 + 0.2j, -0.4 + 0.5j), (1.0, 1.0), (0.3j, -0.8)):
         assert fock_measure_residual(a, b) < 1e-8

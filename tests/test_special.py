@@ -103,6 +103,11 @@ def test_hydrogen_state_invariants():
     for N, mus in ((3, (2,)), (3, (-2,)), (4, (2, 0)), (4, (1, 2)), (5, (1, 0, 1))):
         with pytest.raises(ValueError, match=r"chain must decrease|\|m\|"):
             HydrogenState(N, 3, 1, mus)
+    # the chain's entries are ints, as N, n and l (numpy's pass too)
+    assert HydrogenState(4, 3, 1, (np.int64(1), np.int32(0))).mus == (1, 0)
+    for N, mus in ((3, (0.5,)), (3, (0.0,)), (4, (1, 0.0)), (4, (1.0, 0))):
+        with pytest.raises(ValueError, match="ints"):
+            HydrogenState(N, 3, 1, mus)
     for l in (-1, -3):   # l < 0 with and without a hyperspherical chain
         with pytest.raises(ValueError):
             HydrogenState(2, 2, l, ())
