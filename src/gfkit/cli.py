@@ -5,36 +5,40 @@ line (json by default).
 Half-integers are always passed doubled (--two-j / --two-m); randomized
 verification subcommands accept --seed.  Exit codes: 0 ok, 1 domain error,
 2 usage error.  su3 wigner and su3 isoscalar refuse lam1 + lam2 above
-SU3_MAX_LAM_SUM (18), and su3 isoscalar a negative lam1 or lam2; wigner 3j,
-cg, 6j and 9j refuse a negative 2j, and wigner gaunt a negative l; wigner
-3j, cg and 6j refuse a sum of their 2j above WIGNER_MAX_TWO_J_SUM (4800),
-wigner 6j --route oracle above WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner
-9j above WIGNER_9J_MAX_TWO_J_SUM (108), wigner gaunt a sum of its 2l above
-WIGNER_MAX_TWO_J_SUM, su3 decompose a negative lam1 or lam2 or more than
-SU3_DECOMPOSE_MAX_ROWS (10000) rows, gelfand dim and enumerate an --h of
-more than GELFAND_MAX_ROW (100) entries, gelfand enumerate above
-GELFAND_MAX_PATTERNS (20000) patterns or GELFAND_MAX_ENTRIES (10^6)
-entries in all its patterns, gelfand poly a U(n) pattern with n above 8 or
-a top-row sum above GELFAND_POLY_MAX_TOP_SUM[n] (3000 for U(2) and U(3),
-96, 32, 16, 12 and 10 for U(4) to U(8)), manybody lipkin above
-LIPKIN_MAX_PARTICLES (1000), manybody cramer an --n above CRAMER_MAX_N
-(50) or outside 0 <= --s <= --n, manybody overlap, lowdin and thouless an
---m above SLATER_MAX_ORBITALS (10) or outside 0 < --n-occ <= --m,
-hydrogen position and momentum a --rmax at or below their first grid
-point (R_FIRST, P_FIRST), hydrogen position and momentum and
-oscillator wf above SAMPLES_MAX_POINTS (100000) points,
-hydrogen verify above HYDROGEN_VERIFY_MAX_POINTS (1000) points or an
-n^2 x points above HYDROGEN_VERIFY_MAX_WORK (324000), these four
-an n above SAMPLES_MAX_DEGREE (100000) or an n x points above
-SAMPLES_MAX_WORK (5e7), and oscillator propagator above
-PROPAGATOR_MAX_KERNELS (90000) = points^2 kernels, with exit 1, before any
-work starts, and so do those five sampled commands below one point.
+SU3_MAX_LAM_SUM (18), and su3 isoscalar a negative lam1, lam2, lam3 or
+mu3; wigner 3j, cg, 6j and 9j refuse a negative 2j, wigner gaunt a
+negative l, and wigner regge a seed that fails its triangle or whose 2m
+do not sum to 0; wigner 3j, cg and 6j refuse a sum of their 2j above
+WIGNER_MAX_TWO_J_SUM (4800), wigner 6j --route oracle above
+WIGNER_ORACLE_MAX_TWO_J_SUM (144), wigner 9j above WIGNER_9J_MAX_TWO_J_SUM
+(108), wigner gaunt a sum of its 2l above WIGNER_MAX_TWO_J_SUM, su3
+decompose a negative lam1 or lam2 or more than SU3_DECOMPOSE_MAX_ROWS
+(10000) rows, gelfand dim and enumerate an --h of more than GELFAND_MAX_ROW
+(100) entries, gelfand enumerate above GELFAND_MAX_PATTERNS (20000)
+patterns or GELFAND_MAX_ENTRIES (10^6) entries in all its patterns,
+gelfand poly a U(n) pattern with n above 8 or a top-row sum above
+GELFAND_POLY_MAX_TOP_SUM[n] (3000 for U(2) and U(3), 96, 32, 16, 12 and
+10 for U(4) to U(8)), manybody lipkin above LIPKIN_MAX_PARTICLES (1000),
+manybody cramer an --n above CRAMER_MAX_N (50) or outside
+0 <= --s <= --n, manybody overlap, lowdin and thouless an --m above
+SLATER_MAX_ORBITALS (10) or outside 0 < --n-occ <= --m, hydrogen position
+and momentum a --rmax at or below their first grid point (R_FIRST,
+P_FIRST), hydrogen position and momentum and oscillator wf above
+SAMPLES_MAX_POINTS (100000) points, hydrogen verify above
+HYDROGEN_VERIFY_MAX_POINTS (1000) points or an n^2 x points above
+HYDROGEN_VERIFY_MAX_WORK (324000), these four an n above
+SAMPLES_MAX_DEGREE (100000) or an n x points above SAMPLES_MAX_WORK (5e7),
+oscillator propagator above PROPAGATOR_MAX_KERNELS (90000) = points^2
+kernels, and hurwitz check an --n outside {2, 4, 8}, with exit 1, before
+any work starts, and so do those five sampled commands below one point.
 gelfand dim reports a Weyl dimension past the double range as its exact
 integer, value_exact, with exit 0.
 hydrogen verify compares the closed form with the Hankel oracle on its fixed
 grid 0.05 delta..5 delta and takes no --rmax or --seed; an oracle whose
 quadrature does not settle exits 1 and is named.  A result that is not
-finite (NaN or infinite), or whose computation overflows, also exits 1;
+finite (NaN or infinite), or whose computation overflows, also exits 1,
+and so do hydrogen position and momentum where the normalization
+underflows to 0, which would sample every point as 0;
 numpy's RuntimeWarnings on the way to such a result are kept off stderr.
 An unknown --format is a usage error, refused before the command runs.
 
@@ -485,7 +489,8 @@ def _hurwitz_cross(args):
 @_command("hurwitz", "check", _arg("--n"), _SEED)
 def _hurwitz_check(args):
     import numpy as np
-    from .hurwitz import hurwitz_matrix
+    from .hurwitz import hurwitz_layout, hurwitz_matrix
+    hurwitz_layout(args.n)      # refuses an n outside {2, 4, 8} before the draw
     u = np.random.default_rng(args.seed).normal(size=args.n)
     H = hurwitz_matrix(args.n, u)
     res = float(np.linalg.norm(H.T @ H - float(u @ u) * np.eye(args.n)))

@@ -258,17 +258,24 @@ def check_hydrogen_labels(N, n, l):
 
 
 def hydrogen_radial(N, n, l, r):
-    """R_{n,l}(r) in N dimensions; integral of R^2 r^{N-1} dr = 1."""
+    """R_{n,l}(r) in N dimensions; integral of R^2 r^{N-1} dr = 1.  A
+    normalization constant that underflows to 0 raises ArithmeticError, so
+    that no label is sampled as zeros."""
     check_hydrogen_labels(N, n, l)
     r = np.asarray(r, dtype=float)
     x = 2 * hydrogen_delta(N, n) * r
-    return (radial_norm_constant(N, n, l) * x ** l * np.exp(-x / 2)
+    norm = radial_norm_constant(N, n, l)
+    if norm == 0.0:
+        raise ArithmeticError(f"the normalization at N = {N}, n = {n}, l = {l} underflows to 0")
+    return (norm * x ** l * np.exp(-x / 2)
             * laguerre(n - l - 1, 2 * l + N - 2, x))
 
 
 def hydrogen_momentum_radial(N, n, l, p):
     """Closed-form radial momentum amplitude F_{n,l}(p), nonnegative-p grid;
-    integral of F^2 p^{N-1} dp = 1."""
+    integral of F^2 p^{N-1} dp = 1.  A prefactor that underflows to 0
+    raises ArithmeticError, as in hydrogen_radial; a NaN one is left to the
+    caller's finiteness check."""
     check_hydrogen_labels(N, n, l)
     p = np.asarray(p, dtype=float)
     d = hydrogen_delta(N, n)
@@ -276,6 +283,8 @@ def hydrogen_momentum_radial(N, n, l, p):
     pref = math.sqrt(math.factorial(n - l - 1) * (n + (N - 3) / 2.0)
                      / (2 * math.pi * _gamma(n + l + N - 2)))
     pref *= 2.0 ** (2 * l + N) * d ** (N / 2.0 + 1) * _gamma(l + (N - 1) / 2.0)
+    if pref == 0.0:
+        raise ArithmeticError(f"the normalization at N = {N}, n = {n}, l = {l} underflows to 0")
     return (pref * (d * p) ** l / (p * p + d * d) ** (l + (N + 1) / 2.0)
             * gegenbauer(n - l - 1, l + (N - 1) / 2.0, x))
 

@@ -23,8 +23,10 @@ entry is one SqrtRational.from_exponents of the CG's integer times the
 3j's Van der Waerden sum (wigner._van_der_waerden).  A table is filled one
 (p1, p2, q3) block at a time, when a query first needs it: a block holds
 one chain triple's isoscalar factor and every entry of those chains.
-su3_wigner_multfree and su3_isoscalar read their entry and, on a miss,
-fill its block and read again; complete() fills every block.  The
+su3_wigner_multfree and su3_isoscalar test their selection rules first
+and then reach a block only through the table's read(), which looks the
+key up and, on a miss, fills the key's block and looks again;
+complete() fills every block.  The
 factorials under the root are summed as prime-exponent vectors
 (exact.factorial_exponents), each where it changes, as WIGXJPF reuses
 exponent vectors (Johansson and Forssen, SIAM J. Sci. Comput. 38, A376
@@ -123,15 +125,20 @@ def su3_decompose_multfree(lam1: int, lam2: int):
 
 
 def _in_decomposition(lam1, lam2, lam3, mu3) -> bool:
-    """(lam3, mu3) in su3_decompose_multfree(lam1, lam2), without the list."""
-    return lam3 == lam1 + lam2 - 2 * mu3 and 0 <= mu3 <= min(lam1, lam2)
+    """(lam3, mu3) in su3_decompose_multfree(lam1, lam2), without the list.
+    A negative label names no irrep and raises ValueError, as in
+    coupling_table, not a zero."""
+    if min(lam1, lam2, lam3, mu3) < 0:
+        raise ValueError("lam1, lam2, lam3 and mu3 must be >= 0")
+    return lam3 == lam1 + lam2 - 2 * mu3 and mu3 <= min(lam1, lam2)
 
 
 class _CouplingTable(dict):
     """A coupling table, {(key1, key2, key3): SqrtRational}, holding in `iso`
     its nonzero isoscalar factors, keyed by the three (y, 2t) chains, and
-    filled one (p1, p2, q3) block at a time: block() fills one, complete()
-    every one.  The filled blocks live in the table's own cache entry, so
+    filled one (p1, p2, q3) block at a time: read() looks a key up and
+    fills its block on a miss, block() fills one, complete() every one.
+    The filled blocks live in the table's own cache entry, so
     coupling_table.cache_clear() drops them with it.
 
     A block writes its isoscalar factor, then its entries, and only then
@@ -190,9 +197,8 @@ class _CouplingTable(dict):
                 row = block + factorial_exponents((p1 - b, b))
                 for tt02 in range(-p2, p2 + 1, 2):
                     tt03 = tt01 + tt02
-                    if tt03 < 0 or tt03 == 0 and tt01 < 0:
-                        continue    # the mirror of an entry computed here
-                    if tt03 > tt3:
+                    # the mirror of an entry computed here, or |2t03| > 2t3
+                    if tt03 < 0 or tt03 == 0 and tt01 < 0 or tt03 > tt3:
                         continue
                     c = (p2 + tt02) // 2    # j2 + m2; j2 - m2 is p2 - c
                     total, q_args = _van_der_waerden(q3, b, c, p1 - b - q3, p2 - c - q3)
@@ -209,6 +215,19 @@ class _CouplingTable(dict):
                             w if mirror > 0 else -w)
         self.filled.add((p1, p2, q3))
 
+    def read(self, store, key, tt1, tt2, tt3):
+        """store[key], store being the table or its iso and key one of the
+        chains (y1, 2t1), (y2, 2t2), (y3, 2t3): on a miss the chains' block,
+        p1 = 2t1, p2 = 2t2, q3 = (p1 + p2 - 2t3)/2, is filled and store read
+        again, and a key still absent reads SR_ZERO.  This is the one way a
+        query reaches a block.  As block() publishes the isoscalar factor
+        before the entries, a reader that finds an entry here finds its
+        isoscalar factor in iso."""
+        if (value := store.get(key)) is not None:
+            return value
+        self.block(tt1, tt2, (tt1 + tt2 - tt3) // 2)
+        return store.get(key, SR_ZERO)
+
     def complete(self):
         """Fill every block; returns the table."""
         for p1 in range(self.lam1 + 1):
@@ -221,10 +240,11 @@ class _CouplingTable(dict):
 @lru_cache(maxsize=64)
 def coupling_table(lam1: int, lam2: int, mu3: int):
     """Exact Wigner table for (lam1,0) x (lam2,0) -> (lam3, mu3), returned
-    empty: block(p1, p2, q3) fills the entries of one chain triple, and
-    complete() every entry.  A query fills only its own block, so one
-    query at (9,0) x (9,0) on a cleared cache takes about 0.25 ms, where
-    the whole table takes about 50 ms; whole-table readers call complete().
+    empty: read() fills the block of one chain triple when a query first
+    misses it, and complete() every block.  A query fills only its own
+    block, so one query at (9,0) x (9,0) on a cleared cache takes about
+    0.25 ms, where the whole table takes about 50 ms; whole-table readers
+    call complete().
 
     Holds {(key1, key2, key3): SqrtRational}; keys are (y, 2t, 2t0).
     Normalized so sum over (key1,key2) of w^2 = 1/dim(lam3,mu3) per key3;
@@ -250,49 +270,34 @@ def su3_wigner_multfree(lam1, lam2, lam3, mu3, a1: Su3Label, a2: Su3Label,
     """(wigner, isoscalar) for <(lam1,0) a1; (lam2,0) a2 | (lam3,mu3) a3>-type
     3j-normalized coefficients; exact zeros on selection-rule failure.
 
-    Read from the coupling table; a key it lacks fills its chain triple's
-    block, p1 = 2t1, p2 = 2t2, q3 = (p1 + p2 - 2t3)/2, and is read again.
-    y3 != y1 + y2 gives zeros and fills nothing."""
+    Read from the coupling table through _CouplingTable.read.  A (lam3, mu3)
+    outside the decomposition, or y3 != y1 + y2, gives zeros and touches no
+    table."""
     if (a1.lam, a1.mu, a2.lam, a2.mu, a3.lam, a3.mu) != (lam1, 0, lam2, 0, lam3, mu3):
         raise ValueError("labels must be states of (lam1,0), (lam2,0), (lam3,mu3)")
-    if not _in_decomposition(lam1, lam2, lam3, mu3):
+    y1, tt1, y2, tt2, y3, tt3 = a1.y, a1.two_t, a2.y, a2.two_t, a3.y, a3.two_t
+    if not (_in_decomposition(lam1, lam2, lam3, mu3) and y3 == y1 + y2):
         return SR_ZERO, SR_ZERO
     table = coupling_table(lam1, lam2, mu3)
-    y1, tt1, y2, tt2, y3, tt3 = a1.y, a1.two_t, a2.y, a2.two_t, a3.y, a3.two_t
     key = (y1, tt1, a1.two_t0), (y2, tt2, a2.two_t0), (y3, tt3, a3.two_t0)
-    w = table.get(key)
-    if w is None:
-        if y3 != y1 + y2:
-            return SR_ZERO, SR_ZERO
-        table.block(tt1, tt2, (tt1 + tt2 - tt3) // 2)
-        w = table.get(key, SR_ZERO)
+    w = table.read(table, key, tt1, tt2, tt3)
     return w, table.iso.get((y1, tt1, y2, tt2, y3, tt3), SR_ZERO)
 
 
 def su3_isoscalar(lam1, lam2, lam3, mu3, chain1, chain2, chain3):
     """Isoscalar factor for the (y,t)-chains; wigner = isoscalar * 3j.
 
-    Read from the coupling table, filling the chains' block on a miss as
-    su3_wigner_multfree does; a failed t triangle gives 0 before any table
-    is built, and chains off (lam1,0) or (lam2,0), or with y3 != y1 + y2,
-    give 0 and fill nothing.  A negative lam1 or lam2 labels no irrep and
-    raises ValueError, as in coupling_table."""
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError("lam1 and lam2 must be >= 0")
-    if not _in_decomposition(lam1, lam2, lam3, mu3):
-        return SR_ZERO
+    Read from the coupling table through _CouplingTable.read.  A (lam3, mu3)
+    outside the decomposition, a failed t triangle, chains off (lam1,0) or
+    (lam2,0), or y3 != y1 + y2 give 0 and touch no table.  A negative label
+    names no irrep and raises ValueError, as in coupling_table."""
     (y1, tt1), (y2, tt2), (y3, tt3) = chain1, chain2, chain3
-    if not triangle_ok(tt1, tt2, tt3):
+    if not (_in_decomposition(lam1, lam2, lam3, mu3) and triangle_ok(tt1, tt2, tt3)
+            and y1 == 3 * tt1 - 2 * lam1 and tt1 <= lam1
+            and y2 == 3 * tt2 - 2 * lam2 and tt2 <= lam2 and y3 == y1 + y2):
         return SR_ZERO
     table = coupling_table(lam1, lam2, mu3)
-    key = (y1, tt1, y2, tt2, y3, tt3)
-    iso = table.iso.get(key)
-    if iso is None:
-        if y1 != 3 * tt1 - 2 * lam1 or y2 != 3 * tt2 - 2 * lam2 or y3 != y1 + y2:
-            return SR_ZERO
-        table.block(tt1, tt2, (tt1 + tt2 - tt3) // 2)
-        iso = table.iso.get(key, SR_ZERO)
-    return iso
+    return table.read(table.iso, (y1, tt1, y2, tt2, y3, tt3), tt1, tt2, tt3)
 
 
 # ---------------------------------------------------------------------------

@@ -407,12 +407,14 @@ def regge_orbit(label: ThreeJLabel):
 
     phase is (+1/-1): the 3j of the member equals phase times the seed's.
     Odd row or column permutations contribute (-1)^J; transposition none.
+    A seed that fails its triangle (which also makes J integral) or whose
+    2m do not sum to 0 has no magic square and raises ValueError.
     """
     two_j, two_m = label.two_j, label.two_m
     if not triangle_ok(*two_j):
         raise ValueError("regge_orbit needs a triangle-valid label")
-    if sum(two_j) % 2:
-        raise ValueError("J must be integral")
+    if sum(two_m):
+        raise ValueError("regge_orbit needs 2m1 + 2m2 + 2m3 = 0")
     J = sum(two_j) // 2
     sq0 = _magic_square(two_j, two_m)
     seen = {}

@@ -122,6 +122,46 @@ def test_domain_error_exit_one():
         ResultEnvelope(value_float=math.inf)
 
 
+def test_regge_seed_with_unbalanced_m_is_refused():
+    # a Regge seed whose 2m do not sum to 0 exits 1, not 0 with 12 members
+    env, code = run(["wigner", "regge", "--two-j", "2", "2", "2", "--two-m", "2", "2", "2"])
+    assert code == 1 and "2m1 + 2m2 + 2m3 = 0" in env.message, env.message
+
+
+def test_su3_isoscalar_refuses_a_negative_coupled_label():
+    # a negative lam3 or mu3 names no irrep: exit 1, as su3 wigner, not 0/1
+    chains = ["--chain1", "1", "1", "--chain2", "1", "1", "--chain3", "2", "2"]
+    for lam1, lam3, mu3 in ((1, 2, -1), (2, -2, 3)):
+        env, code = run(["su3", "isoscalar", "--lam1", str(lam1), "--lam2", str(lam1),
+                         "--lam3", str(lam3), "--mu3", str(mu3), *chains])
+        assert code == 1 and ">= 0" in env.message, (lam3, mu3, env.message)
+
+
+def test_hydrogen_underflowed_normalization_is_refused():
+    # a normalization that underflows to 0 exits 1, not 0 with zero samples
+    for argv in (["hydrogen", "position", "--dim", "200", "--n", "1", "--l", "0"],
+                 ["hydrogen", "momentum", "--dim", "120", "--n", "60", "--l", "0"],
+                 ["hydrogen", "momentum", "--dim", "160", "--n", "20", "--l", "0"]):
+        env, code = run([*argv, "--points", "3"])
+        assert code == 1 and "underflows" in env.message, (argv, env.message)
+
+
+def test_hurwitz_check_refuses_n_before_the_draw(monkeypatch):
+    # an n outside {2, 4, 8} is refused before any normal is drawn: 10^12
+    # would otherwise ask numpy for 8 TB, and -1 for a negative dimension
+    import numpy as np
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("random draw reached before the n check")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", untouched)
+        for n in (3, -1, 10 ** 12):
+            env, code = run(["hurwitz", "check", "--n", str(n)])
+            assert code == 1 and "n in {2, 4, 8}" in env.message, (n, env.message)
+    assert run(["hurwitz", "check", "--n", "8"])[1] == 0
+
+
 def test_refusal_leaves_stderr_empty():
     # numpy's overflow and invalid-value warnings on the way to a refused
     # result stay off stderr, also with RuntimeWarnings shown by default

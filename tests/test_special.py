@@ -135,6 +135,21 @@ def test_hydrogen_state_invariants():
                           hydrogen_radial(3, 2, 1, r))
 
 
+def test_underflowed_normalization_is_refused():
+    # a normalization that underflows to 0 would sample every point as 0.0:
+    # it is refused.  Position at N = 200, n = 1; momentum at (120, 60, 0)
+    # and (160, 20, 0), where the prefactor is 0.0
+    r = np.linspace(1e-6, 8.0, 3)
+    with pytest.raises(ArithmeticError, match="underflows"):
+        hydrogen_radial(200, 1, 0, r)
+    for N, n, l in ((120, 60, 0), (160, 20, 0)):
+        with pytest.raises(ArithmeticError, match="underflows"):
+            hydrogen_momentum_radial(N, n, l, r)
+    # a normalization that stays above 0 is sampled as before
+    assert np.all(np.isfinite(hydrogen_radial(3, 191, 0, r)))
+    assert np.all(np.isfinite(hydrogen_momentum_radial(3, 170, 0, r)))
+
+
 def test_gamma_ports_equal_scipy():
     # the Cephes ports behind the hydrogen normalizations give scipy's
     # floats, ==, at every argument valid labels reach: lnGamma at every

@@ -40,6 +40,16 @@ def test_decompose_refuses_a_negative_lambda():
             su3_isoscalar(lam1, lam2, lam1 + lam2, 0, (0, 0), (0, 0), (0, 0))
 
 
+def test_isoscalar_refuses_a_negative_coupled_label():
+    # a negative lam3 or mu3 labels no irrep either: refused, not answered
+    # with a zero, and before any table is built
+    coupling_table.cache_clear()
+    for lam1, lam2, lam3, mu3 in ((1, 1, 2, -1), (2, 2, -2, 3), (1, 1, -1, 0)):
+        with pytest.raises(ValueError, match=">= 0"):
+            su3_isoscalar(lam1, lam2, lam3, mu3, (1, 1), (1, 1), (2, 2))
+    assert coupling_table.cache_info().currsize == 0
+
+
 def test_dimension_sums():
     for lam1, lam2 in itertools.product(range(4), repeat=2):
         dims = sum(dim_su3(l3, m3) for l3, m3 in su3_decompose_multfree(lam1, lam2))

@@ -792,6 +792,18 @@ def test_regge_orbit_examples():
         assert threej(*lab.two_j, *lab.two_m) == v0 * phase
 
 
+def test_regge_orbit_refuses_m_that_do_not_sum_to_zero():
+    # the magic square needs m1 + m2 + m3 = 0: (2 2 2; 2 2 2) would give
+    # members such as (0 2 4; 0 0 0), whose 3j is nonzero, with a phase
+    # against a 3j that is 0, and (1 1 1; -1 -1 -1), an odd J
+    for two_m in ((2, 2, 2), (2, 0, 0), (-2, 0, 0), (0, 2, 0)):
+        with pytest.raises(ValueError, match="2m1 \\+ 2m2 \\+ 2m3 = 0"):
+            regge_orbit(ThreeJLabel((2, 2, 2), two_m))
+    # a failed triangle keeps its own message
+    with pytest.raises(ValueError, match="triangle-valid"):
+        regge_orbit(ThreeJLabel((2, 2, 6), (2, 2, 2)))
+
+
 def test_regge_orbits_random():
     random.seed(7)
     labels = [lab for lab in valid_threej_labels(6)]
