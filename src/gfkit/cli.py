@@ -31,6 +31,10 @@ SAMPLES_MAX_DEGREE (100000) or an n x points above SAMPLES_MAX_WORK (5e7),
 oscillator propagator above PROPAGATOR_MAX_KERNELS (90000) = points^2
 kernels, and hurwitz check an --n outside {2, 4, 8}, with exit 1, before
 any work starts, and so do those five sampled commands below one point.
+The hurwitz commands refuse a bad --n or vector length before numpy is
+loaded.  oscillator propagator and magnetic refuse a --beta below 0
+(backward imaginary time, where no kernel exists) with exit 1 at their
+first kernel.
 gelfand dim reports a Weyl dimension past the double range as its exact
 integer, value_exact, with exit 0.
 hydrogen verify compares the closed form with the Hankel oracle on its fixed
@@ -46,7 +50,8 @@ Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
 handler imports only the kernel it runs, so this module loads nothing but
 the standard library and an exact command (wigner, gelfand) never loads
-numpy or scipy.
+numpy or scipy, nor does hurwitz ks.  json prints the result's dict; csv
+and text render that same dict as one list of rows.
 """
 from __future__ import annotations
 
@@ -66,11 +71,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_VALUES = ("value_exact", "value_float")
+
+
 class ResultEnvelope:
     """One command's result.  A plain class with slots, not a dataclass:
     importing dataclasses loads inspect, about 10 ms and 0.7 MB in every
-    invocation.  It stays mutable (su3 wigner fills in its table).  A
-    value_float that is not finite is refused with ValueError."""
+    invocation.  Each handler builds its envelope in one call, and to_dict
+    alone decides which fields a result carries: status and message for an
+    error, every field that is set for an ok result.  A value_float that is
+    not finite is refused with ValueError."""
 
     __slots__ = ("status", "value_exact", "value_float", "table", "meta", "message")
 
@@ -83,53 +93,34 @@ class ResultEnvelope:
         self.table, self.meta, self.message = table, meta, message
 
     def to_dict(self):
-        out = {"status": self.status}
-        if self.status == "ok":
-            out["meta"] = self.meta
-            if self.value_exact is not None:
-                out["value_exact"] = self.value_exact
-            if self.value_float is not None:
-                out["value_float"] = self.value_float
-            if self.table is not None:
-                out["table"] = self.table
-        else:
-            out["message"] = self.message or ""
-        return out
+        if self.status != "ok":
+            return {"status": self.status, "message": self.message or ""}
+        return {k: v for k in ("status", "meta", *_VALUES, "table")
+                if (v := getattr(self, k)) is not None}
 
 
 _FORMATS = ("json", "csv", "text")
 
 
 def render(env: ResultEnvelope, fmt: str) -> bytes:
+    """The envelope's dict as json, or as one list of rows joined by "," (csv)
+    or " | " (text).  Text lists every field but the table as sorted
+    "key: value" lines, then the table; csv lists the error's status and
+    message, or else the table, or else the value fields the result carries."""
     d = env.to_dict()
     if fmt == "json":
         return (json.dumps(d, sort_keys=True, default=str) + "\n").encode()
-    if fmt == "csv":
-        lines = []
-        if env.status != "ok":
-            lines.append("status,message")
-            lines.append(f"error,{env.message}")
-        elif env.table is not None:
-            lines.append(",".join(env.table["columns"]))
-            for row in env.table["rows"]:
-                lines.append(",".join(str(x) for x in row))
-        else:
-            cols, vals = [], []
-            for k in ("value_exact", "value_float"):
-                if d.get(k) is not None:
-                    cols.append(k)
-                    vals.append(str(d[k]))
-            lines.append(",".join(cols))
-            lines.append(",".join(vals))
-        return ("\n".join(lines) + "\n").encode()
+    table = d.pop("table", None)
     if fmt == "text":
-        lines = [f"{k}: {v}" for k, v in sorted(d.items()) if k != "table"]
-        if env.table is not None:
-            lines.append(" | ".join(env.table["columns"]))
-            for row in env.table["rows"]:
-                lines.append(" | ".join(str(x) for x in row))
-        return ("\n".join(lines) + "\n").encode()
-    raise UsageError(f"unknown format {fmt}")
+        sep, rows = " | ", [[f"{k}: {v}"] for k, v in sorted(d.items())]
+    elif fmt == "csv":
+        keys = list(d) if env.status != "ok" else [k for k in _VALUES if k in d]
+        sep, rows = ",", [] if table else [keys, [d[k] for k in keys]]
+    else:
+        raise UsageError(f"unknown format {fmt}")
+    if table:
+        rows += [table["columns"], *table["rows"]]
+    return "".join(sep.join(map(str, row)) + "\n" for row in rows).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +325,10 @@ def _su3_wigner(args):
               ((args.lam1, 0, args.a1), (args.lam2, 0, args.a2),
                (args.lam3, args.mu3, args.a3))]
     w, iso = su3_wigner_multfree(args.lam1, args.lam2, args.lam3, args.mu3, *labels)
-    env = _exact(w, "SU(3) closed-form Wigner (isoscalar CG x 3j)")
-    env.table = {"columns": ["isoscalar_exact", "isoscalar_float"],
-                 "rows": [[str(iso), _fmt_float(iso)]]}
-    return env
+    return ResultEnvelope(value_exact=str(w), value_float=float(w),
+                          table={"columns": ["isoscalar_exact", "isoscalar_float"],
+                                 "rows": [[str(iso), _fmt_float(iso)]]},
+                          meta="SU(3) closed-form Wigner (isoscalar CG x 3j)")
 
 
 @_command("su3", "isoscalar", *_SU3_LABELS,
@@ -450,9 +441,9 @@ def _gelfand_poly(args):
 # --- hurwitz ---------------------------------------------------------------
 @_command("hurwitz", "matrix", _arg("--n"), _arg("--u", float, nargs="+"))
 def _hurwitz_matrix(args):
-    import numpy as np
     from .hurwitz import hurwitz_matrix
     H = hurwitz_matrix(args.n, args.u)
+    import numpy as np
     res = float(np.linalg.norm(H.T @ H - (np.asarray(args.u) ** 2).sum() * np.eye(args.n)))
     return _matrix(H, res, "Hurwitz matrix; value is ||H^T H - |u|^2 I||")
 
@@ -468,9 +459,9 @@ def _hurwitz_ks(args):
 
 @_command("hurwitz", "cayley", _arg("--n"), _arg("--u", float, nargs="+"))
 def _hurwitz_cayley(args):
-    import numpy as np
     from .hurwitz import cayley_rotation
     O = cayley_rotation(args.n, args.u)
+    import numpy as np
     r2 = float(np.dot(args.u, args.u))
     res = float(np.linalg.norm(O.T @ O - r2 * r2 * np.eye(args.n)))
     return _matrix(O, res, "Cayley rotation; value is orthogonality residual")
@@ -479,18 +470,18 @@ def _hurwitz_cayley(args):
 @_command("hurwitz", "cross", _arg("--n"), _arg("--a", float, nargs="+"),
           _arg("--b", float, nargs="+"))
 def _hurwitz_cross(args):
-    import numpy as np
     from .hurwitz import cross_product
     v = cross_product(args.n, args.a, args.b)
+    import numpy as np
     return _table([f"x{i+1}" for i in range(args.n)], [[_fmt_float(t) for t in v]],
                   float(np.linalg.norm(v)), "cross product; value is |a x b|")
 
 
 @_command("hurwitz", "check", _arg("--n"), _SEED)
 def _hurwitz_check(args):
-    import numpy as np
     from .hurwitz import hurwitz_layout, hurwitz_matrix
-    hurwitz_layout(args.n)      # refuses an n outside {2, 4, 8} before the draw
+    hurwitz_layout(args.n)      # refuses an n outside {2, 4, 8} before numpy and the draw
+    import numpy as np
     u = np.random.default_rng(args.seed).normal(size=args.n)
     H = hurwitz_matrix(args.n, u)
     res = float(np.linalg.norm(H.T @ H - float(u @ u) * np.eye(args.n)))

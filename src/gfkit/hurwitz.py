@@ -8,12 +8,12 @@ maps' component polynomials read off by polarization (composed there to
 check the Laplacian pullback identity exactly), the closed n = 3 Cayley
 form and the V-matrix exponential.  The tests check the
 Gegenbauer-Gaussian identities as the exact polynomial identity
-det(I - alpha A(x)) = (1 - 2 alpha x_last + alpha^2 |x|^2)^k.  The module
-imports numpy and nothing else.
+det(I - alpha A(x)) = (1 - 2 alpha x_last + alpha^2 |x|^2)^k.  Only the
+functions that build arrays import numpy, and each checks its n and vector
+lengths before that import: the quadratic maps and every refusal load
+nothing but this module.
 """
 from __future__ import annotations
-
-import numpy as np
 
 _H2 = ((("+", 1), ("-", 2)),
        (("+", 2), ("+", 1)))
@@ -42,12 +42,13 @@ def hurwitz_layout(n: int):
     return _H_LAYOUT[n]
 
 
-def hurwitz_matrix(n: int, u) -> np.ndarray:
+def hurwitz_matrix(n: int, u):
     """Numeric H_n(u) with H^T H = |u|^2 I."""
     lay = hurwitz_layout(n)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
+    if len(u) != n:
         raise ValueError(f"u must have length {n}")
+    import numpy as np
+    u = np.asarray(u, dtype=float)
     out = np.empty((n, n))
     for i, row in enumerate(lay):
         for j, (sg, k) in enumerate(row):
@@ -94,51 +95,62 @@ QUAD_MAPS = {(2, 2): levi_civita, (3, 4): ks_transform, (5, 8): r8_to_r5}
 # ---------------------------------------------------------------------------
 # cross products and V matrices
 # ---------------------------------------------------------------------------
-def v_matrix(n: int, x) -> np.ndarray:
+def _check_cross(n: int, *vectors):
+    """Refuse an n outside {3, 7}, then a vector whose length is not n."""
+    if n not in (3, 7):
+        raise ValueError("cross products exist only for n in {3, 7}")
+    if any(len(v) != n for v in vectors):
+        raise ValueError(f"the cross product in R^{n} takes {n}-vectors")
+
+
+def v_matrix(n: int, x):
     """Matrix V with V(a) b = a x b; n = 3 or 7 (7-D layout of the Cayley
     octonion convention)."""
+    _check_cross(n, x)
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if n == 3:
         x1, x2, x3 = x
         return np.array([[0, -x3, x2], [x3, 0, -x1], [-x2, x1, 0]])
-    if n == 7:
-        x1, x2, x3, x4, x5, x6, x7 = x
-        return np.array([
-            [0, x7, -x6, -x5, x4, x3, -x2],
-            [-x7, 0, -x5, x6, x3, -x4, x1],
-            [x6, x5, 0, x7, -x2, -x1, -x4],
-            [x5, -x6, -x7, 0, -x1, x2, x3],
-            [-x4, -x3, x2, x1, 0, x7, -x6],
-            [-x3, x4, x1, -x2, -x7, 0, x5],
-            [x2, -x1, x4, -x3, x6, -x5, 0]])
-    raise ValueError("cross products exist only for n in {3, 7}")
+    x1, x2, x3, x4, x5, x6, x7 = x
+    return np.array([
+        [0, x7, -x6, -x5, x4, x3, -x2],
+        [-x7, 0, -x5, x6, x3, -x4, x1],
+        [x6, x5, 0, x7, -x2, -x1, -x4],
+        [x5, -x6, -x7, 0, -x1, x2, x3],
+        [-x4, -x3, x2, x1, 0, x7, -x6],
+        [-x3, x4, x1, -x2, -x7, 0, x5],
+        [x2, -x1, x4, -x3, x6, -x5, 0]])
 
 
-def cross_product(n: int, a, b) -> np.ndarray:
+def cross_product(n: int, a, b):
+    """a x b in R^3 or R^7."""
+    _check_cross(n, a, b)
+    import numpy as np
     return v_matrix(n, a) @ np.asarray(b, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Cayley rotations
 # ---------------------------------------------------------------------------
-def _skew_s(n: int, u) -> np.ndarray:
+def _skew_s(n: int, u):
+    if n not in (3, 7):
+        raise ValueError("Cayley rotations implemented for n in {3, 7}")
+    if len(u) != n + 1:
+        raise ValueError("n=3 needs a 4-vector u" if n == 3 else "n=7 needs an 8-vector u")
+    import numpy as np
     u = np.asarray(u, dtype=float)
-    if n == 3:
-        if u.shape != (4,):
-            raise ValueError("n=3 needs a 4-vector u")
-        _, u2, u3, u4 = u
-        return np.array([[0, u2, u3], [-u2, 0, u4], [-u3, -u4, 0]])
     if n == 7:
-        if u.shape != (8,):
-            raise ValueError("n=7 needs an 8-vector u")
         return -v_matrix(7, u[1:])
-    raise ValueError("Cayley rotations implemented for n in {3, 7}")
+    _, u2, u3, u4 = u
+    return np.array([[0, u2, u3], [-u2, 0, u4], [-u3, -u4, 0]])
 
 
-def cayley_rotation(n: int, u) -> np.ndarray:
+def cayley_rotation(n: int, u):
     """O_n(u) = |u|^2 (u1 I - S)(u1 I + S)^{-1}; O^T O = (|u|^2)^2 I."""
-    u = np.asarray(u, dtype=float)
     S = _skew_s(n, u)
+    import numpy as np
+    u = np.asarray(u, dtype=float)
     r2 = float(u @ u)
     A = u[0] * np.eye(n) - S
     B = u[0] * np.eye(n) + S
@@ -153,6 +165,7 @@ def cayley_rotation(n: int, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def gegenbauer_gaussian_closed(n_case, alpha, x) -> complex:
     """(1 - 2 x_last alpha + alpha^2 r^2)^{-m}, m = 1/2, 1, 2."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     r2 = float(x @ x)
     base = 1 - 2 * x[-1] * alpha + alpha * alpha * r2

@@ -12,12 +12,15 @@ with K_1 the kernel computed here (the tests check both rules against the
 Schroedinger equation).
 
 Real-time kernels are evaluated at complex time; imaginary time t = -i beta
-gives the Mehler kernel (real, positive).  The square-root branch of the
-prefactor is fixed by continuity from Euclidean time.  Both propagators
-share one real-time tilt and caustic check; the 1-D kernel takes the tilt
-eps as an argument (eps = 0 evaluates on the real axis), the magnetic kernel
-always uses the default 1e-8.  The cylindrical wavefunction and its
-Cartesian overlap refuse the same labels: j < |m| or j - m not integral.
+gives the Mehler kernel (real, positive).  Time with Im t > 0, beta < 0 in
+imaginary time, is refused with ValueError: there the eigenfunction sum
+sum_n e^{-beta E_n} u_n(x) u_n(x') diverges, so no kernel exists.  The
+square-root branch of the prefactor is fixed by continuity from Euclidean
+time.  Both propagators share one real-time tilt, caustic check and Im t
+check; the 1-D kernel takes the tilt eps as an argument (eps = 0 evaluates
+on the real axis), the magnetic kernel always uses the default 1e-8.  The
+cylindrical wavefunction and its Cartesian overlap refuse the same labels:
+j < |m| or j - m not integral.
 """
 from __future__ import annotations
 
@@ -54,8 +57,12 @@ def ho_generating_function(z, q):
 def _tilted_time(t, omega, eps=None):
     """(t, omega t, sin(omega t)) after the real-time tilt
     t -> t(1 - i eps), eps = 1e-8 by default on the real axis; raises
-    CausticError where sin(omega t) = 0 on the real axis."""
+    CausticError where sin(omega t) = 0 on the real axis, and ValueError
+    for Im t > 0 (backward imaginary time), checked before the tilt, which
+    would give a negative real t an Im t > 0."""
     t = complex(t)
+    if t.imag > 0:
+        raise ValueError(f"backward imaginary time (Im t = {t.imag!r} > 0) has no kernel")
     if eps is None:
         eps = 1e-8 if (t.imag == 0 and t.real != 0) else 0.0
     if eps:
@@ -68,10 +75,11 @@ def _tilted_time(t, omega, eps=None):
 
 
 def ho_propagator(x, xp, t, eps=None):
-    """K(x, t; x', 0) of the oscillator; t complex (use t = -1j*beta for
-    imaginary time).  Real time is tilted t -> t(1 - i eps) with
-    eps = 1e-8 by default to dodge caustics; pass eps=0 to evaluate on the
-    real axis, where sin(t) = 0 raises CausticError."""
+    """K(x, t; x', 0) of the oscillator; t complex with Im t <= 0 (use
+    t = -1j*beta, beta >= 0, for imaginary time).  Real time is tilted
+    t -> t(1 - i eps) with eps = 1e-8 by default to dodge caustics; pass
+    eps=0 to evaluate on the real axis, where sin(t) = 0 raises
+    CausticError."""
     # omega t formed with omega = 1.0, as in the magnetic kernel: the complex
     # product decides what a non-finite t turns into
     _, alpha, s = _tilted_time(t, 1.0, eps)

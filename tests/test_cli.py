@@ -162,6 +162,69 @@ def test_hurwitz_check_refuses_n_before_the_draw(monkeypatch):
     assert run(["hurwitz", "check", "--n", "8"])[1] == 0
 
 
+
+def test_hurwitz_refuses_before_numpy():
+    # hurwitz ks is an exact map on four floats, and a bad --n or vector
+    # length is refused before numpy is imported, by name: in one fresh
+    # interpreter none of them loads numpy
+    refusals = [
+        (["check", "--n", "3"], "Hurwitz matrices exist for n in {2, 4, 8}"),
+        (["matrix", "--n", "3", "--u", "1", "2", "3"], "Hurwitz matrices exist for n in {2, 4, 8}"),
+        (["matrix", "--n", "4", "--u", "1", "2", "3"], "u must have length 4"),
+        (["cayley", "--n", "4", "--u", "1", "2", "3", "4"],
+         "Cayley rotations implemented for n in {3, 7}"),
+        (["cayley", "--n", "7", "--u", "1", "2"], "n=7 needs an 8-vector u"),
+        (["cross", "--n", "5", "--a", "1", "2", "3", "--b", "1", "2", "3"],
+         "cross products exist only for n in {3, 7}"),
+        (["cross", "--n", "3", "--a", "1", "2", "--b", "1", "2", "3"],
+         "the cross product in R^3 takes 3-vectors"),
+        (["cross", "--n", "3", "--a", "1", "2", "3", "--b", "1", "2"],
+         "the cross product in R^3 takes 3-vectors")]
+    argvs = [["hurwitz", "ks", "--u", "1", "0", "1", "0"]] + [
+        ["hurwitz", *argv] for argv, _ in refusals]
+    driver = (
+        "import json, sys\n"
+        "from gfkit.cli import run_command\n"
+        f"out = [run_command(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([[code, env.message] for env, code in out]"
+        " + ['numpy' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", driver], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(res.stdout) == [[0, None], *([1, m] for _, m in refusals), False]
+
+
+def test_oscillator_refuses_backward_imaginary_time():
+    # beta < 0 has no kernel: both commands exit 1 at their first kernel,
+    # and beta = 0 keeps its caustic refusal
+    for argv in (["oscillator", "propagator", "--beta", "-1", "--points", "3"],
+                 ["oscillator", "magnetic", "--beta", "-0.7", "--omega-c", "0.4",
+                  "--r1", "0.3", "-0.4", "--r2", "-0.2", "0.5"]):
+        env, code = run(argv)
+        assert code == 1 and "backward imaginary time" in env.message, (argv, env.message)
+        env, code = run([*argv[:3], "0", *argv[4:]])
+        assert (code, env.message) == (1, "sin(omega t) = 0"), argv
+
+
+def test_su3_wigner_refuses_a_label_outside_its_irrep():
+    # Su3Label.from_key refuses an (y, 2t, 2t0) that names no state of (1,0)
+    base = ["su3", "wigner", "--lam1", "1", "--lam2", "1", "--lam3", "2", "--mu3", "0",
+            "--a2", "1", "1", "1", "--a3", "2", "2", "2"]
+    for a1, message in ((["0", "1", "1"], "no such state"),
+                        (["1", "1", "3"], "t0 out of range"),
+                        (["4", "2", "2"], "p,q out of range")):
+        env, code = run([*base, "--a1", *a1])
+        assert (code, env.message) == (1, message), a1
+
+
+def test_regge_refuses_a_seed_that_is_no_3j_label():
+    # ThreeJLabel refuses the seed before its orbit is built
+    for two_m, message in ((["1", "-1", "0"], "two_m parity must match two_j"),
+                           (["4", "-4", "0"], "|m| <= j violated")):
+        env, code = run(["wigner", "regge", "--two-j", "2", "2", "2", "--two-m", *two_m])
+        assert (code, env.message) == (1, message), two_m
+
 def test_refusal_leaves_stderr_empty():
     # numpy's overflow and invalid-value warnings on the way to a refused
     # result stay off stderr, also with RuntimeWarnings shown by default
@@ -246,6 +309,15 @@ def test_error_envelope_render():
     data = json.loads(render(env, "json"))
     assert data == {"status": "error", "message": "boom"}
 
+
+
+def test_render_shows_only_the_fields_to_dict_carries():
+    # csv and text render the envelope's dict, as json does: an error shows
+    # its status and message and nothing else the envelope may hold
+    env = ResultEnvelope(status="error", message="boom", value_float=1.0,
+                         table={"columns": ["a"], "rows": [[1]]})
+    assert render(env, "csv") == b"status,message\nerror,boom\n"
+    assert render(env, "text") == b"message: boom\nstatus: error\n"
 
 CORPUS = [
     ["wigner", "3j", "--two-j", "2", "2", "2", "--two-m", "2", "-2", "0"],

@@ -128,6 +128,23 @@ def test_cross_products():
     assert np.allclose(lhs, rhs)
 
 
+
+def test_refusals_name_the_n_or_the_length():
+    # a wrong n or vector length is refused by name, not by an unpacking or
+    # matmul error from inside the kernel
+    for fn, args, message in (
+            (cross_product, (5, [1, 2, 3], [1, 2, 3]), "cross products exist only for n in {3, 7}"),
+            (cross_product, (3, [1, 2], [1, 2, 3]), "the cross product in R^3 takes 3-vectors"),
+            (cross_product, (3, [1, 2, 3], [1, 2]), "the cross product in R^3 takes 3-vectors"),
+            (v_matrix, (7, [1] * 6), "the cross product in R^7 takes 7-vectors"),
+            (cayley_rotation, (4, [1, 2, 3, 4]), "Cayley rotations implemented for n in {3, 7}"),
+            (cayley_rotation, (7, [1, 2]), "n=7 needs an 8-vector u"),
+            (cayley_rotation, (3, [1, 2]), "n=3 needs a 4-vector u"),
+            (hurwitz_matrix, (4, [1, 2, 3]), "u must have length 4")):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == message, (fn.__name__, args)
+
 def test_v_matrix_properties():
     rng = np.random.default_rng(6)
     rep = v_matrix_properties(7, rng.normal(size=7))

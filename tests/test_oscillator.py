@@ -77,6 +77,25 @@ def test_propagator_caustic():
     assert np.isfinite(k.real) and np.isfinite(k.imag)
 
 
+
+def test_kernels_refuse_backward_imaginary_time():
+    # Im t > 0 is imaginary time run backwards (beta < 0), where the sum
+    # over e^{-beta E_n} u_n(x) u_n(x') diverges: both kernels refuse it
+    r1, r2 = (0.3, -0.4), (-0.2, 0.5)
+    for t in (1j, 0.5 + 0.7j, -2.0 + 1e-300j):
+        with pytest.raises(ValueError, match="backward imaginary time"):
+            ho_propagator(0.1, 0.2, t)
+        with pytest.raises(ValueError, match="backward imaginary time"):
+            magnetic_propagator(0.4, r1, r2, t)
+    # a negative real t is checked before its tilt, which would move it
+    # above the axis, and evaluates: time reversal conjugates the kernel
+    # (and flips omega_c), up to the tilt's O(eps)
+    for t in (1.0, 2.5):
+        assert abs(ho_propagator(0.1, 0.2, -t)
+                   - ho_propagator(0.1, 0.2, t).conjugate()) < 1e-6
+        assert abs(magnetic_propagator(0.4, r1, r2, -t)
+                   - magnetic_propagator(-0.4, r1, r2, t).conjugate()) < 1e-6
+
 def test_delta_sequence():
     # int K(x, x'; -i b) f(x') dx' -> f(x), error decreasing over b
     xs, ws = np.polynomial.legendre.leggauss(400)
@@ -266,6 +285,14 @@ def test_cylindrical_cartesian_overlap():
                 ho_wavefunction(nx, X) * ho_wavefunction(ny, Y) * W, xs, axis=1), xs)
             assert abs(quad - cylindrical_cartesian_overlap(nx, ny, tj, tm)) < 1e-9
 
+
+
+def test_cylindrical_cartesian_overlap_vanishes_off_its_shell():
+    # the Cartesian state |nx ny> lies in the shell nx + ny = 2j: off it
+    # the overlap is exactly 0, and on it (here j = 1, m = 0) it need not be
+    for nx, ny in ((1, 0), (0, 0), (2, 1), (3, 0)):
+        assert cylindrical_cartesian_overlap(nx, ny, 2, 0) == 0
+    assert cylindrical_cartesian_overlap(2, 0, 2, 0) == pytest.approx(-math.sqrt(0.5))
 
 def test_cylindrical_cartesian_overlap_refuses_invalid_labels():
     # the labels cylindrical_wavefunction refuses name no state: j - m not

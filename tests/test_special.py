@@ -289,6 +289,18 @@ def test_momentum_parity_and_phase():
     assert v1.real == 0 and v1.imag != 0
 
 
+
+def test_momentum_parity_and_phase_in_four_dimensions():
+    # N != 3 takes the hyperspherical harmonic and the -i^l phase: with
+    # l = 1 and a real harmonic (mu_3 = 0) the value is purely imaginary,
+    # and the antipodal map of S^3 gives psi(-p) = (-1)^l psi(p)
+    s = HydrogenState(4, 2, 1, (1, 0))
+    p, th1, th2, ph = 0.7, 0.6, 0.9, 1.1
+    v1 = hydrogen_momentum_wf(s, p, (th1, th2, ph))
+    v2 = hydrogen_momentum_wf(s, p, (math.pi - th1, math.pi - th2, ph + math.pi))
+    assert v1.real == 0 and v1.imag != 0
+    assert v2 == pytest.approx(-v1)
+
 def test_hyperspherical_normalized():
     # product-quadrature norm on S^{N-1}
     def norm(N, l, mus, ngrid=40):
