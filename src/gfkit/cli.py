@@ -50,8 +50,8 @@ Each command is one entry of the command table: its group, its name, its
 argument specs and its handler.  The parser is built from the table, and a
 handler imports only the kernel it runs, so this module loads nothing but
 the standard library and an exact command (wigner, gelfand) never loads
-numpy or scipy, nor does hurwitz ks.  json prints the result's dict; csv
-and text render that same dict as one list of rows.
+numpy or scipy, nor do hurwitz ks and oscillator magnetic.  json prints
+the result's dict; csv and text render that same dict as one list of rows.
 """
 from __future__ import annotations
 
@@ -766,7 +766,7 @@ def run_command(argv) -> tuple[ResultEnvelope, int]:
     except OverflowError as exc:
         return ResultEnvelope(status="error",
                               message=f"the result is not finite ({exc})"), 1
-    except (ValueError, ArithmeticError, KeyError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return ResultEnvelope(status="error", message=str(exc)), 1
 
 

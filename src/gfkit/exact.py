@@ -98,8 +98,6 @@ def _is_probable_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """One nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 64):
         x = y = 2
         d = 1
@@ -211,19 +209,18 @@ class SqrtRational:
         No factoring and no factorial products.  With every field below
         2^31 in magnitude, |e| has between 32 k - 32 and 32 k - 1 bits when
         its highest nonzero field is the k-th, so |e| gives the number of
-        fields.  2^31 added to each field makes every field non-negative, so
-        no field borrows, and the same bit flipped back by xor leaves each
-        field's two's complement: the vector is read once as signed 32-bit
-        ints.  Prime by prime, half of each exponent goes to num and its
-        parity under the root; a prime P of odd negative exponent -x goes
-        under the root with P^((x + 1)/2) in den, as
-        sqrt(P^-x) = sqrt(P) / P^((x + 1)/2).  The primes of num's product
-        and of den are disjoint, so one gcd of p and den reduces the
-        coefficient."""
+        fields; the zero vector, the ratio 1, reads as one zero field, as
+        the table always holds prime 2.  2^31 added to each field makes
+        every field non-negative, so no field borrows, and the same bit
+        flipped back by xor leaves each field's two's complement: the
+        vector is read once as signed 32-bit ints.  Prime by prime, half of
+        each exponent goes to num and its parity under the root; a prime P
+        of odd negative exponent -x goes under the root with P^((x + 1)/2)
+        in den, as sqrt(P^-x) = sqrt(P) / P^((x + 1)/2).  The primes of
+        num's product and of den are disjoint, so one gcd of p and den
+        reduces the coefficient."""
         if not p:
             return SR_ZERO
-        if not e:       # the ratio 1; the table may hold no prime yet
-            return _sqrt_rational(p, 1, 1)
         k = (abs(e).bit_length() >> 5) + 1
         bias = factorials._bias[k]
         fields = memoryview(((e + bias) ^ bias).to_bytes(
@@ -251,9 +248,8 @@ class SqrtRational:
             g = math.gcd(r1, r2)
             return _reduced(self.num * other.num * g, self.den * other.den,
                             (r1 // g) * (r2 // g))
-        if isinstance(other, int):
-            return _reduced(self.num * other, self.den, self.radicand)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
+            # an int (bool too) has numerator and denominator
             return _reduced(self.num * other.numerator,
                             self.den * other.denominator, self.radicand)
         return NotImplemented
@@ -298,9 +294,7 @@ class SqrtRational:
         if isinstance(other, SqrtRational):
             return (self.num == other.num and self.den == other.den
                     and self.radicand == other.radicand)
-        if isinstance(other, int):
-            return self.radicand == 1 and self.den == 1 and self.num == other
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return (self.radicand == 1 and self.num == other.numerator
                     and self.den == other.denominator)
         return NotImplemented
@@ -407,7 +401,9 @@ class FactorialCache:
     in n! (Legendre's formula) packed into one int: the exponent of
     primes[i] fills the 32-bit field at bit 32 i.  Adding these ints adds the
     exponent vectors, so a factorial ratio's exponents are a few big-int
-    additions (factorial_exponents, the table's one reader)."""
+    additions (factorial_exponents, the table's one reader).  The table
+    starts grown to n_max; the module's own starts at 2!, so that it holds
+    prime 2 and _bias[1] before any read."""
 
     def __init__(self, n_max: int = 0):
         self._packed = [0]
@@ -441,7 +437,9 @@ class FactorialCache:
                 packed.append(packed[-1] + step)
 
 
-factorials = FactorialCache()
+# grown to 2! at once, so that prime 2 and _bias[1] exist: from_exponents
+# reads the zero vector, the ratio 1, as one zero field with no case of its own
+factorials = FactorialCache(2)
 
 
 def factorial_exponents(args) -> int:

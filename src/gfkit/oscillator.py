@@ -20,16 +20,15 @@ time.  Both propagators share one real-time tilt, caustic check and Im t
 check; the 1-D kernel takes the tilt eps as an argument (eps = 0 evaluates
 on the real axis), the magnetic kernel always uses the default 1e-8.  The
 cylindrical wavefunction and its Cartesian overlap refuse the same labels:
-j < |m| or j - m not integral.
+j < |m| or j - m not integral.  Only the functions that build arrays import
+numpy (and the Hermite or Laguerre recurrence), after their label checks:
+the propagators, the magnetic energy, the Cartesian overlap and every
+refusal load nothing but this module.
 """
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
-
-from .special import hermite, laguerre
 
 
 class CausticError(ArithmeticError):
@@ -40,6 +39,8 @@ def ho_wavefunction(n: int, q) -> np.ndarray:
     """u_n(q) = (sqrt(pi) 2^n n!)^{-1/2} e^{-q^2/2} H_n(q)."""
     if n < 0:
         raise ValueError("n >= 0")
+    import numpy as np
+    from .special import hermite
     q = np.asarray(q, dtype=float)
     lognorm = -0.5 * (0.5 * math.log(math.pi) + n * math.log(2)
                       + math.lgamma(n + 1))
@@ -49,6 +50,7 @@ def ho_wavefunction(n: int, q) -> np.ndarray:
 def ho_generating_function(z, q):
     """G(z,q) = pi^{-1/4} exp(sqrt(2) q z - q^2/2 - z^2/2)
              = sum_n z^n/sqrt(n!) u_n(q)."""
+    import numpy as np
     z = np.asarray(z, dtype=complex)
     q = np.asarray(q, dtype=float)
     return math.pi ** -0.25 * np.exp(math.sqrt(2) * q * z - q * q / 2 - z * z / 2)
@@ -123,6 +125,8 @@ def cylindrical_wavefunction(two_j: int, two_m: int, lam: float, rho, phi):
     normalized on the plane.  j, m are half-integers passed doubled;
     j - |m| must be a non-negative integer."""
     _check_jm(two_j, two_m)
+    import numpy as np
+    from .special import laguerre
     rho = np.asarray(rho, dtype=float)
     nr = (two_j - abs(two_m)) // 2
     two_am = abs(two_m)

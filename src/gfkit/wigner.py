@@ -431,9 +431,9 @@ def regge_orbit(label: ThreeJLabel):
 # Gaunt coefficient
 # ---------------------------------------------------------------------------
 def gaunt(l1, m1, l2, m2, l3, m3) -> float:
-    """Integral of Y_{l1 m1} Y_{l2 m2} Y_{l3 m3} over the sphere."""
-    if (l1 + l2 + l3) % 2 or m1 + m2 + m3 != 0:
-        return 0.0
+    """Integral of Y_{l1 m1} Y_{l2 m2} Y_{l3 m3} over the sphere; 0.0 where
+    either 3j vanishes, an odd l1 + l2 + l3 or m that do not sum to 0
+    among them."""
     a = threej(2 * l1, 2 * l2, 2 * l3, 0, 0, 0)
     b = threej(2 * l1, 2 * l2, 2 * l3, 2 * m1, 2 * m2, 2 * m3)
     if not a or not b:

@@ -776,6 +776,58 @@ def test_numeric_commands_load_no_exact_kernel():
     assert res.stdout.splitlines() == ["[]"]
 
 
+def test_oscillator_magnetic_loads_no_numpy():
+    # the magnetic kernel is cmath alone: in one fresh interpreter the
+    # command and its backward-time refusal load no numpy
+    tail = ["--omega-c", "0.4", "--r1", "0.3", "-0.4", "--r2", "-0.2", "0.5"]
+    argvs = [["oscillator", "magnetic", "--beta", beta, *tail] for beta in ("0.7", "-0.7")]
+    script = (
+        "import json, sys\n"
+        "from gfkit.cli import run_command\n"
+        f"out = [run_command(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([[code, env.message] for env, code in out]"
+        " + ['numpy' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(res.stdout) == [
+        [0, None], [1, "backward imaginary time (Im t = 0.7 > 0) has no kernel"], False]
+
+
+def test_a_key_error_is_no_domain_error(monkeypatch):
+    # no kernel raises KeyError on purpose, so one from a bug escapes
+    # run_command instead of printing its bare key as a refusal
+    from gfkit import wigner
+
+    def broken(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(wigner, "threej", broken)
+    with pytest.raises(KeyError):
+        run_command(["wigner", "3j", "--two-j", "2", "2", "2", "--two-m", "2", "-2", "0"])
+
+
+def test_help_states_every_cap_at_its_value():
+    # gfkit --help is the module docstring: it names every *_MAX_* cap, and
+    # each "NAME (value)" there, 10^6 and 5e7 included, is the constant's
+    # value, as are the per-n top-row sums of GELFAND_POLY_MAX_TOP_SUM
+    import re
+    from gfkit import cli
+    doc = " ".join(cli.__doc__.split())
+    caps = {k: v for k, v in vars(cli).items() if "_MAX_" in k and k.isupper()}
+    stated = re.findall(r"\b([A-Z][A-Z0-9_]*_MAX_[A-Z0-9_]*) \(([0-9e^]+)\)", doc)
+    assert {name for name, _ in stated} == set(caps) - {"GELFAND_POLY_MAX_TOP_SUM"}
+    for name, text in stated:
+        base, _, power = text.partition("^")
+        assert (int(base) ** int(power) if power else float(text)) == caps[name], name
+    per_n = re.search(r"GELFAND_POLY_MAX_TOP_SUM\[n\] \((\d+) for U\(2\) and U\(3\), "
+                      r"(\d+), (\d+), (\d+), (\d+) and (\d+) for U\(4\) to U\(8\)\)", doc)
+    top = cli.GELFAND_POLY_MAX_TOP_SUM
+    first, *rest = map(int, per_n.groups())
+    assert top == {2: first, 3: first, **dict(zip(range(4, 9), rest))}
+
+
 if __name__ == "__main__":
     records = [json.dumps(golden_record(a)) for a in CORPUS + ERROR_ARGVS]
     GOLDEN.write_text("[\n" + ",\n".join(records) + "\n]\n")

@@ -622,3 +622,32 @@ def test_pickle_and_deepcopy_keep_the_three_ints(v):
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(v)]:
         assert type(w) is SqrtRational and w == v
         assert (w.num, w.den, w.radicand) == (v.num, v.den, v.radicand)
+
+
+def test_refusals_of_the_substrate():
+    with pytest.raises(ValueError, match="^square_free_split needs n >= 1$"):
+        square_free_split(0)
+    with pytest.raises(ValueError, match="^negative square$"):
+        SqrtRational.from_square(Fraction(-1))
+    for v in (sr(1, 2), sr(-3), SR_ZERO):
+        with pytest.raises(ZeroDivisionError):
+            v / SR_ZERO
+
+
+def test_int_operands_and_the_ratio_1_take_the_general_path():
+    # an int or bool operand gives the triple of the Fraction it equals, and
+    # in a fresh interpreter, before any factorial is read, the zero
+    # exponent vector gives p sqrt(1)
+    for v in (sr(Fraction(-3, 4), 6), sr(5), SR_ZERO):
+        for k in (0, 1, -6, True, False):
+            for got in (v * k, k * v):
+                want = v * Fraction(k)
+                assert (got.num, got.den, got.radicand) == (want.num, want.den, want.radicand)
+            assert (v == k) is (v == Fraction(k))
+    script = ("from gfkit.exact import SqrtRational, factorials\n"
+              "v = SqrtRational.from_exponents(-3, 0)\n"
+              "print(v.num, v.den, v.radicand, factorials.primes)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.stdout == "-3 1 1 [2]\n"

@@ -257,3 +257,16 @@ def test_boson_commutator_preserved():
         comm = Jp @ Jp.T - Jp.T @ Jp
         k = trunc - 2
         assert np.linalg.norm(comm[:k, :k] - 2 * J0[:k, :k]) < 1e-10
+
+
+def test_substitution_query_and_boson_images_refuse_their_shapes():
+    # a repeated or out-of-range position, and a B of 3 rows for a 2 x 2 A
+    A = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
+    for positions in ((0, 0), (2,), (-1,)):
+        B = tuple((Fraction(1),) * len(positions) for _ in range(2))
+        with pytest.raises(ValueError, match="^positions must be distinct, in range$"):
+            SubstitutionQuery(A, B, positions)
+    with pytest.raises(ValueError, match="^B must be n x s$"):
+        SubstitutionQuery(A, ((Fraction(1),),) * 3, (0,))
+    with pytest.raises(ValueError, match="^truncation >= 1$"):
+        lipkin_boson_images(LipkinModel(4), 0)

@@ -348,3 +348,9 @@ def test_genfunc_residuals():
     assert series == pytest.approx(closed, rel=1e-10)
     with pytest.raises(ValueError):
         genfunc_residual("legendre", 1.1, 0.0)
+
+
+def test_hyperspherical_harmonic_refuses_a_short_chain():
+    # N = 4 needs the chain l, mu_2, mu_3; an empty mus names no harmonic
+    with pytest.raises(ValueError, match=r"^need mu_2\.\.mu_\{N-1\}$"):
+        hyperspherical_harmonic(4, 1, (), (0.1, 0.2, 0.3))

@@ -529,5 +529,11 @@ def test_coupling_tables_match_digests():
     assert digest_record() == json.loads(DIGESTS.read_text())
 
 
+def test_label_refuses_an_inconsistent_hypercharge():
+    # p, q and 2t fit (1, 0), but y = 5 is not -(2 lam + mu) + 3 (p + q) = -2
+    with pytest.raises(ValueError, match="^hypercharge inconsistent$"):
+        Su3Label(1, 0, 0, 0, 0, 0, 5)
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(digest_record(), indent=1) + "\n")

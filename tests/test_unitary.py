@@ -319,3 +319,13 @@ def test_u3_orthogonality_exact():
                 for other, b in polys[i + 1:]:
                     seen[name, other] = bargmann_dot(a, b)
     assert {k: v for k, v in seen.items() if v} == _NOT_ORTHOGONAL
+
+
+def test_constructors_refuse_their_shapes():
+    # rows of 2, 1, 1 entries are no triangle; a BFR table needs bits 0/1
+    # with at least one 1
+    with pytest.raises(ValueError, match="^pattern must be triangular$"):
+        GelfandPattern(((2, 1), (1,), (0,)))
+    for bits in ((0, 0), (0, 2)):
+        with pytest.raises(ValueError, match="^bits must be 0/1 with at least one 1$"):
+            BfrTable(bits)
